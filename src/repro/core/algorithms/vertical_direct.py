@@ -57,7 +57,6 @@ class VerticalDirectMiner(MiningAlgorithm):
                 rows=rows,
                 frequent_set=frequent_set,
                 neighbor_table=neighbor_table,
-                registry=registry,
                 minsup=minsup,
                 patterns=patterns,
             )
@@ -97,7 +96,6 @@ class VerticalDirectMiner(MiningAlgorithm):
                 rows=rows,
                 frequent_set=frequent_set,
                 neighbor_table=neighbor_table,
-                registry=registry,
                 minsup=minsup,
                 patterns=patterns,
             )
@@ -110,7 +108,6 @@ class VerticalDirectMiner(MiningAlgorithm):
         rows: Dict[str, BitVector],
         frequent_set: Set[str],
         neighbor_table: Dict[str, FrozenSet[str]],
-        registry: EdgeRegistry,
         minsup: int,
         patterns: PatternCounts,
     ) -> None:

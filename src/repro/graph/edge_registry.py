@@ -6,7 +6,7 @@ this mapping and the two lookup tables used by the connectivity machinery:
 
 * the *vertex table* (paper Table 1): item -> the edge's two endpoints;
 * the *neighborhood table* (paper Table 2): item -> items of edges sharing a
-  vertex with it.
+  vertex with it, answered from a vertex -> items index kept at registration.
 
 Items are ordered canonically (lexicographically by symbol), which is the
 "canonical order, e.g. alphabetical" the DSTree/DSTable/DSMatrix structures
@@ -44,6 +44,8 @@ class EdgeRegistry:
     def __init__(self) -> None:
         self._edge_to_item: Dict[Edge, Item] = {}
         self._item_to_edge: Dict[Item, Edge] = {}
+        # vertex -> items of the registered edges touching it (Table 2 index)
+        self._items_at: Dict[VertexId, Set[Item]] = {}
         self._frozen = False
 
     # ------------------------------------------------------------------ #
@@ -67,13 +69,16 @@ class EdgeRegistry:
         if self._frozen:
             raise EdgeRegistryError(f"registry is frozen; cannot register {edge!r}")
         if symbol is None:
-            symbol = _default_symbol(len(self._edge_to_item))
-            while symbol in self._item_to_edge:
-                symbol = _default_symbol(len(self._item_to_edge) + len(symbol))
+            index = len(self._edge_to_item)
+            while _default_symbol(index) in self._item_to_edge:
+                index += 1
+            symbol = _default_symbol(index)
         if symbol in self._item_to_edge:
             raise EdgeRegistryError(f"symbol {symbol!r} is already in use")
         self._edge_to_item[edge] = symbol
         self._item_to_edge[symbol] = edge
+        for vertex in edge.vertices:
+            self._items_at.setdefault(vertex, set()).add(symbol)
         return symbol
 
     def register_all(self, edges: Iterable[Edge]) -> List[Item]:
@@ -135,12 +140,8 @@ class EdgeRegistry:
     # ------------------------------------------------------------------ #
     def neighbors_of(self, item: Item) -> FrozenSet[Item]:
         """Items of edges sharing at least one vertex with ``item``'s edge."""
-        edge = self.edge_for(item)
-        return frozenset(
-            other_item
-            for other_item, other_edge in self._item_to_edge.items()
-            if other_item != item and edge.shares_vertex_with(other_edge)
-        )
+        u, v = self.edge_for(item).vertices
+        return frozenset((self._items_at[u] | self._items_at[v]) - {item})
 
     def neighborhood_table(self) -> Dict[Item, FrozenSet[Item]]:
         """The full Table 2: item -> neighboring items."""
@@ -171,6 +172,14 @@ class EdgeRegistry:
             Register previously unseen edges (default).  When ``False`` unseen
             edges raise :class:`~repro.exceptions.EdgeRegistryError`.
         """
+        try:
+            # Fast path: every edge is known, so no symbol is minted and the
+            # registration order (hence the edge sort) does not matter.
+            return tuple(sorted(map(self._edge_to_item.__getitem__, snapshot.edges)))
+        except KeyError:
+            pass
+        # Some edge is unseen: register unseen edges in canonical edge order,
+        # the order that decides which symbol each one is minted.
         items: List[Item] = []
         for edge in snapshot.sorted_edges():
             if edge not in self._edge_to_item:

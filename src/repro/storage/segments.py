@@ -53,16 +53,17 @@ def rows_from_transactions(
     :meth:`Segment.from_batch` and the parallel ingestion workers
     (DESIGN.md §5): bit ``i`` of ``rows[item]`` is set when ``item`` occurs
     in the ``i``-th transaction.  Duplicate items within a transaction
-    collapse to one bit, matching :class:`~repro.stream.batch.Batch`
-    normalisation, and the result is independent of per-transaction item
-    order — remapping row keys afterwards (the registry-merge protocol)
-    therefore commutes with this function.
+    collapse to one bit (OR-ing a bit in twice leaves it set), matching
+    :class:`~repro.stream.batch.Batch` normalisation, and the result is
+    independent of per-transaction item order — remapping row keys
+    afterwards (the registry-merge protocol) therefore commutes with this
+    function.
     """
     rows: Dict[str, int] = {}
     num_columns = 0
     for offset, transaction in enumerate(transactions):
         bit = 1 << offset
-        for item in set(transaction):
+        for item in transaction:
             rows[item] = rows.get(item, 0) | bit
         num_columns = offset + 1
     return num_columns, rows

@@ -59,6 +59,20 @@ class TestRegistration:
         symbols = [registry.register(edge) for edge in edges]
         assert len(set(symbols)) == 40
 
+    def test_auto_symbols_follow_registration_count(self):
+        registry = EdgeRegistry()
+        symbols = [registry.register(Edge(i, i + 1)) for i in range(30)]
+        assert symbols == [chr(ord("a") + i) for i in range(26)] + ["e26", "e27", "e28", "e29"]
+
+    def test_auto_symbol_skips_consecutive_explicit_symbols(self):
+        # Explicit symbols hold two consecutive auto slots: the probe for a
+        # free auto symbol must advance past both.
+        registry = EdgeRegistry()
+        registry.register(Edge(1, 2), "c")
+        registry.register(Edge(2, 3), "d")
+        assert registry.register(Edge(3, 4)) == "e"
+        assert registry.register(Edge(4, 5)) == "f"
+
 
 class TestLookups:
     def test_item_for_unknown_edge_raises(self):
