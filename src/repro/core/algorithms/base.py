@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, Optional, Union
 
 from repro.exceptions import InvalidSupportError
@@ -51,15 +53,17 @@ def resolve_minsup(minsup: float, transaction_count: int) -> int:
 
     ``minsup`` may be an absolute integer (>= 1) or a relative fraction in
     ``(0, 1)``; relative thresholds are converted with ceiling semantics so a
-    pattern is frequent when ``support >= ceil(minsup * |T|)``.
+    pattern is frequent when ``support >= ceil(minsup * |T|)``.  The ceiling
+    is taken exactly on the decimal the float prints as — ``0.07 * 100`` is
+    ``7.000000000000001`` in binary floating point, but 7 % of 100
+    transactions is 7, not 8.
     """
     if isinstance(minsup, bool):
         raise InvalidSupportError("minsup must be a number, not a boolean")
     if minsup <= 0:
         raise InvalidSupportError(f"minsup must be positive, got {minsup}")
     if isinstance(minsup, float) and minsup < 1:
-        absolute = -(-minsup * transaction_count // 1)  # ceiling
-        return max(1, int(absolute))
+        return max(1, math.ceil(Fraction(repr(minsup)) * transaction_count))
     if float(minsup) != int(minsup):
         raise InvalidSupportError(
             f"absolute minsup must be an integer, got {minsup}"

@@ -12,15 +12,22 @@ memory-frugal of the five.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.core.algorithms.base import MatrixLike, MiningAlgorithm, PatternCounts
 from repro.graph.edge_registry import EdgeRegistry
-from repro.storage.bitvector import BitVector
 
 
 class VerticalMiner(MiningAlgorithm):
-    """Depth-first vertical (Eclat-style) mining over DSMatrix bit vectors."""
+    """Depth-first vertical (Eclat-style) mining over DSMatrix bit vectors.
+
+    The kernel intersects the rows' raw ``int`` bits (``&`` plus
+    ``int.bit_count``) rather than :class:`~repro.storage.bitvector.BitVector`
+    objects: every row of one window has the same length, so the per-call
+    validation and allocation of ``BitVector.intersect`` buys nothing here.
+    Rows still come from ``matrix.row()``, so the store's row cache is
+    reused across slides.
+    """
 
     name = "vertical"
     produces_connected_only = False
@@ -33,23 +40,14 @@ class VerticalMiner(MiningAlgorithm):
     ) -> PatternCounts:
         self.reset_stats()
         patterns: PatternCounts = {}
-        frequent_items = matrix.frequent_items(minsup)
-        rows: Dict[str, BitVector] = {item: matrix.row(item) for item in frequent_items}
+        ordered: List[str] = matrix.frequent_items(minsup)  # canonical order
+        rows: List[int] = [matrix.row(item).bits for item in ordered]
 
-        for item in frequent_items:
-            patterns[frozenset({item})] = rows[item].count()
+        for item, bits in zip(ordered, rows):
+            patterns[frozenset({item})] = bits.bit_count()
 
-        ordered: List[str] = list(frequent_items)  # canonical order
         for index, item in enumerate(ordered):
-            self._extend(
-                prefix=(item,),
-                prefix_vector=rows[item],
-                start=index + 1,
-                ordered=ordered,
-                rows=rows,
-                minsup=minsup,
-                patterns=patterns,
-            )
+            self._extend((item,), rows[index], index + 1, ordered, rows, minsup, patterns)
         self.stats.patterns_found = len(patterns)
         return patterns
 
@@ -69,50 +67,55 @@ class VerticalMiner(MiningAlgorithm):
         self.reset_stats()
         owned = set(owned_items)
         patterns: PatternCounts = {}
-        frequent_items = matrix.frequent_items(minsup)
-        rows: Dict[str, BitVector] = {item: matrix.row(item) for item in frequent_items}
-        ordered: List[str] = list(frequent_items)
+        ordered: List[str] = matrix.frequent_items(minsup)
+        rows: List[int] = [matrix.row(item).bits for item in ordered]
         for index, item in enumerate(ordered):
             if item not in owned:
                 continue
-            patterns[frozenset({item})] = rows[item].count()
-            self._extend(
-                prefix=(item,),
-                prefix_vector=rows[item],
-                start=index + 1,
-                ordered=ordered,
-                rows=rows,
-                minsup=minsup,
-                patterns=patterns,
-            )
+            patterns[frozenset({item})] = rows[index].bit_count()
+            self._extend((item,), rows[index], index + 1, ordered, rows, minsup, patterns)
         self.stats.patterns_found = len(patterns)
         return patterns
 
     def _extend(
         self,
         prefix: Tuple[str, ...],
-        prefix_vector: BitVector,
+        prefix_bits: int,
         start: int,
         ordered: List[str],
-        rows: Dict[str, BitVector],
+        rows: List[int],
         minsup: int,
         patterns: PatternCounts,
     ) -> None:
-        for index in range(start, len(ordered)):
-            item = ordered[index]
-            intersection = prefix_vector.intersect(rows[item])
-            self.stats.bitvector_intersections += 1
-            support = intersection.count()
-            if support < minsup:
-                continue
-            extended = prefix + (item,)
-            patterns[frozenset(extended)] = support
-            self._extend(
-                prefix=extended,
-                prefix_vector=intersection,
-                start=index + 1,
-                ordered=ordered,
-                rows=rows,
-                minsup=minsup,
-                patterns=patterns,
-            )
+        """Enumerate every frequent extension of ``prefix`` depth-first.
+
+        ``rows[i]`` holds the bits of ``ordered[i]``.  Intersections are
+        counted locally and added to the stats once per call.
+        """
+        self.stats.bitvector_intersections += _extend_bits(
+            prefix, prefix_bits, start, ordered, rows, minsup, patterns
+        )
+
+
+def _extend_bits(
+    prefix: Tuple[str, ...],
+    prefix_bits: int,
+    start: int,
+    ordered: List[str],
+    rows: List[int],
+    minsup: int,
+    patterns: PatternCounts,
+) -> int:
+    """The recursive kernel of :meth:`VerticalMiner._extend`; returns its
+    intersection count."""
+    intersections = 0
+    for index in range(start, len(ordered)):
+        bits = prefix_bits & rows[index]
+        intersections += 1
+        support = bits.bit_count()
+        if support < minsup:
+            continue
+        extended = prefix + (ordered[index],)
+        patterns[frozenset(extended)] = support
+        intersections += _extend_bits(extended, bits, index + 1, ordered, rows, minsup, patterns)
+    return intersections

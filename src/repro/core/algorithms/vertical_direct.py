@@ -20,7 +20,6 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 from repro.core.algorithms.base import MatrixLike, MiningAlgorithm, PatternCounts
 from repro.exceptions import MiningError
 from repro.graph.edge_registry import EdgeRegistry
-from repro.storage.bitvector import BitVector
 
 Items = FrozenSet[str]
 
@@ -45,11 +44,11 @@ class VerticalDirectMiner(MiningAlgorithm):
         patterns: PatternCounts = {}
         frequent_items = matrix.frequent_items(minsup)
         frequent_set = set(frequent_items)
-        rows: Dict[str, BitVector] = {item: matrix.row(item) for item in frequent_items}
+        rows: Dict[str, int] = {item: matrix.row(item).bits for item in frequent_items}
         neighbor_table = {item: registry.neighbors_of(item) for item in frequent_items}
 
         for item in frequent_items:
-            patterns[frozenset({item})] = rows[item].count()
+            patterns[frozenset({item})] = rows[item].bit_count()
 
         for start in frequent_items:
             self._grow_from(
@@ -85,12 +84,12 @@ class VerticalDirectMiner(MiningAlgorithm):
         patterns: PatternCounts = {}
         frequent_items = matrix.frequent_items(minsup)
         frequent_set = set(frequent_items)
-        rows: Dict[str, BitVector] = {item: matrix.row(item) for item in frequent_items}
+        rows: Dict[str, int] = {item: matrix.row(item).bits for item in frequent_items}
         neighbor_table = {item: registry.neighbors_of(item) for item in frequent_items}
         for start in frequent_items:
             if start not in owned:
                 continue
-            patterns[frozenset({start})] = rows[start].count()
+            patterns[frozenset({start})] = rows[start].bit_count()
             self._grow_from(
                 start=start,
                 rows=rows,
@@ -105,20 +104,26 @@ class VerticalDirectMiner(MiningAlgorithm):
     def _grow_from(
         self,
         start: str,
-        rows: Dict[str, BitVector],
+        rows: Dict[str, int],
         frequent_set: Set[str],
         neighbor_table: Dict[str, FrozenSet[str]],
         minsup: int,
         patterns: PatternCounts,
     ) -> None:
-        """Enumerate connected frequent sets whose minimum edge is ``start``."""
+        """Enumerate connected frequent sets whose minimum edge is ``start``.
+
+        ``rows`` maps each frequent item to its raw row bits; intersections
+        are ``&`` plus ``int.bit_count``, counted locally and added to the
+        stats once per call.
+        """
         seen: Set[Items] = set()
-        # Stack entries: (itemset, bit vector, neighborhood of the itemset).
-        stack: List[Tuple[Items, BitVector, FrozenSet[str]]] = [
+        intersections = 0
+        # Stack entries: (itemset, row bits, neighborhood of the itemset).
+        stack: List[Tuple[Items, int, FrozenSet[str]]] = [
             (frozenset({start}), rows[start], neighbor_table[start])
         ]
         while stack:
-            itemset, vector, neighborhood = stack.pop()
+            itemset, bits, neighborhood = stack.pop()
             for candidate in sorted(neighborhood):
                 if candidate <= start or candidate not in frequent_set:
                     continue
@@ -126,9 +131,9 @@ class VerticalDirectMiner(MiningAlgorithm):
                 if extended in seen:
                     continue
                 seen.add(extended)
-                intersection = vector.intersect(rows[candidate])
-                self.stats.bitvector_intersections += 1
-                support = intersection.count()
+                intersection = bits & rows[candidate]
+                intersections += 1
+                support = intersection.bit_count()
                 if support < minsup:
                     continue
                 patterns[extended] = support
@@ -137,3 +142,4 @@ class VerticalDirectMiner(MiningAlgorithm):
                     neighborhood | neighbor_table.get(candidate, frozenset())
                 ) - extended
                 stack.append((extended, intersection, frozenset(extended_neighborhood)))
+        self.stats.bitvector_intersections += intersections

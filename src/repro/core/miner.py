@@ -588,9 +588,7 @@ class StreamSubgraphMiner:
             last_batch=segments[-1].segment_id,
             num_columns=self._matrix.num_columns,
             minsup=absolute,
-            patterns=tuple(
-                (pattern.sorted_items(), pattern.support) for pattern in result
-            ),
+            patterns=result.entries(),
             timings={"mine_s": elapsed},
         )
         for sink in self._slide_sinks:

@@ -128,7 +128,14 @@ class FrequentPattern:
 
 
 class MiningResult:
-    """An immutable collection of frequent patterns with query helpers."""
+    """An immutable collection of frequent patterns with query helpers.
+
+    Results built by :meth:`from_counts` keep the validated pattern ->
+    support map and build their :class:`FrequentPattern` objects (decoding
+    edges through the registry) only when a caller first needs patterns or
+    edges; :meth:`entries`, :meth:`to_dict`, :meth:`support_of` and
+    ``len`` never need them.
+    """
 
     def __init__(self, patterns: Iterable[FrequentPattern]) -> None:
         by_items: Dict[Items, FrequentPattern] = {}
@@ -140,7 +147,11 @@ class MiningResult:
                     f"{existing.support} vs {pattern.support}"
                 )
             by_items[pattern.items] = pattern
-        self._patterns: Dict[Items, FrequentPattern] = by_items
+        self._counts: Dict[Items, int] = {
+            items: pattern.support for items, pattern in by_items.items()
+        }
+        self._registry: Optional[EdgeRegistry] = None
+        self._built: Optional[Dict[Items, FrequentPattern]] = by_items
 
     # ------------------------------------------------------------------ #
     # constructors
@@ -153,21 +164,50 @@ class MiningResult:
     ) -> "MiningResult":
         """Build a result from a pattern -> support mapping.
 
-        When ``registry`` is given, each pattern's edges are decoded so the
-        connectivity predicates become available.  Patterns whose items are not
-        covered by the registry (e.g. raw FIMI transactions mined without an
-        edge universe) simply carry no decoded edges.
+        Every entry is validated here, as :class:`FrequentPattern` would
+        (non-empty items, non-negative support).  When ``registry`` is
+        given, each pattern's edges are decoded — on first use of the
+        patterns — so the connectivity predicates become available.
+        Patterns whose items are not covered by the registry (e.g. raw
+        FIMI transactions mined without an edge universe) simply carry no
+        decoded edges.
         """
-        patterns = []
+        validated: Dict[Items, int] = {}
         for items, support in counts.items():
-            edges = None
-            if registry is not None:
-                try:
-                    edges = registry.decode(items)
-                except EdgeRegistryError:
-                    edges = None
-            patterns.append(FrequentPattern(items, support, edges=edges))
-        return cls(patterns)
+            key = frozenset(items)
+            if not key:
+                raise MiningError("a frequent pattern must contain at least one item")
+            if support < 0:
+                raise MiningError(f"support must be non-negative, got {support}")
+            existing = validated.get(key)
+            if existing is not None and existing != support:
+                raise MiningError(
+                    f"conflicting supports for pattern {sorted(key)}: "
+                    f"{existing} vs {support}"
+                )
+            validated[key] = support
+        result = cls.__new__(cls)
+        result._counts = validated
+        result._registry = registry
+        result._built = None
+        return result
+
+    @property
+    def _patterns(self) -> Dict[Items, FrequentPattern]:
+        """Items -> pattern, built (and edges decoded) on first use."""
+        if self._built is None:
+            registry = self._registry
+            built: Dict[Items, FrequentPattern] = {}
+            for items, support in self._counts.items():
+                edges = None
+                if registry is not None:
+                    try:
+                        edges = registry.decode(items)
+                    except EdgeRegistryError:
+                        edges = None
+                built[items] = FrequentPattern(items, support, edges=edges)
+            self._built = built
+        return self._built
 
     # ------------------------------------------------------------------ #
     # accessors
@@ -178,20 +218,31 @@ class MiningResult:
             self._patterns.values(), key=lambda p: (p.size, p.sorted_items())
         )
 
+    def entries(self) -> Tuple[Tuple[Tuple[str, ...], int], ...]:
+        """``(sorted items, support)`` per pattern, in canonical (size, items) order.
+
+        The form a :class:`~repro.history.journal.SlideRecord` seals, built
+        without materialising any pattern object: one lexicographic sort
+        (item tuples are unique, so supports are never compared), then a
+        stable pass by size.
+        """
+        rows = sorted(zip(map(tuple, map(sorted, self._counts)), self._counts.values()))
+        rows.sort(key=lambda row: len(row[0]))
+        return tuple(rows)
+
     def support_of(self, items: Iterable[str]) -> Optional[int]:
         """Support of a specific itemset, or ``None`` if it is not frequent."""
-        pattern = self._patterns.get(frozenset(items))
-        return pattern.support if pattern is not None else None
+        return self._counts.get(frozenset(items))
 
     def __contains__(self, items: object) -> bool:
         if isinstance(items, FrequentPattern):
-            return items.items in self._patterns
+            return items.items in self._counts
         if isinstance(items, (set, frozenset, tuple, list)):
-            return frozenset(items) in self._patterns
+            return frozenset(items) in self._counts
         return False
 
     def __len__(self) -> int:
-        return len(self._patterns)
+        return len(self._counts)
 
     def __iter__(self) -> Iterator[FrequentPattern]:
         return iter(self.patterns())
@@ -199,11 +250,11 @@ class MiningResult:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MiningResult):
             return NotImplemented
-        return self.to_dict() == other.to_dict()
+        return self._counts == other._counts
 
     def to_dict(self) -> Dict[Items, int]:
         """Pattern -> support mapping (the canonical comparison form)."""
-        return {items: pattern.support for items, pattern in self._patterns.items()}
+        return dict(self._counts)
 
     # ------------------------------------------------------------------ #
     # queries
@@ -270,13 +321,13 @@ class MiningResult:
     def size_histogram(self) -> Dict[int, int]:
         """Number of patterns per pattern size."""
         histogram: Dict[int, int] = {}
-        for pattern in self._patterns.values():
-            histogram[pattern.size] = histogram.get(pattern.size, 0) + 1
+        for items in self._counts:
+            histogram[len(items)] = histogram.get(len(items), 0) + 1
         return dict(sorted(histogram.items()))
 
     def max_pattern_size(self) -> int:
         """Largest pattern size present (0 for an empty result)."""
-        return max((p.size for p in self._patterns.values()), default=0)
+        return max(map(len, self._counts), default=0)
 
     def top(self, k: int) -> List[FrequentPattern]:
         """The ``k`` patterns with the highest support (ties broken by items)."""
@@ -286,4 +337,4 @@ class MiningResult:
         )[:k]
 
     def __repr__(self) -> str:
-        return f"MiningResult({len(self._patterns)} patterns)"
+        return f"MiningResult({len(self._counts)} patterns)"

@@ -78,21 +78,34 @@ PatternEntry = Tuple[Tuple[str, ...], int]
 def _canonical_patterns(
     patterns: Mapping[Tuple[str, ...], int] | Tuple[PatternEntry, ...] | List[PatternEntry],
 ) -> Tuple[PatternEntry, ...]:
-    """Normalise a pattern collection into canonical (size, items) order."""
+    """Normalise a pattern collection into canonical (size, items) order.
+
+    Input that already arrives in that order — ``MiningResult.entries()``
+    and every record decoded by :meth:`SlideRecord.from_bytes` — is
+    validated without being sorted again.
+    """
     entries: List[PatternEntry] = []
     items_seen = set()
+    in_order = True
+    previous: Tuple[int, Tuple[str, ...]] = (0, ())
     pairs = patterns.items() if isinstance(patterns, Mapping) else patterns
     for items, support in pairs:
         ordered = tuple(sorted(items))
+        support = int(support)
         if not ordered:
             raise HistoryError("a journalled pattern must contain at least one item")
-        if int(support) < 0:
+        if support < 0:
             raise HistoryError(f"pattern support must be non-negative, got {support}")
         if ordered in items_seen:
             raise HistoryError(f"duplicate pattern {ordered} in one slide record")
         items_seen.add(ordered)
-        entries.append((ordered, int(support)))
-    entries.sort(key=lambda entry: (len(entry[0]), entry[0]))
+        entries.append((ordered, support))
+        key = (len(ordered), ordered)
+        if key < previous:
+            in_order = False
+        previous = key
+    if not in_order:
+        entries.sort(key=lambda entry: (len(entry[0]), entry[0]))
     return tuple(entries)
 
 

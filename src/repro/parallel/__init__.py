@@ -47,7 +47,6 @@ from repro.parallel.worker import (
     WindowTask,
     clear_mining_worker,
     count_segment_shard,
-    initialize_mining_worker,
     rebuild_window,
     run_mining_shard,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "MiningShardTask",
     "ShardOutcome",
     "rebuild_window",
-    "initialize_mining_worker",
     "clear_mining_worker",
     "run_mining_shard",
     "count_segment_shard",

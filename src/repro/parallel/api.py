@@ -11,7 +11,6 @@ the property the parity suite pins down.
 
 from __future__ import annotations
 
-import uuid
 from collections import Counter
 from typing import Collection, Dict, FrozenSet, List, Optional, Tuple, Type, Union
 
@@ -30,7 +29,6 @@ from repro.parallel.worker import (
     WindowTask,
     clear_mining_worker,
     count_segment_shard,
-    initialize_mining_worker,
     run_mining_shard,
 )
 from repro.storage.backend import DiskWindowStore, WindowStore
@@ -197,24 +195,26 @@ def mine_window_parallel(
         else None
     )
     known_items = tuple(store.items())
-    shards = list(planner.plan_items(known_items))
+    # Every pattern is owned by its canonical minimum item, which is always
+    # frequent: planning over the frequent items keeps the partition
+    # complete and disjoint while striping only the items that start work.
+    shards = list(planner.plan_items(store.frequent_items(minsup)))
     effective = effective_workers(workers, len(shards))
     base_handles = tuple(store.segment_handles())
     arena, handles = _publish_window(base_handles, transport, effective)
-    # A persistent pool cannot run per-run initializers, so its runs
-    # attach the window (and registry) to every shard task; the workers'
-    # per-context cache still rebuilds the window only once per process.
-    attach_to_tasks = pool is not None and effective >= 1
 
     def _execute(
         window_handles: Tuple[SegmentHandle, ...],
     ) -> Tuple[PatternCounts, List[Dict[str, int]]]:
-        context = uuid.uuid4().hex
+        # The window (and registry) travel on every shard task; each worker
+        # process continues its resident replica of this store's lineage
+        # and loads only the segments appended since its last task.
         window = WindowTask(
             window_size=store.window_size,
             handles=window_handles,
             known_items=known_items,
             store_path=store_path,
+            lineage=store.lineage,
         )
         tasks = [
             MiningShardTask(
@@ -222,9 +222,8 @@ def mine_window_parallel(
                 algorithm=name,
                 minsup=minsup,
                 owned_items=shard.items,
-                context=context,
-                window=window if attach_to_tasks else None,
-                registry=registry if attach_to_tasks else None,
+                window=window,
+                registry=registry,
             )
             for shard in shards
         ]
@@ -238,28 +237,16 @@ def mine_window_parallel(
         executor = PipelineExecutor(
             effective,
             max_inflight=max_inflight,
-            pool=pool if attach_to_tasks else None,
+            pool=pool,
             policy=policy,
             events=events,
         )
         try:
-            if attach_to_tasks:
-                executor.run(run_mining_shard, tasks, _merge_outcome)
-            else:
-                # The window and registry ship once per worker via the pool
-                # initializer, not once per shard task; each shard's
-                # patterns fold into the running union the moment its
-                # predecessors have merged.
-                executor.run(
-                    run_mining_shard,
-                    tasks,
-                    _merge_outcome,
-                    initializer=initialize_mining_worker,
-                    initargs=(context, window, registry),
-                )
+            executor.run(run_mining_shard, tasks, _merge_outcome)
         finally:
-            # In-process runs installed the window in *this* process; drop it.
-            clear_mining_worker(context)
+            # Tasks run in *this* process (in-process mode, the degraded
+            # rung, speculative re-execution) installed a replica here.
+            clear_mining_worker(store.lineage)
         return patterns, stats_parts
 
     try:

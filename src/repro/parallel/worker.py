@@ -4,13 +4,16 @@ Workers never receive a live window store: the window travels as a
 :class:`WindowTask` — a tuple of
 :class:`~repro.storage.segments.SegmentHandle` objects (file paths for the
 disk backend, serialised segment bytes for the in-memory backend) plus the
-scalar window parameters — and is shipped **once per worker process**
-through the pool's initializer, not once per shard task.  A worker backed
-by a segmented disk store reopens that store from its directory, so the
-limited-memory miners keep streaming rows from disk; otherwise the window
-is rebuilt in memory from the handles.  Everything in this module is
-picklable and importable at module level, so the tasks work under every
-multiprocessing start method.
+scalar window parameters and the source store's ``lineage`` — attached to
+every shard task.  Each worker process keeps ONE resident window replica
+keyed by lineage (DESIGN.md §4.2): a task whose segment ids continue the
+replica's only loads the segments appended since, and the replica slides
+exactly as the coordinating store did (row cache carried by segment
+deltas); anything else rebuilds the window from all handles.  A worker
+backed by a segmented disk store reopens that store from its directory,
+so the limited-memory miners keep streaming rows from disk.  Everything
+in this module is picklable and importable at module level, so the tasks
+work under every multiprocessing start method.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro import faults
 from repro.core.algorithms import get_algorithm
-from repro.exceptions import DSMatrixError, ParallelMiningError
+from repro.exceptions import DSMatrixError
 from repro.graph.edge_registry import EdgeRegistry
 from repro.parallel.planner import SegmentShard
 from repro.storage.backend import (
@@ -36,19 +39,12 @@ from repro.storage.segments import SegmentHandle
 Items = FrozenSet[str]
 PatternCounts = Dict[Items, int]
 
-# Per-worker-process state, installed by initialize_mining_worker (which the
-# pool runs once per worker) or self-installed by the first shard task of a
-# run to reach this process (persistent pools have no per-run initializer,
-# DESIGN.md §11).  Keyed by the run's context token so concurrent in-process
-# runs (two miners mined from two threads) cannot clobber each other's
-# window.
-_WORKER_WINDOWS: Dict[str, Tuple[WindowStore, Optional[EdgeRegistry]]] = {}
-
-#: Bound on cached per-context windows.  A persistent pool's workers see a
-#: fresh context every mining run (one per window slide under ``watch``);
-#: evicting the oldest contexts keeps a long-lived worker's memory
-#: proportional to the window, not to the stream.
-MAX_WORKER_CONTEXTS = 4
+#: This process's resident window replica: (lineage, store).  One slot per
+#: process; a task of any other lineage replaces it.  The slot is read and
+#: swapped as one tuple, so concurrent in-process runs never see a torn
+#: entry.  It takes no lock: a lock held while a pool forks would be
+#: inherited, locked, by the child.
+_REPLICA: Optional[Tuple[str, WindowStore]] = None
 
 
 @dataclass(frozen=True)
@@ -60,31 +56,29 @@ class WindowTask:
     the original store.  ``store_path`` is set when the window came from a
     segmented disk store; workers then reopen that store read-only so
     ``row_persisted`` keeps working (the limited-memory miners retain
-    their stream-rows-from-disk behaviour).
+    their stream-rows-from-disk behaviour).  ``lineage`` is the source
+    store's :attr:`~repro.storage.backend.WindowStore.lineage`: within one
+    lineage a segment id always names the same segment, which is what lets
+    a worker's resident replica be continued instead of rebuilt.  An empty
+    lineage never matches a replica.
     """
 
     window_size: int
     handles: Tuple[SegmentHandle, ...]
     known_items: Tuple[str, ...] = ()
     store_path: Optional[str] = None
+    lineage: str = ""
 
 
 @dataclass(frozen=True)
 class MiningShardTask:
-    """One unit of parallel mining work: an algorithm run over owned items.
-
-    ``context`` names the per-process window installed by
-    :func:`initialize_mining_worker`.  ``window``/``registry`` are usually
-    ``None`` — the installed state is used — but may be set for direct
-    single-task invocation (tests, ad-hoc tools).
-    """
+    """One unit of parallel mining work: an algorithm run over owned items."""
 
     shard_id: int
     algorithm: str
     minsup: int
     owned_items: Tuple[str, ...]
-    context: str = ""
-    window: Optional[WindowTask] = None
+    window: WindowTask
     registry: Optional[EdgeRegistry] = None
 
 
@@ -118,61 +112,62 @@ def rebuild_window(task: WindowTask) -> WindowStore:
     )
 
 
-def initialize_mining_worker(
-    context: str, window: WindowTask, registry: Optional[EdgeRegistry] = None
-) -> None:
-    """Pool initializer: rebuild the window once for this worker process.
+def _segment_ids(store: WindowStore) -> Tuple[int, ...]:
+    return tuple(segment.segment_id for segment in store.segments())
 
-    The window is registered under the run's ``context`` token, which the
-    run's shard tasks carry; concurrent in-process runs therefore keep
-    separate windows instead of overwriting a shared slot.
+
+def _continue_replica(store: WindowStore, task: WindowTask) -> bool:
+    """Slide a resident in-memory replica forward to the task's window.
+
+    Only the segments appended since the replica's last slide are loaded,
+    all of them before the first append, so a failing load leaves the
+    replica at its earlier (consistent) window.  Returns whether the
+    replica now holds exactly the task's segments.
     """
-    _remember_window(context, rebuild_window(window), registry)
+    wanted = tuple(handle.segment_id for handle in task.handles)
+    if not isinstance(store, MemoryWindowStore):
+        return _segment_ids(store) == wanted
+    next_id = store.next_segment_id
+    missing = [handle for handle in task.handles if handle.segment_id >= next_id]
+    if [handle.segment_id for handle in missing] != list(range(next_id, next_id + len(missing))):
+        return False  # a gap: the replica cannot be slid into this window
+    for segment in [handle.load() for handle in missing]:
+        store.append_segment(segment)
+    return _segment_ids(store) == wanted
 
 
-def _remember_window(
-    context: str, store: WindowStore, registry: Optional[EdgeRegistry]
-) -> None:
-    """Cache one run's window under its context, evicting the oldest runs."""
-    _WORKER_WINDOWS[context] = (store, registry)
-    while len(_WORKER_WINDOWS) > MAX_WORKER_CONTEXTS:
-        _WORKER_WINDOWS.pop(next(iter(_WORKER_WINDOWS)))
+def _resident_window(task: WindowTask) -> WindowStore:
+    """The window of ``task``, continuing this process's replica when possible."""
+    global _REPLICA
+    resident = _REPLICA
+    if task.lineage and resident is not None and resident[0] == task.lineage:
+        if _continue_replica(resident[1], task):
+            return resident[1]
+    store = rebuild_window(task)
+    if task.lineage:
+        _REPLICA = (task.lineage, store)
+    return store
 
 
-def clear_mining_worker(context: str) -> None:
-    """Release one run's per-process window (used after in-process runs)."""
-    _WORKER_WINDOWS.pop(context, None)
+def clear_mining_worker(lineage: str) -> None:
+    """Drop this process's replica if it belongs to ``lineage``.
+
+    Runs that execute shard tasks in the coordinating process (in-process
+    mode, the degraded rung, speculative re-execution) call this when they
+    end, so the coordinator never keeps a second copy of its own window.
+    """
+    global _REPLICA
+    if _REPLICA is not None and _REPLICA[0] == lineage:
+        _REPLICA = None
 
 
 def run_mining_shard(task: MiningShardTask) -> ShardOutcome:
-    """Worker entry point: mine the patterns owned by the task's items.
-
-    The window comes from the context cache when a previous task (or the
-    pool initializer) installed it; otherwise a task-attached
-    :class:`WindowTask` is rebuilt — and, when the task names a context,
-    cached for the run's remaining shards.  That self-install path is how
-    persistent pools ship per-run state without initializers.
-    """
+    """Worker entry point: mine the patterns owned by the task's items."""
     faults.trip("mine.shard")
-    store: Optional[WindowStore] = None
-    registry: Optional[EdgeRegistry] = None
-    if task.context:
-        store, registry = _WORKER_WINDOWS.get(task.context, (None, None))
-    if store is None and task.window is not None:
-        store = rebuild_window(task.window)
-        registry = task.registry
-        if task.context:
-            _remember_window(task.context, store, registry)
-    if task.registry is not None:
-        registry = task.registry
-    if store is None:
-        raise ParallelMiningError(
-            "no window available: run initialize_mining_worker with this "
-            "task's context first, or attach a WindowTask to the task"
-        )
+    store = _resident_window(task.window)
     algorithm = get_algorithm(task.algorithm)
     patterns = algorithm.mine_shard(
-        store, task.minsup, task.owned_items, registry=registry
+        store, task.minsup, task.owned_items, registry=task.registry
     )
     return ShardOutcome(
         shard_id=task.shard_id,

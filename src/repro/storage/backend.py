@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import os
+import uuid
 from abc import ABC, abstractmethod
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -191,6 +192,7 @@ class WindowStore(ABC):
         self._items_cache: Optional[List[str]] = None
         self._frequent_cache: Dict[int, List[str]] = {}
         self.cache_stats = CacheStats()
+        self._lineage = uuid.uuid4().hex
 
     # ------------------------------------------------------------------ #
     # window maintenance
@@ -315,6 +317,18 @@ class WindowStore(ABC):
     def next_segment_id(self) -> int:
         """Segment id the next append will receive (stream-order commits)."""
         return self._next_segment_id
+
+    @property
+    def lineage(self) -> str:
+        """Token naming this store's append history (DESIGN.md §4.2).
+
+        Minted when the store is created and again whenever segments are
+        installed wholesale (:meth:`_adopt_segments`), so within one
+        lineage a segment id always names the same sealed segment — the
+        guarantee mining workers rely on to slide a resident replica
+        forward instead of rebuilding it.
+        """
+        return self._lineage
 
     @property
     def fixed_universe(self) -> bool:
@@ -544,6 +558,7 @@ class WindowStore(ABC):
         self._row_cache.clear()
         self._items_cache = None
         self._frequent_cache.clear()
+        self._lineage = uuid.uuid4().hex
 
     def memory_bits(self) -> int:
         """The paper's accounting: ``m * |T|`` bits for the full matrix."""

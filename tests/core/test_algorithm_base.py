@@ -1,6 +1,10 @@
 """Unit tests for repro.core.algorithms.base (stats, minsup resolution, registry)."""
 
+import math
+from decimal import Decimal
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.algorithms import ALGORITHMS, ALL_MINERS, get_algorithm
 from repro.core.algorithms.base import MiningStats, resolve_minsup
@@ -16,6 +20,22 @@ class TestResolveMinsup:
         assert resolve_minsup(0.1, 100) == 10
         assert resolve_minsup(0.101, 100) == 11
         assert resolve_minsup(0.5, 7) == 4
+
+    @pytest.mark.parametrize(
+        "minsup, expected", [(0.07, 7), (0.14, 14), (0.28, 28), (0.55, 55)]
+    )
+    def test_exact_percentages_do_not_round_up(self, minsup, expected):
+        # minsup * 100 overshoots the integer in binary floating point
+        # (0.07 * 100 == 7.000000000000001); the ceiling must not see that.
+        assert resolve_minsup(minsup, 100) == expected
+
+    @given(
+        st.floats(min_value=1e-6, max_value=1.0, exclude_max=True),
+        st.integers(min_value=0, max_value=10**6),
+    )
+    def test_relative_fraction_is_the_exact_decimal_ceiling(self, minsup, count):
+        exact = math.ceil(Decimal(repr(minsup)) * count)
+        assert resolve_minsup(minsup, count) == max(1, exact)
 
     def test_relative_fraction_never_below_one(self):
         assert resolve_minsup(0.001, 10) == 1

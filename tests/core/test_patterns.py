@@ -126,3 +126,57 @@ class TestMiningResult:
 
     def test_repr(self):
         assert "5 patterns" in repr(self.make_result())
+
+
+class TestLazyFromCounts:
+    """``from_counts`` validates eagerly but builds patterns only on demand."""
+
+    def test_empty_items_rejected_eagerly(self):
+        with pytest.raises(MiningError):
+            MiningResult.from_counts({frozenset(): 3})
+
+    def test_negative_support_rejected_eagerly(self):
+        with pytest.raises(MiningError):
+            MiningResult.from_counts({frozenset({"a"}): -1})
+
+    def test_entries_equal_the_sorted_patterns(self):
+        counts = {
+            frozenset({"c", "a"}): 2,
+            frozenset({"b"}): 5,
+            frozenset({"a"}): 6,
+            frozenset({"b", "a", "c"}): 1,
+            frozenset({"a", "b"}): 3,
+            frozenset({"e10", "e9"}): 4,
+        }
+        result = MiningResult.from_counts(counts)
+        assert result.entries() == tuple(
+            (pattern.sorted_items(), pattern.support) for pattern in result
+        )
+        assert result.entries()[0] == (("a",), 6)
+        assert MiningResult.from_counts({}).entries() == ()
+
+    def test_graph_results_unchanged(self, paper_registry):
+        counts = {
+            frozenset({"a"}): 5,
+            frozenset({"c"}): 4,
+            frozenset({"f"}): 4,
+            frozenset({"a", "c"}): 4,
+            frozenset({"a", "f"}): 4,
+        }
+        lazy = MiningResult.from_counts(counts, registry=paper_registry)
+        eager = MiningResult(
+            FrequentPattern(items, support, edges=paper_registry.decode(items))
+            for items, support in counts.items()
+        )
+        assert [p.edges for p in lazy] == [p.edges for p in eager]
+        assert lazy.connected().to_dict() == eager.connected().to_dict()
+        assert lazy.connected(rule="paper").to_dict() == eager.connected(rule="paper").to_dict()
+        assert lazy.top(3) == eager.top(3)
+        assert lazy.closed().to_dict() == eager.closed().to_dict()
+        assert lazy == eager
+
+    def test_items_outside_the_registry_carry_no_edges(self, paper_registry):
+        result = MiningResult.from_counts(
+            {frozenset({"not-an-edge"}): 2}, registry=paper_registry
+        )
+        assert [p.edges for p in result] == [None]

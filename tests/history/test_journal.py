@@ -265,3 +265,40 @@ class TestDiskJournal:
         (path / DATA_NAME).write_bytes(data[:-4])
         with pytest.raises(HistoryError):
             open_journal(path)
+
+
+class TestCanonicalPatterns:
+    """Validation holds whether or not the input is already canonical."""
+
+    CANONICAL = ((("a",), 6), (("b",), 5), (("a", "b"), 3), (("a", "c"), 2))
+
+    def test_canonical_input_kept_as_is(self):
+        assert make_record(patterns=self.CANONICAL).patterns == self.CANONICAL
+
+    def test_unsorted_input_sorted(self):
+        shuffled = tuple(reversed(self.CANONICAL))
+        assert make_record(patterns=shuffled).patterns == self.CANONICAL
+        # Item tuples out of order are sorted too, even in canonical position.
+        assert make_record(patterns=((("b", "a"), 3),)).patterns == ((("a", "b"), 3),)
+
+    @pytest.mark.parametrize("canonical", [True, False])
+    def test_duplicates_rejected(self, canonical):
+        patterns = ((("a",), 6), (("a", "b"), 3), (("a", "b"), 3))
+        with pytest.raises(HistoryError, match="duplicate"):
+            make_record(patterns=patterns if canonical else patterns[::-1])
+
+    @pytest.mark.parametrize("canonical", [True, False])
+    def test_empty_items_rejected(self, canonical):
+        patterns = (((), 1), (("a",), 6), (("a", "b"), 3))
+        with pytest.raises(HistoryError, match="at least one item"):
+            make_record(patterns=patterns if canonical else patterns[::-1])
+
+    @pytest.mark.parametrize("canonical", [True, False])
+    def test_negative_support_rejected(self, canonical):
+        patterns = ((("a",), 6), (("a", "b"), -3))
+        with pytest.raises(HistoryError, match="non-negative"):
+            make_record(patterns=patterns if canonical else patterns[::-1])
+
+    def test_decoded_records_round_trip(self):
+        record = make_record(patterns=self.CANONICAL)
+        assert SlideRecord.from_bytes(record.to_bytes()) == record
