@@ -30,15 +30,22 @@ Execution — :func:`evaluate` — compiles a shape against any
 :class:`~repro.serve.shards.IndexSnapshot` of the async serving path):
 
 * conjunctions are lowered to posting-list operations: ``slides`` bounds
-  are pushed into the scan range, one indexable conjunct (``contains`` /
-  ``contained_in``) becomes the *driver* that enumerates candidate rows
-  from posting lists, every other conjunct becomes a per-row filter;
+  are pushed into the scan range (a bisection of the ordered slide ids),
+  one indexable conjunct (``contains`` / ``contained_in``) becomes the
+  *driver* that enumerates candidate rows from posting lists, every
+  other conjunct becomes a per-row filter;
 * the cost-based planner (``optimize=True``) picks the driver — and the
   posting list enumerated inside a ``contains`` driver — by smallest
   posting length, the classic smallest-first intersection ordering; the
-  posting lengths are already known, so the estimate is free.
-  ``optimize=False`` is the naive left-to-right ablation: the first
-  indexable conjunct as written drives the scan;
+  posting lengths are already known, so the estimate is free.  It may
+  also drive from a provenance conjunct (``first_frequent_in`` /
+  ``became_frequent_within``): the few patterns first seen in the range
+  are probed in each slide, when that costs fewer probes than scanning
+  the range.  ``optimize=False`` is the naive left-to-right ablation: the
+  first ``contains`` / ``contained_in`` as written drives the scan;
+* a ``top_k`` whose ``where`` is absent or only ``slides`` never sorts:
+  each slide's rows are stored in rank order, so the answer is the first
+  ``k`` rows of a lazy merge of the per-slide orders;
 * every evaluation carries an ``explain`` payload with the chosen plan,
   estimated vs actual postings touched and result rows, and the
   symmetric **Q-Error** ``max(est, act) / min(est, act)`` of the result
@@ -57,7 +64,10 @@ path, which the HTTP and CLI front ends surface as structured errors.
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
 from typing import (
     Dict,
     Iterable,
@@ -73,6 +83,7 @@ from typing import (
 
 from repro.exceptions import AlgebraError
 from repro.history.journal import SlideRecord
+from repro.history.provenance import FirstSeen
 
 #: One query hit: (slide id, sorted item tuple, support).
 Match = Tuple[int, Tuple[str, ...], int]
@@ -525,11 +536,15 @@ class IndexReader(Protocol):
     the sharded serving path — compiling against the protocol (rather
     than one concrete index) is what makes every front end answer
     byte-identically: there is exactly one compiler, and it only ever
-    sees these eleven methods.
+    sees these thirteen methods.
     """
 
     def slide_ids(self) -> List[int]:
         """All indexed slide ids, ascending."""
+        ...  # pragma: no cover - protocol
+
+    def slides_between(self, lo: Optional[int], hi: Optional[int]) -> Sequence[int]:
+        """The indexed slide ids in ``[lo, hi]`` (None = open end), ascending."""
         ...  # pragma: no cover - protocol
 
     @property
@@ -556,7 +571,8 @@ class IndexReader(Protocol):
     def iter_patterns_at(
         self, slide_id: int
     ) -> Iterator[Tuple[Tuple[str, ...], int]]:
-        """Iterate the (items, support) rows of one slide."""
+        """Iterate the (items, support) rows of one slide, in rank order
+        (support descending, then size, then items)."""
         ...  # pragma: no cover - protocol
 
     def support_at(self, slide_id: int, items: Iterable[str]) -> Optional[int]:
@@ -565,6 +581,13 @@ class IndexReader(Protocol):
 
     def first_frequent(self, items: Iterable[str]) -> Optional[int]:
         """First slide at which ``items`` was frequent, or None."""
+        ...  # pragma: no cover - protocol
+
+    def first_frequent_between(
+        self, lo: Optional[int], hi: Optional[int]
+    ) -> Sequence[FirstSeen]:
+        """(first slide, items) of every pattern first frequent in ``[lo, hi]``,
+        by first slide."""
         ...  # pragma: no cover - protocol
 
     def last_frequent(self, items: Iterable[str]) -> Optional[int]:
@@ -703,11 +726,25 @@ class _ConjunctionResult:
 
 
 def _scan_estimate(predicate: Predicate, index: IndexReader) -> Optional[int]:
-    """Postings an indexable conjunct would touch as a driver (None = not indexable)."""
+    """Postings a posting-list conjunct would touch as a driver (None = not one)."""
     if isinstance(predicate, Contains):
         return min(index.posting_total(item) for item in predicate.items)
     if isinstance(predicate, ContainedIn):
         return sum(index.posting_total(item) for item in predicate.items)
+    return None
+
+
+def _provenance_candidates(
+    predicate: Predicate, index: IndexReader
+) -> Optional[Sequence[FirstSeen]]:
+    """The (first slide, items) a provenance conjunct can match (None = not one)."""
+    if isinstance(predicate, FirstFrequentIn):
+        return index.first_frequent_between(predicate.lo, predicate.hi)
+    if isinstance(predicate, BecameFrequentWithin):
+        anchor = index.first_frequent(predicate.of)
+        if anchor is None:
+            return ()
+        return index.first_frequent_between(anchor - predicate.k, anchor + predicate.k)
     return None
 
 
@@ -734,32 +771,45 @@ def _run_conjunction(
 ) -> _ConjunctionResult:
     """Execute one conjunction: slide-range push-down, driver, filters."""
     lo, hi, residual = _slide_bounds(conjuncts)
-    scan_slides = [
-        slide
-        for slide in index.slide_ids()
-        if (lo is None or slide >= lo) and (hi is None or slide <= hi)
-    ]
+    scan_slides = index.slides_between(lo, hi)
     range_rows = sum(index.row_count(slide) for slide in scan_slides)
 
+    # What each indexable conjunct would touch as the driver: postings for
+    # contains/contained_in, (pattern, slide) probes for provenance.
+    estimates: Dict[int, int] = {}
+    candidates: Dict[int, Sequence[FirstSeen]] = {}
+    for position, conjunct in enumerate(residual):
+        estimate = _scan_estimate(conjunct, index)
+        if estimate is None:
+            found = _provenance_candidates(conjunct, index)
+            if found is None:
+                continue
+            candidates[position] = found
+            estimate = sum(
+                len(scan_slides) - bisect_left(scan_slides, first) for first, _ in found
+            )
+        estimates[position] = estimate
     # Result-cardinality estimate: the tightest bound any conjunct offers.
-    estimated_rows = range_rows
-    for conjunct in residual:
-        bound = _scan_estimate(conjunct, index)
-        if bound is not None:
-            estimated_rows = min(estimated_rows, bound)
+    estimated_rows = min([range_rows, *estimates.values()])
 
-    indexable = [
-        (position, conjunct)
-        for position, conjunct in enumerate(residual)
-        if _scan_estimate(conjunct, index) is not None
-    ]
+    driver_pos: Optional[int]
+    if optimize:
+        # A provenance driver only pays when it probes less than a scan reads.
+        usable = [
+            position
+            for position, estimate in estimates.items()
+            if position not in candidates or estimate < range_rows
+        ]
+        driver_pos = min(usable, key=lambda p: (estimates[p], p), default=None)
+    else:
+        driver_pos = next((p for p in estimates if p not in candidates), None)
     plan: List[str] = []
     if lo is not None or hi is not None:
         plan.append(f"slides[{lo},{hi}] [range -> {len(scan_slides)} slides]")
 
     rows: List[Match] = []
     scanned = 0
-    if not indexable:
+    if driver_pos is None:
         # No posting list to drive from: scan every row in range.
         estimated_scanned = range_rows
         plan.insert(0, f"full-scan [driver, est={estimated_scanned}]")
@@ -774,21 +824,36 @@ def _run_conjunction(
                     rows.append((slide, items, support))
         return _ConjunctionResult(rows, plan, estimated_rows, estimated_scanned, scanned)
 
-    if optimize:
-        driver_pos, driver = min(
-            indexable, key=lambda entry: (_scan_estimate(entry[1], index), entry[0])
-        )
-    else:
-        driver_pos, driver = indexable[0]
+    driver = residual[driver_pos]
     filters = [
         conjunct for position, conjunct in enumerate(residual) if position != driver_pos
     ]
-    estimated_scanned = _scan_estimate(driver, index) or 0
-    plan.insert(0, f"{describe(driver)} [driver, est={estimated_scanned}]")
+    estimated_scanned = estimates[driver_pos]
+    if driver_pos in candidates:
+        probes = candidates[driver_pos]
+        plan.insert(
+            0,
+            f"{describe(driver)} [provenance driver, {len(probes)} patterns, "
+            f"est={estimated_scanned}]",
+        )
+    else:
+        plan.insert(0, f"{describe(driver)} [driver, est={estimated_scanned}]")
     for f in filters:
         plan.append(f"{describe(f)} [filter]")
 
-    if isinstance(driver, Contains):
+    if driver_pos in candidates:
+        # Probe each candidate in every slide from its first slide on.
+        for slide in scan_slides:
+            for first, candidate in probes:
+                if first > slide:
+                    break
+                scanned += 1
+                support = index.support_at(slide, candidate)
+                if support is not None and all(
+                    matches_row(f, slide, candidate, support, index) for f in filters
+                ):
+                    rows.append((slide, candidate, support))
+    elif isinstance(driver, Contains):
         wanted = frozenset(driver.items)
         if optimize:
             enum_item = min(driver.items, key=index.posting_total)
@@ -824,6 +889,32 @@ def _run_conjunction(
                     ):
                         rows.append((slide, candidate, support))
     return _ConjunctionResult(rows, plan, estimated_rows, estimated_scanned, scanned)
+
+
+def _rank_merge(
+    k: int, conjuncts: Sequence[Predicate], index: IndexReader
+) -> _ConjunctionResult:
+    """``top_k`` over a slide range without sorting: every slide's rows are
+    stored in rank order, so the answer is the first ``k`` rows of their
+    lazy merge."""
+    lo, hi, _ = _slide_bounds(conjuncts)
+    scan_slides = index.slides_between(lo, hi)
+    range_rows = sum(index.row_count(slide) for slide in scan_slides)
+    scanned = 0
+
+    def ranked(slide: int) -> Iterator[Match]:
+        nonlocal scanned
+        for items, support in index.iter_patterns_at(slide):
+            scanned += 1
+            yield slide, items, support
+
+    merged = heapq.merge(*(ranked(slide) for slide in scan_slides), key=_rank_key)
+    rows = list(islice(merged, k))
+    estimated_scanned = min(range_rows, len(scan_slides) + k)
+    plan = [f"rank-merge [driver, est={estimated_scanned}]"]
+    if lo is not None or hi is not None:
+        plan.append(f"slides[{lo},{hi}] [range -> {len(scan_slides)} slides]")
+    return _ConjunctionResult(rows, plan, range_rows, estimated_scanned, scanned)
 
 
 def _run_predicate(
@@ -921,13 +1012,16 @@ def evaluate(query: Query, index: IndexReader, optimize: bool = True) -> Evaluat
         }
         return Evaluation(query, "select", explain, result.rows, [])
     if isinstance(query, TopK):
-        if query.where is None:
-            result = _run_conjunction([], index, optimize)
+        conjuncts = [] if query.where is None else _flatten_and(query.where)
+        if all(isinstance(conjunct, Slides) for conjunct in conjuncts):
+            result = _rank_merge(query.k, conjuncts, index)
+            matched = result.estimated_rows  # every row in range matches
+            top = result.rows
         else:
             result = _run_predicate(query.where, index, optimize)
-        matched = len(result.rows)
-        result.rows.sort(key=_rank_key)
-        top = result.rows[: query.k]
+            matched = len(result.rows)
+            result.rows.sort(key=_rank_key)
+            top = result.rows[: query.k]
         explain = {
             "shape": "top_k",
             "optimized": optimize,

@@ -34,6 +34,7 @@ import json
 import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 from repro import faults
@@ -171,6 +172,14 @@ class SlideRecord:
             if pattern_items == wanted:
                 return support
         return None
+
+    def ranked_patterns(self) -> List[PatternEntry]:
+        """The patterns in rank order: support descending, then (size, items).
+
+        One stable sort on support alone is enough: the record already
+        holds its patterns in canonical (size, items) order.
+        """
+        return sorted(self.patterns, key=itemgetter(1), reverse=True)
 
     def items(self) -> List[str]:
         """The record's symbol table: every item of every pattern, sorted."""

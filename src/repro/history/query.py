@@ -23,10 +23,12 @@ instance across reader threads without locking.  Rebuild (or
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left, bisect_right
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import HistoryError
 from repro.history.journal import PatternJournal, SlideRecord
+from repro.history.provenance import FirstSeen, Provenance
 
 #: One query hit: (slide id, sorted item tuple, support).
 Match = Tuple[int, Tuple[str, ...], int]
@@ -52,11 +54,14 @@ class JournalIndex:
     """Item-posting index over the sealed records of a pattern journal."""
 
     def __init__(self, records: Iterable[SlideRecord]) -> None:
-        #: slide id -> {pattern items -> support}, insertion = slide order.
+        #: slide id -> {pattern items -> support}, insertion = slide order;
+        #: each slide's rows in rank order (support desc, size, items).
         self._slides: Dict[int, Dict[Tuple[str, ...], int]] = {}
         #: item -> slide id -> pattern item-tuples containing the item.
         self._postings: Dict[str, Dict[int, List[Tuple[str, ...]]]] = {}
         self._order: List[int] = []
+        #: pattern -> first slide, shared with every ``extended`` index.
+        self._provenance = Provenance()
         self.extend(records)
 
     @classmethod
@@ -66,6 +71,7 @@ class JournalIndex:
 
     def extend(self, records: Iterable[SlideRecord]) -> None:
         """Index additional records (slide ids must keep ascending)."""
+        self._provenance = self._provenance.for_extending(self.last_slide_id)
         for record in records:
             if self._order and record.slide_id <= self._order[-1]:
                 raise HistoryError(
@@ -73,7 +79,7 @@ class JournalIndex:
                     f"already indexed up to slide {self._order[-1]}"
                 )
             patterns: Dict[Tuple[str, ...], int] = {}
-            for items, support in record.patterns:
+            for items, support in record.ranked_patterns():
                 patterns[items] = support
                 for item in items:
                     self._postings.setdefault(item, {}).setdefault(
@@ -81,6 +87,7 @@ class JournalIndex:
                     ).append(items)
             self._slides[record.slide_id] = patterns
             self._order.append(record.slide_id)
+            self._provenance.record(record.slide_id, patterns)
 
     def extended(self, records: Iterable[SlideRecord]) -> "JournalIndex":
         """A *new* index equal to this one plus ``records``.
@@ -92,13 +99,15 @@ class JournalIndex:
         keeps answering exactly as before while the caller atomically
         swaps the returned index in.  :meth:`extend` never mutates an
         already-indexed slide's inner structure, which is what makes the
-        sharing safe.
+        sharing safe.  The provenance map is shared outright: it is
+        append-only, and this index reads it as of its own last slide.
         """
         suffix = list(records)
         clone = JournalIndex.__new__(JournalIndex)
         clone._slides = dict(self._slides)
         clone._postings = dict(self._postings)
         clone._order = list(self._order)
+        clone._provenance = self._provenance
         for record in suffix:
             for items, _support in record.patterns:
                 for item in items:
@@ -141,6 +150,13 @@ class JournalIndex:
         """Is ``slide_id`` an indexed slide?"""
         return slide_id in self._slides
 
+    def slides_between(self, lo: Optional[int], hi: Optional[int]) -> List[int]:
+        """The indexed slide ids in ``[lo, hi]`` (None = open end), ascending."""
+        order = self._order
+        start = 0 if lo is None else bisect_left(order, lo)
+        stop = len(order) if hi is None else bisect_right(order, hi)
+        return order[start:stop]
+
     def posting_total(self, item: str) -> int:
         """Total posting length of ``item`` across every slide.
 
@@ -162,7 +178,7 @@ class JournalIndex:
         return len(self._slides.get(slide_id, ()))
 
     def iter_patterns_at(self, slide_id: int) -> Iterator[Tuple[Tuple[str, ...], int]]:
-        """Iterate the (items, support) rows of one slide (full-scan path)."""
+        """Iterate the (items, support) rows of one slide, in rank order."""
         return iter(self._slides.get(slide_id, {}).items())
 
     def support_at(self, slide_id: int, items: Iterable[str]) -> Optional[int]:
@@ -256,13 +272,13 @@ class JournalIndex:
 
     def first_frequent(self, items: Iterable[str]) -> Optional[int]:
         """The first slide at which the exact itemset was frequent."""
-        query = _normalise_items(items)
-        # Only slides in the first item's posting can hold the pattern.
-        posting = self._postings.get(query[0], {})
-        for slide in self._order:
-            if slide in posting and query in self._slides[slide]:
-                return slide
-        return None
+        return self._provenance.first_frequent(items, self.last_slide_id)
+
+    def first_frequent_between(
+        self, lo: Optional[int], hi: Optional[int]
+    ) -> List[FirstSeen]:
+        """(first slide, items) of the patterns first frequent in ``[lo, hi]``."""
+        return self._provenance.first_between(lo, hi, self.last_slide_id)
 
     def last_frequent(self, items: Iterable[str]) -> Optional[int]:
         """The last slide at which the exact itemset was frequent."""
@@ -301,15 +317,12 @@ class JournalIndex:
     def stats(self) -> Dict[str, object]:
         """Shape summary of the indexed journal (the ``/stats`` payload)."""
         pattern_total = sum(len(patterns) for patterns in self._slides.values())
-        distinct: set = set()
-        for patterns in self._slides.values():
-            distinct.update(patterns)
         return {
             "slides": len(self._order),
             "first_slide": self._order[0] if self._order else None,
             "last_slide": self._order[-1] if self._order else None,
             "pattern_rows": pattern_total,
-            "distinct_patterns": len(distinct),
+            "distinct_patterns": self._provenance.count(self.last_slide_id),
             "items": len(self._postings),
         }
 

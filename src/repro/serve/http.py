@@ -8,8 +8,8 @@ endpoints:
   payload out.  The response bytes are identical to the threaded
   server's: same shared evaluation path
   (:func:`~repro.service.api.evaluate_expression`), same structured
-  error bodies, same ``json.dumps(..., indent=2, default=str)``
-  serialisation;
+  error bodies, same renderer (:func:`~repro.service.render.render_json`,
+  the bytes of ``json.dumps(..., indent=2, default=str)``);
 * ``GET /stats`` — index shape + journal + serve counters + resilience;
 * ``GET /subscribe?expr=<urlencoded JSON>[&events=enter,exit,update]``
   — Server-Sent-Events: a ``hello`` frame naming the subscription, one
@@ -44,6 +44,7 @@ from repro.exceptions import AlgebraError, HistoryError, ServiceError
 from repro.serve.app import ServeApp
 from repro.serve.shards import DEFAULT_SHARDS
 from repro.serve.standing import Notification
+from repro.service.render import render_json
 
 #: Endpoint paths served by the async front end.
 ENDPOINTS = ("/query", "/stats", "/subscribe")
@@ -261,9 +262,9 @@ class AsyncHistoryServer:
         status: int = 200,
         keep_alive: bool = True,
     ) -> None:
-        # Same serialisation as the threaded front end — this is one half
-        # of the byte-parity contract (the other is the shared evaluator).
-        body = json.dumps(payload, indent=2, default=str).encode("utf-8")
+        # Same renderer as the threaded front end — this is one half of
+        # the byte-parity contract (the other is the shared evaluator).
+        body = render_json(payload)
         faults.trip("http.response", ConnectionResetError)
         connection = "keep-alive" if keep_alive else "close"
         head = (

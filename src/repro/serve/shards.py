@@ -11,8 +11,16 @@ ordering for safety.  The async serving path replaces that with an
   across restarts and break warm-start hydration);
 * committing one slide builds a *new* :class:`IndexSnapshot` by
   structural sharing — only the shards whose items appear in the slide
-  are copied (and inside a copied shard, only the touched per-item
-  posting dicts), every untouched shard is carried over by reference;
+  get a new item map and totals, every untouched shard is carried over
+  by reference;
+* what a committed slide adds never changes, so two structures are
+  append-only and shared by every snapshot, each reading them as of its
+  own last slide: the per-item slide → patterns dicts (a new slide's
+  postings are appended in place) and the pattern → first-slide
+  :class:`~repro.history.provenance.Provenance`.  Extending a snapshot
+  that is not the newest of its lineage takes private copies first;
+* each slide's rows are stored in rank order (support descending, then
+  size, items), sorted once at commit;
 * the new snapshot is published by a single attribute assignment
   (atomic under the GIL).  A reader pins ``index.current`` once per
   query and evaluates entirely against that object, so it sees either
@@ -29,10 +37,12 @@ from __future__ import annotations
 
 import threading
 import zlib
+from bisect import bisect_left, bisect_right
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import HistoryError, ServeError
 from repro.history.journal import SlideRecord
+from repro.history.provenance import FirstSeen, Provenance
 
 #: Default shard count of the serving index (CLI ``--shards``).
 DEFAULT_SHARDS = 4
@@ -44,6 +54,11 @@ SERVE_INDEX_FORMAT = "repro-serve-index/1"
 def shard_of(item: str, shard_count: int) -> int:
     """Stable shard assignment of one item (process-independent)."""
     return zlib.crc32(item.encode("utf-8")) % shard_count
+
+
+def _rank_order(row: Tuple[Tuple[str, ...], int]) -> Tuple[int, int, Tuple[str, ...]]:
+    """Rank order of one (items, support) row: support desc, size, items."""
+    return (-row[1], len(row[0]), row[0])
 
 
 def _normalise_items(items: Iterable[str]) -> Tuple[str, ...]:
@@ -58,8 +73,10 @@ class IndexShard:
 
     ``postings`` maps item → slide id → tuple of pattern item-tuples;
     ``posting_totals`` carries the planner's per-item selectivity
-    estimates.  Shards are value objects: :meth:`extended` returns a new
-    shard sharing every untouched per-item dict with its parent.
+    estimates.  :meth:`extended` returns a new shard with its own item
+    map and totals; the per-item slide → patterns dicts are append-only
+    and shared with the parent, which never reads a slide past its own
+    snapshot's last one.
     """
 
     __slots__ = ("shard_id", "postings", "posting_totals")
@@ -83,15 +100,32 @@ class IndexShard:
         slide_id: int,
         added: Mapping[str, Sequence[Tuple[str, ...]]],
     ) -> "IndexShard":
-        """A new shard with one slide's postings appended (parent unchanged)."""
+        """A new shard with one slide's postings appended.
+
+        The parent keeps its items and totals; the new slide's entry is
+        appended to the per-item dicts the two shards share.
+        """
         postings = dict(self.postings)
         totals = dict(self.posting_totals)
         for item, patterns in added.items():
-            per_item = dict(postings.get(item, {}))
+            per_item = postings.get(item)
+            if per_item is None:
+                per_item = postings[item] = {}
             per_item[slide_id] = tuple(patterns)
-            postings[item] = per_item
             totals[item] = totals.get(item, 0) + len(patterns)
         return IndexShard(self.shard_id, postings, totals)
+
+    def cut(self, last_slide: Optional[int]) -> "IndexShard":
+        """A copy sharing nothing, holding the slides up to ``last_slide``."""
+        postings = {
+            item: {
+                slide: patterns
+                for slide, patterns in per_item.items()
+                if last_slide is not None and slide <= last_slide
+            }
+            for item, per_item in self.postings.items()
+        }
+        return IndexShard(self.shard_id, postings, dict(self.posting_totals))
 
     def __repr__(self) -> str:
         return f"IndexShard(id={self.shard_id}, items={len(self.postings)})"
@@ -106,7 +140,7 @@ class IndexSnapshot:
     bytes — are identical across both read paths.
     """
 
-    __slots__ = ("generation", "shards", "slides", "order")
+    __slots__ = ("generation", "shards", "slides", "order", "provenance")
 
     def __init__(
         self,
@@ -114,16 +148,21 @@ class IndexSnapshot:
         shards: Tuple[IndexShard, ...],
         slides: Dict[int, Dict[Tuple[str, ...], int]],
         order: Tuple[int, ...],
+        provenance: Provenance,
     ) -> None:
         self.generation = generation
         self.shards = shards
+        #: slide id -> {items -> support}, each slide's rows in rank order.
         self.slides = slides
         self.order = order
+        #: Shared with every other snapshot of this index; read as of
+        #: :attr:`last_slide_id`.
+        self.provenance = provenance
 
     @classmethod
     def empty(cls, shard_count: int) -> "IndexSnapshot":
         shards = tuple(IndexShard.empty(i) for i in range(shard_count))
-        return cls(0, shards, {}, ())
+        return cls(0, shards, {}, (), Provenance())
 
     @property
     def shard_count(self) -> int:
@@ -148,12 +187,21 @@ class IndexSnapshot:
         """Is ``slide_id`` an indexed slide?"""
         return slide_id in self.slides
 
+    def slides_between(self, lo: Optional[int], hi: Optional[int]) -> Sequence[int]:
+        """The indexed slide ids in ``[lo, hi]`` (None = open end), ascending."""
+        order = self.order
+        start = 0 if lo is None else bisect_left(order, lo)
+        stop = len(order) if hi is None else bisect_right(order, hi)
+        return order[start:stop]
+
     def posting_total(self, item: str) -> int:
         """Total posting length of ``item`` across every slide."""
         return self._shard_for(item).posting_totals.get(item, 0)
 
     def posting(self, item: str, slide_id: int) -> Sequence[Tuple[str, ...]]:
         """The patterns containing ``item`` at one slide."""
+        if slide_id not in self.slides:  # a slide committed after this snapshot
+            return ()
         return self._shard_for(item).postings.get(item, {}).get(slide_id, ())
 
     def row_count(self, slide_id: int) -> int:
@@ -163,7 +211,7 @@ class IndexSnapshot:
     def iter_patterns_at(
         self, slide_id: int
     ) -> Iterator[Tuple[Tuple[str, ...], int]]:
-        """Iterate the (items, support) rows of one slide."""
+        """Iterate the (items, support) rows of one slide, in rank order."""
         return iter(self.slides.get(slide_id, {}).items())
 
     def support_at(self, slide_id: int, items: Iterable[str]) -> Optional[int]:
@@ -178,13 +226,13 @@ class IndexSnapshot:
 
     def first_frequent(self, items: Iterable[str]) -> Optional[int]:
         """The first slide at which the exact itemset was frequent."""
-        query = _normalise_items(items)
-        # Only slides in the first item's posting can hold the pattern.
-        posting = self._shard_for(query[0]).postings.get(query[0], {})
-        for slide in self.order:
-            if slide in posting and query in self.slides[slide]:
-                return slide
-        return None
+        return self.provenance.first_frequent(items, self.last_slide_id)
+
+    def first_frequent_between(
+        self, lo: Optional[int], hi: Optional[int]
+    ) -> List[FirstSeen]:
+        """(first slide, items) of the patterns first frequent in ``[lo, hi]``."""
+        return self.provenance.first_between(lo, hi, self.last_slide_id)
 
     def last_frequent(self, items: Iterable[str]) -> Optional[int]:
         """The last slide at which the exact itemset was frequent."""
@@ -216,15 +264,12 @@ class IndexSnapshot:
     def stats(self) -> Dict[str, object]:
         """Shape summary — same keys as ``JournalIndex.stats()``."""
         pattern_total = sum(len(patterns) for patterns in self.slides.values())
-        distinct: set = set()
-        for patterns in self.slides.values():
-            distinct.update(patterns)
         return {
             "slides": len(self.order),
             "first_slide": self.order[0] if self.order else None,
             "last_slide": self.order[-1] if self.order else None,
             "pattern_rows": pattern_total,
-            "distinct_patterns": len(distinct),
+            "distinct_patterns": self.provenance.count(self.last_slide_id),
             "items": sum(len(shard.postings) for shard in self.shards),
         }
 
@@ -254,7 +299,8 @@ class IndexSnapshot:
             for item, per_slide in shard.postings.items():
                 shard_postings[item] = {
                     str(slide): [row_index[slide][items] for items in patterns]
-                    for slide, patterns in per_slide.items()
+                    for slide, patterns in list(per_slide.items())
+                    if slide in row_index
                 }
             shards_payload.append({"postings": shard_postings})
         return {
@@ -268,7 +314,12 @@ class IndexSnapshot:
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, object]) -> "IndexSnapshot":
-        """Hydrate a snapshot sealed by :meth:`to_payload`."""
+        """Hydrate a snapshot sealed by :meth:`to_payload`.
+
+        The row order inside a slide is not trusted (older seals list
+        rows in (size, items) order): every slide is re-sorted into rank
+        order, and the provenance map is rebuilt from the slides.
+        """
         if payload.get("format") != SERVE_INDEX_FORMAT:
             raise ServeError(
                 f"unsupported serve-index format {payload.get('format')!r}"
@@ -290,14 +341,18 @@ class IndexSnapshot:
         rows_by_slide: Dict[int, List[Tuple[str, ...]]] = {}
         for slide_key, rows in raw_slides.items():
             slide = int(slide_key)
-            patterns: Dict[Tuple[str, ...], int] = {}
-            row_tuples: List[Tuple[str, ...]] = []
-            for items, support in rows:  # type: ignore[union-attr]
-                key = tuple(items)
-                patterns[key] = int(support)
-                row_tuples.append(key)
-            slides[slide] = patterns
-            rows_by_slide[slide] = row_tuples
+            entries = [
+                (tuple(items), int(support)) for items, support in rows  # type: ignore[union-attr]
+            ]
+            rows_by_slide[slide] = [items for items, _ in entries]
+            entries.sort(key=_rank_order)
+            slides[slide] = dict(entries)
+        provenance = Provenance()
+        try:
+            for slide in order:
+                provenance.record(slide, slides[slide])
+        except KeyError as exc:
+            raise ServeError(f"malformed serve-index payload: {exc}") from exc
         shards: List[IndexShard] = []
         for shard_id, raw_shard in enumerate(raw_shards):
             postings: Dict[str, Dict[int, Tuple[Tuple[str, ...], ...]]] = {}
@@ -316,7 +371,7 @@ class IndexSnapshot:
                 postings[item] = item_postings
                 totals[item] = total
             shards.append(IndexShard(shard_id, postings, totals))
-        return cls(generation, tuple(shards), slides, order)
+        return cls(generation, tuple(shards), slides, order, provenance)
 
 
 class ShardedJournalIndex:
@@ -383,10 +438,23 @@ class ShardedJournalIndex:
                 f"slide {record.slide_id} breaks the index's slide order; "
                 f"already indexed up to slide {snapshot.order[-1]}"
             )
+        last = snapshot.last_slide_id
+        if snapshot.provenance.through != last:
+            # Extending a snapshot that is not its lineage's newest (e.g.
+            # one adopted after its index moved on): appending to the
+            # shared per-item postings and provenance would rewrite the
+            # newer snapshots' view, so this branch gets private copies.
+            snapshot = IndexSnapshot(
+                snapshot.generation,
+                tuple(shard.cut(last) for shard in snapshot.shards),
+                snapshot.slides,
+                snapshot.order,
+                snapshot.provenance.for_extending(last),
+            )
         patterns: Dict[Tuple[str, ...], int] = {}
         per_shard: Dict[int, Dict[str, List[Tuple[str, ...]]]] = {}
         shard_count = snapshot.shard_count
-        for items, support in record.patterns:
+        for items, support in record.ranked_patterns():
             patterns[items] = support
             for item in items:
                 shard_id = shard_of(item, shard_count)
@@ -396,11 +464,13 @@ class ShardedJournalIndex:
             shards[shard_id] = shards[shard_id].extended(record.slide_id, added)
         slides = dict(snapshot.slides)
         slides[record.slide_id] = patterns
+        snapshot.provenance.record(record.slide_id, patterns)
         return IndexSnapshot(
             snapshot.generation + 1,
             tuple(shards),
             slides,
             snapshot.order + (record.slide_id,),
+            snapshot.provenance,
         )
 
     def __repr__(self) -> str:

@@ -52,6 +52,7 @@ from repro import faults
 from repro.exceptions import AlgebraError, HistoryError, ServiceError
 from repro.history.journal import open_journal
 from repro.service.api import HistoryService
+from repro.service.render import render_json
 
 #: Endpoint paths served by the front end.
 ENDPOINTS = ("/query", "/patterns", "/history", "/topk", "/stats")
@@ -255,7 +256,7 @@ class HistoryRequestHandler(BaseHTTPRequestHandler):
         status: int = 200,
         headers: Optional[Dict[str, str]] = None,
     ) -> None:
-        body = json.dumps(payload, indent=2, default=str).encode("utf-8")
+        body = render_json(payload)
         server: HistoryHTTPServer = self.server  # type: ignore[assignment]
         merged: Dict[str, str] = {}
         if server.legacy_mode:

@@ -12,6 +12,7 @@ from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from repro.graph.connectivity import is_connected_edge_set
 from repro.graph.edge_registry import EdgeRegistry
+from repro.history.journal import SlideRecord
 
 Items = FrozenSet[str]
 Transaction = Tuple[str, ...]
@@ -56,3 +57,30 @@ def transactions_from_batches(batches: Iterable) -> List[Transaction]:
     for batch in batches:
         flat.extend(batch.transactions)
     return flat
+
+
+def drifting_records(slides=12):
+    """Records whose frequent set drifts: new patterns keep becoming frequent.
+
+    Slide ``s`` holds four singletons starting at item ``s // 2`` and the
+    pairs of neighbouring ones, so provenance answers change as slides are
+    added; supports repeat, so rank order needs its (size, items)
+    tie-breaks.
+    """
+    records = []
+    for slide in range(slides):
+        live = [f"i{n:02d}" for n in range(slide // 2, slide // 2 + 4)]
+        patterns = {(item,): 10 + (slide * 7 + n * 3) % 5 for n, item in enumerate(live)}
+        for n, pair in enumerate(zip(live, live[1:])):
+            patterns[pair] = 8 + (slide + n) % 3
+        records.append(
+            SlideRecord(
+                slide_id=slide,
+                first_batch=slide,
+                last_batch=slide,
+                num_columns=40,
+                minsup=2,
+                patterns=tuple(patterns.items()),
+            )
+        )
+    return records

@@ -46,6 +46,7 @@ from repro.history.query import (
     brute_force_super_patterns,
     brute_force_support_history,
 )
+from repro.serve.shards import ShardedJournalIndex
 from test_query import ITEMS, random_journal
 
 
@@ -137,6 +138,50 @@ class TestPlannerMatchesBruteForce:
             assert explain["scanned"] >= 0
             assert explain["actual_rows"] >= 0
             assert explain["plan"], describe(query)
+
+
+def random_access_path_query(rng):
+    """Queries with their own access paths: rank merge and provenance drivers."""
+    k = rng.randint(1, 12)
+    lo = rng.randint(-2, 13)
+    hi = lo + rng.randint(0, 6)
+    kind = rng.randrange(7)
+    if kind == 0:
+        return top_k(k)
+    if kind == 1:
+        return top_k(k, where=slides(lo, hi))
+    if kind == 2:
+        return top_k(k, where=and_(slides(lo, None), slides(None, hi), slides(lo - 1, hi)))
+    if rng.random() < 0.5:
+        provenance = first_frequent_in(lo, hi)
+    else:
+        provenance = became_frequent_within(rng.randint(0, 4), of=random_items(rng, 2))
+    if kind == 3:
+        return select(provenance)
+    if kind == 4:
+        return select(and_(provenance, slides(lo, hi)))
+    if kind == 5:
+        return select(and_(random_leaf(rng), provenance))
+    return top_k(k, where=provenance)
+
+
+@pytest.mark.parametrize("seed", [1, 7, 23, 99])
+def test_access_paths_match_brute_force_on_both_readers(seed):
+    """top_k with and without a slide range, first_frequent_in and
+    became_frequent_within agree with the oracle on both IndexReaders,
+    under both planners, with identical payloads (Explain included)."""
+    journal = random_journal(seed, slides=14)
+    records = journal.records()
+    readers = [JournalIndex(records), ShardedJournalIndex(records, shard_count=3).current]
+    rng = random.Random(seed + 17000)
+    for _ in range(60):
+        query = random_access_path_query(rng)
+        oracle = brute_force_query(query, records)
+        for reader in readers:
+            for optimize in (True, False):
+                assert evaluate(query, reader, optimize).matches == oracle, describe(query)
+        payloads = [evaluate(query, reader).payload() for reader in readers]
+        assert payloads[0] == payloads[1], describe(query)
 
 
 class TestLegacySurfaceEquivalence:
@@ -281,6 +326,48 @@ class TestPlannerOrdering:
         assert evaluation.explain["estimated_rows"] == 1
         assert evaluation.explain["actual_rows"] == 1
         assert evaluation.explain["q_error"] == 1.0
+
+    def test_slides_between_bisects_the_slide_order(self):
+        index = make_index(controlled_journal())
+        assert index.slides_between(1, 2) == [1, 2]
+        assert index.slides_between(None, 1) == [0, 1]
+        assert index.slides_between(2, None) == [2, 3]
+        assert index.slides_between(None, None) == [0, 1, 2, 3]
+        assert index.slides_between(5, 9) == [] and index.slides_between(-3, -1) == []
+
+    def test_provenance_driver_probes_only_new_patterns(self):
+        index = make_index(controlled_journal())
+        query = select(first_frequent_in(1, 3))
+        planned = evaluate(query, index, optimize=True)
+        # One pattern ('a','j') is first seen in [1, 3], at slide 2: it is
+        # probed in slides 2 and 3 only.
+        assert planned.explain["plan"][0].startswith(
+            "first_frequent in [1,3] [provenance driver, 1 patterns"
+        )
+        assert planned.explain["scanned"] == planned.explain["estimated_scanned"] == 2
+        naive = evaluate(query, index, optimize=False)
+        assert naive.explain["plan"][0].startswith("full-scan")
+        assert planned.matches == naive.matches == [(2, ("a", "j"), 3)]
+        within = evaluate(select(became_frequent_within(0, of=("j", "a"))), index)
+        assert within.explain["plan"][0].startswith("became_frequent_within")
+        assert within.matches == [(2, ("a", "j"), 3)]
+        # Five patterns are first seen in [0, 3]: 4 x 4 + 2 = 18 probes
+        # against a 17-row scan, so the planner keeps the scan.
+        assert evaluate(select(first_frequent_in(0, 3)), index).explain["plan"][0].startswith(
+            "full-scan"
+        )
+
+    def test_top_k_merges_per_slide_rank_orders(self):
+        index = make_index(controlled_journal())
+        evaluation = evaluate(top_k(3), index)
+        assert evaluation.explain["plan"][0].startswith("rank-merge")
+        assert evaluation.matches == [(0, ("a",), 9), (1, ("a",), 9), (2, ("a",), 9)]
+        # The head of each of the 4 slides plus the rows pulled after them.
+        assert evaluation.explain["scanned"] <= 4 + 3
+        assert evaluation.explain["actual_rows"] == 17
+        ranged = evaluate(top_k(2, where=slides(3, 3)), index)
+        assert ranged.matches == [(3, ("a",), 9), (3, ("a", "b"), 7)]
+        assert ranged.explain["scanned"] <= 2
 
     def test_full_scan_when_no_indexable_conjunct(self):
         index = make_index(controlled_journal())

@@ -10,8 +10,32 @@ from repro.history import algebra
 from repro.history.journal import MemoryJournal
 from repro.history.query import JournalIndex
 from repro.serve.shards import IndexSnapshot, ShardedJournalIndex, shard_of
+from repro.service.api import evaluate_expression
+from repro.service.render import render_json
 
 from serve_helpers import mined_journal
+from tests.helpers import drifting_records
+
+#: Provenance and ranking queries over ``drifting_records``.
+DRIFT_QUERIES = [
+    {"select": {"where": {"first_frequent_in": [1, 4]}}},
+    {"select": {"where": {"first_frequent_in": [3, None]}}},
+    {"select": {"where": {"and": [{"first_frequent_in": [2, 9]}, {"slides": [3, 5]}]}}},
+    {"select": {"where": {"became_frequent_within": {"k": 1, "of": ["i02"]}}}},
+    {"top_k": {"k": 5}},
+    {"top_k": {"k": 4, "where": {"slides": [2, 6]}}},
+    {"top_k": {"k": 3, "where": {"first_frequent_in": [2, 5]}}},
+    {"select": {"where": {"first_frequent_in": [8, None]}}},
+    {"select": {"where": {"became_frequent_within": {"k": 1, "of": ["i07"]}}}},
+    {"history": {"items": ["i03"]}},
+    {"history": {"items": ["i06"]}},
+    {"history": {"items": ["i07"]}},
+]
+
+
+def answers(reader):
+    """The rendered response body of every DRIFT_QUERIES entry."""
+    return [render_json(evaluate_expression(query, reader)) for query in DRIFT_QUERIES]
 
 
 class TestShardOf:
@@ -70,6 +94,23 @@ class TestProtocolParity:
         snapshot = ShardedJournalIndex(records, shard_count=4).current
         assert dict(snapshot.stats()) == dict(reference.stats())
 
+    def test_distinct_patterns_counts_each_pattern_once(self):
+        records = drifting_records(10)
+        for cut in (0, 1, 6, 10):
+            distinct = {items for record in records[:cut] for items, _ in record.patterns}
+            snapshot = ShardedJournalIndex(records[:cut], shard_count=2).current
+            assert snapshot.stats()["distinct_patterns"] == len(distinct)
+            assert JournalIndex(records[:cut]).stats()["distinct_patterns"] == len(distinct)
+
+    def test_rows_iterate_in_rank_order(self):
+        records = drifting_records(8)
+        for reader in (JournalIndex(records), ShardedJournalIndex(records).current):
+            for record in records:
+                rows = list(reader.iter_patterns_at(record.slide_id))
+                assert rows == sorted(
+                    record.patterns, key=lambda row: (-row[1], len(row[0]), row[0])
+                )
+
     def test_algebra_evaluation_parity(self, records):
         reference = JournalIndex(records)
         snapshot = ShardedJournalIndex(records, shard_count=4).current
@@ -111,6 +152,49 @@ class TestSnapshotSwap:
         assert {s: pinned.row_count(s) for s in before_slides} == before_rows
         assert index.current is not pinned
         assert index.current.slide_ids() == [r.slide_id for r in records]
+
+    def test_pinned_snapshot_answers_provenance_and_top_k_unchanged(self):
+        records = drifting_records(16)
+        index = ShardedJournalIndex(records[:8], shard_count=3)
+        pinned = index.current
+        before, stats_before = answers(pinned), pinned.stats()
+        index.extend(records[8:])
+        # The later commits add patterns to the shared provenance map ...
+        assert index.current.stats()["distinct_patterns"] > stats_before["distinct_patterns"]
+        # ... which the pinned snapshot ignores: same bytes, same stats,
+        # and the same answers as an index that never saw those slides.
+        assert answers(pinned) == before
+        assert pinned.stats() == stats_before
+        cold = ShardedJournalIndex(records[:8], shard_count=3).current
+        assert answers(cold) == before
+        # Postings are appended to dicts the snapshots share; the pinned
+        # one neither reports nor seals the later slides' entries.
+        for item in index.current.items():
+            for record in records[8:]:
+                assert pinned.posting(item, record.slide_id) == ()
+        assert pinned.to_payload() == cold.to_payload()
+
+    def test_extending_an_adopted_older_snapshot_branches_cleanly(self):
+        records = drifting_records(12)
+        index = ShardedJournalIndex(records[:5], shard_count=3)
+        older = index.current
+        index.extend(records[5:9])
+        branch = ShardedJournalIndex.from_snapshot(older)
+        branch.extend(records[9:])  # skips slides 5-8
+        cold = ShardedJournalIndex(records[:5] + records[9:], shard_count=3).current
+        assert answers(branch.current) == answers(cold)
+        assert branch.current.to_payload()["shards"] == cold.to_payload()["shards"]
+        assert answers(index.current) == answers(JournalIndex(records[:9]))
+        assert answers(older) == answers(JournalIndex(records[:5]))
+
+    def test_extending_an_older_version_forks_the_provenance(self):
+        records = drifting_records(12)
+        reference = JournalIndex(records[:5])
+        newer = reference.extended(records[5:9])
+        branch = reference.extended(records[9:])  # skips slides 5-8
+        assert answers(newer) == answers(JournalIndex(records[:9]))
+        assert answers(branch) == answers(JournalIndex(records[:5] + records[9:]))
+        assert answers(reference) == answers(JournalIndex(records[:5]))
 
     def test_generation_and_swap_counters(self, records):
         index = ShardedJournalIndex(records[:2], shard_count=4)

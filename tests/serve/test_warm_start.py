@@ -6,9 +6,13 @@ from repro.checkpoint import load_serve_index, seal_serve_index
 from repro.checkpoint.serve_index import MANIFEST_NAME, PAYLOAD_NAME, SERVE_INDEX_DIRNAME
 from repro.history.journal import DiskJournal, open_journal
 from repro.serve.app import ServeApp
+from repro.serve.shards import SERVE_INDEX_FORMAT, IndexSnapshot, ShardedJournalIndex, shard_of
 from repro.serve.warm import JournalTail, read_journal_suffix
+from repro.service.api import evaluate_expression
+from repro.service.render import render_json
 
 from serve_helpers import mined_journal
+from tests.helpers import drifting_records
 
 QUERY = {"select": {"where": {"contains": ["a"]}}}
 
@@ -114,6 +118,63 @@ class TestWarmStart:
             (warm / SERVE_INDEX_DIRNAME / MANIFEST_NAME).read_text(encoding="utf-8")
         )
         assert manifest["last_slide"] == records[-1].slide_id
+
+
+def size_ordered_payload(records, shard_count):
+    """A serve-index payload with every slide's rows in (size, items) order.
+
+    The layout seals used to have (the records' own canonical order, no
+    rank order): hydration must not assume the rows arrive ranked.
+    """
+    slides, shards = {}, [{"postings": {}} for _ in range(shard_count)]
+    for record in records:
+        rows = [[list(items), support] for items, support in record.patterns]
+        slides[str(record.slide_id)] = rows
+        for position, (items, _) in enumerate(record.patterns):
+            for item in items:
+                postings = shards[shard_of(item, shard_count)]["postings"]
+                postings.setdefault(item, {}).setdefault(str(record.slide_id), []).append(position)
+    return {
+        "format": SERVE_INDEX_FORMAT,
+        "shard_count": shard_count,
+        "generation": len(records),
+        "order": [record.slide_id for record in records],
+        "slides": slides,
+        "shards": shards,
+    }
+
+
+class TestHydrationDoesNotTrustRowOrder:
+    QUERIES = [
+        {"top_k": {"k": 6}},
+        {"top_k": {"k": 3, "where": {"slides": [2, 4]}}},
+        {"select": {"where": {"first_frequent_in": [2, 7]}}},
+        {"select": {"where": {"became_frequent_within": {"k": 2, "of": ["i03"]}}}},
+        {"select": {"where": {"contains": ["i03"]}}},
+        {"history": {"items": ["i02", "i03"]}},
+    ]
+
+    def test_size_ordered_payload_answers_like_a_cold_build(self):
+        records = drifting_records(10)
+        payload = json.loads(json.dumps(size_ordered_payload(records, 3)))
+        # The fixture really is out of rank order somewhere.
+        assert payload != ShardedJournalIndex(records, shard_count=3).current.to_payload()
+        warm = IndexSnapshot.from_payload(payload)
+        cold = ShardedJournalIndex(records, shard_count=3).current
+        for query in self.QUERIES:
+            assert render_json(evaluate_expression(query, warm)) == render_json(
+                evaluate_expression(query, cold)
+            )
+        assert warm.stats() == cold.stats()
+        # Extending the hydrated snapshot keeps it equal to a cold build.
+        more = drifting_records(14)[10:]
+        extended = ShardedJournalIndex.from_snapshot(warm)
+        extended.extend(more)
+        rebuilt = ShardedJournalIndex(records + more, shard_count=3).current
+        for query in self.QUERIES:
+            assert evaluate_expression(query, extended.current) == evaluate_expression(
+                query, rebuilt
+            )
 
 
 class TestJournalTail:

@@ -8,6 +8,7 @@ fully committed journal prefix — never a half-applied slide.
 """
 
 import json
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -15,7 +16,9 @@ from repro.core.miner import StreamSubgraphMiner
 from repro.history.journal import MemoryJournal
 from repro.history.query import JournalIndex
 from repro.service.api import HistoryService, evaluate_expression
+from repro.serve.shards import ShardedJournalIndex
 from repro.stream.stream import TransactionStream
+from tests.helpers import drifting_records
 
 TRANSACTIONS = [
     ("a",),
@@ -107,3 +110,47 @@ class TestRefreshRace:
                 future.result(timeout=30)
         assert torn == [], f"reader observed a non-prefix answer: {torn[:1]}"
         assert service.index.last_slide_id == records[-1].slide_id
+
+    def test_shared_provenance_under_concurrent_commits(self):
+        """Readers pinning snapshots while the writer appends to the one
+        provenance map they share: every answer equals a cold build of the
+        prefix the reader pinned."""
+        records = drifting_records(24)
+        queries = [
+            {"select": {"where": {"first_frequent_in": [2, None]}}},
+            {"select": {"where": {"became_frequent_within": {"k": 1, "of": ["i05"]}}}},
+            {"top_k": {"k": 4}},
+        ]
+        expected = {
+            end: [evaluate_expression(query, JournalIndex(records[:end])) for query in queries]
+            for end in range(1, len(records) + 1)
+        }
+        index = ShardedJournalIndex(records[:1], shard_count=3)
+        stop = threading.Event()
+        wrong = []
+
+        def reader():
+            while not stop.is_set():
+                snapshot = index.current
+                end = len(snapshot.slide_ids())
+                answers = [evaluate_expression(query, snapshot) for query in queries]
+                if answers != expected[end] or snapshot.stats() != JournalIndex(
+                    records[:end]
+                ).stats():
+                    wrong.append(end)
+                    return
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(reader) for _ in range(6)]
+                for record in records[1:]:
+                    index.extend([record])
+                stop.set()
+                for future in futures:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == [], f"a reader saw a wrong answer at prefix {wrong[:1]}"
+        assert index.current.last_slide_id == records[-1].slide_id
