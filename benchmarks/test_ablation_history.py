@@ -10,8 +10,8 @@ Three properties of the history subsystem are pinned here (DESIGN.md §10):
   journal sink (the wall-clock columns land in BENCH_e10.json; the
   nightly gate budgets them);
 * index-backed queries answer from posting lists, measured via
-  pytest-benchmark under the same 4-reader concurrency the HTTP front
-  end exposes.
+  pytest-benchmark with 4 reader threads sharing one immutable index
+  snapshot.
 """
 
 import json
@@ -19,8 +19,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 from repro.bench.experiments import experiment_journal_history
 from repro.core.miner import StreamSubgraphMiner
+from repro.history import algebra
 from repro.history.journal import DiskJournal, MemoryJournal
-from repro.history.query import JournalIndex
+from repro.serve.shards import ShardedJournalIndex
 from repro.stream.stream import TransactionStream
 
 
@@ -112,7 +113,7 @@ def test_concurrent_query_throughput(benchmark, edge_workload):
         max(2, edge_workload.batch_size // 4),
         connected_only=False,
     )
-    index = JournalIndex.from_journal(journal)
+    index = ShardedJournalIndex(journal.records(), shard_count=1).current
     universe = index.items()
     assert universe, "the workload must produce at least one frequent item"
 
@@ -120,8 +121,8 @@ def test_concurrent_query_throughput(benchmark, edge_workload):
         for position in range(50):
             item = universe[(offset + position) % len(universe)]
             other = universe[(offset + 2 * position + 1) % len(universe)]
-            index.super_patterns((item,))
-            index.support_history((item, other))
+            algebra.evaluate(algebra.select(algebra.contains(item)), index)
+            algebra.evaluate(algebra.history(item, other), index)
         return 100
 
     def run():

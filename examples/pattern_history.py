@@ -3,11 +3,13 @@
 
 A drifting transaction stream is watched with :meth:`StreamSubgraphMiner.watch`:
 after every batch commit the fresh window is mined and the per-slide answer is
-sealed into an append-only pattern journal (DESIGN.md §10).  The journal's
-index then answers the questions the one-shot miner cannot — how a pattern's
-support evolved over the stream, when it first became frequent, and what was
-on top at any past slide.  Queries are composable algebra expressions
-(DESIGN.md §13) evaluated under the cost-based planner.
+sealed into an append-only pattern journal (DESIGN.md §10).  A
+:class:`~repro.serve.app.ServeApp` over the journal then answers the questions
+the one-shot miner cannot — how a pattern's support evolved over the stream,
+when it first became frequent, and what was on top at any past slide.  Queries
+are composable algebra expressions (DESIGN.md §13) evaluated under the
+cost-based planner; the app answers them exactly as ``repro query --expr`` and
+``POST /query`` do.
 
 Run with::
 
@@ -15,7 +17,8 @@ Run with::
 """
 
 from repro import StreamSubgraphMiner, TransactionStream
-from repro.history import JournalIndex, MemoryJournal, algebra
+from repro.history import MemoryJournal
+from repro.serve import ServeApp
 
 
 def drifting_stream():
@@ -55,31 +58,33 @@ def main() -> None:
         f"{report.last_record.pattern_count} patterns frequent at the end"
     )
 
-    index = JournalIndex.from_journal(journal)
+    app = ServeApp.from_journal(journal)
 
     # Support over time: the old hot pair fades, the new one takes over.
+    # Each history answer also carries the pair's provenance.
+    histories = {}
     for pair in (("login", "search"), ("login", "checkout")):
-        curve = algebra.evaluate(algebra.history(*pair), index).curve
-        rendered = " ".join(f"{support:2d}" for _, support in curve)
+        histories[pair] = app.query({"history": {"items": list(pair)}})
+        curve = histories[pair]["history"]
+        rendered = " ".join(f"{point['support']:2d}" for point in curve)
         print(f"support of {pair}: {rendered}")
 
     # Provenance: when did the new pattern become frequent, and until when
     # did the old one last appear?
-    drift_in = index.first_frequent(("login", "checkout"))
-    drift_out = index.last_frequent(("login", "search"))
+    drift_in = histories[("login", "checkout")]["first_frequent"]
+    drift_out = histories[("login", "search")]["last_frequent"]
     print(f"(login, checkout) first became frequent at slide {drift_in}")
     print(f"(login, search) was last frequent at slide {drift_out}")
 
     # Top of the final window vs the top while the window was still early.
-    last = index.last_slide_id
-    first_top = algebra.evaluate(
-        algebra.top_k(1, where=algebra.slides(1, 1)), index
-    ).matches[0]
-    last_top = algebra.evaluate(
-        algebra.top_k(1, where=algebra.slides(last, last)), index
-    ).matches[0]
-    print(f"top pattern at slide 1: {first_top[1]} (support {first_top[2]})")
-    print(f"top pattern at the last slide: {last_top[1]} (support {last_top[2]})")
+    last = app.stats()["last_slide"]
+    for label, slide in (("slide 1", 1), ("the last slide", last)):
+        top = app.query({"top_k": {"k": 1, "where": {"slides": [slide, slide]}}})
+        match = top["matches"][0]
+        print(
+            f"top pattern at {label}: {tuple(match['items'])} "
+            f"(support {match['support']})"
+        )
 
 
 if __name__ == "__main__":

@@ -720,11 +720,12 @@ def experiment_journal_history(
       bytes are identical between ``ingest_workers=0`` and a pipelined
       2-worker run (the §10 parity guarantee);
     * **query throughput under concurrent readers** —
-      ``reader_threads`` threads fire index-backed queries against the
-      shared :class:`~repro.history.query.JournalIndex` (the exact object
-      the HTTP front end shares across its handler threads);
+      ``reader_threads`` threads evaluate ``select(contains)`` (row
+      ``super``), ``select(contained_in)`` (row ``sub``) and ``history``
+      (row ``support-history``) against one shared immutable
+      :class:`~repro.serve.shards.IndexSnapshot`;
       ``index_matches_bruteforce`` cross-checks a sample of the answers
-      against a full journal scan.
+      against :func:`~repro.history.algebra.brute_force_query`.
 
     Like E7-E9, the outcome is written to ``output_path``
     (``BENCH_e10.json`` by default, pass ``None`` to skip) for the CI
@@ -732,13 +733,9 @@ def experiment_journal_history(
     """
     from concurrent.futures import ThreadPoolExecutor
 
+    from repro.history import algebra
     from repro.history.journal import DiskJournal, MemoryJournal, SlideRecord
-    from repro.history.query import (
-        JournalIndex,
-        brute_force_sub_patterns,
-        brute_force_super_patterns,
-        brute_force_support_history,
-    )
+    from repro.serve.shards import ShardedJournalIndex
 
     workload = default_edge_workload(scale, seed=seed)
     support = minsup if minsup is not None else _default_minsup(workload)
@@ -795,8 +792,8 @@ def experiment_journal_history(
     ]
 
     # Query throughput: concurrent readers over the shared immutable index.
-    index = JournalIndex.from_journal(memory_journal)
     records: Tuple[SlideRecord, ...] = memory_journal.records()
+    index = ShardedJournalIndex(records, shard_count=1).current
     universe = index.items() or ["_"]
 
     def query_args(offset: int) -> List[Tuple[str, ...]]:
@@ -808,25 +805,29 @@ def experiment_journal_history(
             for position in range(queries_per_thread)
         ]
 
+    def answer(query: algebra.Query) -> object:
+        evaluation = algebra.evaluate(query, index)
+        if isinstance(query, algebra.History):
+            return evaluation.curve
+        return evaluation.matches
+
     index_ok = True
-    for kind, indexed, brute in (
-        ("super", index.super_patterns, brute_force_super_patterns),
-        ("sub", index.sub_patterns, brute_force_sub_patterns),
-        ("support-history", index.support_history, brute_force_support_history),
+    for kind, build in (
+        ("super", lambda items: algebra.select(algebra.contains(*items))),
+        ("sub", lambda items: algebra.select(algebra.contained_in(*items))),
+        ("support-history", lambda items: algebra.history(*items)),
     ):
         # Cross-check a sample against the brute-force scan first ...
         for items in query_args(0)[:seeds_checked]:
-            if kind == "support-history":
-                if indexed(items) != brute(records, items):
-                    index_ok = False
-            elif sorted(indexed(items)) != sorted(brute(records, items)):
+            query = build(items)
+            if answer(query) != algebra.brute_force_query(query, records):
                 index_ok = False
 
         # ... then measure the indexed path under concurrent readers.
         def worker(offset: int) -> int:
             answered = 0
             for items in query_args(offset):
-                indexed(items)
+                answer(build(items))
                 answered += 1
             return answered
 
@@ -1304,7 +1305,7 @@ def experiment_query_algebra(
     """
     from repro.history import algebra
     from repro.history.journal import MemoryJournal, SlideRecord
-    from repro.history.query import JournalIndex
+    from repro.serve.shards import ShardedJournalIndex
 
     workload = default_edge_workload(scale, seed=seed)
     support = minsup if minsup is not None else _default_minsup(workload)
@@ -1321,8 +1322,8 @@ def experiment_query_algebra(
         support,
         connected_only=False,
     )
-    index = JournalIndex.from_journal(journal)
     records: Tuple[SlideRecord, ...] = journal.records()
+    index = ShardedJournalIndex(records, shard_count=1).current
     slide_ids = index.slide_ids()
     total_rows = sum(index.row_count(slide) for slide in slide_ids)
 
@@ -1656,7 +1657,7 @@ def experiment_chaos_resilience(
 
 
 # ---------------------------------------------------------------------- #
-# E15 — serving at scale: async front end vs threaded parity + load
+# E15 — serving at scale: cross-shard-count parity, load, swaps, push
 # ---------------------------------------------------------------------- #
 def experiment_serving_scale(
     scale: str = "tiny",
@@ -1675,12 +1676,12 @@ def experiment_serving_scale(
     Four legs over one mined journal, split into a pre-loaded prefix and
     a live suffix committed mid-bench:
 
-    * **parity** — every algebra query is POSTed to the async sharded
-      server *and* the threaded server at every commit checkpoint
-      (before, between and after live slides); the response bytes must
-      be identical, and the parsed matches/curve must equal
-      :func:`~repro.history.algebra.brute_force_query` over exactly the
-      committed records (``answers_identical``);
+    * **parity** — every algebra query is POSTed to two servers at every
+      commit checkpoint (before, between and after live slides): one at
+      ``shards`` shards and one at a different shard count.  The
+      response bytes must be identical, and the parsed matches/curve
+      must equal :func:`~repro.history.algebra.brute_force_query` over
+      exactly the committed records (``answers_identical``);
     * **load** — ``clients`` concurrent keep-alive clients drive the
       async server; the row records latency percentiles and throughput
       (volatile, excluded from the regression row identity);
@@ -1704,13 +1705,11 @@ def experiment_serving_scale(
 
     from repro.history import algebra
     from repro.history.journal import MemoryJournal, SlideRecord
-    from repro.serve.app import ServeApp
+    from repro.serve.app import ServeApp, evaluate_expression
     from repro.serve.http import BackgroundServer
     from repro.serve.loadgen import run_load, sse_collect
     from repro.serve.shards import ShardedJournalIndex
     from repro.serve.standing import poll_oracle
-    from repro.service.api import HistoryService, evaluate_expression
-    from repro.service.server import build_server
 
     workload = default_edge_workload(scale, seed=seed)
     # Smaller batches than the workload default so the journal holds
@@ -1822,47 +1821,40 @@ def experiment_serving_scale(
     answers_identical = True
     parity_checks = 0
 
-    # --- leg 1: byte parity vs threaded server + brute force ----------- #
-    threaded_journal = fresh_journal(prefix)
-    service = HistoryService(threaded_journal)
-    threaded = build_server(service, "127.0.0.1", 0)
-    threaded_thread = threading.Thread(target=threaded.serve_forever, daemon=True)
-    threaded_thread.start()
+    # --- leg 1: byte parity across shard counts + brute force --------- #
     async_app = ServeApp.from_journal(fresh_journal(prefix), shard_count=shards)
-    try:
-        with BackgroundServer(async_app) as background:
-            threaded_conn = HTTPConnection(
-                "127.0.0.1", threaded.server_address[1], timeout=30
-            )
-            async_conn = HTTPConnection("127.0.0.1", background.port, timeout=30)
-            committed: List[SlideRecord] = list(prefix)
-            checkpoints = 0
-            while True:
-                checkpoints += 1
-                for expression in queries:
-                    threaded_body = post(threaded_conn, expression)
-                    async_body = post(async_conn, expression)
-                    parsed = json.loads(async_body)
-                    key = "history" if "history" in parsed else "matches"
-                    expected = json.loads(
-                        json.dumps(oracle_payload(expression, committed), default=str)
-                    )
-                    parity_checks += 1
-                    if threaded_body != async_body or parsed[key] != expected:
-                        answers_identical = False
-                if len(committed) == len(records):
-                    break
-                record = live[len(committed) - len(prefix)]
-                threaded_journal.append(record)
-                service.refresh()
-                async_app.journal.append(record)
-                background.refresh()
-                committed.append(record)
-            threaded_conn.close()
-            async_conn.close()
-    finally:
-        threaded.shutdown()
-        threaded.server_close()
+    other_app = ServeApp.from_journal(
+        fresh_journal(prefix), shard_count=1 if shards != 1 else 2
+    )
+    with BackgroundServer(async_app) as background, BackgroundServer(
+        other_app
+    ) as other:
+        async_conn = HTTPConnection("127.0.0.1", background.port, timeout=30)
+        other_conn = HTTPConnection("127.0.0.1", other.port, timeout=30)
+        committed: List[SlideRecord] = list(prefix)
+        checkpoints = 0
+        while True:
+            checkpoints += 1
+            for expression in queries:
+                async_body = post(async_conn, expression)
+                other_body = post(other_conn, expression)
+                parsed = json.loads(async_body)
+                key = "history" if "history" in parsed else "matches"
+                expected = json.loads(
+                    json.dumps(oracle_payload(expression, committed), default=str)
+                )
+                parity_checks += 1
+                if other_body != async_body or parsed[key] != expected:
+                    answers_identical = False
+            if len(committed) == len(records):
+                break
+            record = live[len(committed) - len(prefix)]
+            for app, server in ((async_app, background), (other_app, other)):
+                app.journal.append(record)
+                server.refresh()
+            committed.append(record)
+        async_conn.close()
+        other_conn.close()
     rows.append(
         {
             "mode": "parity",

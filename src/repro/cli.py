@@ -31,16 +31,14 @@ Subcommands
 ``query``
     Query a journal directory: ``--expr`` evaluates one composable JSON
     algebra expression (DESIGN.md §13) under the cost-based planner and
-    prints the answer with its ``explain`` payload; the named ``--query``
-    modes (support history, sub/super-pattern match, top-k,
-    first/last-frequent provenance, stats) remain as canned plans.
+    prints the answer with its ``explain`` payload — the same bytes
+    ``POST /query`` answers; without ``--expr`` it prints the journal's
+    stats.
 ``serve``
-    Expose a journal over HTTP.  The default is the asyncio serving
-    subsystem (DESIGN.md §15): sharded snapshot-swapped reads
-    (``--shards``), standing-query push over ``GET /subscribe`` (SSE),
-    journal following (``--follow``) and warm start (``--warm-dir``).
-    ``--legacy`` falls back to the threaded stdlib server (deprecated;
-    every response then carries a ``Deprecation`` header).
+    Expose a journal over HTTP with the asyncio serving subsystem
+    (DESIGN.md §15): sharded snapshot-swapped reads (``--shards``),
+    standing-query push over ``GET /subscribe`` (SSE), journal following
+    (``--follow``) and warm start (``--warm-dir``).
 ``bench``
     Run one of the paper's experiments (e1-e15) and print its table;
     ``--baseline`` compares the outcome against a committed
@@ -89,13 +87,12 @@ from repro.exceptions import (
 )
 from repro.graph.edge_registry import EdgeRegistry
 from repro.parallel.api import TRANSPORTS
-from repro.history.journal import DiskJournal, open_journal, truncate_journal
+from repro.history.journal import DiskJournal, truncate_journal
 from repro.history.retention import RetentionPolicy, TieredJournal
 from repro.resilience import FailurePolicy, ResilienceEvent
-from repro.service.api import QUERY_KINDS, HistoryService
+from repro.serve.app import ServeApp
 from repro.serve.http import serve_async
 from repro.serve.shards import DEFAULT_SHARDS
-from repro.service.server import serve_journal
 from repro.service.supervisor import RestartPolicy, Supervisor, SupervisorError
 from repro.storage.backend import STORE_BACKENDS
 from repro.stream.stream import TransactionStream
@@ -345,27 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument("journal", help="journal directory written by `repro watch`")
     query.add_argument(
-        "--query",
-        choices=QUERY_KINDS,
-        default="stats",
-        help="query kind (sub/super/exact pattern match, support history, "
-        "top-k, first/last-frequent provenance, or journal stats)",
-    )
-    query.add_argument(
-        "--items",
-        default=None,
-        help="comma-separated itemset the query is about (e.g. --items a,b)",
-    )
-    query.add_argument(
-        "--slide", type=int, default=None, help="restrict the query to one slide id"
-    )
-    query.add_argument("-k", type=int, default=10, help="result size for --query topk")
-    query.add_argument(
         "--expr",
         default=None,
-        help="composable algebra expression as JSON (overrides --query/--items; "
-        'e.g. \'{"select": {"where": {"contains": ["a", "b"]}}}\' — see '
-        "README 'Querying the journal')",
+        help="composable algebra expression as JSON (default: print the "
+        'journal stats; e.g. \'{"select": {"where": {"contains": ["a", "b"]}}}\' '
+        "— see README 'Querying the journal')",
     )
 
     serve = subparsers.add_parser(
@@ -378,28 +359,21 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=DEFAULT_SHARDS,
-        help="index shard count for the async front end (default: %(default)s)",
+        help="index shard count (default: %(default)s)",
     )
     serve.add_argument(
         "--follow",
         type=float,
         default=1.0,
         metavar="SECONDS",
-        help="poll the journal for new slides every SECONDS (0 disables; "
-        "async front end only)",
+        help="poll the journal for new slides every SECONDS (0 disables)",
     )
     serve.add_argument(
         "--warm-dir",
         default=None,
         metavar="DIR",
         help="hydrate the index from a sealed snapshot under DIR and seal a "
-        "fresh one on graceful shutdown (async front end only)",
-    )
-    serve.add_argument(
-        "--legacy",
-        action="store_true",
-        help="use the deprecated threaded front end instead of the async "
-        "serving subsystem",
+        "fresh one on graceful shutdown",
     )
     _add_fault_options(serve)
 
@@ -1084,44 +1058,29 @@ def _fail_query_json(message: str, code: str, path: Optional[str] = None) -> int
 
 def _cmd_query(args: argparse.Namespace) -> int:
     try:
-        journal = open_journal(args.journal)
+        app = ServeApp.from_directory(args.journal)
     except HistoryError as exc:
-        print(f"error: cannot open journal: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _fail_json(f"cannot open journal: {exc}", EXIT_INPUT_ERROR)
     # Close the journal on every exit path — including the error returns —
     # so a failed query never leaks the journal's file handles.
     try:
-        if args.expr is not None:
+        if args.expr is None:
+            payload = app.stats()
+        else:
             try:
-                expression = json.loads(args.expr)
+                payload = app.query(json.loads(args.expr))
             except json.JSONDecodeError as exc:
                 return _fail_query_json(
                     f"--expr is not valid JSON: {exc}", code="invalid-json"
                 )
-            try:
-                payload = HistoryService(journal).query(expression)
             except AlgebraError as exc:
                 return _fail_query_json(str(exc), code=exc.code, path=exc.path)
             except (HistoryError, ServiceError) as exc:
                 return _fail_query_json(str(exc), code="bad-query")
-            print(json.dumps(payload, indent=2, default=str))
-            return 0
-        items = (
-            [item for item in args.items.split(",") if item]
-            if args.items is not None
-            else None
-        )
-        try:
-            payload = HistoryService(journal).run_query(
-                args.query, items=items, slide=args.slide, k=args.k
-            )
-        except (HistoryError, ServiceError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE_ERROR
         print(json.dumps(payload, indent=2, default=str))
         return 0
     finally:
-        journal.close()
+        app.close()
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -1129,16 +1088,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"error: --shards must be at least 1, got {args.shards}", file=sys.stderr)
         return EXIT_USAGE_ERROR
 
-    def announce_legacy(server) -> None:
-        host, port = server.server_address[0], server.server_address[1]
-        print(
-            f"serving pattern history of {args.journal} on http://{host}:{port} "
-            f"(endpoints: /patterns /history /topk /stats; Ctrl-C to stop) "
-            f"[legacy threaded front end — deprecated]",
-            flush=True,
-        )
-
-    def announce_async(server) -> None:
+    def announce(server) -> None:
         print(
             f"serving pattern history of {args.journal} on "
             f"http://{server.host}:{server.port} "
@@ -1151,24 +1101,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if error is not None:
         return error
     try:
-        if args.legacy:
-            serve_journal(
-                args.journal,
-                host=args.host,
-                port=args.port,
-                on_bound=announce_legacy,
-                legacy=True,
-            )
-        else:
-            serve_async(
-                args.journal,
-                host=args.host,
-                port=args.port,
-                shard_count=args.shards,
-                follow_interval=args.follow if args.follow > 0 else None,
-                warm_dir=args.warm_dir,
-                on_bound=announce_async,
-            )
+        serve_async(
+            args.journal,
+            host=args.host,
+            port=args.port,
+            shard_count=args.shards,
+            follow_interval=args.follow if args.follow > 0 else None,
+            warm_dir=args.warm_dir,
+            on_bound=announce,
+        )
     except (HistoryError, OSError) as exc:
         return _fail_json(f"cannot open journal: {exc}", EXIT_INPUT_ERROR)
     except KeyboardInterrupt:  # asyncio.run re-raises on SIGINT

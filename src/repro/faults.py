@@ -89,7 +89,7 @@ SITES = (
     "journal.write",  # history/journal.DiskJournal._persist
     "checkpoint.write",  # checkpoint/snapshot.CheckpointManager.seal
     "segment.write",  # ingest/coordinator.WindowCoordinator commit
-    "http.response",  # service/server response write
+    "http.response",  # serve/http response write
 )
 
 _SPEC_RE = re.compile(

@@ -3,14 +3,14 @@
 The miner answers "what is frequent in the *current* window"; this package
 retains those answers.  A :class:`~repro.history.journal.PatternJournal`
 holds one sealed :class:`~repro.history.journal.SlideRecord` per window
-slide (memory or disk backend, mirroring the §3 segment design), and a
-:class:`~repro.history.query.JournalIndex` answers queries over it
-without rescanning every record.  The query surface is the composable
-algebra of :mod:`repro.history.algebra` (DESIGN.md §13): predicates over
-journalled rows compiled to posting-list plans under a cost-based
-planner, with the index's legacy one-shot methods (``super_patterns``,
-``sub_patterns``, ``support_history``, ``top_k``) kept as deprecated
-shims over the equivalent compiled plans.
+slide (memory or disk backend, mirroring the §3 segment design).  Queries
+over the journal are expressions of the composable algebra of
+:mod:`repro.history.algebra` (DESIGN.md §13): predicates over journalled
+rows compiled to posting-list plans under a cost-based planner.  The
+index they run against is the snapshot-swapped
+:class:`~repro.serve.shards.ShardedJournalIndex`; a one-shard
+``ShardedJournalIndex(records, shard_count=1).current`` is the plain
+index, and :class:`~repro.serve.app.ServeApp` is the library facade.
 """
 
 from repro.history import algebra
@@ -21,7 +21,6 @@ from repro.history.journal import (
     SlideRecord,
     open_journal,
 )
-from repro.history.query import JournalIndex
 
 __all__ = [
     "SlideRecord",
@@ -29,6 +28,5 @@ __all__ = [
     "MemoryJournal",
     "DiskJournal",
     "open_journal",
-    "JournalIndex",
     "algebra",
 ]

@@ -1,8 +1,9 @@
 """Composable query algebra over the pattern journal (DESIGN.md §13).
 
-The journal's ad-hoc access paths (`super_patterns`, `sub_patterns`,
-`support_history`, `top_k`) are special cases of one declarative surface:
-a small AST of predicates over journalled pattern rows, combined with
+Every question about the journal — which patterns contain these items,
+which are contained in them, how did one pattern's support evolve, what
+ranked highest — is one expression of a single declarative surface: a
+small AST of predicates over journalled pattern rows, combined with
 boolean operators and closed by three terminal shapes.
 
 Predicates (each accepts/rejects one ``(slide, items, support)`` row):
@@ -25,9 +26,9 @@ order), :func:`top_k` (highest-support rows first), :func:`history` (the
 per-slide support curve of one exact itemset, zeroes explicit).
 
 Execution — :func:`evaluate` — compiles a shape against any
-:class:`IndexReader` (the posting-list read protocol satisfied by
-:class:`~repro.history.query.JournalIndex` and by the immutable
-:class:`~repro.serve.shards.IndexSnapshot` of the async serving path):
+:class:`IndexReader` (the posting-list read protocol, satisfied by the
+immutable :class:`~repro.serve.shards.IndexSnapshot` of the serving
+index; a one-shard snapshot is the plain index):
 
 * conjunctions are lowered to posting-list operations: ``slides`` bounds
   are pushed into the scan range (a bisection of the ordered slide ids),
@@ -531,12 +532,11 @@ class EvalContext(Protocol):
 class IndexReader(Protocol):
     """The posting-list read protocol the compiler executes against.
 
-    :class:`~repro.history.query.JournalIndex` satisfies it, and so does
-    the immutable :class:`~repro.serve.shards.IndexSnapshot` published by
-    the sharded serving path — compiling against the protocol (rather
-    than one concrete index) is what makes every front end answer
-    byte-identically: there is exactly one compiler, and it only ever
-    sees these thirteen methods.
+    The immutable :class:`~repro.serve.shards.IndexSnapshot` published by
+    the serving index satisfies it, at any shard count.  The compiler
+    only ever sees these thirteen methods, so the shard count can never
+    change an answer, and a test can substitute a naive per-record
+    reader for the index.
     """
 
     def slide_ids(self) -> List[int]:

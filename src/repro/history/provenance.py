@@ -5,10 +5,10 @@ frequent?" — has an append-only answer: once a pattern has been seen,
 its first slide never changes.  :class:`Provenance` keeps that answer as
 a map plus two parallel lists ordered by first slide, filled at commit
 time.  Every version of an index (each :class:`~repro.serve.shards.
-IndexSnapshot`, each :class:`~repro.history.query.JournalIndex` produced
-by ``extended``) holds the *same* object and reads it as of its own last
-slide, ignoring entries first seen after it — so a commit appends only
-the slide's new patterns and copies nothing that grows with the journal.
+IndexSnapshot` of one lineage) holds the *same* object and reads it as
+of its own last slide, ignoring entries first seen after it — so a
+commit appends only the slide's new patterns and copies nothing that
+grows with the journal.
 
 One writer at a time appends; readers only look entries up and bisect
 the lists, which never reorders or drops anything they can see.

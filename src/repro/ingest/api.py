@@ -35,7 +35,12 @@ from repro.parallel.pool import effective_workers
 from repro.resilience import EventLog, FailurePolicy, ResilienceEvent
 from repro.storage.backend import WindowStore
 from repro.storage.dsmatrix import DSMatrix
-from repro.storage.shm import shared_memory_available, unlink_block
+from repro.storage.shm import (
+    run_prefix,
+    shared_memory_available,
+    sweep_blocks,
+    unlink_block,
+)
 from repro.stream.batch import Batch
 
 MatrixLike = Union[DSMatrix, WindowStore]
@@ -245,6 +250,7 @@ def _run(
     window = _store_of(store)
     base_segment_id = window.next_segment_id
     context = uuid.uuid4().hex
+    shm_prefix = run_prefix() if use_shm else ""
     tasks = [
         IngestChunkTask(
             chunk_id=chunk.chunk_id,
@@ -253,7 +259,7 @@ def _run(
             batches=chunk.batches,
             context=context,
             register_new_edges=register_new_edges,
-            use_shared_memory=use_shm,
+            shm_prefix=shm_prefix,
         )
         for chunk in chunks
     ]
@@ -288,6 +294,13 @@ def _run(
     finally:
         # In-process runs installed the snapshot in *this* process; drop it.
         clear_ingest_worker(context)
+        if shm_prefix:
+            # The pool has shut down, so nothing publishes under the run
+            # prefix any more.  Committed and discarded chunks unlinked
+            # their blocks already; what is left was published by a task
+            # whose result was lost with a broken pool (its name never
+            # arrived) — only the prefix can reach it.
+            sweep_blocks(shm_prefix)
     return IngestReport(
         batches=coordinator.batches_committed,
         columns=coordinator.columns_committed,

@@ -69,9 +69,11 @@ class IngestChunkTask:
     ``context`` names the registry snapshot installed by
     :func:`initialize_ingest_worker`; ``registry``/``register_new_edges``
     may be set instead for direct single-task invocation (tests, tools).
-    ``use_shared_memory`` asks the worker to ship final payloads through
-    one shared-memory block per chunk (DESIGN.md §11) instead of pickling
-    them back; the coordinator unlinks the block after committing.
+    A non-empty ``shm_prefix`` asks the worker to ship final payloads
+    through one shared-memory block per chunk (DESIGN.md §11), named under
+    that run prefix, instead of pickling them back; the coordinator
+    unlinks the block after committing, and the run sweeps the prefix at
+    its end for blocks whose results never arrived.
     """
 
     chunk_id: int
@@ -81,7 +83,7 @@ class IngestChunkTask:
     context: str = ""
     registry: Optional[EdgeRegistry] = None
     register_new_edges: bool = True
-    use_shared_memory: bool = False
+    shm_prefix: str = ""
 
 
 @dataclass(frozen=True)
@@ -209,8 +211,8 @@ def encode_chunk(task: IngestChunkTask) -> ChunkOutcome:
         )
         segment_id += 1
     shm_name: Optional[str] = None
-    if task.use_shared_memory:
-        drafts, shm_name = _ship_via_shared_memory(drafts)
+    if task.shm_prefix:
+        drafts, shm_name = _ship_via_shared_memory(drafts, task.shm_prefix)
     return ChunkOutcome(
         chunk_id=task.chunk_id,
         drafts=tuple(drafts),
@@ -220,7 +222,7 @@ def encode_chunk(task: IngestChunkTask) -> ChunkOutcome:
 
 
 def _ship_via_shared_memory(
-    drafts: List[SegmentDraft],
+    drafts: List[SegmentDraft], prefix: str
 ) -> Tuple[List[SegmentDraft], Optional[str]]:
     """Move the final drafts' payloads into one per-chunk shm block.
 
@@ -232,7 +234,9 @@ def _ship_via_shared_memory(
     if not final:
         return drafts, None
     try:
-        name, spans = publish_block([draft.payload for draft in final if draft.payload])
+        name, spans = publish_block(
+            [draft.payload for draft in final if draft.payload], prefix
+        )
     except SharedMemoryError:
         return drafts, None
     spans_by_id = {

@@ -6,9 +6,9 @@ commit publishes a new immutable :class:`~repro.serve.shards.IndexSnapshot`
 swapped in atomically, so readers never block on the writer and never
 observe a half-applied slide.  Standing queries (PR-8 algebra ASTs) are
 re-evaluated incrementally per commit and pushed to subscribers over
-Server-Sent-Events.  The threaded front end in
-:mod:`repro.service.server` remains as a compatibility fallback
-(``repro serve --legacy``).
+Server-Sent-Events.  :class:`~repro.serve.app.ServeApp` is the one read
+path: ``repro serve``, ``repro query``, the bench drivers and library
+callers all evaluate through it.
 """
 
 from repro.serve.app import ServeApp, Sink

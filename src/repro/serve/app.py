@@ -7,8 +7,8 @@ object:
 
 * **reads** (:meth:`query`, :meth:`stats`) pin the current
   :class:`~repro.serve.shards.IndexSnapshot` once and evaluate through
-  exactly the same :func:`~repro.service.api.evaluate_expression` path
-  as the threaded front end — byte-identical payloads by construction;
+  :func:`evaluate_expression` — the one read path behind ``POST
+  /query``, ``repro query`` and every library caller;
 * **writes** (:meth:`refresh`) index the journal suffix one slide at a
   time: snapshot swap first, then every registered standing query is
   advanced against the *new* snapshot (restricted to the new slide —
@@ -31,15 +31,46 @@ from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.checkpoint.serve_index import load_serve_index, seal_serve_index
-from repro.exceptions import ServeError
+from repro.exceptions import AlgebraError, ServeError
+from repro.history import algebra
 from repro.history.journal import PatternJournal, SlideRecord, open_journal
 from repro.serve.shards import DEFAULT_SHARDS, IndexSnapshot, ShardedJournalIndex
 from repro.serve.standing import Expression, Notification, StandingQuery
 from repro.serve.warm import JournalTail
-from repro.service.api import evaluate_expression
 
 #: A subscriber's delivery sink: called once per fired notification.
 Sink = Callable[[Notification], None]
+
+
+def parse_expression(
+    expression: Union[Mapping[str, object], algebra.Query],
+) -> algebra.Query:
+    """Normalise a query expression (JSON mapping or AST) into an AST."""
+    if isinstance(expression, algebra.QUERY_SHAPES):
+        return expression
+    if isinstance(expression, Mapping):
+        return algebra.parse_query(expression)
+    raise AlgebraError(
+        f"expected a JSON object expression, got {type(expression).__name__}"
+    )
+
+
+def evaluate_expression(
+    expression: Union[Mapping[str, object], algebra.Query],
+    index: algebra.IndexReader,
+    optimize: bool = True,
+) -> Dict[str, object]:
+    """Evaluate one expression against any index reader → response payload.
+
+    The payload carries the echoed ``query``, the result (``matches``/
+    ``count`` or ``history`` + provenance) and the planner's ``explain``.
+    Malformed expressions raise :class:`~repro.exceptions.AlgebraError`
+    with the offending node path; the front ends turn that into a
+    structured error.
+    """
+    return algebra.evaluate(
+        parse_expression(expression), index, optimize=optimize
+    ).payload()
 
 
 class ServeApp:
@@ -288,4 +319,4 @@ class ServeApp:
             self._journal.close()  # type: ignore[attr-defined]
 
 
-__all__ = ["ServeApp", "Sink"]
+__all__ = ["ServeApp", "Sink", "evaluate_expression", "parse_expression"]

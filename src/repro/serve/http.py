@@ -5,11 +5,10 @@ The production serving path (DESIGN.md §15): one event loop, one
 endpoints:
 
 * ``POST /query`` — one JSON algebra expression in, the evaluation
-  payload out.  The response bytes are identical to the threaded
-  server's: same shared evaluation path
-  (:func:`~repro.service.api.evaluate_expression`), same structured
-  error bodies, same renderer (:func:`~repro.service.render.render_json`,
-  the bytes of ``json.dumps(..., indent=2, default=str)``);
+  payload out, through :meth:`~repro.serve.app.ServeApp.query` and
+  rendered by :func:`~repro.service.render.render_json` (the bytes of
+  ``json.dumps(..., indent=2, default=str)``, which is also what
+  ``repro query --expr`` prints);
 * ``GET /stats`` — index shape + journal + serve counters + resilience;
 * ``GET /subscribe?expr=<urlencoded JSON>[&events=enter,exit,update]``
   — Server-Sent-Events: a ``hello`` frame naming the subscription, one
@@ -37,7 +36,7 @@ import signal
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, Optional, Set, Union
 
 from repro import faults
 from repro.exceptions import AlgebraError, HistoryError, ServiceError
@@ -226,32 +225,46 @@ class AsyncHistoryServer:
 
     @staticmethod
     async def _read_request(reader: asyncio.StreamReader) -> Optional[Request]:
+        """Parse one request; ``None`` ends the connection unanswered.
+
+        Anything that leaves the request's end in doubt — a malformed
+        start line, a line over the stream limit, a ``Content-Length``
+        that is not a plain decimal or is sent twice, any
+        ``Transfer-Encoding`` — ends the connection: reading on would
+        take body bytes for the next request.
+        """
         try:
             start_line = await reader.readline()
         except (ValueError, ConnectionError):
             return None
-        if not start_line:
-            return None
         try:
             method, target, _version = start_line.decode("latin-1").split()
-        except ValueError:
+        except ValueError:  # also the empty read of a closed connection
             return None
         headers: Dict[str, str] = {}
         while True:
-            raw = await reader.readline()
+            try:
+                raw = await reader.readline()
+            except ValueError:  # a header line over the stream limit
+                return None
             if raw in (b"\r\n", b"\n", b""):
                 break
             name, _, value = raw.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
+            name = name.strip().lower()
+            if name == "content-length" and name in headers:
+                return None
+            headers[name] = value.strip()
             if len(headers) > 256:
                 return None
-        path, _, query = target.partition("?")
-        try:
-            length = int(headers.get("content-length", "0") or "0")
-        except ValueError:
-            length = 0
-        if length < 0 or length > _MAX_BODY:
+        if "transfer-encoding" in headers:
             return None
+        raw_length = headers.get("content-length", "0")
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            return None
+        length = int(raw_length)
+        if length > _MAX_BODY:
+            return None
+        path, _, query = target.partition("?")
         body = await reader.readexactly(length) if length else b""
         return Request(method, path, query, headers, body)
 
@@ -262,8 +275,6 @@ class AsyncHistoryServer:
         status: int = 200,
         keep_alive: bool = True,
     ) -> None:
-        # Same renderer as the threaded front end — this is one half of
-        # the byte-parity contract (the other is the shared evaluator).
         body = render_json(payload)
         faults.trip("http.response", ConnectionResetError)
         connection = "keep-alive" if keep_alive else "close"

@@ -1,9 +1,8 @@
 """Sharded, snapshot-swapped posting-list index (DESIGN.md §15).
 
-The threaded front end shares one mutable :class:`~repro.history.query.
-JournalIndex` across reader threads and relies on CPython dict-write
-ordering for safety.  The async serving path replaces that with an
-*immutable snapshot* discipline:
+The one posting-list index of the journal, built on an *immutable
+snapshot* discipline so that readers never lock and never see a
+half-applied slide:
 
 * the item → posting-list map is partitioned into N :class:`IndexShard`
   pieces by a **stable** item hash (``zlib.crc32`` — the builtin
@@ -29,8 +28,10 @@ ordering for safety.  The async serving path replaces that with an
 
 :class:`IndexSnapshot` implements the full
 :class:`~repro.history.algebra.IndexReader` protocol, so the algebra
-compiler runs against it unchanged: parity with the threaded server is
-by construction, not by re-implementation.
+compiler runs against it unchanged.  The shard count only partitions the
+posting map: every shard count answers every query byte-identically,
+and ``ShardedJournalIndex(records, shard_count=1).current`` is the plain
+index for library callers that never swap.
 """
 
 from __future__ import annotations
@@ -134,10 +135,9 @@ class IndexShard:
 class IndexSnapshot:
     """One immutable, fully consistent view of the sharded index.
 
-    Implements the :class:`~repro.history.algebra.IndexReader` protocol
-    (same semantics as :class:`~repro.history.query.JournalIndex`, same
-    error messages) so compiled queries — and therefore their payload
-    bytes — are identical across both read paths.
+    Implements the :class:`~repro.history.algebra.IndexReader` protocol,
+    so compiled queries — and therefore their payload bytes — are the
+    same at every shard count.
     """
 
     __slots__ = ("generation", "shards", "slides", "order", "provenance")
@@ -262,7 +262,7 @@ class IndexSnapshot:
         return len(self.order)
 
     def stats(self) -> Dict[str, object]:
-        """Shape summary — same keys as ``JournalIndex.stats()``."""
+        """Shape summary: slides, slide range, pattern rows, items."""
         pattern_total = sum(len(patterns) for patterns in self.slides.values())
         return {
             "slides": len(self.order),

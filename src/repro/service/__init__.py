@@ -1,21 +1,15 @@
-"""Continuous-query serving front end over the pattern journal (DESIGN.md §10).
+"""Process-level service helpers around the serving subsystem.
 
-:class:`~repro.service.api.HistoryService` is the library surface — plain
-methods returning JSON-able dictionaries — and
-:mod:`repro.service.server` wraps it in a stdlib ``ThreadingHTTPServer``
-exposing ``/patterns``, ``/history``, ``/topk`` and ``/stats``.
+:func:`~repro.service.render.render_json` is the JSON renderer behind
+every ``POST /query`` body of :mod:`repro.serve.http`, and
 :class:`~repro.service.supervisor.Supervisor` is the ``repro supervise``
 watchdog that keeps a crash-prone watch/serve child alive (DESIGN.md §12).
+The query surface itself lives in :mod:`repro.serve`.
 """
 
-from repro.service.api import HistoryService
-from repro.service.server import build_server, serve_journal
 from repro.service.supervisor import RestartPolicy, Supervisor
 
 __all__ = [
-    "HistoryService",
     "RestartPolicy",
     "Supervisor",
-    "build_server",
-    "serve_journal",
 ]

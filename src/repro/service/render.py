@@ -1,8 +1,8 @@
-"""The ``POST /query`` response renderer shared by both HTTP front ends.
+"""The ``POST /query`` response renderer of the HTTP front end.
 
 Every JSON body is ``json.dumps(payload, indent=2, default=str)``
-encoded as UTF-8 — that exact byte string is half of the front ends'
-byte-parity contract.  CPython builds it with the pure-Python encoder:
+encoded as UTF-8 — the exact bytes ``repro query --expr`` prints, so the
+CLI and the server answer byte-identically.  CPython builds it with the pure-Python encoder:
 ``json`` uses its C encoder only when ``indent`` is None, so a
 full-history answer of a few thousand rows took longer to serialise than
 to evaluate.

@@ -22,15 +22,21 @@ attaches each window once, not once per shard task.
 
 Lifecycle: whoever created a block (arena owner or ingest coordinator on
 the worker's behalf) must :func:`unlink_block` it — both paths do so in
-``finally`` blocks on success and failure.  If a process dies before the
-unlink, the interpreter's ``multiprocessing`` resource tracker reclaims
-the orphan at shutdown, so crashes cannot permanently leak ``/dev/shm``.
+``finally`` blocks on success and failure.  Every block is named under
+its owner's prefix (:func:`block_prefix`, extended per ingest run), so an
+owner can :func:`sweep_blocks` what it can no longer name one by one —
+e.g. a chunk a worker published just before its pool broke, whose
+result (and so whose block name) never arrived.  If a process dies before
+the unlink, the interpreter's ``multiprocessing`` resource tracker
+reclaims the orphan at shutdown.
 Availability is probed once per process (:func:`shared_memory_available`);
 hosts without a working ``/dev/shm`` degrade to payload shipping.
 """
 
 from __future__ import annotations
 
+import os
+import secrets
 from collections import OrderedDict
 from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -55,6 +61,17 @@ _ATTACHED: "OrderedDict[str, shared_memory.SharedMemory]" = OrderedDict()
 #: Maximum number of concurrently cached foreign attachments per process.
 MAX_ATTACHED_BLOCKS = 4
 
+#: Where the host exposes POSIX shared memory as files (Linux).  Hosts
+#: without it cannot list blocks; sweeping is then a no-op.
+SHM_DIRECTORY = "/dev/shm"
+
+#: This process's block-name prefix.  It keeps the interpreter's ``psm_``
+#: stem (so tools watching ``/dev/shm/psm_*`` still see the program's
+#: blocks) plus a random token; forked workers inherit it, so everything a
+#: process tree creates is listable by its root.  Names stay within
+#: macOS's 31-byte shm name limit: prefix 11 + run 7 + block 8 (+ "/").
+_PROCESS_PREFIX = f"psm_{secrets.token_hex(3)}_"
+
 
 def shared_memory_available() -> bool:
     """Whether this host can create and attach shared-memory blocks.
@@ -66,7 +83,9 @@ def shared_memory_available() -> bool:
     global _SHM_AVAILABLE
     if _SHM_AVAILABLE is None:
         try:
-            block = shared_memory.SharedMemory(create=True, size=16)
+            block = shared_memory.SharedMemory(
+                name=_PROCESS_PREFIX + secrets.token_hex(4), create=True, size=16
+            )
             try:
                 probe = shared_memory.SharedMemory(name=block.name)
                 probe.close()
@@ -79,14 +98,53 @@ def shared_memory_available() -> bool:
     return _SHM_AVAILABLE
 
 
-def _create_block(size: int) -> shared_memory.SharedMemory:
-    faults.trip("shm.publish", SharedMemoryError)
+def block_prefix() -> str:
+    """The name prefix of every block this process (tree) creates."""
+    return _PROCESS_PREFIX
+
+
+def run_prefix() -> str:
+    """A fresh prefix for one run's blocks, nested under :func:`block_prefix`."""
+    return f"{_PROCESS_PREFIX}{secrets.token_hex(3)}_"
+
+
+def linked_blocks(prefix: str) -> List[str]:
+    """Names of the blocks under ``prefix`` that are still linked (sorted)."""
     try:
-        return shared_memory.SharedMemory(create=True, size=size)
-    except Exception as exc:  # noqa: BLE001 - surface as one exception type
-        raise SharedMemoryError(
-            f"cannot create a {size}-byte shared-memory block: {exc}"
-        ) from exc
+        names = os.listdir(SHM_DIRECTORY)
+    except OSError:
+        return []
+    return sorted(name for name in names if name.startswith(prefix))
+
+
+def sweep_blocks(prefix: str) -> List[str]:
+    """Unlink every block still linked under ``prefix``; return their names.
+
+    Only safe once nothing that could still publish or read under the
+    prefix is running — the ingest pipeline sweeps its run prefix after
+    its pool has shut down.
+    """
+    swept = linked_blocks(prefix)
+    for name in swept:
+        unlink_block(name)
+    return swept
+
+
+def _create_block(size: int, prefix: Optional[str] = None) -> shared_memory.SharedMemory:
+    faults.trip("shm.publish", SharedMemoryError)
+    stem = prefix or _PROCESS_PREFIX
+    for _ in range(8):
+        try:
+            return shared_memory.SharedMemory(
+                name=stem + secrets.token_hex(4), create=True, size=size
+            )
+        except FileExistsError:
+            continue  # random-suffix collision: draw again
+        except Exception as exc:  # noqa: BLE001 - surface as one exception type
+            raise SharedMemoryError(
+                f"cannot create a {size}-byte shared-memory block: {exc}"
+            ) from exc
+    raise SharedMemoryError(f"cannot find a free shared-memory name under {stem!r}")
 
 
 def read_shared_block(name: str, offset: int, size: int) -> bytes:
@@ -143,15 +201,19 @@ def unlink_block(name: str) -> None:
         pass
 
 
-def publish_block(payloads: Sequence[bytes]) -> Tuple[str, List[Tuple[int, int]]]:
+def publish_block(
+    payloads: Sequence[bytes], prefix: Optional[str] = None
+) -> Tuple[str, List[Tuple[int, int]]]:
     """Pack byte payloads into one new block → ``(name, [(offset, size), ...])``.
 
     The creator's mapping is closed immediately (the caller ships only the
     spans), so worker processes do not accumulate mappings; the block stays
-    linked until the consumer calls :func:`unlink_block`.
+    linked until the consumer calls :func:`unlink_block`.  ``prefix`` (a
+    :func:`run_prefix` of the consumer's) names the block so the consumer
+    can sweep it even if the name itself never reaches it.
     """
     sizes = [len(payload) for payload in payloads]
-    block = _create_block(max(1, sum(sizes)))
+    block = _create_block(max(1, sum(sizes)), prefix)
     spans: List[Tuple[int, int]] = []
     offset = 0
     for payload in payloads:

@@ -10,7 +10,6 @@ server drops the one poisoned connection while counting it in
 """
 
 import json
-import threading
 import urllib.error
 import urllib.request
 
@@ -24,8 +23,8 @@ from repro.exceptions import SharedMemoryError
 from repro.history.journal import DiskJournal, MemoryJournal, SlideRecord
 from repro.ingest import ingest_transactions
 from repro.resilience import EventLog, FailurePolicy
-from repro.service.api import HistoryService
-from repro.service.server import build_server
+from repro.serve.app import ServeApp
+from repro.serve.http import BackgroundServer
 from repro.storage.backend import MemoryWindowStore
 from repro.storage.shm import (
     publish_block,
@@ -197,20 +196,13 @@ class TestHTTPResponse:
             minsup=2,
             connected_only=False,
         )
-        server = build_server(HistoryService(journal), host="127.0.0.1", port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
+        with BackgroundServer(ServeApp.from_journal(journal)) as server:
             yield server
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
 
     def test_poisoned_response_drops_one_connection_and_is_counted(
         self, running_server
     ):
-        port = running_server.server_address[1]
+        port = running_server.port
         url = f"http://127.0.0.1:{port}/stats"
         faults.install_plan("http.response@1")
         with pytest.raises((urllib.error.URLError, ConnectionError)):

@@ -1,6 +1,6 @@
 """Query-algebra correctness: compiled plans vs the brute-force interpreter.
 
-Extends the PR 5 randomized harness (``test_query.random_journal``): random
+Extends the randomized harness (``tests.helpers.random_journal``): random
 algebra expressions are evaluated under the cost-based planner, under naive
 left-to-right evaluation, and by ``brute_force_query`` over the raw
 records — all three must agree row-for-row.  The planner unit tests pin
@@ -9,11 +9,10 @@ the smallest-posting-first conjunct ordering and the Explain payload.
 
 import json
 import random
-import warnings
 
 import pytest
 
-from repro.exceptions import AlgebraError, HistoryError
+from repro.exceptions import AlgebraError
 from repro.history.algebra import (
     And,
     BecameFrequentWithin,
@@ -40,18 +39,20 @@ from repro.history.algebra import (
     top_k,
 )
 from repro.history.journal import MemoryJournal, SlideRecord
-from repro.history.query import (
-    JournalIndex,
+from repro.serve.shards import ShardedJournalIndex
+
+from tests.helpers import (
+    ITEMS,
+    ScanReader,
     brute_force_sub_patterns,
     brute_force_super_patterns,
     brute_force_support_history,
+    random_journal,
 )
-from repro.serve.shards import ShardedJournalIndex
-from test_query import ITEMS, random_journal
 
 
 def make_index(journal):
-    return JournalIndex.from_journal(journal)
+    return ShardedJournalIndex(journal.records(), shard_count=1).current
 
 
 # ---------------------------------------------------------------------- #
@@ -168,11 +169,16 @@ def random_access_path_query(rng):
 @pytest.mark.parametrize("seed", [1, 7, 23, 99])
 def test_access_paths_match_brute_force_on_both_readers(seed):
     """top_k with and without a slide range, first_frequent_in and
-    became_frequent_within agree with the oracle on both IndexReaders,
-    under both planners, with identical payloads (Explain included)."""
+    became_frequent_within agree with the oracle on the index (one and
+    three shards) and on the record-scanning reference reader, under both
+    planners, with identical payloads (Explain included)."""
     journal = random_journal(seed, slides=14)
     records = journal.records()
-    readers = [JournalIndex(records), ShardedJournalIndex(records, shard_count=3).current]
+    readers = [
+        ShardedJournalIndex(records, shard_count=1).current,
+        ShardedJournalIndex(records, shard_count=3).current,
+        ScanReader(records),
+    ]
     rng = random.Random(seed + 17000)
     for _ in range(60):
         query = random_access_path_query(rng)
@@ -181,11 +187,12 @@ def test_access_paths_match_brute_force_on_both_readers(seed):
             for optimize in (True, False):
                 assert evaluate(query, reader, optimize).matches == oracle, describe(query)
         payloads = [evaluate(query, reader).payload() for reader in readers]
-        assert payloads[0] == payloads[1], describe(query)
+        assert payloads[1:] == payloads[:-1], describe(query)
 
 
 class TestLegacySurfaceEquivalence:
-    """Every legacy query path is one algebra expression, byte-identical."""
+    """Each removed named query is one algebra expression (README's
+    migration table), checked against the independent record scans."""
 
     @pytest.mark.parametrize("seed", [3, 41])
     def test_legacy_queries_as_algebra(self, seed):
@@ -226,38 +233,6 @@ class TestLegacySurfaceEquivalence:
         assert evaluate(plan, index).matches == [
             (last, items, support) for items, support in legacy
         ]
-
-    def test_deprecated_shims_warn_and_delegate(self):
-        journal = random_journal(11)
-        index = make_index(journal)
-        records = journal.records()
-        with pytest.warns(DeprecationWarning):
-            assert index.super_patterns(("a",)) == brute_force_super_patterns(
-                records, ("a",)
-            )
-        with pytest.warns(DeprecationWarning):
-            assert index.sub_patterns(("a", "b")) == brute_force_sub_patterns(
-                records, ("a", "b")
-            )
-        with pytest.warns(DeprecationWarning):
-            assert index.support_history(("a",)) == brute_force_support_history(
-                records, ("a",)
-            )
-        with pytest.warns(DeprecationWarning):
-            index.top_k(3)
-
-    def test_deprecated_shims_preserve_error_behaviour(self):
-        index = make_index(random_journal(11))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(HistoryError):
-                index.super_patterns(("a",), slide_id=999)
-            with pytest.raises(HistoryError):
-                index.top_k(0)
-            with pytest.raises(HistoryError):
-                index.top_k(1, slide_id=999)
-            with pytest.raises(HistoryError):
-                index.support_history(())
 
 
 def controlled_journal():
@@ -329,11 +304,11 @@ class TestPlannerOrdering:
 
     def test_slides_between_bisects_the_slide_order(self):
         index = make_index(controlled_journal())
-        assert index.slides_between(1, 2) == [1, 2]
-        assert index.slides_between(None, 1) == [0, 1]
-        assert index.slides_between(2, None) == [2, 3]
-        assert index.slides_between(None, None) == [0, 1, 2, 3]
-        assert index.slides_between(5, 9) == [] and index.slides_between(-3, -1) == []
+        assert list(index.slides_between(1, 2)) == [1, 2]
+        assert list(index.slides_between(None, 1)) == [0, 1]
+        assert list(index.slides_between(2, None)) == [2, 3]
+        assert list(index.slides_between(None, None)) == [0, 1, 2, 3]
+        assert not index.slides_between(5, 9) and not index.slides_between(-3, -1)
 
     def test_provenance_driver_probes_only_new_patterns(self):
         index = make_index(controlled_journal())
@@ -466,7 +441,7 @@ class TestEvaluationShapes:
         assert supports == sorted(supports, reverse=True)
 
     def test_empty_index(self):
-        index = JournalIndex(())
+        index = ShardedJournalIndex(()).current
         assert evaluate(select(contains("a")), index).matches == []
         assert evaluate(top_k(3), index).matches == []
         evaluation = evaluate(history("a"), index)

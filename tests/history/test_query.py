@@ -1,42 +1,29 @@
-"""Index correctness: every query must match a brute-force journal scan."""
+"""Index correctness: every query over a snapshot must match a journal scan.
+
+The index is :class:`~repro.serve.shards.IndexSnapshot`; a one-shard
+snapshot is the plain index.  The references are the ``brute_force_*``
+scans of ``tests.helpers``, which do not share the algebra's row matcher.
+"""
 
 import random
 
 import pytest
 
-from repro.exceptions import HistoryError
-from repro.history.journal import MemoryJournal, SlideRecord
-from repro.history.query import (
-    JournalIndex,
+from repro.exceptions import AlgebraError, HistoryError
+from repro.history import algebra
+from repro.serve.shards import ShardedJournalIndex
+
+from tests.helpers import (
+    ITEMS,
     brute_force_sub_patterns,
     brute_force_super_patterns,
     brute_force_support_history,
+    random_journal,
 )
 
-ITEMS = [chr(ord("a") + index) for index in range(10)]
 
-
-def random_journal(seed, slides=12, max_patterns=14):
-    """A randomized journal: random itemsets with random supports per slide."""
-    rng = random.Random(seed)
-    journal = MemoryJournal()
-    for slide in range(slides):
-        patterns = {}
-        for _ in range(rng.randint(0, max_patterns)):
-            size = rng.randint(1, 4)
-            items = tuple(sorted(rng.sample(ITEMS, size)))
-            patterns[items] = rng.randint(1, 40)
-        journal.append(
-            SlideRecord(
-                slide_id=slide,
-                first_batch=max(0, slide - 3),
-                last_batch=slide,
-                num_columns=60,
-                minsup=2,
-                patterns=tuple(patterns.items()),
-            )
-        )
-    return journal
+def snapshot_of(journal, shard_count=1):
+    return ShardedJournalIndex(journal.records(), shard_count=shard_count).current
 
 
 def random_queries(rng, count=40):
@@ -49,44 +36,46 @@ def random_queries(rng, count=40):
 class TestIndexMatchesBruteForce:
     def test_super_pattern_match(self, seed):
         journal = random_journal(seed)
-        index = JournalIndex.from_journal(journal)
+        index = snapshot_of(journal)
         rng = random.Random(seed + 1000)
         for query in random_queries(rng):
             expected = brute_force_super_patterns(journal.records(), query)
-            assert sorted(index.super_patterns(query)) == sorted(expected)
+            matches = algebra.evaluate(algebra.select(algebra.contains(*query)), index)
+            assert sorted(matches.matches) == sorted(expected)
 
     def test_super_pattern_match_at_one_slide(self, seed):
         journal = random_journal(seed)
-        index = JournalIndex.from_journal(journal)
+        index = snapshot_of(journal, shard_count=3)
         rng = random.Random(seed + 2000)
         for query in random_queries(rng, count=15):
             slide = rng.choice(journal.slide_ids())
             expected = brute_force_super_patterns(
                 journal.records(), query, slide_id=slide
             )
-            assert sorted(index.super_patterns(query, slide_id=slide)) == sorted(
-                expected
-            )
+            where = algebra.and_(algebra.contains(*query), algebra.slides(slide, slide))
+            matches = algebra.evaluate(algebra.select(where), index).matches
+            assert sorted(matches) == sorted(expected)
 
     def test_sub_pattern_match(self, seed):
         journal = random_journal(seed)
-        index = JournalIndex.from_journal(journal)
+        index = snapshot_of(journal)
         rng = random.Random(seed + 3000)
         for query in random_queries(rng):
             expected = brute_force_sub_patterns(journal.records(), query)
-            assert index.sub_patterns(query) == expected
+            select = algebra.select(algebra.contained_in(*query))
+            assert algebra.evaluate(select, index).matches == expected
 
     def test_support_history(self, seed):
         journal = random_journal(seed)
-        index = JournalIndex.from_journal(journal)
+        index = snapshot_of(journal)
         rng = random.Random(seed + 4000)
         for query in random_queries(rng):
             expected = brute_force_support_history(journal.records(), query)
-            assert index.support_history(query) == expected
+            assert algebra.evaluate(algebra.history(*query), index).curve == expected
 
     def test_first_and_last_frequent(self, seed):
         journal = random_journal(seed)
-        index = JournalIndex.from_journal(journal)
+        index = snapshot_of(journal, shard_count=4)
         rng = random.Random(seed + 5000)
         for query in random_queries(rng):
             frequent_slides = [
@@ -103,55 +92,66 @@ class TestIndexMatchesBruteForce:
 
     def test_top_k(self, seed):
         journal = random_journal(seed)
-        index = JournalIndex.from_journal(journal)
+        index = snapshot_of(journal)
         for record in journal:
             ranked = sorted(
                 record.patterns, key=lambda entry: (-entry[1], len(entry[0]), entry[0])
             )
+            slide = algebra.slides(record.slide_id, record.slide_id)
             for k in (1, 3, 50):
                 expected = [
                     (record.slide_id, items, support)
                     for items, support in ranked[:k]
                 ]
-                assert index.top_k(k, slide_id=record.slide_id) == expected
+                top = algebra.evaluate(algebra.top_k(k, where=slide), index)
+                assert top.matches == expected
 
 
 class TestIndexBehaviour:
     def test_top_k_defaults_to_newest_slide(self):
-        index = JournalIndex.from_journal(random_journal(5))
-        assert all(slide == index.last_slide_id for slide, _, _ in index.top_k(3))
+        # ``top_k`` ranks across every slide unless a ``slides`` range
+        # restricts it; the newest slide is the one-slide range at
+        # ``last_slide_id``.
+        index = snapshot_of(random_journal(5))
+        newest = algebra.slides(index.last_slide_id, index.last_slide_id)
+        matches = algebra.evaluate(algebra.top_k(3, where=newest), index).matches
+        assert matches
+        assert all(slide == index.last_slide_id for slide, _, _ in matches)
 
     def test_empty_index(self):
-        index = JournalIndex(())
+        index = ShardedJournalIndex(()).current
         assert len(index) == 0
         assert index.last_slide_id is None
-        assert index.top_k(3) == []
-        assert index.support_history(("a",)) == []
+        assert algebra.evaluate(algebra.top_k(3), index).matches == []
+        assert algebra.evaluate(algebra.history("a"), index).curve == []
         assert index.stats()["slides"] == 0
 
     def test_unknown_slide_rejected(self):
-        index = JournalIndex.from_journal(random_journal(3))
+        index = snapshot_of(random_journal(3))
         with pytest.raises(HistoryError):
             index.patterns_at(999)
-        with pytest.raises(HistoryError):
-            index.super_patterns(("a",), slide_id=999)
+        assert not index.has_slide(999)
+        assert index.support_at(999, ("a",)) is None
+        assert index.posting("a", 999) == ()
 
     def test_empty_query_rejected(self):
-        index = JournalIndex.from_journal(random_journal(3))
+        index = snapshot_of(random_journal(3))
+        with pytest.raises(AlgebraError):
+            algebra.history()
+        with pytest.raises(AlgebraError):
+            algebra.top_k(0)
         with pytest.raises(HistoryError):
-            index.support_history(())
-        with pytest.raises(HistoryError):
-            index.top_k(0)
+            index.last_frequent(())
 
     def test_extend_enforces_slide_order(self):
         journal = random_journal(11, slides=4)
-        index = JournalIndex.from_journal(journal)
-        with pytest.raises(HistoryError):
+        index = ShardedJournalIndex(journal.records(), shard_count=1)
+        with pytest.raises(HistoryError, match="breaks the index's slide order"):
             index.extend([journal.record(0)])
 
     def test_stats_shape(self):
         journal = random_journal(2)
-        stats = JournalIndex.from_journal(journal).stats()
+        stats = snapshot_of(journal).stats()
         assert stats["slides"] == len(journal)
         assert stats["first_slide"] == 0
         assert stats["last_slide"] == journal.last_slide_id

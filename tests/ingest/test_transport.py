@@ -1,15 +1,16 @@
 """Segment transport selection in the ingest pipeline (DESIGN.md §11)."""
 
-import glob
-
 import pytest
 
+from repro import faults
 from repro.core.miner import StreamSubgraphMiner
 from repro.datasets.random_graphs import GraphStreamGenerator, RandomGraphModel
 from repro.exceptions import IngestError
 from repro.graph.edge_registry import EdgeRegistry
 from repro.ingest.api import ingest_snapshots
-from repro.storage.shm import shared_memory_available
+from repro.parallel.pool import process_pools_available
+from repro.resilience import FailurePolicy
+from repro.storage.shm import block_prefix, linked_blocks, shared_memory_available
 from repro.stream.stream import GraphStream
 
 TRANSPORTS = ("auto", "shm", "pickle")
@@ -63,7 +64,41 @@ class TestIngestTransport:
                 assert window_fingerprint(miner) == window_fingerprint(
                     reference
                 ), f"transport={transport} workers={workers} diverged"
-        assert glob.glob("/dev/shm/psm_*") == []
+        assert linked_blocks(block_prefix()) == []
+
+    def test_worker_crash_strands_no_blocks(self):
+        if not (process_pools_available() and shared_memory_available()):
+            pytest.skip("needs process pools and shared memory")
+        # A worker killed mid-run breaks the pool; results other workers
+        # had already published (blocks linked, names not yet received)
+        # are lost with it.  Only the run's prefix sweep can reach them,
+        # so repeat the crash a few times to give the race its chances.
+        snapshots = synthetic_snapshots()
+        policy = FailurePolicy(backoff_s=0.001, max_backoff_s=0.002, jitter=0.0)
+        reference_registry = EdgeRegistry()
+        reference = build_miner(reference_registry)
+        reference.consume(
+            GraphStream(snapshots, registry=reference_registry, batch_size=15)
+        )
+        for _ in range(5):
+            registry = EdgeRegistry()
+            miner = build_miner(registry)
+            faults.install_plan("ingest.encode@2:crash")
+            try:
+                report = ingest_snapshots(
+                    miner.matrix,
+                    snapshots,
+                    batch_size=15,
+                    registry=registry,
+                    workers=2,
+                    transport="shm",
+                    policy=policy,
+                )
+            finally:
+                faults.uninstall_plan()
+            assert report.retries + report.degradations >= 1
+            assert window_fingerprint(miner)[:3] == window_fingerprint(reference)[:3]
+            assert linked_blocks(block_prefix()) == []
 
     def test_report_records_transport(self):
         snapshots = synthetic_snapshots()

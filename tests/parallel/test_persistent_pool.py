@@ -1,7 +1,5 @@
 """Persistent worker pools and transport degradation paths (DESIGN.md §11)."""
 
-import glob
-
 import pytest
 
 from repro.core.export import result_to_json
@@ -13,6 +11,7 @@ from repro.parallel.pool import (
     effective_workers,
     process_pools_available,
 )
+from repro.storage.shm import block_prefix, linked_blocks
 
 
 def _make_miner(transport="auto"):
@@ -133,7 +132,7 @@ class TestMinerPoolLifecycle:
             pytest.skip("no process pools on this host")
         with _make_miner() as miner:
             _mine(miner, workers=2)
-        assert glob.glob("/dev/shm/psm_*") == []
+        assert linked_blocks(block_prefix()) == []
 
 
 class TestDegradation:
@@ -181,4 +180,4 @@ class TestDegradation:
             # run re-executes once over pickled payload handles — same
             # answer, no leaked blocks.
             assert _mine(miner, workers=2) == reference
-        assert glob.glob("/dev/shm/psm_*") == []
+        assert linked_blocks(block_prefix()) == []

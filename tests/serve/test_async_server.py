@@ -2,18 +2,18 @@
 
 import asyncio
 import json
-import threading
+import logging
+import socket
 from http.client import HTTPConnection
 
 import pytest
 
-from repro.history import algebra
 from repro.history.journal import MemoryJournal
-from repro.serve.app import ServeApp
+from repro.serve.app import ServeApp, evaluate_expression
 from repro.serve.http import BackgroundServer
 from repro.serve.loadgen import sse_collect
-from repro.service.api import HistoryService
-from repro.service.server import build_server
+from repro.serve.shards import ShardedJournalIndex
+from repro.service.render import render_json
 
 from serve_helpers import mined_journal
 
@@ -38,35 +38,40 @@ def get(port, path):
         connection.close()
 
 
+def raw_exchange(port, payload):
+    """Send raw bytes on one connection; every byte the server answers."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(payload)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
 @pytest.fixture()
-def threaded_pair():
-    """A threaded server and an async server over identical journals."""
+def server_pair():
+    """Two servers over identical journals: four shards and one shard."""
     source = mined_journal()
-    threaded_journal = MemoryJournal()
-    async_journal = MemoryJournal()
     prefix = list(source.records()[:3])
     live = list(source.records()[3:])
-    for record in prefix:
-        threaded_journal.append(record)
-        async_journal.append(record)
-    service = HistoryService(threaded_journal)
-    threaded = build_server(service, "127.0.0.1", 0)
-    thread = threading.Thread(target=threaded.serve_forever, daemon=True)
-    thread.start()
-    app = ServeApp.from_journal(async_journal, shard_count=4)
-    background = BackgroundServer(app).start()
+    servers = []
+    for shard_count in (4, 1):
+        journal = MemoryJournal()
+        for record in prefix:
+            journal.append(record)
+        app = ServeApp.from_journal(journal, shard_count=shard_count)
+        servers.append((app, BackgroundServer(app).start()))
     yield {
-        "threaded_port": threaded.server_address[1],
-        "async_port": background.port,
-        "service": service,
-        "threaded_journal": threaded_journal,
-        "app": app,
-        "background": background,
+        "async_port": servers[0][1].port,
+        "one_shard_port": servers[1][1].port,
+        "servers": servers,
+        "committed": prefix,
         "live": live,
     }
-    background.stop()
-    threaded.shutdown()
-    threaded.server_close()
+    for _, background in servers:
+        background.stop()
 
 
 QUERIES = [
@@ -78,46 +83,96 @@ QUERIES = [
 
 
 class TestByteParity:
-    def test_answers_byte_identical_including_mid_stream(self, threaded_pair):
-        pair = threaded_pair
+    def test_answers_byte_identical_including_mid_stream(self, server_pair):
+        pair = server_pair
         rounds = 0
         while True:
+            # The reference: a cold one-shard build over the committed prefix.
+            cold = ShardedJournalIndex(pair["committed"], shard_count=1).current
             for expression in QUERIES:
                 body = json.dumps(expression)
-                threaded_status, threaded_body, _ = post(pair["threaded_port"], body)
-                async_status, async_body, _ = post(pair["async_port"], body)
-                assert threaded_status == async_status == 200
-                assert threaded_body == async_body
+                sharded_status, sharded_body, _ = post(pair["async_port"], body)
+                one_status, one_body, _ = post(pair["one_shard_port"], body)
+                assert sharded_status == one_status == 200
+                assert sharded_body == one_body
+                assert sharded_body == render_json(evaluate_expression(expression, cold))
             if not pair["live"]:
                 break
             # Commit one live slide on both servers and re-check parity —
             # queries interleaved with slide commits must stay identical.
             record = pair["live"].pop(0)
-            pair["threaded_journal"].append(record)
-            pair["service"].refresh()
-            pair["app"].journal.append(record)
-            pair["background"].refresh()
+            for app, background in pair["servers"]:
+                app.journal.append(record)
+                background.refresh()
+            pair["committed"].append(record)
             rounds += 1
         assert rounds >= 2, "fixture had no live slides; mid-stream leg skipped"
 
-    def test_error_payloads_byte_identical(self, threaded_pair):
-        pair = threaded_pair
+    def test_error_payloads_byte_identical(self, server_pair):
+        pair = server_pair
         bad_bodies = [
-            b"",
-            b"not json",
-            json.dumps({"select": {}}).encode("utf-8"),
-            json.dumps({"nope": {}}).encode("utf-8"),
+            (b"", "invalid-json"),
+            (b"not json", "invalid-json"),
+            (json.dumps({"select": {}}).encode("utf-8"), "malformed-expression"),
+            (json.dumps({"nope": {}}).encode("utf-8"), "malformed-expression"),
         ]
-        for body in bad_bodies:
-            threaded_status, threaded_body, _ = post(pair["threaded_port"], body)
-            async_status, async_body, _ = post(pair["async_port"], body)
-            assert threaded_status == async_status == 400
-            assert threaded_body == async_body
+        for body, code in bad_bodies:
+            sharded_status, sharded_body, _ = post(pair["async_port"], body)
+            one_status, one_body, _ = post(pair["one_shard_port"], body)
+            assert sharded_status == one_status == 400
+            assert sharded_body == one_body
+            assert json.loads(sharded_body)["code"] == code
+
+
+class TestRequestFraming:
+    """A request whose end is in doubt ends the connection unanswered."""
+
+    SMUGGLED = b"GET /stats HTTP/1.1\r\nHost: x\r\n\r\n"
+
+    @pytest.mark.parametrize(
+        "framing",
+        [
+            b"Content-Length: abc\r\n",
+            b"Content-Length: +5\r\n",
+            b"Transfer-Encoding: chunked\r\n",
+            b"Content-Length: 32\r\nContent-Length: 0\r\n",
+        ],
+        ids=["non-numeric-length", "signed-length", "transfer-encoding", "repeated-length"],
+    )
+    def test_ambiguous_body_framing_is_not_read_as_a_second_request(
+        self, server_pair, framing
+    ):
+        port = server_pair["async_port"]
+        request = b"POST /query HTTP/1.1\r\nHost: x\r\n" + framing + b"\r\n"
+        answered = raw_exchange(port, request + self.SMUGGLED)
+        # No response at all: in particular, no 200 for the body bytes
+        # parsed as a smuggled ``GET /stats``.
+        assert answered == b""
+        status, _ = get(port, "/stats")
+        assert status == 200
+
+    def test_oversized_header_line_ends_the_connection_cleanly(
+        self, server_pair, caplog
+    ):
+        port = server_pair["async_port"]
+        request = (
+            b"GET /stats HTTP/1.1\r\nX-Padding: "
+            + b"a" * (70 * 1024)
+            + b"\r\n\r\n"
+        )
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            assert raw_exchange(port, request) == b""
+            # The next connection is served — and by the time it is, the
+            # loop has run any callback the first handler's exit queued.
+            status, body = get(port, "/stats")
+            assert status == 200
+            assert json.loads(body)["slides"] == 3
+        assert [record.getMessage() for record in caplog.records] == []
 
 
 class TestEndpoints:
-    def test_stats_carries_serve_section(self, threaded_pair):
-        status, body = get(threaded_pair["async_port"], "/stats")
+    def test_stats_carries_serve_section(self, server_pair):
+        status, body = get(server_pair["async_port"], "/stats")
         assert status == 200
         payload = json.loads(body)
         assert payload["resilience"] == {"dropped_connections": 0}
@@ -130,29 +185,29 @@ class TestEndpoints:
             "cold_records_indexed": 3,
         }
 
-    def test_unknown_endpoint_404(self, threaded_pair):
-        status, body = get(threaded_pair["async_port"], "/nope")
+    def test_unknown_endpoint_404(self, server_pair):
+        status, body = get(server_pair["async_port"], "/nope")
         assert status == 404
         payload = json.loads(body)
         assert payload["code"] == "unknown-endpoint"
         assert payload["endpoints"] == ["/query", "/stats", "/subscribe"]
 
-    def test_method_not_allowed_405(self, threaded_pair):
-        status, body, _ = post(threaded_pair["async_port"], b"{}", path="/stats")
+    def test_method_not_allowed_405(self, server_pair):
+        status, body, _ = post(server_pair["async_port"], b"{}", path="/stats")
         assert status == 405
         assert json.loads(body)["code"] == "method-not-allowed"
 
-    def test_subscribe_requires_expr(self, threaded_pair):
-        status, body = get(threaded_pair["async_port"], "/subscribe")
+    def test_subscribe_requires_expr(self, server_pair):
+        status, body = get(server_pair["async_port"], "/subscribe")
         assert status == 400
         assert json.loads(body)["code"] == "bad-query"
 
-    def test_subscribe_rejects_history_shape(self, threaded_pair):
+    def test_subscribe_rejects_history_shape(self, server_pair):
         from urllib.parse import quote
 
         expr = quote(json.dumps({"history": {"items": ["a"]}}))
         status, body = get(
-            threaded_pair["async_port"], f"/subscribe?expr={expr}"
+            server_pair["async_port"], f"/subscribe?expr={expr}"
         )
         assert status == 400
         assert b"history is a curve" in body

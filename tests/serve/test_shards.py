@@ -7,14 +7,12 @@ import pytest
 
 from repro.exceptions import HistoryError, ServeError
 from repro.history import algebra
-from repro.history.journal import MemoryJournal
-from repro.history.query import JournalIndex
+from repro.serve.app import evaluate_expression
 from repro.serve.shards import IndexSnapshot, ShardedJournalIndex, shard_of
-from repro.service.api import evaluate_expression
 from repro.service.render import render_json
 
 from serve_helpers import mined_journal
-from tests.helpers import drifting_records
+from tests.helpers import ScanReader, drifting_records
 
 #: Provenance and ranking queries over ``drifting_records``.
 DRIFT_QUERIES = [
@@ -50,11 +48,11 @@ class TestShardOf:
 
 
 class TestProtocolParity:
-    """Every IndexReader method must answer exactly like JournalIndex."""
+    """Every IndexReader method must answer like a scan of the journal."""
 
     @pytest.mark.parametrize("shard_count", [1, 3, 4, 7])
     def test_reader_surface_matches_journal_index(self, records, shard_count):
-        reference = JournalIndex(records)
+        reference = ScanReader(records)
         snapshot = ShardedJournalIndex(records, shard_count=shard_count).current
         assert snapshot.slide_ids() == reference.slide_ids()
         assert snapshot.last_slide_id == reference.last_slide_id
@@ -81,8 +79,8 @@ class TestProtocolParity:
         ]
         for pattern in probe_patterns[:20]:
             for slide in reference.slide_ids():
-                assert snapshot.support_at(pattern, slide) == reference.support_at(
-                    pattern, slide
+                assert snapshot.support_at(slide, pattern) == reference.support_at(
+                    slide, pattern
                 )
             assert snapshot.first_frequent(pattern) == reference.first_frequent(
                 pattern
@@ -90,7 +88,7 @@ class TestProtocolParity:
             assert snapshot.last_frequent(pattern) == reference.last_frequent(pattern)
 
     def test_stats_match(self, records):
-        reference = JournalIndex(records)
+        reference = ScanReader(records)
         snapshot = ShardedJournalIndex(records, shard_count=4).current
         assert dict(snapshot.stats()) == dict(reference.stats())
 
@@ -100,11 +98,14 @@ class TestProtocolParity:
             distinct = {items for record in records[:cut] for items, _ in record.patterns}
             snapshot = ShardedJournalIndex(records[:cut], shard_count=2).current
             assert snapshot.stats()["distinct_patterns"] == len(distinct)
-            assert JournalIndex(records[:cut]).stats()["distinct_patterns"] == len(distinct)
+            assert ScanReader(records[:cut]).stats()["distinct_patterns"] == len(distinct)
 
     def test_rows_iterate_in_rank_order(self):
         records = drifting_records(8)
-        for reader in (JournalIndex(records), ShardedJournalIndex(records).current):
+        for reader in (
+            ShardedJournalIndex(records, shard_count=1).current,
+            ShardedJournalIndex(records).current,
+        ):
             for record in records:
                 rows = list(reader.iter_patterns_at(record.slide_id))
                 assert rows == sorted(
@@ -112,7 +113,7 @@ class TestProtocolParity:
                 )
 
     def test_algebra_evaluation_parity(self, records):
-        reference = JournalIndex(records)
+        reference = ScanReader(records)
         snapshot = ShardedJournalIndex(records, shard_count=4).current
         items = reference.items()
         queries = [
@@ -184,17 +185,19 @@ class TestSnapshotSwap:
         cold = ShardedJournalIndex(records[:5] + records[9:], shard_count=3).current
         assert answers(branch.current) == answers(cold)
         assert branch.current.to_payload()["shards"] == cold.to_payload()["shards"]
-        assert answers(index.current) == answers(JournalIndex(records[:9]))
-        assert answers(older) == answers(JournalIndex(records[:5]))
+        assert answers(index.current) == answers(ScanReader(records[:9]))
+        assert answers(older) == answers(ScanReader(records[:5]))
 
     def test_extending_an_older_version_forks_the_provenance(self):
         records = drifting_records(12)
-        reference = JournalIndex(records[:5])
-        newer = reference.extended(records[5:9])
-        branch = reference.extended(records[9:])  # skips slides 5-8
-        assert answers(newer) == answers(JournalIndex(records[:9]))
-        assert answers(branch) == answers(JournalIndex(records[:5] + records[9:]))
-        assert answers(reference) == answers(JournalIndex(records[:5]))
+        base = ShardedJournalIndex(records[:5], shard_count=1).current
+        newer = ShardedJournalIndex.from_snapshot(base)
+        newer.extend(records[5:9])  # appends to the shared provenance
+        branch = ShardedJournalIndex.from_snapshot(base)
+        branch.extend(records[9:])  # skips slides 5-8: must fork it
+        assert answers(newer.current) == answers(ScanReader(records[:9]))
+        assert answers(branch.current) == answers(ScanReader(records[:5] + records[9:]))
+        assert answers(base) == answers(ScanReader(records[:5]))
 
     def test_generation_and_swap_counters(self, records):
         index = ShardedJournalIndex(records[:2], shard_count=4)
@@ -222,12 +225,12 @@ class TestSnapshotSwap:
 
     def test_out_of_order_extend_rejected_with_journal_index_message(self, records):
         index = ShardedJournalIndex(records, shard_count=4)
-        reference = JournalIndex(records)
-        with pytest.raises(HistoryError) as sharded_error:
+        with pytest.raises(HistoryError) as error:
             index.extend([records[0]])
-        with pytest.raises(HistoryError) as reference_error:
-            reference.extend([records[0]])
-        assert str(sharded_error.value) == str(reference_error.value)
+        assert str(error.value) == (
+            f"slide {records[0].slide_id} breaks the index's slide order; "
+            f"already indexed up to slide {records[-1].slide_id}"
+        )
 
     def test_shard_count_validation(self, records):
         with pytest.raises(ServeError, match="shard count must be at least 1"):
@@ -263,6 +266,6 @@ class TestPayloadRoundTrip:
         payload = ShardedJournalIndex(records[:3], shard_count=4).current.to_payload()
         index = ShardedJournalIndex.from_snapshot(IndexSnapshot.from_payload(payload))
         index.extend(records[3:])
-        reference = JournalIndex(records)
+        reference = ScanReader(records)
         assert index.current.slide_ids() == reference.slide_ids()
         assert dict(index.current.stats()) == dict(reference.stats())

@@ -5,10 +5,9 @@ import json
 from repro.checkpoint import load_serve_index, seal_serve_index
 from repro.checkpoint.serve_index import MANIFEST_NAME, PAYLOAD_NAME, SERVE_INDEX_DIRNAME
 from repro.history.journal import DiskJournal, open_journal
-from repro.serve.app import ServeApp
+from repro.serve.app import ServeApp, evaluate_expression
 from repro.serve.shards import SERVE_INDEX_FORMAT, IndexSnapshot, ShardedJournalIndex, shard_of
 from repro.serve.warm import JournalTail, read_journal_suffix
-from repro.service.api import evaluate_expression
 from repro.service.render import render_json
 
 from serve_helpers import mined_journal

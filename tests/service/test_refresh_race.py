@@ -1,10 +1,10 @@
-"""HistoryService.refresh racing concurrent queries (snapshot-swap atomicity).
+"""ServeApp.refresh racing concurrent queries (snapshot-swap atomicity).
 
-``refresh`` publishes a *new* index object in one reference assignment
-(:meth:`JournalIndex.extended`); it never mutates the index a concurrent
-reader may have pinned.  These tests pin that contract: every answer
-produced while slides commit must equal the canonical answer of some
-fully committed journal prefix — never a half-applied slide.
+``refresh`` publishes a *new* index snapshot in one reference assignment
+per slide; it never mutates the snapshot a concurrent reader may have
+pinned.  These tests pin that contract: every answer produced while
+slides commit must equal the answer of a cold index build over some fully
+committed journal prefix — never a half-applied slide.
 """
 
 import json
@@ -14,8 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from repro.core.miner import StreamSubgraphMiner
 from repro.history.journal import MemoryJournal
-from repro.history.query import JournalIndex
-from repro.service.api import HistoryService, evaluate_expression
+from repro.serve.app import ServeApp, evaluate_expression
 from repro.serve.shards import ShardedJournalIndex
 from repro.stream.stream import TransactionStream
 from tests.helpers import drifting_records
@@ -47,34 +46,47 @@ def mined_records():
     return journal.records()
 
 
+def cold(records):
+    """A cold one-shard index build over ``records``."""
+    return ShardedJournalIndex(records, shard_count=1).current
+
+
+def app_over(records, shard_count=3):
+    journal = MemoryJournal()
+    for record in records:
+        journal.append(record)
+    return ServeApp.from_journal(journal, shard_count=shard_count)
+
+
 class TestRefreshRace:
     def test_extended_leaves_the_original_index_untouched(self):
         records = mined_records()
-        index = JournalIndex(records[:4])
-        before_ids = index.slide_ids()
-        before_answer = evaluate_expression(QUERY, index)
-        extended = index.extended(records[4:])
-        # The old index answers exactly as before, end-to-end.
-        assert index.slide_ids() == before_ids
-        assert evaluate_expression(QUERY, index) == before_answer
-        assert extended.slide_ids() == [r.slide_id for r in records]
-        assert dict(extended.stats()) == dict(JournalIndex(records).stats())
+        app = app_over(records[:4])
+        pinned = app.index.current
+        before_ids = pinned.slide_ids()
+        before_answer = evaluate_expression(QUERY, pinned)
+        for record in records[4:]:
+            app.journal.append(record)
+        assert app.refresh() == len(records) - 4
+        # The old snapshot answers exactly as before, end-to-end.
+        assert pinned.slide_ids() == before_ids
+        assert evaluate_expression(QUERY, pinned) == before_answer
+        assert app.index.current.slide_ids() == [r.slide_id for r in records]
+        assert dict(app.index.current.stats()) == dict(cold(records).stats())
 
     def test_reader_pinned_before_commit_sees_old_snapshot(self):
         records = mined_records()
-        journal = MemoryJournal()
-        for record in records[:4]:
-            journal.append(record)
-        service = HistoryService(journal)
-        pinned = service.index
+        app = app_over(records[:4])
+        pinned = app.index.current
         expected = evaluate_expression(QUERY, pinned)
-        journal.append(records[4])
-        service.refresh()
-        # A reader holding the pre-commit index object keeps getting the
-        # pre-commit answer; the service's current index moved on.
+        app.journal.append(records[4])
+        app.refresh()
+        # A reader holding the pre-commit snapshot keeps getting the
+        # pre-commit answer; the app's current snapshot moved on.
         assert evaluate_expression(QUERY, pinned) == expected
-        assert service.index is not pinned
-        assert service.index.last_slide_id == records[4].slide_id
+        assert app.index.current is not pinned
+        assert app.index.current.last_slide_id == records[4].slide_id
+        assert app.query(QUERY) == evaluate_expression(QUERY, cold(records[:5]))
 
     def test_concurrent_queries_always_see_a_committed_prefix(self):
         records = mined_records()
@@ -82,20 +94,15 @@ class TestRefreshRace:
         # Canonical answer bytes per committed prefix length.
         canonical = set()
         for end in range(prefix, len(records) + 1):
-            payload = evaluate_expression(QUERY, JournalIndex(records[:end]))
+            payload = evaluate_expression(QUERY, cold(records[:end]))
             canonical.add(json.dumps(payload, sort_keys=True, default=str))
-        journal = MemoryJournal()
-        for record in records[:prefix]:
-            journal.append(record)
-        service = HistoryService(journal)
+        app = app_over(records[:prefix])
         stop = threading.Event()
         torn = []
 
         def reader():
             while not stop.is_set():
-                answer = json.dumps(
-                    service.query(QUERY), sort_keys=True, default=str
-                )
+                answer = json.dumps(app.query(QUERY), sort_keys=True, default=str)
                 if answer not in canonical:
                     torn.append(answer)
                     return
@@ -103,13 +110,13 @@ class TestRefreshRace:
         with ThreadPoolExecutor(max_workers=4) as pool:
             futures = [pool.submit(reader) for _ in range(4)]
             for record in records[prefix:]:
-                journal.append(record)
-                service.refresh()
+                app.journal.append(record)
+                app.refresh()
             stop.set()
             for future in futures:
                 future.result(timeout=30)
         assert torn == [], f"reader observed a non-prefix answer: {torn[:1]}"
-        assert service.index.last_slide_id == records[-1].slide_id
+        assert app.index.current.last_slide_id == records[-1].slide_id
 
     def test_shared_provenance_under_concurrent_commits(self):
         """Readers pinning snapshots while the writer appends to the one
@@ -122,7 +129,7 @@ class TestRefreshRace:
             {"top_k": {"k": 4}},
         ]
         expected = {
-            end: [evaluate_expression(query, JournalIndex(records[:end])) for query in queries]
+            end: [evaluate_expression(query, cold(records[:end])) for query in queries]
             for end in range(1, len(records) + 1)
         }
         index = ShardedJournalIndex(records[:1], shard_count=3)
@@ -134,7 +141,7 @@ class TestRefreshRace:
                 snapshot = index.current
                 end = len(snapshot.slide_ids())
                 answers = [evaluate_expression(query, snapshot) for query in queries]
-                if answers != expected[end] or snapshot.stats() != JournalIndex(
+                if answers != expected[end] or snapshot.stats() != cold(
                     records[:end]
                 ).stats():
                     wrong.append(end)

@@ -1,6 +1,6 @@
 """Tests of the shared-memory segment transport (DESIGN.md §11)."""
 
-import glob
+from multiprocessing import shared_memory
 
 import pytest
 
@@ -12,17 +12,24 @@ from repro.storage.segments import (
     segment_counts_from_bytes,
 )
 from repro.storage.shm import (
+    SHM_DIRECTORY,
     SharedSegmentArena,
+    block_prefix,
+    linked_blocks,
     publish_block,
     publish_segments,
     read_shared_block,
+    run_prefix,
     shared_memory_available,
+    sweep_blocks,
     unlink_block,
 )
 
 
 def _no_shm_leaks():
-    return glob.glob("/dev/shm/psm_*") == []
+    # Only this process tree's blocks: another run's leftovers in the
+    # host-wide directory say nothing about this code.
+    return linked_blocks(block_prefix()) == []
 
 
 def _segment(segment_id=0, num_columns=5):
@@ -91,6 +98,64 @@ class TestPublishBlock:
             read_shared_block(name, *spans[0])
 
 
+class TestBlockNaming:
+    def test_blocks_are_named_under_the_process_prefix(self):
+        if not shared_memory_available():
+            pytest.skip("no shared memory on this host")
+        prefix = run_prefix()
+        assert prefix.startswith(block_prefix())
+        plain, _ = publish_block([b"a"])
+        scoped, _ = publish_block([b"b"], prefix)
+        try:
+            assert plain.startswith(block_prefix())
+            assert scoped.startswith(prefix)
+            # 31 bytes with the leading "/" is the tightest POSIX limit.
+            assert len(scoped) < 31
+            assert linked_blocks(prefix) == [scoped]
+        finally:
+            unlink_block(plain)
+            unlink_block(scoped)
+        assert _no_shm_leaks()
+
+    def test_sweep_unlinks_only_its_prefix(self):
+        if not shared_memory_available():
+            pytest.skip("no shared memory on this host")
+        mine, theirs = run_prefix(), run_prefix()
+        lost = [publish_block([bytes([i])], mine)[0] for i in range(3)]
+        kept, _ = publish_block([b"kept"], theirs)
+        try:
+            assert sweep_blocks(mine) == sorted(lost)
+            assert linked_blocks(mine) == []
+            assert linked_blocks(theirs) == [kept]
+            for name in lost:
+                with pytest.raises(SharedMemoryError):
+                    read_shared_block(name, 0, 1)
+        finally:
+            unlink_block(kept)
+        assert _no_shm_leaks()
+
+    def test_foreign_blocks_are_not_this_process_trees(self):
+        if not shared_memory_available():
+            pytest.skip("no shared memory on this host")
+        # A default-named block, as a crashed unrelated run would leave.
+        decoy = shared_memory.SharedMemory(create=True, size=8)
+        try:
+            assert decoy.name not in linked_blocks(block_prefix())
+            assert _no_shm_leaks()
+            assert sweep_blocks(block_prefix()) == []
+            assert decoy.name in linked_blocks("psm_")
+        finally:
+            decoy.close()
+            decoy.unlink()
+
+    def test_no_shm_directory_lists_nothing(self, monkeypatch):
+        monkeypatch.setattr(
+            "repro.storage.shm.SHM_DIRECTORY", SHM_DIRECTORY + "/no-such-dir"
+        )
+        assert linked_blocks("psm_") == []
+        assert sweep_blocks("psm_") == []
+
+
 class TestSharedSegmentArena:
     def test_handles_roundtrip(self):
         if not shared_memory_available():
@@ -98,6 +163,7 @@ class TestSharedSegmentArena:
         segments = [_segment(i) for i in range(3)]
         handles = tuple(SegmentHandle.from_segment(s) for s in segments)
         with SharedSegmentArena(handles) as arena:
+            assert arena.name.startswith(block_prefix())
             assert len(arena.handles) == len(handles)
             for handle, segment in zip(arena.handles, segments):
                 assert handle.shm_name == arena.name

@@ -406,20 +406,21 @@ class TestWatchQueryServe:
     def test_query_stats_and_topk(self, tmp_path, capsys):
         assert self._watch(tmp_path) == 0
         capsys.readouterr()
-        assert main(["query", str(tmp_path / "journal"), "--query", "stats"]) == 0
+        assert main(["query", str(tmp_path / "journal")]) == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats["slides"] == 3
-        assert main(["query", str(tmp_path / "journal"), "--query", "topk", "-k", "2"]) == 0
+        expr = json.dumps({"top_k": {"k": 2, "where": {"slides": [2, 2]}}})
+        assert main(["query", str(tmp_path / "journal"), "--expr", expr]) == 0
         topk = json.loads(capsys.readouterr().out)
         assert topk["count"] == 2
 
     def test_query_support_history(self, tmp_path, capsys):
         assert self._watch(tmp_path) == 0
         capsys.readouterr()
-        main(["query", str(tmp_path / "journal"), "--query", "topk", "-k", "1"])
+        main(["query", str(tmp_path / "journal"), "--expr", '{"top_k": {"k": 1}}'])
         top_item = json.loads(capsys.readouterr().out)["matches"][0]["items"][0]
-        assert main(["query", str(tmp_path / "journal"), "--query",
-                     "support-history", "--items", top_item]) == 0
+        expr = json.dumps({"history": {"items": [top_item]}})
+        assert main(["query", str(tmp_path / "journal"), "--expr", expr]) == 0
         history = json.loads(capsys.readouterr().out)
         assert len(history["history"]) == 3
         assert history["first_frequent"] is not None
@@ -427,19 +428,19 @@ class TestWatchQueryServe:
     def test_query_expr_algebra(self, tmp_path, capsys):
         assert self._watch(tmp_path) == 0
         capsys.readouterr()
-        main(["query", str(tmp_path / "journal"), "--query", "topk", "-k", "1"])
-        legacy = json.loads(capsys.readouterr().out)
-        top_item = legacy["matches"][0]["items"][0]
+        main(["query", str(tmp_path / "journal"), "--expr", '{"top_k": {"k": 1}}'])
+        ranked = json.loads(capsys.readouterr().out)
+        top_item = ranked["matches"][0]["items"][0]
         expr = json.dumps({"select": {"where": {"contains": [top_item]}}})
         assert main(["query", str(tmp_path / "journal"), "--expr", expr]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["count"] == len(payload["matches"]) > 0
         assert payload["explain"]["q_error"] >= 1.0
-        # top_k through the algebra reproduces the legacy canned answer.
-        last = legacy["matches"][0]["slide"]
+        # Restricting top_k to the top row's slide keeps that row first.
+        last = ranked["matches"][0]["slide"]
         expr = json.dumps({"top_k": {"k": 1, "where": {"slides": [last, last]}}})
         assert main(["query", str(tmp_path / "journal"), "--expr", expr]) == 0
-        assert json.loads(capsys.readouterr().out)["matches"] == legacy["matches"]
+        assert json.loads(capsys.readouterr().out)["matches"] == ranked["matches"]
 
     def test_query_expr_invalid_json(self, tmp_path, capsys):
         assert self._watch(tmp_path) == 0
@@ -463,16 +464,11 @@ class TestWatchQueryServe:
         assert payload["path"] == "$.select.where.bogus"
 
     def test_query_missing_journal(self, tmp_path, capsys):
-        code = main(["query", str(tmp_path / "missing"), "--query", "stats"])
+        code = main(["query", str(tmp_path / "missing")])
         assert code == EXIT_INPUT_ERROR
-        assert "cannot open journal" in capsys.readouterr().err
-
-    def test_query_items_required(self, tmp_path, capsys):
-        assert self._watch(tmp_path) == 0
-        capsys.readouterr()
-        code = main(["query", str(tmp_path / "journal"), "--query", "super"])
-        assert code == EXIT_USAGE_ERROR
-        assert "needs --items" in capsys.readouterr().err
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert "cannot open journal" in payload["error"]
+        assert payload["exit_code"] == EXIT_INPUT_ERROR
 
     def test_serve_missing_journal(self, tmp_path, capsys):
         code = main(["serve", str(tmp_path / "missing")])
@@ -480,31 +476,41 @@ class TestWatchQueryServe:
         assert "cannot open journal" in capsys.readouterr().err
 
     def test_serve_answers_http_requests(self, tmp_path, capsys):
-        import json as json_module
-        import threading
+        import re
+        import signal
+        import subprocess
+        import sys
         import urllib.request
 
-        from repro.history.journal import open_journal
-        from repro.service.api import HistoryService
-        from repro.service.server import build_server
-
         assert self._watch(tmp_path) == 0
-        # The serve handler wiring, exercised on an ephemeral port (the
-        # serve_forever loop itself is covered by the service suite).
-        server = build_server(
-            HistoryService(open_journal(tmp_path / "journal")), port=0
+        capsys.readouterr()
+        journal = str(tmp_path / "journal")
+        expr = '{"top_k": {"k": 3}}'
+        assert main(["query", journal, "--expr", expr]) == 0
+        printed = capsys.readouterr().out
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", journal, "--port", "0",
+             "--follow", "0"],
+            stdout=subprocess.PIPE,
+            text=True,
         )
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
         try:
-            port = server.server_address[1]
-            with urllib.request.urlopen(
-                f"http://127.0.0.1:{port}/stats", timeout=10
-            ) as response:
-                assert json_module.loads(response.read())["slides"] == 3
+            banner = server.stdout.readline()
+            port = re.search(r"http://127\.0\.0\.1:(\d+) ", banner).group(1)
+            base = f"http://127.0.0.1:{port}"
+            with urllib.request.urlopen(f"{base}/stats", timeout=10) as response:
+                assert json.loads(response.read())["slides"] == 3
+            request = urllib.request.Request(
+                f"{base}/query", data=expr.encode("utf-8"), method="POST"
+            )
+            with urllib.request.urlopen(request, timeout=10) as response:
+                body = response.read()
+            # The CLI prints exactly the bytes the server answers.
+            assert body.decode("utf-8") + "\n" == printed
         finally:
-            server.shutdown()
-            server.server_close()
+            server.send_signal(signal.SIGTERM)
+            server.communicate(timeout=10)
+        assert server.returncode == 0
 
 
 class TestWatchCheckpointAndRetention:
