@@ -19,7 +19,6 @@ import json
 from repro.bench.experiments import experiment_checkpoint_recovery
 from repro.checkpoint import CheckpointManager
 from repro.core.miner import StreamSubgraphMiner
-from repro.stream.stream import TransactionStream
 
 
 def _warm_miner(edge_workload):

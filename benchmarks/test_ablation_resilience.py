@@ -4,7 +4,7 @@ Three properties of the unified failure policy are pinned here
 (DESIGN.md §14):
 
 * the E14 driver's parity flag holds — every seeded chaos run (worker
-  crashes, shm attach failures, journal write errors) recovers and seals
+  crashes, journal write errors) recovers and seals
   a ``journal.dat`` byte-identical to the fault-free reference
   (``chaos_identical``, the nightly boolean gate);
 * the fault-free path records zero resilience events and pays no
@@ -30,7 +30,7 @@ def test_e14_driver_flags_and_rows(tmp_path, scale):
     assert outcome["chaos_identical"] is True
     assert outcome["clean_run_event_free"] is True
     modes = [row["mode"] for row in outcome["rows"]]
-    assert modes.count("chaos") == 3
+    assert modes.count("chaos") == 2
     assert "clean" in modes and "clean-resilient" in modes
     chaos_rows = [row for row in outcome["rows"] if row["mode"] == "chaos"]
     assert all(row["identical"] for row in chaos_rows)

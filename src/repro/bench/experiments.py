@@ -21,7 +21,6 @@ from repro.bench.harness import (
     RunResult,
     WorkloadSpec,
     build_edge_workload,
-    build_itemset_workload,
     prepare_window,
     run_baseline_miner,
     run_dsmatrix_algorithm,
@@ -34,7 +33,6 @@ from repro.exceptions import DatasetError
 from repro.ingest.api import IngestReport, ingest_transactions
 from repro.parallel.api import mine_window_parallel
 from repro.storage.backend import DiskWindowStore, MemoryWindowStore
-from repro.storage.shm import shared_memory_available
 from repro.stream.stream import TransactionStream
 
 #: DSMatrix algorithms that mine *all* collections of frequent edges (§3).
@@ -865,7 +863,7 @@ def experiment_journal_history(
 
 
 # ---------------------------------------------------------------------- #
-# E11 — segment-transport strong scaling (DESIGN.md §11)
+# E11 — parallel-stack strong scaling (DESIGN.md §11)
 # ---------------------------------------------------------------------- #
 
 #: E11 scale -> canonical workload (see :mod:`repro.datasets.workloads`).
@@ -885,31 +883,25 @@ def experiment_transport_scaling(
     repeats: int = 3,
     output_path: Optional[Union[str, Path]] = "BENCH_e11.json",
 ) -> Dict[str, object]:
-    """Strong scaling of the shared-memory transport stack (DESIGN.md §11).
+    """Strong scaling of the parallel mining stack (DESIGN.md §11).
 
     Runs on the *canonical seeded workloads* of
     :mod:`repro.datasets.workloads` (``tiny`` → ``random-graph[smoke]``,
     ``small`` → ``random-graph[medium]``, ``large`` → the million-snapshot
     ``random-graph[large]``) and measures three things on one window:
 
-    * **scaling** rows — the window mined at each worker count with the
-      default (``"auto"``) transport on a run-scoped pool, plus the
-      ``workers=0`` reference; ``speedup_monotone`` asserts the runtime
+    * **scaling** rows — the window mined at each worker count on a
+      run-scoped pool, plus the ``workers=0`` reference; ``speedup_monotone`` asserts the runtime
       does not degrade (within 10% noise slack) as workers grow — the
       regression key for the workers=1-slower-than-workers=0 pathology
       this subsystem exists to avoid;
-    * **ablation** rows — pickle vs shm transport at one worker and at
-      the maximum worker count, with the shard count pinned to ``2 ×
-      workers`` so the single-shard pool-skip heuristic cannot hide the
-      transport cost; ``shm_not_slower`` asserts shared memory beats (or
-      matches, within 10%) payload pickling at the top worker count;
     * **pool** rows — the same parallel mine twice through one
       :class:`StreamSubgraphMiner`, showing the persistent pool's spawn
       cost amortising away on the second call;
     * **parity** rows — a ``mine workers × ingest_workers ×
       max_inflight`` grid, each cell a fresh miner consuming the same
       stream and mining the same support; ``parallel_identical`` asserts
-      every cell (and every scaling/ablation run) produced the identical
+      every cell (and every scaling run) produced the identical
       answer.
 
     Like E7-E10, the outcome is written to ``output_path``
@@ -968,7 +960,7 @@ def experiment_transport_scaling(
             best = timer.elapsed if best is None else min(best, timer.elapsed)
         return patterns, best
 
-    # --- scaling: auto transport, run-scoped pools --------------------- #
+    # --- scaling: run-scoped pools ------------------------------------- #
     runtimes: Dict[int, float] = {}
     baseline_runtime: Optional[float] = None
     for workers in (0, *worker_counts):
@@ -980,6 +972,8 @@ def experiment_transport_scaling(
             {
                 "phase": "scaling",
                 "workers": workers,
+                # Kept from when a transport could be chosen, so the
+                # scaling rows keep their committed baseline identity.
                 "transport": "auto",
                 "runtime_s": round(elapsed, 4),
                 "speedup_vs_1": (
@@ -995,29 +989,6 @@ def experiment_transport_scaling(
         runtimes[nxt] <= runtimes[prev] * 1.10
         for prev, nxt in zip(ordered, ordered[1:])
     )
-
-    # --- ablation: pickle vs shm at 1 and max workers ------------------ #
-    transports = ("pickle", "shm") if shared_memory_available() else ("pickle",)
-    ablation: Dict[Tuple[int, str], float] = {}
-    for workers in sorted({1, max(ordered)}):
-        for transport in transports:
-            patterns, elapsed = timed_mine(
-                workers=workers, transport=transport, num_shards=2 * workers
-            )
-            ablation[(workers, transport)] = elapsed
-            rows.append(
-                {
-                    "phase": "ablation",
-                    "workers": workers,
-                    "transport": transport,
-                    "runtime_s": round(elapsed, 4),
-                    "patterns": check(patterns),
-                }
-            )
-    shm_not_slower: Optional[bool] = None
-    if "shm" in transports:
-        top = max(ordered)
-        shm_not_slower = ablation[(top, "shm")] <= ablation[(top, "pickle")] * 1.10
 
     # --- pool reuse: spawn cost amortises across repeated mines -------- #
     pool_workers = min(2, max(ordered))
@@ -1070,12 +1041,10 @@ def experiment_transport_scaling(
         "minsup": support,
         "columns": matrix.num_columns,
         "worker_counts": list(worker_counts),
-        "shared_memory_available": shared_memory_available(),
         "pool_spawns": pool_spawns,
         "rows": rows,
         "parallel_identical": all_identical,
         "speedup_monotone": speedup_monotone,
-        "shm_not_slower": shm_not_slower,
     }
     if output_path is not None:
         target = Path(output_path)
@@ -1525,8 +1494,7 @@ def experiment_chaos_resilience(
       machinery on the fault-free path, and the run must record **zero**
       resilience events (``clean_run_event_free``);
     * **chaos** — one parallel watch per seeded fault plan (worker
-      crashes in both pools, a shared-memory attach failure, journal
-      write errors); every run must recover via the policy and seal a
+      crashes in both pools, journal write errors); every run must recover via the policy and seal a
       ``journal.dat`` **byte-identical** to the reference
       (``chaos_identical``, the §14 acceptance bar and the boolean
       regression key), with its recovery decisions counted per row.
@@ -1555,7 +1523,6 @@ def experiment_chaos_resilience(
     )
     fault_plans = (
         "mine.shard@1:crash;ingest.encode@2:crash",
-        "shm.attach@1",
         "journal.write@2x2",
     )
 

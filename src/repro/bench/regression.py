@@ -42,7 +42,6 @@ BOOLEAN_KEYS = (
     "journal_identical",
     "index_matches_bruteforce",
     "speedup_monotone",
-    "shm_not_slower",
     "restore_identical",
     "planner_matches_bruteforce",
     "planner_not_slower_than_naive",

@@ -86,7 +86,6 @@ from repro.exceptions import (
     ServiceError,
 )
 from repro.graph.edge_registry import EdgeRegistry
-from repro.parallel.api import TRANSPORTS
 from repro.history.journal import DiskJournal, truncate_journal
 from repro.history.retention import RetentionPolicy, TieredJournal
 from repro.resilience import FailurePolicy, ResilienceEvent
@@ -462,25 +461,13 @@ def _add_parallel_options(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--transport",
-        choices=TRANSPORTS,
-        default="auto",
-        help=(
-            "segment transport for parallel runs: auto uses shared memory "
-            "when the host supports it, shm demands it, pickle forces "
-            "payload shipping (the benchmark ablation mode); the mined "
-            "answer is identical for every choice"
-        ),
-    )
-    parser.add_argument(
         "--task-retries",
         type=int,
         default=None,
         help=(
             "retries for task-level infrastructure failures (a broken "
-            "worker pool) before degrading to the next transport/execution "
-            "rung — shm, then pickle, then in-process (default: 2); the "
-            "answer is identical at every rung"
+            "worker pool) on a fresh pool before degrading to in-process "
+            "execution (default: 2); the answer is identical either way"
         ),
     )
     parser.add_argument(
@@ -750,7 +737,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         algorithm=args.algorithm,
         storage=args.storage,
         storage_path=args.storage_path,
-        transport=args.transport,
         failure_policy=policy,
     )
     try:
@@ -926,7 +912,6 @@ def _run_watch(
                     checkpoint,
                     algorithm=args.algorithm,
                     on_slide=journal.append,
-                    transport=args.transport,
                     failure_policy=policy,
                 )
             else:
@@ -935,7 +920,6 @@ def _run_watch(
                     batch_size=args.batch_size,
                     algorithm=args.algorithm,
                     on_slide=journal.append,
-                    transport=args.transport,
                     failure_policy=policy,
                 )
         except CheckpointError as exc:

@@ -36,7 +36,7 @@ from repro.ingest.api import (
     ingest_snapshots,
     ingest_transactions,
 )
-from repro.parallel.api import TRANSPORTS, mine_window_parallel
+from repro.parallel.api import mine_window_parallel
 from repro.parallel.pool import PersistentWorkerPool
 from repro.resilience import EventLog, FailurePolicy, ResilienceEvent
 from repro.graph.graph import GraphSnapshot
@@ -99,10 +99,6 @@ class StreamSubgraphMiner:
         :meth:`watch` runs it receives one sealed
         :class:`~repro.history.journal.SlideRecord` per window slide.
         Further sinks can be attached with :meth:`add_slide_sink`.
-    transport:
-        Segment transport for parallel runs (DESIGN.md §11): ``"auto"``
-        (shared memory when the host supports it, the default), ``"shm"``
-        (demand shared memory) or ``"pickle"`` (force payload shipping).
     failure_policy:
         The :class:`~repro.resilience.FailurePolicy` governing retries,
         backoff, straggler timeouts and pool respawns in every parallel
@@ -121,16 +117,10 @@ class StreamSubgraphMiner:
         storage_path: Optional[Union[str, Path]] = None,
         storage: Optional[Union[str, WindowStore]] = None,
         on_slide: Optional[SlideSink] = None,
-        transport: str = "auto",
         failure_policy: Optional[FailurePolicy] = None,
     ) -> None:
         if batch_size <= 0:
             raise StreamError(f"batch_size must be positive, got {batch_size}")
-        if transport not in TRANSPORTS:
-            raise MiningError(
-                f"unknown transport {transport!r}; expected one of {TRANSPORTS}"
-            )
-        self._transport = transport
         self._failure_policy = failure_policy
         self._events = EventLog()
         self._mining_pool: Optional[PersistentWorkerPool] = None
@@ -223,11 +213,6 @@ class StreamSubgraphMiner:
         produce a report.
         """
         return self._last_ingest_report
-
-    @property
-    def transport(self) -> str:
-        """The configured segment transport for parallel runs."""
-        return self._transport
 
     @property
     def failure_policy(self) -> Optional[FailurePolicy]:
@@ -368,7 +353,6 @@ class StreamSubgraphMiner:
                 register_new_edges=stream.register_new_edges,
                 max_inflight=max_inflight,
                 on_batch_committed=on_batch_committed,
-                transport=self._transport,
                 policy=self._failure_policy,
                 events=self._events,
             )
@@ -381,7 +365,6 @@ class StreamSubgraphMiner:
                 drop_last=stream.drop_last,
                 max_inflight=max_inflight,
                 on_batch_committed=on_batch_committed,
-                transport=self._transport,
                 policy=self._failure_policy,
                 events=self._events,
             )
@@ -392,7 +375,6 @@ class StreamSubgraphMiner:
                 workers=ingest_workers,
                 max_inflight=max_inflight,
                 on_batch_committed=on_batch_committed,
-                transport=self._transport,
                 policy=self._failure_policy,
                 events=self._events,
             )
@@ -409,7 +391,6 @@ class StreamSubgraphMiner:
         algorithm: Union[str, MiningAlgorithm] = "vertical_direct",
         batch_size: Optional[int] = None,
         on_slide: Optional[SlideSink] = None,
-        transport: str = "auto",
         failure_policy: Optional[FailurePolicy] = None,
     ) -> "StreamSubgraphMiner":
         """Rebuild a miner from a validated checkpoint.
@@ -439,7 +420,6 @@ class StreamSubgraphMiner:
             registry=checkpoint.registry,
             storage=store,
             on_slide=on_slide,
-            transport=transport,
             failure_policy=failure_policy,
         )
         miner._batches_consumed = checkpoint.batches_consumed
@@ -644,7 +624,6 @@ class StreamSubgraphMiner:
                 workers=workers,
                 registry=self._registry,
                 max_inflight=max_inflight,
-                transport=self._transport,
                 pool=self._ensure_pool(workers),
                 policy=self._failure_policy,
                 events=self._events,

@@ -1,6 +1,6 @@
 """Canonical, seeded, scalable benchmark workloads (DESIGN.md §11).
 
-The transport/scaling benchmarks need streams large enough that parallel
+The scaling benchmarks need streams large enough that parallel
 execution has something to win — millions of transactions, thousands of
 window slides — yet exactly reproducible across machines and runs.  This
 module names such streams: a :class:`WorkloadSpec` fixes every generator

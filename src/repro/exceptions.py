@@ -40,10 +40,6 @@ class DSMatrixError(StorageError):
     """Raised for DSMatrix-specific failures (bad boundaries, corrupt files)."""
 
 
-class SharedMemoryError(StorageError):
-    """Raised when a shared-memory segment block cannot be created or attached."""
-
-
 class DSTableError(StorageError):
     """Raised for DSTable-specific failures (broken pointer chains)."""
 

@@ -1,8 +1,7 @@
 """Seeded, deterministic fault injection (DESIGN.md §14).
 
 Production failure modes — a worker segfaulting on its Nth task, a
-straggling encode, a shared-memory attach refused under pressure, a disk
-returning ``EIO`` mid-append, a client hanging up mid-response — are rare
+straggling encode, a disk returning ``EIO`` mid-append, a client hanging up mid-response — are rare
 by construction, which makes the recovery code the least-tested code in
 the system.  This module makes them *injectable on demand and exactly
 reproducible*: a :class:`FaultPlan` names instrumented call sites and the
@@ -15,7 +14,7 @@ Spec grammar (``;``-separated specs, whitespace ignored)::
     SITE@AT[xTIMES][:ACTION][~DELAY]
 
     journal.write@2           raise at the 2nd hit of journal.write
-    shm.attach@1x3            raise at hits 1, 2 and 3
+    segment.write@1x3         raise at hits 1, 2 and 3
     mine.shard@2:crash        hard-kill the worker at its 2nd shard task
     ingest.encode@1:sleep~0.2 sleep 0.2s before the 1st encode returns
 
@@ -24,8 +23,8 @@ Spec grammar (``;``-separated specs, whitespace ignored)::
 
 ``raise``
     (default) raise the exception type the call site would see from the
-    real failure — ``OSError`` for disk writes, ``SharedMemoryError`` for
-    attach failures — so recovery code cannot tell injected from real.
+    real failure — ``OSError`` for disk writes — so recovery code cannot
+    tell injected from real.
 ``crash``
     ``os._exit(77)`` when running in a spawned worker process (surfaces
     to the coordinator as ``BrokenProcessPool``); raise
@@ -84,8 +83,6 @@ _ACTIONS = ("raise", "crash", "sleep")
 SITES = (
     "mine.shard",  # parallel/worker.run_mining_shard
     "ingest.encode",  # ingest/worker.encode_chunk
-    "shm.attach",  # storage/shm.read_shared_block
-    "shm.publish",  # storage/shm.publish_block
     "journal.write",  # history/journal.DiskJournal._persist
     "checkpoint.write",  # checkpoint/snapshot.CheckpointManager.seal
     "segment.write",  # ingest/coordinator.WindowCoordinator commit
@@ -278,10 +275,10 @@ def trip(site: str, exception: Type[BaseException] = RuntimeError) -> None:
     """Fault-injection point: fail here if the armed plan says so.
 
     ``exception`` is the type the call site would see from the *real*
-    failure (``OSError`` for disk writes, ``SharedMemoryError`` for
-    attaches); ``raise`` faults use it so recovery code downstream cannot
-    distinguish injected failures from genuine ones.  No-op (one dict
-    lookup) when no plan is armed or the site is not in the plan.
+    failure (``OSError`` for disk writes); ``raise`` faults use it so
+    recovery code downstream cannot distinguish injected failures from
+    genuine ones.  No-op (one dict lookup) when no plan is armed or the
+    site is not in the plan.
     """
     plan = active_plan()
     if plan is None:

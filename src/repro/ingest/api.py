@@ -19,7 +19,7 @@ import uuid
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.exceptions import IngestError, SharedMemoryError
+from repro.exceptions import IngestError
 from repro.graph.edge_registry import EdgeRegistry
 from repro.graph.graph import GraphSnapshot
 from repro.ingest.coordinator import WindowCoordinator
@@ -35,18 +35,9 @@ from repro.parallel.pool import effective_workers
 from repro.resilience import EventLog, FailurePolicy, ResilienceEvent
 from repro.storage.backend import WindowStore
 from repro.storage.dsmatrix import DSMatrix
-from repro.storage.shm import (
-    run_prefix,
-    shared_memory_available,
-    sweep_blocks,
-    unlink_block,
-)
 from repro.stream.batch import Batch
 
 MatrixLike = Union[DSMatrix, WindowStore]
-
-#: Accepted segment transports (mirrors :data:`repro.parallel.api.TRANSPORTS`).
-TRANSPORTS = ("auto", "shm", "pickle")
 
 
 @dataclass(frozen=True)
@@ -64,8 +55,6 @@ class IngestReport:
     max_inflight: int = 1
     #: High-water mark of submitted-but-uncommitted chunks actually seen.
     peak_inflight: int = 0
-    #: How worker results travelled back: ``"shm"`` or ``"pickle"``.
-    transport: str = "pickle"
     #: Recovery decisions made during this run (DESIGN.md §14); empty on
     #: a fault-free run.
     resilience_events: Tuple[ResilienceEvent, ...] = ()
@@ -77,7 +66,7 @@ class IngestReport:
 
     @property
     def degradations(self) -> int:
-        """Ladder steps (pool/transport degradations) during this run."""
+        """Ladder steps (pool degradations) during this run."""
         return sum(1 for e in self.resilience_events if e.kind == "degrade")
 
 
@@ -85,37 +74,19 @@ def _store_of(matrix: MatrixLike) -> WindowStore:
     return matrix.store if isinstance(matrix, DSMatrix) else matrix
 
 
-def _discard_outcome(outcome: object) -> None:
-    """Unlink the shm block of an encoded chunk that will never commit.
-
-    Recovery (pool respawns, straggler speculation, aborts) drops
-    completed outcomes whose tasks are re-executed or abandoned; without
-    this their published blocks would strand in ``/dev/shm`` until
-    process exit.
-    """
-    name = getattr(outcome, "shm_name", None)
-    if name is not None:
-        try:
-            unlink_block(name)
-        except SharedMemoryError:  # already gone (e.g. the faulted attach)
-            pass
-
-
 def ingest_transactions(
     store: MatrixLike,
     transactions: Iterable[Sequence[str]],
     batch_size: int,
     workers: int = 0,
-    chunk_batches: int = 1,
     drop_last: bool = False,
     max_inflight: Optional[int] = None,
     on_batch_committed: Optional[Callable[[], None]] = None,
-    transport: str = "auto",
     policy: Optional[FailurePolicy] = None,
     events: Optional[EventLog] = None,
 ) -> IngestReport:
     """Batch, count and commit raw transactions through ingest workers."""
-    planner = IngestPlanner(batch_size, chunk_batches=chunk_batches)
+    planner = IngestPlanner(batch_size)
     chunks = planner.plan_units(transactions, drop_last=drop_last)
     return _run(
         store,
@@ -124,7 +95,6 @@ def ingest_transactions(
         workers=workers,
         max_inflight=max_inflight,
         on_batch_committed=on_batch_committed,
-        transport=transport,
         policy=policy,
         events=events,
     )
@@ -137,10 +107,8 @@ def ingest_snapshots(
     registry: EdgeRegistry,
     workers: int = 0,
     register_new_edges: bool = True,
-    chunk_batches: int = 1,
     max_inflight: Optional[int] = None,
     on_batch_committed: Optional[Callable[[], None]] = None,
-    transport: str = "auto",
     policy: Optional[FailurePolicy] = None,
     events: Optional[EventLog] = None,
 ) -> IngestReport:
@@ -150,7 +118,7 @@ def ingest_snapshots(
     at ingest start are merged back by the coordinator in stream order,
     reproducing exactly the symbols sequential encoding assigns.
     """
-    planner = IngestPlanner(batch_size, chunk_batches=chunk_batches)
+    planner = IngestPlanner(batch_size)
     chunks = planner.plan_units(snapshots)
     return _run(
         store,
@@ -161,7 +129,6 @@ def ingest_snapshots(
         register_new_edges=register_new_edges,
         max_inflight=max_inflight,
         on_batch_committed=on_batch_committed,
-        transport=transport,
         policy=policy,
         events=events,
     )
@@ -171,10 +138,8 @@ def ingest_batches(
     store: MatrixLike,
     batches: Iterable[Batch],
     workers: int = 0,
-    chunk_batches: int = 1,
     max_inflight: Optional[int] = None,
     on_batch_committed: Optional[Callable[[], None]] = None,
-    transport: str = "auto",
     policy: Optional[FailurePolicy] = None,
     events: Optional[EventLog] = None,
 ) -> IngestReport:
@@ -183,7 +148,7 @@ def ingest_batches(
     The caller's batch boundaries are preserved exactly; workers do the
     per-batch bit-pattern materialisation and serialisation.
     """
-    planner = IngestPlanner(batch_size=1, chunk_batches=chunk_batches)
+    planner = IngestPlanner(batch_size=1)
     chunks = planner.plan_batches(batches)
     return _run(
         store,
@@ -192,7 +157,6 @@ def ingest_batches(
         workers=workers,
         max_inflight=max_inflight,
         on_batch_committed=on_batch_committed,
-        transport=transport,
         policy=policy,
         events=events,
     )
@@ -207,7 +171,6 @@ def _run(
     register_new_edges: bool = True,
     max_inflight: Optional[int] = None,
     on_batch_committed: Optional[Callable[[], None]] = None,
-    transport: str = "auto",
     policy: Optional[FailurePolicy] = None,
     events: Optional[EventLog] = None,
 ) -> IngestReport:
@@ -223,10 +186,7 @@ def _run(
 
     Single-chunk plans (and ``workers=0``) run in-process — the pool-skip
     heuristic of DESIGN.md §11; the committed window is byte-identical
-    either way.  ``transport`` chooses how encoded payloads travel back
-    from real worker processes: ``"auto"`` ships them through per-chunk
-    shared-memory blocks when the host supports it, ``"shm"`` demands
-    that, ``"pickle"`` forces the original copy-back path.
+    either way.
     """
     if workers < 0:
         raise IngestError(f"ingest workers must be non-negative, got {workers}")
@@ -234,23 +194,10 @@ def _run(
         # Same contract as the executor's own check, surfaced as the
         # ingestion API's exception type like the workers validation above.
         raise IngestError(f"max_inflight must be at least 1, got {max_inflight}")
-    if transport not in TRANSPORTS:
-        raise IngestError(
-            f"unknown transport {transport!r}; expected one of {TRANSPORTS}"
-        )
     effective = effective_workers(workers, len(chunks))
-    if transport == "shm" and not shared_memory_available():
-        raise IngestError(
-            "transport='shm' requested but shared memory is unavailable "
-            "on this host"
-        )
-    use_shm = (
-        transport != "pickle" and effective >= 1 and shared_memory_available()
-    )
     window = _store_of(store)
     base_segment_id = window.next_segment_id
     context = uuid.uuid4().hex
-    shm_prefix = run_prefix() if use_shm else ""
     tasks = [
         IngestChunkTask(
             chunk_id=chunk.chunk_id,
@@ -259,7 +206,6 @@ def _run(
             batches=chunk.batches,
             context=context,
             register_new_edges=register_new_edges,
-            shm_prefix=shm_prefix,
         )
         for chunk in chunks
     ]
@@ -279,7 +225,6 @@ def _run(
         max_inflight=max_inflight,
         policy=policy,
         events=events,
-        on_discard=_discard_outcome,
     )
     try:
         # The registry snapshot ships once per worker via the pool
@@ -294,13 +239,6 @@ def _run(
     finally:
         # In-process runs installed the snapshot in *this* process; drop it.
         clear_ingest_worker(context)
-        if shm_prefix:
-            # The pool has shut down, so nothing publishes under the run
-            # prefix any more.  Committed and discarded chunks unlinked
-            # their blocks already; what is left was published by a task
-            # whose result was lost with a broken pool (its name never
-            # arrived) — only the prefix can reach it.
-            sweep_blocks(shm_prefix)
     return IngestReport(
         batches=coordinator.batches_committed,
         columns=coordinator.columns_committed,
@@ -311,6 +249,5 @@ def _run(
         execution_mode=stats.execution_mode,
         max_inflight=executor.max_inflight,
         peak_inflight=stats.peak_inflight,
-        transport="shm" if use_shm else "pickle",
         resilience_events=events.since(events_start),
     )

@@ -23,11 +23,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional, Tuple
 
 from repro import faults
-from repro.exceptions import (
-    EdgeRegistryError,
-    IngestError,
-    SharedMemoryError,
-)
+from repro.exceptions import EdgeRegistryError, IngestError
 from repro.graph.edge import Edge
 from repro.graph.edge_registry import EdgeRegistry
 from repro.ingest.worker import (
@@ -39,7 +35,6 @@ from repro.ingest.worker import (
 from repro.resilience import EventLog, FailurePolicy, retry_io
 from repro.storage.backend import WindowStore
 from repro.storage.segments import Segment
-from repro.storage.shm import read_shared_block, unlink_block
 
 
 class WindowCoordinator:
@@ -67,9 +62,8 @@ class WindowCoordinator:
         regardless of worker count or in-flight bound.
     policy / events:
         The failure policy and shared resilience event log (DESIGN.md
-        §14): segment appends and shared-memory draft reads are retried
-        under ``policy.io_retries`` with each retry recorded on
-        ``events``.
+        §14): segment appends are retried under ``policy.io_retries``
+        with each retry recorded on ``events``.
     """
 
     def __init__(
@@ -119,35 +113,28 @@ class WindowCoordinator:
                 f"expected chunk {self._next_chunk_id}"
             )
         mapping = self._merge_new_edges(outcome.new_edges)
-        try:
-            for draft in outcome.drafts:
-                segment, payload = self._materialise(outcome.chunk_id, draft, mapping)
+        for draft in outcome.drafts:
+            segment, payload = self._materialise(outcome.chunk_id, draft, mapping)
 
-                def _append(
-                    segment: Segment = segment, payload: Optional[bytes] = payload
-                ) -> int:
-                    # Disk appends rewrite the segment file keyed by its
-                    # id and only then update the manifest, so a retried
-                    # append after a failed write is idempotent.
-                    faults.trip("segment.write", OSError)
-                    return self._store.append_segment(segment, payload=payload)
+            def _append(
+                segment: Segment = segment, payload: Optional[bytes] = payload
+            ) -> int:
+                # Disk appends rewrite the segment file keyed by its id
+                # and only then update the manifest, so a retried append
+                # after a failed write is idempotent.
+                faults.trip("segment.write", OSError)
+                return self._store.append_segment(segment, payload=payload)
 
-                self.columns_evicted += retry_io(
-                    _append,
-                    site="segment.write",
-                    policy=self._policy,
-                    events=self._events,
-                )
-                self.batches_committed += 1
-                self.columns_committed += draft.num_columns
-                if self._on_batch_committed is not None:
-                    self._on_batch_committed()
-        finally:
-            # The chunk's shared-memory block (when the worker used one)
-            # is consumed by this commit — unlink it even when a commit
-            # step fails, so aborted runs do not strand /dev/shm blocks.
-            if outcome.shm_name is not None:
-                unlink_block(outcome.shm_name)
+            self.columns_evicted += retry_io(
+                _append,
+                site="segment.write",
+                policy=self._policy,
+                events=self._events,
+            )
+            self.batches_committed += 1
+            self.columns_committed += draft.num_columns
+            if self._on_batch_committed is not None:
+                self._on_batch_committed()
         self._next_chunk_id += 1
 
     def _materialise(
@@ -159,28 +146,6 @@ class WindowCoordinator:
         """One draft → the segment to append plus its verbatim payload."""
         rows = draft.rows
         payload = draft.payload
-        if draft.shm is not None:
-            name, offset, size = draft.shm
-            # A failed attach of a still-linked block (shm pressure, an
-            # injected fault) is worth retrying: the draft's payload
-            # exists nowhere else, so giving up means failing the run.
-            payload = retry_io(
-                lambda: read_shared_block(name, offset, size),
-                site="shm.attach",
-                policy=self._policy,
-                events=self._events,
-                exceptions=(SharedMemoryError, OSError),
-            )
-        if rows is None:
-            # Payload-only transport shapes: the serialisation is the
-            # single source of truth; decoding it rebuilds the rows and
-            # seeds the segment's payload cache with the exact bytes.
-            if payload is None:
-                raise IngestError(
-                    f"chunk {chunk_id} shipped a draft with neither rows "
-                    "nor a payload"
-                )
-            return Segment.from_bytes(payload), payload
         if any(is_provisional(item) for item in rows):
             rows = {mapping.get(item, item): bits for item, bits in rows.items()}
             payload = None

@@ -3,10 +3,11 @@
 The :class:`IngestPlanner` turns a stream of raw *units* — unencoded
 transactions or graph snapshots — into **batch-aligned chunks**
 (DESIGN.md §5).  A chunk is the task shipped to one ingestion worker: it
-carries whole batches only (batches are the atom of window sliding and of
-segment persistence, so they are never split across workers), and the plan
-is a deterministic function of the input order, the batch size and the
-chunk size — never of the worker count or scheduling.  The coordinator
+carries exactly one whole batch (batches are the atom of window sliding and
+of segment persistence, so they are never split across workers, and one
+batch per task keeps the tasks maximally balanced), and the plan is a
+deterministic function of the input order and the batch size — never of
+the worker count or scheduling.  The coordinator
 commits chunk results back in ``chunk_id`` order, which is what makes
 ``workers=0`` byte-identical to the sequential append path.
 """
@@ -26,10 +27,11 @@ RawUnit = Union[Sequence[str], GraphSnapshot]
 
 @dataclass(frozen=True)
 class IngestChunk:
-    """A contiguous, batch-aligned run of raw stream units.
+    """One whole batch of raw stream units: the unit of ingest work.
 
-    ``first_batch_index`` is the 0-based position of the chunk's first
-    batch within this ingest run, so the worker can be told the final
+    ``batches`` holds the chunk's single batch (the tuple shape is the one
+    a worker task carries).  ``first_batch_index`` is the 0-based position
+    of that batch within this ingest run, so the worker can be told the final
     segment ids its batches will receive (``base_segment_id`` =
     the store's next id + ``first_batch_index``).
     """
@@ -57,31 +59,17 @@ class IngestPlanner:
     batch_size:
         Number of raw units per batch (ignored by :meth:`plan_batches`,
         where the caller already fixed the batch boundaries).
-    chunk_batches:
-        Number of whole batches per worker chunk.  ``1`` (the default)
-        yields maximally balanced tasks; larger values amortise per-task
-        shipping overhead for small batches.
     """
 
-    def __init__(self, batch_size: int, chunk_batches: int = 1) -> None:
+    def __init__(self, batch_size: int) -> None:
         if batch_size <= 0:
             raise IngestError(f"batch_size must be positive, got {batch_size}")
-        if chunk_batches <= 0:
-            raise IngestError(
-                f"chunk_batches must be positive, got {chunk_batches}"
-            )
         self._batch_size = batch_size
-        self._chunk_batches = chunk_batches
 
     @property
     def batch_size(self) -> int:
         """Raw units per batch."""
         return self._batch_size
-
-    @property
-    def chunk_batches(self) -> int:
-        """Whole batches per worker chunk."""
-        return self._chunk_batches
 
     def plan_units(
         self, units: Iterable[RawUnit], drop_last: bool = False
@@ -103,8 +91,7 @@ class IngestPlanner:
     def plan_batches(self, batches: Iterable[Batch]) -> List[IngestChunk]:
         """Chunk ready-made :class:`~repro.stream.batch.Batch` objects.
 
-        The caller's batch boundaries are preserved exactly; only the
-        grouping into worker chunks is decided here.
+        The caller's batch boundaries are preserved exactly.
         """
         payloads: List[Tuple[RawUnit, ...]] = []
         for batch in batches:
@@ -118,13 +105,7 @@ class IngestPlanner:
     def _chunk(
         self, batches: Sequence[Tuple[RawUnit, ...]]
     ) -> List[IngestChunk]:
-        chunks: List[IngestChunk] = []
-        for start in range(0, len(batches), self._chunk_batches):
-            chunks.append(
-                IngestChunk(
-                    chunk_id=len(chunks),
-                    first_batch_index=start,
-                    batches=tuple(batches[start : start + self._chunk_batches]),
-                )
-            )
-        return chunks
+        return [
+            IngestChunk(chunk_id=index, first_batch_index=index, batches=(batch,))
+            for index, batch in enumerate(batches)
+        ]

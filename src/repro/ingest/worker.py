@@ -26,13 +26,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, cast
 
 from repro import faults
-from repro.exceptions import EdgeRegistryError, IngestError, SharedMemoryError
+from repro.exceptions import EdgeRegistryError, IngestError
 from repro.graph.edge import Edge
 from repro.graph.edge_registry import EdgeRegistry
 from repro.graph.graph import GraphSnapshot
 from repro.ingest.planner import RawUnit
 from repro.storage.segments import Segment, rows_from_transactions
-from repro.storage.shm import publish_block
 
 #: Prefix of provisional item symbols; ``"\x00"`` cannot start a real
 #: symbol (registry symbols are ``a..z`` / ``e<N>`` or caller-supplied
@@ -69,11 +68,6 @@ class IngestChunkTask:
     ``context`` names the registry snapshot installed by
     :func:`initialize_ingest_worker`; ``registry``/``register_new_edges``
     may be set instead for direct single-task invocation (tests, tools).
-    A non-empty ``shm_prefix`` asks the worker to ship final payloads
-    through one shared-memory block per chunk (DESIGN.md §11), named under
-    that run prefix, instead of pickling them back; the coordinator
-    unlinks the block after committing, and the run sweeps the prefix at
-    its end for blocks whose results never arrived.
     """
 
     chunk_id: int
@@ -83,30 +77,21 @@ class IngestChunkTask:
     context: str = ""
     registry: Optional[EdgeRegistry] = None
     register_new_edges: bool = True
-    shm_prefix: str = ""
 
 
 @dataclass(frozen=True)
 class SegmentDraft:
-    """A worker-materialised batch, in one of three transport shapes.
+    """A worker-materialised batch: its per-item rows, possibly provisional.
 
-    * ``rows`` set (possibly with provisional symbols the coordinator
-      remaps) — the original shape; ``payload`` is additionally set when
-      every row key is final, so the coordinator can persist the bytes
-      verbatim.
-    * ``rows=None`` with ``payload`` — a final batch shipped as its exact
-      serialisation only (the rows are rebuilt from the bytes); pickling
-      the rows *and* the payload would copy the batch twice.
-    * ``rows=None`` with ``shm`` — a final batch whose serialisation
-      lives at ``(name, offset, size)`` inside the chunk's shared-memory
-      block; nothing but the span crosses the process boundary.
+    ``rows`` may carry provisional symbols the coordinator remaps;
+    ``payload`` is additionally set when every row key is final, so the
+    coordinator can persist the serialised bytes verbatim.
     """
 
     segment_id: int
     num_columns: int
-    rows: Optional[Dict[str, int]] = None
+    rows: Dict[str, int]
     payload: Optional[bytes] = None
-    shm: Optional[Tuple[str, int, int]] = None
 
 
 @dataclass(frozen=True)
@@ -116,14 +101,11 @@ class ChunkOutcome:
     ``new_edges`` lists the edges unknown to the worker's registry
     snapshot in first-occurrence order — the order the coordinator must
     register them in to reproduce sequential symbol assignment.
-    ``shm_name`` names the chunk's shared-memory block when the drafts
-    were shipped through one; the coordinator owns unlinking it.
     """
 
     chunk_id: int
     drafts: Tuple[SegmentDraft, ...]
     new_edges: Tuple[Edge, ...] = ()
-    shm_name: Optional[str] = None
 
 
 def initialize_ingest_worker(
@@ -210,46 +192,9 @@ def encode_chunk(task: IngestChunkTask) -> ChunkOutcome:
             )
         )
         segment_id += 1
-    shm_name: Optional[str] = None
-    if task.shm_prefix:
-        drafts, shm_name = _ship_via_shared_memory(drafts, task.shm_prefix)
     return ChunkOutcome(
         chunk_id=task.chunk_id,
         drafts=tuple(drafts),
         new_edges=tuple(new_edges),
-        shm_name=shm_name,
     )
 
-
-def _ship_via_shared_memory(
-    drafts: List[SegmentDraft], prefix: str
-) -> Tuple[List[SegmentDraft], Optional[str]]:
-    """Move the final drafts' payloads into one per-chunk shm block.
-
-    Drafts with provisional rows keep their row shape (the coordinator
-    must remap them anyway).  When the block cannot be created the drafts
-    are returned unchanged — payload pickling always works.
-    """
-    final = [draft for draft in drafts if draft.payload is not None]
-    if not final:
-        return drafts, None
-    try:
-        name, spans = publish_block(
-            [draft.payload for draft in final if draft.payload], prefix
-        )
-    except SharedMemoryError:
-        return drafts, None
-    spans_by_id = {
-        draft.segment_id: span for draft, span in zip(final, spans)
-    }
-    shipped = [
-        draft
-        if draft.payload is None
-        else SegmentDraft(
-            segment_id=draft.segment_id,
-            num_columns=draft.num_columns,
-            shm=(name, *spans_by_id[draft.segment_id]),
-        )
-        for draft in drafts
-    ]
-    return shipped, name

@@ -3,13 +3,11 @@
 Merging is where the determinism guarantee is enforced rather than hoped
 for: pattern shards must be disjoint except where two shards computed the
 same support for the same pattern (which cannot happen under min-item
-ownership, and raises if it does with a different support), and support
-counters simply add because segment shards cover disjoint column ranges.
+ownership, and raises if it does with a different support).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Dict, FrozenSet, Iterable, Mapping
 
 from repro.core.algorithms.base import MiningStats
@@ -53,14 +51,6 @@ def merge_pattern_counts(parts: Iterable[Mapping[Items, int]]) -> PatternCounts:
     merged: PatternCounts = {}
     for part in parts:
         merge_pattern_counts_into(merged, part)
-    return merged
-
-
-def merge_support_counts(parts: Iterable[Mapping[str, int]]) -> Counter:
-    """Add per-shard item support counters (disjoint column ranges)."""
-    merged: Counter = Counter()
-    for part in parts:
-        merged.update(part)
     return merged
 
 

@@ -1,9 +1,9 @@
 """The pipelined as-completed execution engine (DESIGN.md §9, §14).
 
-:class:`WorkerPool.map` is a barrier: every task result is materialised
-before the first one is consumed, so the coordinator sits idle while
-workers encode and peak memory grows with the *plan*, not with the
-*parallelism*.  The :class:`PipelineExecutor` replaces that barrier with
+A barrier map (``Executor.map`` collected into a list) materialises
+every task result before the first one is consumed, so the coordinator
+sits idle while workers encode and peak memory grows with the *plan*,
+not with the *parallelism*.  The :class:`PipelineExecutor` replaces that barrier with
 a credit-based producer/consumer pipeline:
 
 * at most ``max_inflight`` tasks are submitted-but-uncommitted at any
@@ -111,12 +111,6 @@ class PipelineExecutor:
         Shared :class:`~repro.resilience.EventLog` to record recovery
         decisions on (a private log is created when omitted; it is
         exposed as :attr:`events`).
-    on_discard:
-        Optional disposer for completed results that will never reach the
-        consumer — a respawn retries their tasks, a straggler's slow copy
-        is superseded, an abort drops the uncommitted tail.  Results may
-        own external resources (a chunk's shared-memory block); this hook
-        releases them so recovery never strands ``/dev/shm`` blocks.
     """
 
     def __init__(
@@ -126,7 +120,6 @@ class PipelineExecutor:
         pool: Optional[PersistentWorkerPool] = None,
         policy: Optional[FailurePolicy] = None,
         events: Optional[EventLog] = None,
-        on_discard: Optional[Callable[[object], None]] = None,
     ) -> None:
         if workers < 0:
             raise ParallelMiningError(
@@ -142,7 +135,6 @@ class PipelineExecutor:
         self._max_inflight = max_inflight
         self._pool = pool
         self._policy = policy if policy is not None else DEFAULT_POLICY
-        self._on_discard = on_discard
         #: Recovery decisions made by this executor's runs.
         self.events = events if events is not None else EventLog()
         #: Stats of the last :meth:`run` call.
@@ -177,8 +169,7 @@ class PipelineExecutor:
         granted in-flight credit, so an arbitrarily long plan never has
         more than ``max_inflight`` results resident at once.
         ``initializer``/``initargs`` run once per worker process (and once
-        in this process for the in-process mode) — the same hook
-        :class:`~repro.parallel.pool.WorkerPool` offers.
+        in this process for the in-process mode).
         """
         stats = PipelineStats()
         self.last_stats = stats
@@ -330,11 +321,9 @@ class PipelineExecutor:
                 if exhausted and not pending_tasks and not ready:
                     # Everything committed.  Superseded stragglers may
                     # still be running; their results are no longer
-                    # wanted (their eventual resources are released by a
-                    # done-callback when cancellation comes too late).
+                    # wanted.
                     for future in inflight:
-                        if not future.cancel():
-                            future.add_done_callback(self._discard_future)
+                        future.cancel()
                     break
                 if inflight:
                     done, _ = wait(
@@ -348,7 +337,6 @@ class PipelineExecutor:
                             # The speculative copy already produced this
                             # index's result; whatever the slow copy did
                             # (including raising) is discarded.
-                            self._discard_future(future)
                             continue
                         ready[index] = future.result()
                     if not done and self._policy.task_timeout_s is not None:
@@ -366,27 +354,11 @@ class PipelineExecutor:
         except BaseException:
             # A task (or the consumer) failed, or the pool broke: nothing
             # submitted after the failure may commit.  Cancel what has not
-            # started so shutdown does not drain a doomed queue, and
-            # release resources owned by results that will now never be
-            # consumed (a respawn re-executes their tasks from scratch).
+            # started so shutdown does not drain a doomed queue (a respawn
+            # re-executes the uncommitted tasks from scratch).
             for future in inflight:
-                if not future.cancel():
-                    future.add_done_callback(self._discard_future)
-            if self._on_discard is not None:
-                for result in ready.values():
-                    self._on_discard(result)
-                ready.clear()
+                future.cancel()
             raise
-
-    def _discard_future(self, future: "Future[Result]") -> None:
-        """Release the resources of a completed result nobody will consume."""
-        if self._on_discard is None or future.cancelled():
-            return
-        try:
-            result = future.result()
-        except BaseException:
-            return  # it raised or the pool died: nothing to release
-        self._on_discard(result)
 
     def _speculate(
         self,

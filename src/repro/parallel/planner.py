@@ -1,17 +1,11 @@
-"""Shard planning: how a window is partitioned for concurrent work.
+"""Shard planning: how a window's search space is partitioned (DESIGN.md §4).
 
-Two orthogonal partitions exist (DESIGN.md §4):
+**Item shards** partition the *search space* of the mining algorithms:
+every pattern is owned by its canonical minimum item, so partitioning the
+item universe partitions the set of patterns with no overlap.  Item
+shards are the unit of parallel mining.
 
-* **Segment shards** partition the window's *columns* along batch-aligned
-  segment boundaries.  Per-item support counts are additive across
-  disjoint column ranges, so segment shards are the unit of parallel
-  support counting (and, later, of sharded ingestion).
-* **Item shards** partition the *search space* of the mining algorithms:
-  every pattern is owned by its canonical minimum item, so partitioning
-  the item universe partitions the set of patterns with no overlap.  Item
-  shards are the unit of parallel mining.
-
-Both plans are deterministic functions of the window state and the shard
+The plan is a deterministic function of the window state and the shard
 count, which is what makes ``workers=0`` (in-process execution of the same
 plan) byte-identical to a pool run.
 """
@@ -19,28 +13,9 @@ plan) byte-identical to a pool run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.exceptions import ParallelMiningError
-from repro.storage.segments import SegmentHandle
-
-
-@dataclass(frozen=True)
-class SegmentShard:
-    """A contiguous, batch-aligned run of window columns.
-
-    ``column_offset`` is the window column of the shard's first segment, so
-    per-shard bit patterns can be shifted back into window coordinates.
-    """
-
-    shard_id: int
-    handles: Tuple[SegmentHandle, ...]
-    column_offset: int
-
-    @property
-    def num_columns(self) -> int:
-        """Transaction columns covered by this shard."""
-        return sum(handle.num_columns for handle in self.handles)
 
 
 @dataclass(frozen=True)
@@ -72,52 +47,6 @@ class ShardPlanner:
     def num_shards(self) -> int:
         """The configured shard-count upper bound."""
         return self._num_shards
-
-    def plan_segments(
-        self, handles: Iterable[SegmentHandle]
-    ) -> List[SegmentShard]:
-        """Split the window's segments into contiguous column-balanced runs.
-
-        Shards are balanced by column count using cumulative targets: shard
-        ``i`` ends at the first segment whose cumulative column count
-        reaches ``(i + 1) / n`` of the window.  Segments are never split —
-        they are the atom of storage and of this partition.
-        """
-        ordered = list(handles)
-        if not ordered:
-            return []
-        count = min(self._num_shards, len(ordered))
-        total = sum(handle.num_columns for handle in ordered)
-        shards: List[SegmentShard] = []
-        current: List[SegmentHandle] = []
-        consumed = 0
-        shard_start = 0
-        for index, handle in enumerate(ordered):
-            current.append(handle)
-            consumed += handle.num_columns
-            remaining_segments = len(ordered) - index - 1
-            remaining_shards = count - len(shards) - 1
-            close = (
-                remaining_segments == 0
-                # Just enough segments left to give each later shard one:
-                or remaining_segments == remaining_shards
-                # Cumulative column target of this shard reached:
-                or (
-                    remaining_shards > 0
-                    and consumed * count >= total * (len(shards) + 1)
-                )
-            )
-            if close:
-                shards.append(
-                    SegmentShard(
-                        shard_id=len(shards),
-                        handles=tuple(current),
-                        column_offset=shard_start,
-                    )
-                )
-                shard_start = consumed
-                current = []
-        return shards
 
     def plan_items(self, items: Sequence[str]) -> List[ItemShard]:
         """Partition the item universe round-robin in canonical order.

@@ -1,43 +1,22 @@
-"""The worker-pool executor with a deterministic in-process fallback.
+"""Process pools for the pipelined executor (DESIGN.md §9, §11).
 
-``WorkerPool(0)`` runs every task in the calling process, in task order —
-the reference execution mode: because shard plans are deterministic and
-shard results are merged in shard order, a pool run is byte-identical to
-the in-process run, which is what the parity suite asserts.
-
-``WorkerPool(n)`` for ``n >= 1`` executes tasks on a
-:class:`concurrent.futures.ProcessPoolExecutor`.  ``Executor.map`` returns
-results in submission order, so the merge order (and therefore the merged
-result) does not depend on worker scheduling.  Environments where process
-pools cannot work at all (restricted sandboxes, missing ``/dev/shm``) are
-detected once with a cheap probe and degrade to in-process execution;
-exceptions raised by the *tasks* themselves always propagate unchanged —
-they never trigger a fallback re-run.
-
-Broken pool infrastructure mid-map (an OOM-killed worker) is handled by
-the unified failure policy (DESIGN.md §14): the map is retried on a fresh
-pool up to ``policy.max_retries`` times with backoff before degrading to
-the deterministic in-process mode, and each decision is recorded on the
-pool's :class:`~repro.resilience.EventLog`.
+:class:`PersistentWorkerPool` keeps one ``ProcessPoolExecutor`` alive
+across runs, so a miner that mines every window slide pays the process
+spawn once per watch instead of once per slide.
+:func:`process_pools_available` detects — once, with a cheap probe —
+environments where process pools cannot work at all (restricted
+sandboxes), which then run every plan in-process; and
+:func:`effective_workers` is the pool-skip heuristic that keeps
+single-task plans off the pool entirely.  Either way the answer is
+byte-identical: only *where* the work runs changes.
 """
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Iterable, List, Optional, Tuple, TypeVar
+from typing import Optional
 
 from repro.exceptions import ParallelMiningError
-from repro.resilience import (
-    DEFAULT_POLICY,
-    EventLog,
-    FailurePolicy,
-    call_with_crash_retry,
-)
-
-Task = TypeVar("Task")
-Result = TypeVar("Result")
 
 #: Cached result of the one-time pool-viability probe (None = not probed).
 _POOLS_AVAILABLE: Optional[bool] = None
@@ -77,127 +56,6 @@ def process_pools_available() -> bool:
         except Exception:  # noqa: BLE001 - any failure means "no pools here"
             _POOLS_AVAILABLE = False
     return _POOLS_AVAILABLE
-
-
-class WorkerPool:
-    """Map picklable tasks over worker processes (or in-process for 0).
-
-    Parameters
-    ----------
-    workers:
-        ``0`` — run tasks sequentially in this process (deterministic
-        reference mode); ``n >= 1`` — use a process pool with ``n``
-        workers.
-    policy:
-        The :class:`~repro.resilience.FailurePolicy` governing broken-pool
-        retries (defaults to :data:`~repro.resilience.DEFAULT_POLICY`).
-    events:
-        Shared :class:`~repro.resilience.EventLog` for recovery decisions
-        (a private log is created when omitted; exposed as :attr:`events`).
-    """
-
-    def __init__(
-        self,
-        workers: int,
-        policy: Optional[FailurePolicy] = None,
-        events: Optional[EventLog] = None,
-    ) -> None:
-        if workers < 0:
-            raise ParallelMiningError(
-                f"workers must be non-negative, got {workers}"
-            )
-        self._workers = workers
-        self._policy = policy if policy is not None else DEFAULT_POLICY
-        #: Recovery decisions made by this pool's maps.
-        self.events = events if events is not None else EventLog()
-        #: How the last :meth:`map` call actually executed (``"in-process"``
-        #: or ``"pool"``); useful for tests and diagnostics.
-        self.last_execution_mode: str = "in-process"
-
-    @property
-    def workers(self) -> int:
-        """The configured worker count (0 = in-process)."""
-        return self._workers
-
-    def map(
-        self,
-        fn: Callable[[Task], Result],
-        tasks: Iterable[Task],
-        initializer: Optional[Callable[..., None]] = None,
-        initargs: Tuple = (),
-    ) -> List[Result]:
-        """Apply ``fn`` to every task, returning results in task order.
-
-        ``initializer``/``initargs`` run once per worker process before any
-        task (and once in this process for the in-process mode) — the hook
-        the mining API uses to ship the window a single time per worker
-        instead of once per shard task.
-
-        ``workers >= 1`` always uses a real pool (even for one task), so a
-        one-worker run honestly measures pool spawn and transfer overhead.
-        The high-level mining/ingest APIs apply the pool-skip heuristic
-        (DESIGN.md §11) *before* reaching an executor, so this honesty
-        contract only binds direct users of this class.
-        """
-        materialised = list(tasks)
-        if (
-            self._workers == 0
-            or not materialised
-            or not process_pools_available()
-        ):
-            return self._run_in_process(fn, materialised, initializer, initargs)
-        respawns = 0
-        while True:
-            try:
-                with ProcessPoolExecutor(
-                    max_workers=min(self._workers, len(materialised)),
-                    initializer=initializer,
-                    initargs=initargs,
-                ) as executor:
-                    results = list(executor.map(fn, materialised))
-                self.last_execution_mode = "pool"
-                return results
-            except BrokenProcessPool:
-                # Pool infrastructure died mid-run (e.g. an OOM-killed
-                # worker).  Retry the map on a fresh pool under the policy
-                # before degrading to in-process execution.  Task
-                # exceptions are NOT caught here — they propagate from
-                # executor.map as themselves.
-                if respawns >= self._policy.max_retries:
-                    self.events.record(
-                        "degrade",
-                        "pool",
-                        attempt=respawns,
-                        detail="pool -> in-process (respawn budget exhausted)",
-                    )
-                    return self._run_in_process(
-                        fn, materialised, initializer, initargs
-                    )
-                respawns += 1
-                self.events.record(
-                    "respawn",
-                    "pool",
-                    attempt=respawns,
-                    detail=f"retrying {len(materialised)} task(s) on a fresh pool",
-                )
-                delay = self._policy.delay_s(respawns - 1)
-                if delay:
-                    time.sleep(delay)
-
-    def _run_in_process(
-        self,
-        fn: Callable[[Task], Result],
-        tasks: List[Task],
-        initializer: Optional[Callable[..., None]],
-        initargs: Tuple,
-    ) -> List[Result]:
-        self.last_execution_mode = "in-process"
-        if initializer is not None:
-            initializer(*initargs)
-        return [
-            call_with_crash_retry(fn, task, self._policy, self.events)
-            for task in tasks
-        ]
 
 
 class PersistentWorkerPool:

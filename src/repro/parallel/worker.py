@@ -18,7 +18,6 @@ work under every multiprocessing start method.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, FrozenSet, Optional, Tuple
@@ -27,7 +26,6 @@ from repro import faults
 from repro.core.algorithms import get_algorithm
 from repro.exceptions import DSMatrixError
 from repro.graph.edge_registry import EdgeRegistry
-from repro.parallel.planner import SegmentShard
 from repro.storage.backend import (
     MANIFEST_NAME,
     DiskWindowStore,
@@ -175,15 +173,3 @@ def run_mining_shard(task: MiningShardTask) -> ShardOutcome:
         stats=algorithm.stats.as_dict(),
     )
 
-
-def count_segment_shard(shard: SegmentShard) -> Dict[str, int]:
-    """Worker entry point: per-item support counts of one column range.
-
-    Supports are additive over disjoint column ranges, so summing the
-    returned counters across all shards of a segment plan reproduces the
-    window-wide ``item_frequencies`` exactly.
-    """
-    counts: Counter = Counter()
-    for handle in shard.handles:
-        counts.update(handle.load_counts())
-    return dict(counts)

@@ -2,8 +2,8 @@
 
 Before this module, recovery behaviour was scattered and inconsistent:
 the pipeline degraded a whole uncommitted suffix to in-process execution
-on the first ``BrokenProcessPool``, the transport fell back from shared
-memory to pickling silently, and disk-write errors simply propagated.
+on the first ``BrokenProcessPool`` and disk-write errors simply
+propagated.
 :class:`FailurePolicy` centralises the knobs — how many times to retry, how
 long to back off (exponential, capped, with *seeded* jitter so chaos runs
 are reproducible), when a task counts as a straggler — and
@@ -13,11 +13,12 @@ supervisor's JSON event stream can surface what actually happened.
 
 The degradation ladder is explicit and ordered::
 
-    shm  →  pickle  →  in-process
+    pool  →  in-process
 
 Each rung trades performance for independence from a failing mechanism:
-shared-memory transport needs ``/dev/shm``, pickled transport needs only
-a working pool, in-process execution needs nothing but this interpreter.
+the pool needs working worker processes (a broken one is first respawned
+under the retry budget), in-process execution needs nothing but this
+interpreter.
 Every rung computes byte-identical results — degradation changes *where*
 work runs, never the answer — which is what the chaos parity suite
 asserts.
@@ -29,7 +30,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Type, TypeVar
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
 from repro.exceptions import InjectedWorkerCrash, ResilienceError
 
@@ -47,7 +48,7 @@ T = TypeVar("T")
 
 #: The explicit degradation ladder (fastest first).  Runs start on the
 #: highest rung their configuration allows and only ever step down.
-DEGRADATION_LADDER: Tuple[str, ...] = ("shm", "pickle", "in-process")
+DEGRADATION_LADDER: Tuple[str, ...] = ("pool", "in-process")
 
 #: Event kinds recorded by the recovery layers.
 EVENT_KINDS = ("retry", "respawn", "degrade", "timeout", "skip", "drop")
@@ -78,7 +79,7 @@ class FailurePolicy:
         (the slow copy's result is discarded).  ``None`` disables it.
     io_retries / io_backoff_s:
         Retry budget and backoff base for single I/O operations (journal
-        appends, segment writes, shm attaches) — cheaper and tighter than
+        appends, segment writes) — cheaper and tighter than
         task-level retries.
     """
 
@@ -265,13 +266,12 @@ def retry_io(
     site: str,
     policy: Optional[FailurePolicy] = None,
     events: Optional[EventLog] = None,
-    exceptions: Tuple[Type[BaseException], ...] = (OSError,),
     reset: Optional[Callable[[], None]] = None,
     sleep: Callable[[float], None] = time.sleep,
 ) -> T:
     """Run a single I/O operation under the policy's I/O retry budget.
 
-    On failure: record a ``retry`` event, run the optional ``reset`` hook
+    On an ``OSError``: record a ``retry`` event, run the optional ``reset`` hook
     (undo partial effects — e.g. truncate a half-appended file), back off,
     and call ``fn`` again.  After ``policy.io_retries`` retries the last
     exception propagates unchanged.
@@ -282,7 +282,7 @@ def retry_io(
     while True:
         try:
             return fn()
-        except exceptions as exc:
+        except OSError as exc:
             if attempt >= policy.io_retries:
                 raise
             if events is not None:

@@ -13,32 +13,9 @@ Bit position 0 is the *first* (oldest) transaction column of the window.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Union
+from typing import Iterable, Iterator, List
 
 from repro.exceptions import StorageError
-
-#: Bytes converted per chunk by :func:`popcount_bytes`.  One
-#: ``int.from_bytes`` + ``int.bit_count`` pair per 64 KiB keeps the whole
-#: loop in C for large blocks while bounding the size of the temporary
-#: integers.
-POPCOUNT_STRIDE = 1 << 16
-
-
-def popcount_bytes(data: Union[bytes, bytearray, memoryview]) -> int:
-    """Total number of set bits in a contiguous byte block.
-
-    This is the bulk support-counting kernel (DESIGN.md §11): instead of
-    materialising one Python integer per matrix row and popcounting each,
-    whole row blocks are converted in ``POPCOUNT_STRIDE``-byte chunks and
-    counted with a single ``int.bit_count`` per chunk — byte order is
-    irrelevant to a popcount, so the chunks need no alignment with the
-    row boundaries.
-    """
-    view = memoryview(data)
-    total = 0
-    for start in range(0, len(view), POPCOUNT_STRIDE):
-        total += int.from_bytes(view[start : start + POPCOUNT_STRIDE], "little").bit_count()
-    return total
 
 
 class BitVector:

@@ -37,7 +37,6 @@ from typing import (
 )
 
 from repro.exceptions import DSMatrixError
-from repro.storage.bitvector import popcount_bytes
 from repro.stream.batch import Batch, Transaction
 
 #: Magic prefix of a serialised segment file.
@@ -320,33 +319,6 @@ def read_segment_row(
     return bits, header["num_columns"]
 
 
-def segment_counts_from_bytes(data: Union[bytes, memoryview]) -> Dict[str, int]:
-    """Per-item occurrence counts straight from a serialised segment.
-
-    The support-counting fast path (DESIGN.md §11): each row is popcounted
-    from its byte slice with the bulk kernel instead of being materialised
-    as a Python integer first — parsing the header is the only per-segment
-    work that is not a popcount.  Equals ``Segment.from_bytes(data).item_counts()``.
-    """
-    view = memoryview(data)
-    if bytes(view[:4]) != SEGMENT_MAGIC:
-        raise DSMatrixError("<bytes> is not a segment file (bad magic)")
-    header_len = int.from_bytes(view[4:8], "little")
-    try:
-        header = json.loads(bytes(view[8 : 8 + header_len]).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DSMatrixError("corrupt segment header in <bytes>") from exc
-    offset = 8 + header_len
-    stride = header["stride"]
-    counts: Dict[str, int] = {}
-    for index, item in enumerate(header["items"]):
-        start = offset + index * stride
-        count = popcount_bytes(view[start : start + stride])
-        if count:
-            counts[item] = count
-    return counts
-
-
 # ---------------------------------------------------------------------- #
 # cheap cross-process references to segments
 # ---------------------------------------------------------------------- #
@@ -359,30 +331,20 @@ class SegmentHandle:
     (disk backend) costs a file name to transfer and the worker reads the
     segment file independently; a payload-based handle (in-memory backend)
     carries the segment's serialised bytes, which is still O(batch) and
-    free of any live object graph; a shared-memory handle names a byte
-    range inside a :mod:`multiprocessing.shared_memory` block published by
-    the coordinating process (DESIGN.md §11) — workers attach to the block
-    and read the bytes in place, so the pickled task carries O(1) data per
-    segment regardless of batch size.
+    free of any live object graph.
 
-    Exactly one of ``path``, ``payload`` and ``shm_name`` is set.
+    Exactly one of ``path`` and ``payload`` is set.
     """
 
     segment_id: int
     num_columns: int
     path: Optional[str] = None
     payload: Optional[bytes] = None
-    shm_name: Optional[str] = None
-    shm_offset: int = 0
-    shm_size: int = 0
 
     def __post_init__(self) -> None:
-        sources = sum(
-            source is not None for source in (self.path, self.payload, self.shm_name)
-        )
-        if sources != 1:
+        if (self.path is None) == (self.payload is None):
             raise DSMatrixError(
-                "a SegmentHandle needs exactly one of path=, payload= or shm_name="
+                "a SegmentHandle needs exactly one of path= or payload="
             )
 
     @classmethod
@@ -403,48 +365,9 @@ class SegmentHandle:
             path=str(path),
         )
 
-    @classmethod
-    def from_shared(
-        cls, handle: "SegmentHandle", name: str, offset: int, size: int
-    ) -> "SegmentHandle":
-        """The shared-memory variant of a payload handle (same segment)."""
-        return cls(
-            segment_id=handle.segment_id,
-            num_columns=handle.num_columns,
-            shm_name=name,
-            shm_offset=offset,
-            shm_size=size,
-        )
-
     def load(self) -> Segment:
-        """Materialise the referenced segment (file read, shm read or byte decode)."""
+        """Materialise the referenced segment (file read or byte decode)."""
         if self.path is not None:
             return Segment.read(self.path)
-        if self.shm_name is not None:
-            from repro.storage.shm import read_shared_block
-
-            return Segment.from_bytes(
-                read_shared_block(self.shm_name, self.shm_offset, self.shm_size)
-            )
         assert self.payload is not None  # enforced by __post_init__
         return Segment.from_bytes(self.payload)
-
-    def load_counts(self) -> Dict[str, int]:
-        """Per-item counts of the referenced segment, via the bulk kernel.
-
-        Equivalent to ``load().item_counts()`` but never materialises the
-        row integers — the support-counting workers' fast path.
-        """
-        if self.path is not None:
-            source = Path(self.path)
-            if not source.exists():
-                raise DSMatrixError(f"segment file not found: {source}")
-            return segment_counts_from_bytes(source.read_bytes())
-        if self.shm_name is not None:
-            from repro.storage.shm import read_shared_block
-
-            return segment_counts_from_bytes(
-                read_shared_block(self.shm_name, self.shm_offset, self.shm_size)
-            )
-        assert self.payload is not None  # enforced by __post_init__
-        return segment_counts_from_bytes(self.payload)

@@ -96,11 +96,11 @@ class TestExperimentDrivers:
             max_inflight_values=(1,),
             output_path=None,
         )
-        # Every scaling, ablation and parity cell mined the same answer.
+        # Every scaling, pool and parity cell mined the same answer.
         assert outcome["parallel_identical"] is True
         assert outcome["workload"] == "random-graph[smoke]"
         phases = {row["phase"] for row in outcome["rows"]}
-        assert phases == {"ingest", "scaling", "ablation", "pool", "parity"}
+        assert phases == {"ingest", "scaling", "pool", "parity"}
         pool_rows = [r for r in outcome["rows"] if r["phase"] == "pool"]
         assert [r["call"] for r in pool_rows] == ["first", "repeat"]
         # One miner served both pool calls: at most one executor spawn.

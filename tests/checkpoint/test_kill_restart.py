@@ -25,28 +25,6 @@ from checkpoint_helpers import make_transactions
 DEADLINE_S = 90.0
 
 
-def sweep_shm_segments(before):
-    """Unlink shared-memory segments the SIGKILLed group left behind.
-
-    A killed process group cannot run its own cleanup, so any segment
-    created after ``before`` was taken is the victim's leak.
-    """
-    shm = Path("/dev/shm")
-    if not shm.is_dir():  # pragma: no cover - non-Linux fallback
-        return
-    for segment in shm.glob("psm_*"):
-        if segment not in before:
-            try:
-                segment.unlink()
-            except OSError:  # pragma: no cover - raced with reaper
-                pass
-
-
-def snapshot_shm_segments():
-    shm = Path("/dev/shm")
-    return set(shm.glob("psm_*")) if shm.is_dir() else set()
-
-
 def repro_env():
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[2] / "src")
@@ -86,7 +64,6 @@ def test_sigkill_then_resume_is_byte_identical(tmp_path, parallel):
     # snapshot every 2 slides.  Its own session/process group, so the
     # SIGKILL also takes out any pool workers it spawned.
     checkpoint_dir = tmp_path / "chk"
-    shm_before = snapshot_shm_segments()
     victim = subprocess.Popen(
         watch_args(
             source, tmp_path / "live",
@@ -117,7 +94,6 @@ def test_sigkill_then_resume_is_byte_identical(tmp_path, parallel):
         if victim.poll() is None:  # pragma: no cover - cleanup on failure
             os.killpg(victim.pid, signal.SIGKILL)
             victim.wait()
-        sweep_shm_segments(shm_before)
 
     # The journal must be strictly mid-stream: the kill was real.
     crashed = (tmp_path / "live" / "journal.dat").read_bytes()

@@ -16,7 +16,7 @@ from repro.exceptions import CheckpointError, HistoryError
 from repro.history.journal import DATA_NAME, DiskJournal, truncate_journal
 from repro.stream.stream import TransactionStream
 
-from checkpoint_helpers import BATCH_SIZE, MINSUP, make_miner, make_transactions
+from checkpoint_helpers import BATCH_SIZE, MINSUP, make_miner
 
 CRASH_AT_TRANSACTION = 70  # mid-stream: 7 slides mined, snapshot at slide 5
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.algorithms import get_algorithm
-from repro.datasets.paper_example import PAPER_ALL_FREQUENT, paper_example_batches
+from repro.datasets.paper_example import PAPER_ALL_FREQUENT
 from repro.storage.dsmatrix import DSMatrix
 
 

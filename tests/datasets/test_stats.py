@@ -6,7 +6,6 @@ from repro.datasets.connect4 import Connect4LikeGenerator
 from repro.datasets.paper_example import paper_example_snapshots, PAPER_TRANSACTIONS
 from repro.datasets.stats import (
     SnapshotStats,
-    TransactionStats,
     item_support_distribution,
     snapshot_stats,
     transaction_stats,

@@ -1,10 +1,10 @@
 """Chaos parity: seeded fault schedules never change the mined history.
 
 The acceptance bar of DESIGN.md §14: under a deterministic fault plan —
-worker kills, shared-memory attach failures, journal write errors — a
-watch run recovers via the failure policy and seals a ``journal.dat``
-**byte-identical** to the fault-free sequential run, for every
-(workers × ingest_workers × transport) combination.  A fault-free run
+worker kills, journal write errors — a watch run recovers via the
+failure policy and seals a ``journal.dat`` **byte-identical** to the
+fault-free sequential run, for every (workers × ingest_workers)
+combination.  A fault-free run
 must additionally record *zero* resilience events: the recovery paths
 cost nothing until something actually breaks.
 """
@@ -17,7 +17,6 @@ from repro.datasets.synthetic import IBMSyntheticGenerator
 from repro.history.journal import DiskJournal
 from repro.parallel.pool import process_pools_available
 from repro.resilience import FailurePolicy
-from repro.storage.shm import shared_memory_available
 from repro.stream.stream import TransactionStream
 
 BATCH_SIZE = 10
@@ -31,11 +30,10 @@ FAST = FailurePolicy(
     backoff_s=0.001, max_backoff_s=0.002, io_backoff_s=0.001, jitter=0.0
 )
 
-#: One plan per fault family: process death in both pools, a transport
-#: attach failure, and a persistent-layer write error.
+#: One plan per fault family: process death in both pools and a
+#: persistent-layer write error.
 FAULT_PLANS = (
     "mine.shard@1:crash;ingest.encode@2:crash",
-    "shm.attach@1",
     "journal.write@2x2",
 )
 
@@ -46,11 +44,9 @@ pool_required = pytest.mark.skipif(
 )
 
 
-def transports():
-    modes = ["pickle"]
-    if shared_memory_available():
-        modes.append("shm")
-    return modes
+#: The transport axis has one value: every segment crosses a process
+#: boundary pickled (or as a path handle).
+TRANSPORTS = ("pickle",)
 
 
 @pytest.fixture(autouse=True)
@@ -59,7 +55,7 @@ def disarm():
     faults.uninstall_plan()
 
 
-def run_watch(path, workers=0, ingest_workers=0, transport="pickle", policy=None):
+def run_watch(path, workers=0, ingest_workers=0, policy=None):
     journal = DiskJournal(path)
     journal.failure_policy = policy
     miner = StreamSubgraphMiner(
@@ -67,7 +63,6 @@ def run_watch(path, workers=0, ingest_workers=0, transport="pickle", policy=None
         batch_size=BATCH_SIZE,
         algorithm="vertical",
         on_slide=journal.append,
-        transport=transport,
         failure_policy=policy,
     )
     journal.resilience_events = miner.resilience_event_log
@@ -97,7 +92,7 @@ def reference_bytes(tmp_path_factory):
 class TestChaosParity:
     @pytest.mark.parametrize("plan", FAULT_PLANS)
     @pytest.mark.parametrize("workers,ingest_workers", COMBOS)
-    @pytest.mark.parametrize("transport", transports())
+    @pytest.mark.parametrize("transport", TRANSPORTS)
     def test_journal_bytes_survive_faults(
         self, tmp_path, reference_bytes, plan, workers, ingest_workers, transport
     ):
@@ -107,20 +102,18 @@ class TestChaosParity:
                 tmp_path / "journal",
                 workers=workers,
                 ingest_workers=ingest_workers,
-                transport=transport,
                 policy=FAST,
             )
         finally:
             faults.uninstall_plan()
         assert (tmp_path / "journal" / "journal.dat").read_bytes() == reference_bytes
         # journal.write trips in the coordinating process on every combo;
-        # the other sites only fire when their layer is actually in play
-        # (shm.attach needs the shm transport, crashes need their pool).
+        # crashes only fire when their pool is actually in play.
         if plan.startswith("journal.write"):
             assert any(event.kind == "retry" for event in events)
 
     @pytest.mark.parametrize("workers,ingest_workers", COMBOS)
-    @pytest.mark.parametrize("transport", transports())
+    @pytest.mark.parametrize("transport", TRANSPORTS)
     def test_fault_free_runs_record_zero_events(
         self, tmp_path, reference_bytes, workers, ingest_workers, transport
     ):
@@ -128,7 +121,6 @@ class TestChaosParity:
             tmp_path / "journal",
             workers=workers,
             ingest_workers=ingest_workers,
-            transport=transport,
             policy=FAST,
         )
         assert (tmp_path / "journal" / "journal.dat").read_bytes() == reference_bytes

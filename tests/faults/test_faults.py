@@ -11,7 +11,7 @@ import time
 import pytest
 
 from repro import faults
-from repro.exceptions import FaultSpecError, InjectedWorkerCrash, SharedMemoryError
+from repro.exceptions import FaultSpecError, InjectedWorkerCrash
 
 
 @pytest.fixture(autouse=True)
@@ -36,13 +36,13 @@ class TestSpecGrammar:
         assert (spec.at, spec.times, spec.action, spec.delay_s) == (3, 2, "sleep", 0.25)
 
     def test_multiple_specs_and_whitespace(self):
-        plan = faults.parse_fault_plan(" mine.shard@1:crash ; shm.attach@2 ;")
-        assert [spec.site for spec in plan.specs] == ["mine.shard", "shm.attach"]
+        plan = faults.parse_fault_plan(" mine.shard@1:crash ; segment.write@2 ;")
+        assert [spec.site for spec in plan.specs] == ["mine.shard", "segment.write"]
 
     def test_round_trip(self):
         for text in (
             "journal.write@2",
-            "shm.attach@1x3",
+            "segment.write@1x3",
             "mine.shard@2:crash",
             "ingest.encode@1:sleep~0.2",
             "journal.write@2x2;checkpoint.write@1",
@@ -66,7 +66,7 @@ class TestSpecGrammar:
             faults.parse_fault_plan(bad)
 
     def test_covers_window(self):
-        spec = faults.parse_fault_plan("shm.attach@2x3").specs[0]
+        spec = faults.parse_fault_plan("segment.write@2x3").specs[0]
         assert [spec.covers(hit) for hit in range(1, 7)] == [
             False, True, True, True, False, False,
         ]
@@ -80,10 +80,10 @@ class TestPlanLifecycle:
         assert faults.ENV_VAR not in os.environ
 
     def test_active_plan_inherits_from_environment(self):
-        os.environ[faults.ENV_VAR] = "shm.attach@1"
+        os.environ[faults.ENV_VAR] = "segment.write@1"
         try:
             plan = faults.active_plan()
-            assert plan is not None and plan.for_site("shm.attach") is not None
+            assert plan is not None and plan.for_site("segment.write") is not None
         finally:
             os.environ.pop(faults.ENV_VAR, None)
 
@@ -111,13 +111,13 @@ class TestPlanLifecycle:
 
 class TestTrip:
     def test_raise_fires_at_exact_hits_with_site_exception(self):
-        faults.install_plan("shm.attach@2x2")
-        faults.trip("shm.attach", SharedMemoryError)  # hit 1: clean
-        with pytest.raises(SharedMemoryError, match="hit 2"):
-            faults.trip("shm.attach", SharedMemoryError)
-        with pytest.raises(SharedMemoryError, match="hit 3"):
-            faults.trip("shm.attach", SharedMemoryError)
-        faults.trip("shm.attach", SharedMemoryError)  # hit 4: clean again
+        faults.install_plan("segment.write@2x2")
+        faults.trip("segment.write", OSError)  # hit 1: clean
+        with pytest.raises(OSError, match="hit 2"):
+            faults.trip("segment.write", OSError)
+        with pytest.raises(OSError, match="hit 3"):
+            faults.trip("segment.write", OSError)
+        faults.trip("segment.write", OSError)  # hit 4: clean again
 
     def test_counters_are_per_site(self):
         faults.install_plan("journal.write@2;segment.write@5")

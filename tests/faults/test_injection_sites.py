@@ -3,9 +3,7 @@
 Each test arms a fault plan against one site and asserts the subsystem
 recovers the way DESIGN.md §14 promises: I/O sites retry under the
 policy and leave byte-identical artifacts, the checkpoint seal skips
-(never kills the run) once its budget is spent, shared-memory faults
-surface as ``SharedMemoryError`` for the transport ladder, and the HTTP
-server drops the one poisoned connection while counting it in
+(never kills the run) once its budget is spent, and the HTTP server drops the one poisoned connection while counting it in
 ``/stats``.
 """
 
@@ -19,30 +17,18 @@ from repro import faults
 from repro.checkpoint import CheckpointManager, Checkpointer
 from repro.core.miner import StreamSubgraphMiner
 from repro.datasets.synthetic import IBMSyntheticGenerator
-from repro.exceptions import SharedMemoryError
 from repro.history.journal import DiskJournal, MemoryJournal, SlideRecord
 from repro.ingest import ingest_transactions
 from repro.resilience import EventLog, FailurePolicy
 from repro.serve.app import ServeApp
 from repro.serve.http import BackgroundServer
 from repro.storage.backend import MemoryWindowStore
-from repro.storage.shm import (
-    publish_block,
-    read_shared_block,
-    shared_memory_available,
-    unlink_block,
-)
 from repro.stream.stream import TransactionStream
 
 #: Zero sleeps: these tests exercise the retry *logic*, not the pacing.
 FAST = FailurePolicy(
     max_retries=2, backoff_s=0.0, io_retries=2, io_backoff_s=0.0, jitter=0.0
 )
-
-shm_required = pytest.mark.skipif(
-    not shared_memory_available(), reason="shared memory unavailable on this host"
-)
-
 
 @pytest.fixture(autouse=True)
 def disarm():
@@ -159,29 +145,6 @@ class TestCheckpointWrite:
         faults.uninstall_plan()
         checkpointer(make_record(5))
         assert checkpointer.snapshots_sealed == 1
-
-
-@shm_required
-class TestSharedMemory:
-    def test_publish_fault_surfaces_as_shared_memory_error(self):
-        faults.install_plan("shm.publish@1")
-        with pytest.raises(SharedMemoryError):
-            publish_block([b"payload"])
-        name, spans = publish_block([b"payload"])  # hit 2: clean
-        try:
-            assert read_shared_block(name, *spans[0]) == b"payload"
-        finally:
-            unlink_block(name)
-
-    def test_attach_fault_surfaces_then_clears(self):
-        name, spans = publish_block([b"payload"])
-        try:
-            faults.install_plan("shm.attach@1")
-            with pytest.raises(SharedMemoryError):
-                read_shared_block(name, *spans[0])
-            assert read_shared_block(name, *spans[0]) == b"payload"
-        finally:
-            unlink_block(name)
 
 
 class TestHTTPResponse:

@@ -64,7 +64,7 @@ class TestFailurePolicy:
         assert policy.io_delay_s(1) == 0.02
 
     def test_degradation_ladder_is_ordered(self):
-        assert DEGRADATION_LADDER == ("shm", "pickle", "in-process")
+        assert DEGRADATION_LADDER == ("pool", "in-process")
 
     def test_default_policy_is_usable(self):
         assert DEFAULT_POLICY.max_retries == 2
@@ -162,7 +162,7 @@ class TestRetryIO:
         slept = []
         policy = FailurePolicy(io_retries=1, io_backoff_s=0.5, jitter=0.0)
         retry_io(
-            fn, site="shm.attach", policy=policy, events=EventLog(),
+            fn, site="segment.write", policy=policy, events=EventLog(),
             sleep=slept.append,
         )
         assert slept == [0.5]

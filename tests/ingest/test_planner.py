@@ -1,4 +1,4 @@
-"""Unit tests for the ingest planner: deterministic batch-aligned chunking."""
+"""Unit tests for the ingest planner: deterministic one-batch-per-chunk plans."""
 
 import pytest
 
@@ -13,6 +13,8 @@ class TestPlanUnits:
         chunks = planner.plan_units(list(range(8)))
         assert [chunk.chunk_id for chunk in chunks] == [0, 1, 2]
         assert [chunk.first_batch_index for chunk in chunks] == [0, 1, 2]
+        # Every chunk carries exactly one whole batch.
+        assert [chunk.num_batches for chunk in chunks] == [1, 1, 1]
         assert [chunk.batches for chunk in chunks] == [
             ((0, 1, 2),),
             ((3, 4, 5),),
@@ -20,11 +22,12 @@ class TestPlanUnits:
         ]
 
     def test_chunk_batches_groups_whole_batches(self):
-        planner = IngestPlanner(batch_size=2, chunk_batches=2)
+        # A chunk groups exactly one whole batch; no batch is split across chunks.
+        planner = IngestPlanner(batch_size=2)
         chunks = planner.plan_units(list(range(10)))
-        assert [chunk.num_batches for chunk in chunks] == [2, 2, 1]
-        assert [chunk.first_batch_index for chunk in chunks] == [0, 2, 4]
-        assert chunks[1].batches == ((4, 5), (6, 7))
+        assert [chunk.num_batches for chunk in chunks] == [1, 1, 1, 1, 1]
+        assert [chunk.first_batch_index for chunk in chunks] == [0, 1, 2, 3, 4]
+        assert chunks[2].batches == ((4, 5),)
 
     def test_drop_last_discards_partial_batch(self):
         planner = IngestPlanner(batch_size=3)
@@ -35,12 +38,12 @@ class TestPlanUnits:
         assert IngestPlanner(batch_size=4).plan_units([]) == []
 
     def test_plan_is_deterministic(self):
-        planner = IngestPlanner(batch_size=5, chunk_batches=3)
+        planner = IngestPlanner(batch_size=5)
         units = [f"t{i}" for i in range(57)]
         assert planner.plan_units(units) == planner.plan_units(units)
 
     def test_num_units_counts_all_batches(self):
-        chunks = IngestPlanner(batch_size=4, chunk_batches=2).plan_units(range(11))
+        chunks = IngestPlanner(batch_size=4).plan_units(range(11))
         assert sum(chunk.num_units for chunk in chunks) == 11
 
 
@@ -61,7 +64,3 @@ class TestValidation:
         with pytest.raises(IngestError):
             IngestPlanner(batch_size=batch_size)
 
-    @pytest.mark.parametrize("chunk_batches", [0, -2])
-    def test_non_positive_chunk_batches_rejected(self, chunk_batches):
-        with pytest.raises(IngestError):
-            IngestPlanner(batch_size=1, chunk_batches=chunk_batches)

@@ -1,19 +1,53 @@
-"""Segment transport selection in the ingest pipeline (DESIGN.md §11)."""
+"""The one segment transport (DESIGN.md §11).
 
-import pytest
+Segments cross a process boundary as pickled payloads or path handles —
+nothing is published to shared memory, so a parallel run needs no probe,
+no fallback and no leak sweep.  Both execution modes of the ingest
+pipeline (in-process and pooled) must build the window sequential
+appends build, and a parallel watch must seal the sequential journal
+byte for byte without ever loading a shared-state module.
+"""
 
-from repro import faults
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 from repro.core.miner import StreamSubgraphMiner
 from repro.datasets.random_graphs import GraphStreamGenerator, RandomGraphModel
-from repro.exceptions import IngestError
 from repro.graph.edge_registry import EdgeRegistry
-from repro.ingest.api import ingest_snapshots
-from repro.parallel.pool import process_pools_available
-from repro.resilience import FailurePolicy
-from repro.storage.shm import block_prefix, linked_blocks, shared_memory_available
+from repro.history.journal import DiskJournal
 from repro.stream.stream import GraphStream
 
-TRANSPORTS = ("auto", "shm", "pickle")
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+#: Watched by the parallel run in a fresh interpreter, so its module table
+#: shows exactly what a parallel watch loads.
+PARALLEL_WATCH = textwrap.dedent(
+    """
+    import json, sys
+    from repro.core.miner import StreamSubgraphMiner
+    from repro.datasets.synthetic import IBMSyntheticGenerator
+    from repro.history.journal import DiskJournal
+    from repro.stream.stream import TransactionStream
+
+    journal = DiskJournal(sys.argv[1])
+    with StreamSubgraphMiner(
+        window_size=3, batch_size=10, algorithm="vertical", on_slide=journal.append
+    ) as miner:
+        miner.watch(
+            TransactionStream(IBMSyntheticGenerator(seed=5).generate(120), batch_size=10),
+            minsup=0.2,
+            connected_only=False,
+            workers=2,
+            ingest_workers=1,
+        )
+    journal.close()
+    print(json.dumps(sorted(m for m in sys.modules if m.startswith("multiprocessing.shared"))))
+    """
+)
 
 
 def synthetic_snapshots(seed=7, count=95):
@@ -24,13 +58,12 @@ def synthetic_snapshots(seed=7, count=95):
     return list(generator.snapshots(count))
 
 
-def build_miner(registry, transport="auto"):
+def build_miner(registry):
     return StreamSubgraphMiner(
         window_size=3,
         batch_size=15,
         algorithm="vertical",
         registry=registry,
-        transport=transport,
     )
 
 
@@ -51,101 +84,48 @@ class TestIngestTransport:
         reference.consume(
             GraphStream(snapshots, registry=reference_registry, batch_size=15)
         )
-        for transport in TRANSPORTS:
-            if transport == "shm" and not shared_memory_available():
-                continue
-            for workers in (0, 2):
-                registry = EdgeRegistry()
-                miner = build_miner(registry, transport=transport)
-                miner.consume(
-                    GraphStream(snapshots, registry=registry, batch_size=15),
-                    ingest_workers=workers,
-                )
-                assert window_fingerprint(miner) == window_fingerprint(
-                    reference
-                ), f"transport={transport} workers={workers} diverged"
-        assert linked_blocks(block_prefix()) == []
-
-    def test_worker_crash_strands_no_blocks(self):
-        if not (process_pools_available() and shared_memory_available()):
-            pytest.skip("needs process pools and shared memory")
-        # A worker killed mid-run breaks the pool; results other workers
-        # had already published (blocks linked, names not yet received)
-        # are lost with it.  Only the run's prefix sweep can reach them,
-        # so repeat the crash a few times to give the race its chances.
-        snapshots = synthetic_snapshots()
-        policy = FailurePolicy(backoff_s=0.001, max_backoff_s=0.002, jitter=0.0)
-        reference_registry = EdgeRegistry()
-        reference = build_miner(reference_registry)
-        reference.consume(
-            GraphStream(snapshots, registry=reference_registry, batch_size=15)
-        )
-        for _ in range(5):
+        for workers in (0, 2):
             registry = EdgeRegistry()
             miner = build_miner(registry)
-            faults.install_plan("ingest.encode@2:crash")
-            try:
-                report = ingest_snapshots(
-                    miner.matrix,
-                    snapshots,
-                    batch_size=15,
-                    registry=registry,
-                    workers=2,
-                    transport="shm",
-                    policy=policy,
-                )
-            finally:
-                faults.uninstall_plan()
-            assert report.retries + report.degradations >= 1
-            assert window_fingerprint(miner)[:3] == window_fingerprint(reference)[:3]
-            assert linked_blocks(block_prefix()) == []
-
-    def test_report_records_transport(self):
-        snapshots = synthetic_snapshots()
-
-        def report_for(workers, transport):
-            registry = EdgeRegistry()
-            miner = build_miner(registry)
-            return ingest_snapshots(
-                miner.matrix,
-                snapshots,
-                batch_size=15,
-                registry=registry,
-                workers=workers,
-                transport=transport,
+            miner.consume(
+                GraphStream(snapshots, registry=registry, batch_size=15),
+                ingest_workers=workers,
             )
+            assert window_fingerprint(miner) == window_fingerprint(
+                reference
+            ), f"ingest workers={workers} diverged"
 
-        assert report_for(0, "auto").transport == "pickle"
-        assert report_for(2, "pickle").transport == "pickle"
-        if shared_memory_available():
-            assert report_for(2, "auto").transport == "shm"
-            assert report_for(2, "shm").transport == "shm"
 
-    def test_forced_shm_raises_when_unavailable(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.ingest.api.shared_memory_available", lambda: False
+class TestNoSharedMemory:
+    def test_parallel_watch_loads_no_shared_state_and_matches_sequential(
+        self, tmp_path
+    ):
+        from repro.datasets.synthetic import IBMSyntheticGenerator
+        from repro.stream.stream import TransactionStream
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC) + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
         )
-        registry = EdgeRegistry()
-        miner = build_miner(registry)
-        with pytest.raises(IngestError):
-            ingest_snapshots(
-                miner.matrix,
-                synthetic_snapshots(count=30),
-                batch_size=15,
-                registry=registry,
-                workers=2,
-                transport="shm",
-            )
+        completed = subprocess.run(
+            [sys.executable, "-c", PARALLEL_WATCH, str(tmp_path / "parallel")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert json.loads(completed.stdout.splitlines()[-1]) == []
 
-    def test_unknown_transport_rejected(self):
-        registry = EdgeRegistry()
-        miner = build_miner(registry)
-        with pytest.raises(IngestError):
-            ingest_snapshots(
-                miner.matrix,
-                synthetic_snapshots(count=30),
-                batch_size=15,
-                registry=registry,
-                workers=0,
-                transport="telegraph",
+        journal = DiskJournal(tmp_path / "sequential")
+        with StreamSubgraphMiner(
+            window_size=3, batch_size=10, algorithm="vertical", on_slide=journal.append
+        ) as miner:
+            miner.watch(
+                TransactionStream(
+                    IBMSyntheticGenerator(seed=5).generate(120), batch_size=10
+                ),
+                minsup=0.2,
+                connected_only=False,
             )
+        journal.close()
+        sequential = (tmp_path / "sequential" / "journal.dat").read_bytes()
+        assert sequential
+        assert (tmp_path / "parallel" / "journal.dat").read_bytes() == sequential

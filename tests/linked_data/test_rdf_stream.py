@@ -11,7 +11,7 @@ from repro.linked_data.rdf_stream import (
     snapshot_from_triples,
     triple_to_edge,
 )
-from repro.linked_data.triple import IRI, BlankNode, Literal, Triple
+from repro.linked_data.triple import BlankNode, Literal, Triple
 
 EX = Namespace("http://example.org/")
 

@@ -1,52 +1,10 @@
-"""Unit tests for the merge layer (shard counter and pattern combination)."""
-
-from collections import Counter
+"""Unit tests for the merge layer (pattern and stats combination)."""
 
 import pytest
 
 from repro.core.algorithms.base import MiningStats
 from repro.exceptions import ParallelMiningError
-from repro.parallel import (
-    ShardPlanner,
-    count_segment_shard,
-    merge_pattern_counts,
-    merge_stats,
-    merge_support_counts,
-)
-from repro.storage.backend import MemoryWindowStore
-from repro.stream.batch import Batch
-
-
-def build_store(num_batches=6, window_size=6):
-    store = MemoryWindowStore(window_size)
-    for index in range(num_batches):
-        store.append_batch(
-            Batch(
-                [("a", "b"), ("b", "c"), ("a", f"x{index}")],
-                batch_id=index,
-            )
-        )
-    return store
-
-
-class TestSupportCounterMerge:
-    def test_shard_counters_sum_to_window_counters(self):
-        store = build_store()
-        shards = ShardPlanner(3).plan_segments(store.segment_handles())
-        assert len(shards) == 3
-        merged = merge_support_counts(count_segment_shard(s) for s in shards)
-        expected = {i: c for i, c in store.item_frequencies().items() if c}
-        assert dict(merged) == expected
-
-    def test_merge_is_additive_not_overwriting(self):
-        merged = merge_support_counts([{"a": 2, "b": 1}, {"a": 3}, {"c": 4}])
-        assert merged == Counter({"a": 5, "b": 1, "c": 4})
-
-    def test_single_shard_plan_covers_whole_window(self):
-        store = build_store()
-        (shard,) = ShardPlanner(1).plan_segments(store.segment_handles())
-        assert shard.num_columns == store.num_columns
-        assert shard.column_offset == 0
+from repro.parallel import merge_pattern_counts, merge_stats
 
 
 class TestPatternMerge:

@@ -12,7 +12,6 @@ from repro.core.export import result_to_json
 from repro.core.miner import StreamSubgraphMiner
 from repro.datasets.paper_example import paper_example_batches, paper_example_registry
 from repro.datasets.random_graphs import GraphStreamGenerator, RandomGraphModel
-from repro.parallel import count_supports_parallel, frequent_items_parallel
 
 ALGORITHMS = (
     "fptree_multi",
@@ -90,26 +89,6 @@ def test_parallel_matches_plain_sequential_mine(backend, tmp_path):
     parallel = miner2.mine(minsup=minsup, connected_only=True, workers=4)
     assert result_to_json(sequential, miner.registry) == result_to_json(
         parallel, miner2.registry
-    )
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("workers", WORKER_COUNTS)
-def test_parallel_support_counts_match_window_counters(backend, workers, tmp_path):
-    miner, _ = build_synthetic_miner("vertical", backend, tmp_path)
-    expected = {
-        item: count
-        for item, count in miner.matrix.item_frequencies().items()
-        if count
-    }
-    counted = count_supports_parallel(miner.matrix, workers=workers)
-    assert counted == expected
-
-
-def test_parallel_frequent_items_match_store(tmp_path):
-    miner, minsup = build_synthetic_miner("vertical", "memory", tmp_path)
-    assert frequent_items_parallel(miner.matrix, minsup, workers=2) == (
-        miner.matrix.frequent_items(minsup)
     )
 
 

@@ -1,20 +1,19 @@
-"""Persistent worker pools and transport degradation paths (DESIGN.md §11)."""
+"""Persistent worker pools and the in-process degradation path (DESIGN.md §11)."""
 
 import pytest
 
 from repro.core.export import result_to_json
 from repro.core.miner import StreamSubgraphMiner
 from repro.datasets.random_graphs import GraphStreamGenerator, RandomGraphModel
-from repro.exceptions import MiningError, ParallelMiningError, SharedMemoryError
+from repro.exceptions import ParallelMiningError
 from repro.parallel.pool import (
     PersistentWorkerPool,
     effective_workers,
     process_pools_available,
 )
-from repro.storage.shm import block_prefix, linked_blocks
 
 
-def _make_miner(transport="auto"):
+def _make_miner():
     model = RandomGraphModel(num_vertices=10, avg_fanout=3.0, seed=7)
     registry = model.registry()
     generator = GraphStreamGenerator(model, avg_edges_per_snapshot=4.0, seed=8)
@@ -23,7 +22,6 @@ def _make_miner(transport="auto"):
         batch_size=15,
         algorithm="vertical",
         registry=registry,
-        transport=transport,
     )
     miner.add_snapshots(list(generator.snapshots(90)))
     return miner
@@ -127,13 +125,6 @@ class TestMinerPoolLifecycle:
         assert _mine(miner, workers=2) == reference
         miner.close()
 
-    def test_no_shared_memory_leaks_after_mining(self):
-        if not process_pools_available():
-            pytest.skip("no process pools on this host")
-        with _make_miner() as miner:
-            _mine(miner, workers=2)
-        assert linked_blocks(block_prefix()) == []
-
 
 class TestDegradation:
     def test_pools_unavailable_falls_back_in_process(self, monkeypatch):
@@ -145,39 +136,3 @@ class TestDegradation:
             assert _mine(miner, workers=2) == reference
             pool = miner.mining_pool
             assert pool is None or pool.spawn_count == 0
-
-    def test_forced_shm_transport_raises_when_unavailable(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.parallel.api.shared_memory_available", lambda: False
-        )
-        with _make_miner(transport="shm") as miner:
-            with pytest.raises(ParallelMiningError):
-                miner.mine(minsup=3, connected_only=True, workers=2)
-
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(MiningError):
-            StreamSubgraphMiner(
-                window_size=3, batch_size=15, transport="carrier-pigeon"
-            )
-
-    def test_shm_attach_failure_falls_back_to_pickle(self, monkeypatch):
-        import multiprocessing
-
-        if not process_pools_available():
-            pytest.skip("no process pools on this host")
-        if multiprocessing.get_start_method() != "fork":
-            pytest.skip("patch only reaches workers under the fork method")
-
-        def _broken_read(name, offset, size):
-            raise SharedMemoryError(f"simulated attach failure for {name}")
-
-        with _make_miner() as miner:
-            reference = _mine(miner, workers=0)
-            monkeypatch.setattr(
-                "repro.storage.shm.read_shared_block", _broken_read
-            )
-            # The arena is published, every worker fails to attach, and the
-            # run re-executes once over pickled payload handles — same
-            # answer, no leaked blocks.
-            assert _mine(miner, workers=2) == reference
-        assert linked_blocks(block_prefix()) == []

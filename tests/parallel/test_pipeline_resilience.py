@@ -3,9 +3,8 @@
 Pins down the executor's failure contract: a broken pool is respawned
 and only the *uncommitted suffix* re-runs (the consumer still sees every
 task exactly once, in order), the respawn budget degrades to a
-deterministic in-process re-run, stragglers are speculatively
-re-executed under ``task_timeout_s``, and results recovery abandons are
-handed to ``on_discard`` so their resources can be released.
+deterministic in-process re-run, and stragglers are speculatively
+re-executed under ``task_timeout_s``.
 """
 
 import os
@@ -60,12 +59,6 @@ def straggle_in_workers(spec):
     return value * value
 
 
-def slow_first_task(spec):
-    value, delay = spec
-    time.sleep(delay)
-    return value * value
-
-
 @pool_required
 class TestRespawn:
     def test_suffix_retried_each_task_consumed_exactly_once(self, tmp_path):
@@ -108,13 +101,10 @@ class TestRespawn:
 class TestStragglerSpeculation:
     def test_overdue_task_re_executed_inline(self):
         consumed = []
-        discarded = []
         policy = FailurePolicy(
             backoff_s=0.001, max_backoff_s=0.002, jitter=0.0, task_timeout_s=0.05
         )
-        executor = PipelineExecutor(
-            workers=2, policy=policy, on_discard=discarded.append
-        )
+        executor = PipelineExecutor(workers=2, policy=policy)
         stats = executor.run(
             straggle_in_workers,
             [(i, os.getpid(), 0.5) for i in range(4)],
@@ -123,9 +113,6 @@ class TestStragglerSpeculation:
         assert consumed == [i * i for i in range(4)]
         assert stats.committed == 4
         assert executor.events.counts().get("timeout", 0) >= 1
-        # The worker's slow copy of task 0 eventually completed during
-        # shutdown; its superseded result was handed to on_discard.
-        assert 0 in discarded
 
     def test_no_timeout_policy_never_speculates(self):
         consumed = []
@@ -137,26 +124,3 @@ class TestStragglerSpeculation:
         )
         assert consumed == [i * i for i in range(4)]
         assert len(executor.events) == 0
-
-
-@pool_required
-class TestAbortDiscard:
-    def test_consumer_failure_releases_uncommitted_ready_results(self):
-        discarded = []
-
-        def consumer(result):
-            raise ValueError("commit refused")
-
-        executor = PipelineExecutor(
-            workers=2, max_inflight=3, policy=FAST, on_discard=discarded.append
-        )
-        # Task 0 is slow, tasks 1-2 complete and park in the ready buffer;
-        # when committing task 0 fails, both parked results must be
-        # released through on_discard.
-        with pytest.raises(ValueError, match="commit refused"):
-            executor.run(
-                slow_first_task,
-                [(0, 0.3), (1, 0.0), (2, 0.0)],
-                consumer,
-            )
-        assert sorted(discarded) == [1, 4]

@@ -1,17 +1,13 @@
-"""Unit tests for the shard planner and the worker pool executor."""
+"""Unit tests for the shard planner, window rebuilds and segment handles."""
 
 import pytest
 
 from repro.exceptions import ParallelMiningError
-from repro.parallel import ShardPlanner, WorkerPool
+from repro.parallel import ShardPlanner
 from repro.parallel.worker import WindowTask, rebuild_window
 from repro.storage.backend import MemoryWindowStore
 from repro.storage.segments import SegmentHandle
 from repro.stream.batch import Batch
-
-
-def _raise_oserror(value):
-    raise OSError(f"task {value} failed")
 
 
 def build_store(batch_sizes, window_size=None):
@@ -31,28 +27,7 @@ class TestShardPlanner:
 
     def test_empty_plans(self):
         planner = ShardPlanner(4)
-        assert planner.plan_segments([]) == []
         assert planner.plan_items([]) == []
-
-    def test_segment_shards_cover_window_contiguously(self):
-        store = build_store([5, 3, 8, 2, 6, 1])
-        shards = ShardPlanner(3).plan_segments(store.segment_handles())
-        assert 1 <= len(shards) <= 3
-        # Contiguous coverage: offsets chain and columns add up.
-        offset = 0
-        segment_ids = []
-        for shard in shards:
-            assert shard.column_offset == offset
-            offset += shard.num_columns
-            segment_ids.extend(handle.segment_id for handle in shard.handles)
-        assert offset == store.num_columns
-        assert segment_ids == [s.segment_id for s in store.segments()]
-
-    def test_more_shards_than_segments_degrades_to_one_each(self):
-        store = build_store([4, 4])
-        shards = ShardPlanner(8).plan_segments(store.segment_handles())
-        assert len(shards) == 2
-        assert all(len(shard.handles) == 1 for shard in shards)
 
     def test_item_shards_partition_round_robin(self):
         items = ["a", "b", "c", "d", "e"]
@@ -64,49 +39,6 @@ class TestShardPlanner:
     def test_item_plan_is_deterministic(self):
         items = [f"x{i}" for i in range(17)]
         assert ShardPlanner(4).plan_items(items) == ShardPlanner(4).plan_items(items)
-
-
-class TestWorkerPool:
-    def test_rejects_negative_workers(self):
-        with pytest.raises(ParallelMiningError):
-            WorkerPool(-1)
-
-    def test_in_process_mode_preserves_order(self):
-        pool = WorkerPool(0)
-        assert pool.map(str.upper, ["a", "b", "c"]) == ["A", "B", "C"]
-        assert pool.last_execution_mode == "in-process"
-
-    def test_pool_mode_preserves_order(self):
-        pool = WorkerPool(2)
-        assert pool.map(len, ["x", "xx", "xxx", "xxxx"]) == [1, 2, 3, 4]
-
-    def test_single_task_still_uses_a_real_pool(self):
-        # workers >= 1 must honestly measure pool overhead even for one
-        # task — it is the baseline of the strong-scaling experiment.
-        pool = WorkerPool(4)
-        assert pool.map(len, ["abc"]) == [3]
-        assert pool.last_execution_mode == "pool"
-
-    def test_empty_task_list(self):
-        pool = WorkerPool(4)
-        assert pool.map(len, []) == []
-        assert pool.last_execution_mode == "in-process"
-
-    def test_task_exceptions_propagate_from_pool_mode(self):
-        with pytest.raises(OSError):
-            WorkerPool(2).map(_raise_oserror, [1, 2, 3])
-
-    def test_in_process_mode_runs_initializer_first(self):
-        calls = []
-        pool = WorkerPool(0)
-        result = pool.map(
-            lambda x: (calls[0], x),
-            ["a", "b"],
-            initializer=calls.append,
-            initargs=("ready",),
-        )
-        assert calls == ["ready"]
-        assert result == [("ready", "a"), ("ready", "b")]
 
 
 class TestWindowRebuild:

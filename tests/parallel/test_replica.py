@@ -2,8 +2,8 @@
 
 One store's successive windows are driven through ``run_mining_shard`` —
 directly (the replica then lives in this process) and through real pools —
-in sequences that continue, skip, repeat, switch lineage, fail a load,
-respawn the pool and fall back from shm to pickle.  Every answer must equal
+in sequences that continue, skip, repeat, switch lineage, fail a load
+and respawn the pool.  Every answer must equal
 mining a freshly rebuilt window, and runs that execute in the coordinating
 process must not leave a replica behind.
 """
@@ -14,7 +14,7 @@ from repro import faults
 from repro.core.algorithms import get_algorithm
 from repro.core.algorithms.base import resolve_minsup
 from repro.datasets.synthetic import IBMSyntheticGenerator
-from repro.exceptions import SharedMemoryError
+from repro.exceptions import DSMatrixError
 from repro.parallel import worker
 from repro.parallel.api import mine_window_parallel
 from repro.parallel.planner import ShardPlanner
@@ -23,7 +23,6 @@ from repro.parallel.worker import MiningShardTask, WindowTask, run_mining_shard
 from repro.resilience import EventLog, FailurePolicy
 from repro.storage.backend import MemoryWindowStore
 from repro.storage.segments import SegmentHandle
-from repro.storage.shm import shared_memory_available
 from repro.stream.stream import TransactionStream
 
 TRANSACTIONS = IBMSyntheticGenerator(seed=11).generate(240)
@@ -181,7 +180,7 @@ class TestReplicaInProcess:
         )
         assert reloaded.lineage != store.lineage
 
-    def test_failed_load_leaves_the_replica_at_its_earlier_window(self):
+    def test_failed_load_leaves_the_replica_at_its_earlier_window(self, tmp_path):
         store = MemoryWindowStore(WINDOW_SIZE)
         stream = batches()
         for batch in stream[:4]:
@@ -196,10 +195,9 @@ class TestReplicaInProcess:
         handles[-1] = SegmentHandle(
             segment_id=newest.segment_id,
             num_columns=newest.num_columns,
-            shm_name="repro_test_missing_block",
-            shm_size=16,
+            path=str(tmp_path / "missing.dsg"),
         )
-        with pytest.raises(SharedMemoryError):
+        with pytest.raises(DSMatrixError):
             mine_here(store, handles=handles)
         # Segment 4 loaded fine, but nothing was appended before segment 5
         # failed: the replica still holds the earlier, consistent window.
@@ -232,7 +230,7 @@ class TestReplicaInProcess:
 
 @pool_required
 class TestReplicaInPools:
-    def slide_through(self, transport, plan, policy=FAST, pool=None):
+    def slide_through(self, plan, policy=FAST, pool=None):
         faults.install_plan(plan)
         events = EventLog()
         store = MemoryWindowStore(WINDOW_SIZE)
@@ -243,7 +241,6 @@ class TestReplicaInPools:
                 "vertical",
                 absolute(store),
                 workers=2,
-                transport=transport,
                 pool=pool,
                 policy=policy,
                 events=events,
@@ -252,20 +249,11 @@ class TestReplicaInPools:
             assert replica() is None
         return events.counts()
 
-    @pytest.mark.parametrize("transport", ["pickle", "auto"])
-    def test_answers_survive_a_pool_respawn(self, transport):
+    def test_answers_survive_a_pool_respawn(self):
         with PersistentWorkerPool(2) as pool:
-            counts = self.slide_through(transport, "mine.shard@3:crash", pool=pool)
+            counts = self.slide_through("mine.shard@3:crash", pool=pool)
             assert pool.spawn_count >= 2
         assert counts.get("respawn", 0) >= 1
-
-    @pytest.mark.skipif(
-        not shared_memory_available(), reason="shared memory unavailable here"
-    )
-    def test_answers_survive_the_shm_to_pickle_fallback(self):
-        with PersistentWorkerPool(2) as pool:
-            counts = self.slide_through("shm", "shm.attach@3", pool=pool)
-        assert counts.get("degrade", 0) >= 1
 
     def test_speculative_runs_leave_no_replica(self):
         policy = FailurePolicy(

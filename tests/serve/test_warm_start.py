@@ -10,7 +10,6 @@ from repro.serve.shards import SERVE_INDEX_FORMAT, IndexSnapshot, ShardedJournal
 from repro.serve.warm import JournalTail, read_journal_suffix
 from repro.service.render import render_json
 
-from serve_helpers import mined_journal
 from tests.helpers import drifting_records
 
 QUERY = {"select": {"where": {"contains": ["a"]}}}

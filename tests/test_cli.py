@@ -282,29 +282,6 @@ class TestGen:
         assert len(read_fimi(target)) == 25
 
 
-class TestMineTransport:
-    @pytest.mark.parametrize("transport", ["auto", "pickle", "shm"])
-    def test_mine_accepts_transport(self, transport, tmp_path, capsys):
-        from repro.storage.shm import shared_memory_available
-
-        if transport == "shm" and not shared_memory_available():
-            pytest.skip("no shared memory on this host")
-        target = tmp_path / "graph.fimi"
-        main(["generate", str(target), "--kind", "graph", "--count", "60",
-              "--seed", "5"])
-        capsys.readouterr()
-        assert main(
-            ["mine", str(target), "--batch-size", "20", "--window", "2",
-             "--minsup", "4", "--workers", "2", "--transport", transport]
-        ) == 0
-
-    def test_unknown_transport_rejected(self, tmp_path):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["mine", "x.fimi", "--transport", "telepathy"]
-            )
-
-
 class TestMineStats:
     def test_stats_flag_prints_cache_summary(self, tmp_path, capsys):
         target = tmp_path / "graph.fimi"

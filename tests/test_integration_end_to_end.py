@@ -5,8 +5,6 @@ frequent subgraphs out; random graph streams with window slides and on-disk
 persistence; and consistency between the facade and the low-level pieces.
 """
 
-import pytest
-
 from repro import (
     DSMatrix,
     Edge,
