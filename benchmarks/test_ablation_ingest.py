@@ -1,6 +1,6 @@
 """Ablation: strong scaling of sharded parallel ingestion (experiment E8).
 
-The ingestion pipeline chunks the incoming stream along batch boundaries,
+The ingestion pipeline pulls the incoming stream one batch at a time,
 materialises segments on worker processes and commits them through a
 single-writer coordinator (DESIGN.md §5).  This ablation runs the E8
 driver end-to-end, asserts the determinism guarantee (every ingest-worker
@@ -12,8 +12,9 @@ host's core count, so only the structural properties are asserted here.
 import json
 
 from repro.bench.experiments import experiment_ingest_scaling
-from repro.ingest import ingest_transactions
+from repro.ingest import ingest_batches
 from repro.storage.backend import MemoryWindowStore
+from repro.stream.stream import group_units
 
 
 def test_e8_driver_parity_and_report(tmp_path, scale):
@@ -39,10 +40,9 @@ def test_parallel_ingest_runtime(benchmark, edge_workload):
 
     def run():
         store = MemoryWindowStore(edge_workload.window_size)
-        report = ingest_transactions(
+        report = ingest_batches(
             store,
-            edge_workload.transactions,
-            batch_size=edge_workload.batch_size,
+            group_units(edge_workload.transactions, edge_workload.batch_size),
             workers=2,
         )
         return store, report

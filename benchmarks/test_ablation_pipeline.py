@@ -3,8 +3,8 @@
 Two properties of the hot ingest → store → mine path are pinned here
 (DESIGN.md §9):
 
-* the pipelined executor keeps at most ``max_inflight`` encoded chunks
-  resident while the barrier emulation materialises the whole plan —
+* the pipelined executor keeps at most ``max_inflight`` encoded batches
+  resident while the barrier emulation materialises the whole stream —
   asserted on the E9 driver's ``peak_inflight`` column;
 * the per-segment support caches make repeated ``frequent_items`` /
   ``row`` calls on an unchanged window cache hits, and carry cached rows
@@ -15,9 +15,10 @@ Two properties of the hot ingest → store → mine path are pinned here
 import json
 
 from repro.bench.experiments import experiment_pipelined_ingest
-from repro.ingest import ingest_transactions
+from repro.ingest import ingest_batches
 from repro.storage.backend import MemoryWindowStore
 from repro.stream.batch import Batch
+from repro.stream.stream import group_units
 
 
 def test_e9_driver_bounds_and_parity(tmp_path, scale):
@@ -31,15 +32,16 @@ def test_e9_driver_bounds_and_parity(tmp_path, scale):
     assert outcome["experiment"] == "E9-pipelined-ingest"
     # Every mode committed the identical window ...
     assert outcome["pipeline_identical"] is True
-    # ... and no row ever held more encoded chunks than its budget.
+    # ... and no row ever held more encoded batches than its budget.
     assert outcome["inflight_bounded"] is True
     for row in outcome["rows"]:
         assert row["peak_inflight"] <= row["max_inflight"]
     by_mode = {}
     for row in outcome["rows"]:
         by_mode.setdefault(row["mode"], []).append(row)
-    # The barrier emulation's budget is the whole chunk plan; the
-    # pipelined rows are the bounded ones the engine is about.
+    # The barrier emulation's budget is the whole stream (its "chunks"
+    # field counts batches, one per task); the pipelined rows are the
+    # bounded ones the engine is about.
     assert by_mode["barrier"][0]["max_inflight"] == by_mode["barrier"][0]["chunks"]
     assert {row["max_inflight"] for row in by_mode["pipelined"]} == {1, 2, 8}
     # The driver archives its outcome for the CI artifact upload.
@@ -49,10 +51,9 @@ def test_e9_driver_bounds_and_parity(tmp_path, scale):
 
 def test_support_caches_hit_on_unchanged_window(edge_workload):
     store = MemoryWindowStore(edge_workload.window_size)
-    ingest_transactions(
+    ingest_batches(
         store,
-        edge_workload.transactions,
-        batch_size=edge_workload.batch_size,
+        group_units(edge_workload.transactions, edge_workload.batch_size),
         workers=0,
     )
     minsup = max(2, edge_workload.batch_size // 4)
@@ -76,10 +77,9 @@ def test_support_caches_hit_on_unchanged_window(edge_workload):
 
 def test_row_cache_survives_window_slide(edge_workload):
     store = MemoryWindowStore(edge_workload.window_size)
-    ingest_transactions(
+    ingest_batches(
         store,
-        edge_workload.transactions,
-        batch_size=edge_workload.batch_size,
+        group_units(edge_workload.transactions, edge_workload.batch_size),
         workers=0,
     )
     items = store.items()[:5]
@@ -116,10 +116,9 @@ def test_pipelined_ingest_runtime(benchmark, edge_workload):
 
     def run():
         store = MemoryWindowStore(edge_workload.window_size)
-        report = ingest_transactions(
+        report = ingest_batches(
             store,
-            edge_workload.transactions,
-            batch_size=edge_workload.batch_size,
+            group_units(edge_workload.transactions, edge_workload.batch_size),
             workers=2,
             max_inflight=2,
         )

@@ -30,10 +30,10 @@ from repro.core.miner import StreamSubgraphMiner
 from repro.core.postprocess import filter_connected_patterns
 from repro.datasets.workloads import build_stream, get_workload
 from repro.exceptions import DatasetError
-from repro.ingest.api import IngestReport, ingest_transactions
+from repro.ingest.api import IngestReport, ingest_batches
 from repro.parallel.api import mine_window_parallel
 from repro.storage.backend import DiskWindowStore, MemoryWindowStore
-from repro.stream.stream import TransactionStream
+from repro.stream.stream import TransactionStream, group_units
 
 #: DSMatrix algorithms that mine *all* collections of frequent edges (§3).
 POSTPROCESSED_ALGORITHMS = ("fptree_multi", "fptree_single", "fptree_topdown", "vertical")
@@ -602,13 +602,14 @@ def experiment_pipelined_ingest(
 
     The same transaction stream is ingested three ways: the in-process
     reference (``workers=0``), a **barrier** emulation of the pre-pipeline
-    executor (``max_inflight`` = the whole chunk plan, so every encoded
-    chunk may be resident before the first commit) and the **pipelined**
-    path at each bounded ``max_inflight``.  Each row reports the ingestion
-    wall-clock and ``peak_inflight`` — the high-water mark of
-    submitted-but-uncommitted chunks, an upper bound on how many encoded
-    chunk results can be resident at once (the memory the bound is
-    about).  ``inflight_bounded`` asserts ``peak <= max_inflight`` for
+    executor (``max_inflight`` = the stream's batch count, so every
+    encoded batch may be resident before the first commit) and the
+    **pipelined** path at each bounded ``max_inflight``.  Each row reports
+    the ingestion wall-clock and ``peak_inflight`` — the high-water mark
+    of submitted-but-uncommitted batches, an upper bound on how many
+    encoded batches can be resident at once (the memory the bound is
+    about); its ``chunks`` field repeats ``batches`` (one batch per
+    task).  ``inflight_bounded`` asserts ``peak <= max_inflight`` for
     every row and ``pipeline_identical`` asserts that every mode
     committed the identical window.
 
@@ -623,10 +624,9 @@ def experiment_pipelined_ingest(
     ) -> Tuple[IngestReport, float, Dict[str, object]]:
         store = MemoryWindowStore(workload.window_size)
         with Timer() as timer:
-            report = ingest_transactions(
+            report = ingest_batches(
                 store,
-                workload.transactions,
-                batch_size=workload.batch_size,
+                group_units(workload.transactions, workload.batch_size),
                 workers=workers,
                 max_inflight=max_inflight,
             )
@@ -637,13 +637,12 @@ def experiment_pipelined_ingest(
         }
         return report, timer.elapsed, fingerprint
 
-    # The reference run also tells us the plan length, which is what the
-    # barrier emulation uses as its (unbounded) in-flight budget.
+    # The reference run also tells us the stream length in batches, which
+    # is what the barrier emulation uses as its (unbounded) in-flight budget.
     reference_report, reference_s, reference = run_ingest(0, None)
-    plan_chunks = reference_report.chunks
 
     modes: List[Tuple[str, int, Optional[int]]] = [
-        ("barrier", ingest_workers, max(1, plan_chunks)),
+        ("barrier", ingest_workers, max(1, reference_report.batches)),
     ]
     modes.extend(
         ("pipelined", ingest_workers, bound) for bound in max_inflight_values
@@ -669,7 +668,7 @@ def experiment_pipelined_ingest(
                 "max_inflight": report.max_inflight,
                 "ingest_s": round(elapsed, 4),
                 "peak_inflight": report.peak_inflight,
-                "chunks": report.chunks,
+                "chunks": report.batches,
                 "batches": report.batches,
                 "columns": report.columns,
             }

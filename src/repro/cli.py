@@ -454,7 +454,7 @@ def _add_parallel_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         help=(
             "bound on concurrently in-flight (submitted-but-uncommitted) "
-            "chunks/shards in the pipelined executor (default: 2x the "
+            "batches/shards in the pipelined executor (default: 2x the "
             "worker count, minimum 1); any value produces the identical "
             "window and pattern set — it only trades peak memory against "
             "encode/commit overlap"
@@ -475,7 +475,7 @@ def _add_parallel_options(parser: argparse.ArgumentParser) -> None:
         type=float,
         default=None,
         help=(
-            "straggler threshold in seconds: a shard/chunk not finished "
+            "straggler threshold in seconds: a shard/batch not finished "
             "after this long is speculatively re-executed in-process and "
             "the slow copy's result discarded (default: disabled)"
         ),
@@ -694,7 +694,7 @@ def _print_stats(miner: StreamSubgraphMiner) -> None:
     report = miner.last_ingest_report
     if report is not None:
         print(
-            f"pipeline: chunks={report.chunks} batches={report.batches} "
+            f"pipeline: batches={report.batches} "
             f"ingest_workers={report.workers} mode={report.execution_mode} "
             f"peak_inflight={report.peak_inflight} "
             f"max_inflight={report.max_inflight}"

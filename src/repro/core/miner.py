@@ -30,12 +30,8 @@ from repro.core.postprocess import filter_connected_patterns
 from repro.exceptions import CheckpointError, MiningError, StreamError
 from repro.graph.edge_registry import EdgeRegistry
 from repro.history.journal import SlideRecord
-from repro.ingest.api import (
-    IngestReport,
-    ingest_batches,
-    ingest_snapshots,
-    ingest_transactions,
-)
+from repro.ingest.api import IngestReport, ingest_batches
+from repro.ingest.worker import RawUnit
 from repro.parallel.api import mine_window_parallel
 from repro.parallel.pool import PersistentWorkerPool
 from repro.resilience import EventLog, FailurePolicy, ResilienceEvent
@@ -43,7 +39,12 @@ from repro.graph.graph import GraphSnapshot
 from repro.storage.backend import MemoryWindowStore, WindowStore
 from repro.storage.dsmatrix import DSMatrix
 from repro.stream.batch import Batch
-from repro.stream.stream import GraphStream, TransactionStream, skip_stream_prefix
+from repro.stream.stream import (
+    GraphStream,
+    TransactionStream,
+    group_units,
+    skip_stream_prefix,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - type-only (checkpoint imports nothing back)
     from repro.checkpoint.snapshot import Checkpoint
@@ -302,16 +303,30 @@ class StreamSubgraphMiner:
             ``None`` (the default) consumes sequentially in this process —
             the historical behaviour.  An integer routes the stream
             through the parallel ingestion pipeline (DESIGN.md §5):
-            ``0`` executes the identical chunk plan in-process
-            (byte-identical to the sequential path), ``n >= 1`` fans the
-            per-batch parsing/encoding/counting out to ``n`` worker
-            processes while a single-writer coordinator commits segments
-            in stream order, as they complete (DESIGN.md §9).
+            ``0`` encodes the same batches in-process (byte-identical to
+            the sequential path), ``n >= 1`` fans the per-batch
+            parsing/encoding/counting out to ``n`` worker processes while
+            a single-writer coordinator commits segments in stream order,
+            as they complete (DESIGN.md §9).
         max_inflight:
-            Bound on concurrently resident encoded-but-uncommitted chunks
+            Bound on batches pulled from the stream but not yet committed
             in the parallel path (``2 * ingest_workers`` by default,
             minimum 1).  Any value yields the byte-identical window; it
             only trades peak memory against encode/commit overlap.
+        """
+        self._feed(stream, ingest_workers, max_inflight)
+
+    def _feed(
+        self,
+        stream: Union[GraphStream, TransactionStream, Iterable[Batch]],
+        ingest_workers: Optional[int],
+        max_inflight: Optional[int],
+        on_batch_committed: Optional[Callable[[], None]] = None,
+    ) -> None:
+        """Commit every batch of one stream, calling the hook after each.
+
+        Sequentially in this process when ``ingest_workers`` is ``None``,
+        otherwise through the parallel ingestion pipeline.
         """
         if isinstance(stream, GraphStream) and stream.registry is not self._registry:
             raise StreamError(
@@ -320,64 +335,55 @@ class StreamSubgraphMiner:
             )
         if ingest_workers is not None:
             self._consume_with_ingest_workers(
-                stream, ingest_workers, max_inflight=max_inflight
+                stream, ingest_workers, max_inflight, on_batch_committed
             )
             return
-        if isinstance(stream, GraphStream):
-            for batch in stream.batches():
-                self.add_batch(batch)
-            return
-        for batch in stream:
-            if not isinstance(batch, Batch):
-                raise StreamError(f"expected Batch instances, got {type(batch).__name__}")
+        for batch in self._sequential_batches(stream):
             self.add_batch(batch)
+            if on_batch_committed is not None:
+                on_batch_committed()
 
     def _consume_with_ingest_workers(
         self,
         stream: Union[GraphStream, TransactionStream, Iterable[Batch]],
         ingest_workers: int,
-        max_inflight: Optional[int] = None,
-        on_batch_committed: Optional[Callable[[], None]] = None,
+        max_inflight: Optional[int],
+        on_batch_committed: Optional[Callable[[], None]],
     ) -> None:
-        """Route one stream through the parallel ingestion pipeline."""
+        """Route one stream's raw batches through the ingestion pipeline.
+
+        A Graph/TransactionStream hands over its units grouped by the
+        stream's own batching rule; a plain iterable, the transactions of
+        each type-checked :class:`Batch`.
+        """
         self.flush_pending()
-        store = self._matrix.store
-        report: IngestReport
+        kind = "transactions"
+        registry: Optional[EdgeRegistry] = None
+        register_new_edges = True
+        batches: Iterable[Sequence[RawUnit]]
         if isinstance(stream, GraphStream):
-            report = ingest_snapshots(
-                store,
-                stream.raw_snapshots,
-                batch_size=stream.batch_size,
-                registry=self._registry,
-                workers=ingest_workers,
-                register_new_edges=stream.register_new_edges,
-                max_inflight=max_inflight,
-                on_batch_committed=on_batch_committed,
-                policy=self._failure_policy,
-                events=self._events,
-            )
+            kind = "snapshots"
+            registry = self._registry
+            register_new_edges = stream.register_new_edges
+            batches = group_units(stream.raw_snapshots, stream.batch_size)
         elif isinstance(stream, TransactionStream):
-            report = ingest_transactions(
-                store,
-                stream.raw_transactions,
-                batch_size=stream.batch_size,
-                workers=ingest_workers,
-                drop_last=stream.drop_last,
-                max_inflight=max_inflight,
-                on_batch_committed=on_batch_committed,
-                policy=self._failure_policy,
-                events=self._events,
+            batches = group_units(
+                stream.raw_transactions, stream.batch_size, stream.drop_last
             )
         else:
-            report = ingest_batches(
-                store,
-                stream,
-                workers=ingest_workers,
-                max_inflight=max_inflight,
-                on_batch_committed=on_batch_committed,
-                policy=self._failure_policy,
-                events=self._events,
-            )
+            batches = (batch.transactions for batch in self._sequential_batches(stream))
+        report = ingest_batches(
+            self._matrix.store,
+            batches,
+            kind=kind,
+            workers=ingest_workers,
+            registry=registry,
+            register_new_edges=register_new_edges,
+            max_inflight=max_inflight,
+            on_batch_committed=on_batch_committed,
+            policy=self._failure_policy,
+            events=self._events,
+        )
         self._batches_consumed += report.batches
         self._last_ingest_report = report
 
@@ -493,22 +499,7 @@ class StreamSubgraphMiner:
             )
             report_slides += 1
 
-        if ingest_workers is not None:
-            if isinstance(stream, GraphStream) and stream.registry is not self._registry:
-                raise StreamError(
-                    "the GraphStream must share the miner's EdgeRegistry; "
-                    "pass registry=miner.registry when building the stream"
-                )
-            self._consume_with_ingest_workers(
-                stream,
-                ingest_workers,
-                max_inflight=max_inflight,
-                on_batch_committed=slide,
-            )
-        else:
-            for batch in self._sequential_batches(stream):
-                self.add_batch(batch)
-                slide()
+        self._feed(stream, ingest_workers, max_inflight, on_batch_committed=slide)
         return WatchReport(
             slides=report_slides,
             columns=self._matrix.num_columns,
@@ -516,18 +507,12 @@ class StreamSubgraphMiner:
             last_record=last_record,
         )
 
+    @staticmethod
     def _sequential_batches(
-        self, stream: Union[GraphStream, TransactionStream, Iterable[Batch]]
+        stream: Union[GraphStream, TransactionStream, Iterable[Batch]],
     ) -> Iterable[Batch]:
-        """One stream as a batch iterable (the sequential consume semantics)."""
-        if isinstance(stream, GraphStream):
-            if stream.registry is not self._registry:
-                raise StreamError(
-                    "the GraphStream must share the miner's EdgeRegistry; "
-                    "pass registry=miner.registry when building the stream"
-                )
-            return stream.batches()
-        if isinstance(stream, TransactionStream):
+        """One stream as a batch iterable; plain iterables are type-checked."""
+        if isinstance(stream, (GraphStream, TransactionStream)):
             return stream.batches()
 
         def checked() -> Iterable[Batch]:

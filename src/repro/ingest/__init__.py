@@ -3,33 +3,26 @@
 The subsystem (DESIGN.md §5) completes the parallel end-to-end path —
 parallel ingest → segmented window store → parallel mining:
 
-* :class:`~repro.ingest.planner.IngestPlanner` splits the incoming
-  snapshot/transaction stream into batch-aligned chunks;
+* the stream's own batches (:func:`~repro.stream.stream.group_units`)
+  are pulled lazily, one per in-flight credit;
 * ingestion workers (:func:`~repro.ingest.worker.encode_chunk`) parse,
   canonicalise (registry snapshot + post-merge of new edges), count and
-  materialise finished segment payloads;
+  materialise one finished segment payload per batch;
 * a single-writer :class:`~repro.ingest.coordinator.WindowCoordinator`
   commits the segments to the window store in stream order, preserving
   exact eviction and boundary semantics.
 
-``workers=0`` runs the identical plan in-process and is byte-identical to
+``workers=0`` encodes the same batches in-process and is byte-identical to
 the sequential append path.  Entry points:
 :meth:`repro.core.miner.StreamSubgraphMiner.consume(..., ingest_workers=N)`,
-the CLI's ``repro mine --ingest-workers N``, and the functions below.
+the CLI's ``repro mine --ingest-workers N``, and :func:`ingest_batches`.
 """
 
-from repro.ingest.api import (
-    IngestReport,
-    ingest_batches,
-    ingest_snapshots,
-    ingest_transactions,
-)
+from repro.ingest.api import IngestReport, ingest_batches
 from repro.ingest.coordinator import WindowCoordinator
-from repro.ingest.planner import IngestChunk, IngestPlanner
 from repro.ingest.worker import (
     ChunkOutcome,
     IngestChunkTask,
-    SegmentDraft,
     encode_chunk,
     initialize_ingest_worker,
     is_provisional,
@@ -38,16 +31,11 @@ from repro.ingest.worker import (
 
 __all__ = [
     "ChunkOutcome",
-    "IngestChunk",
     "IngestChunkTask",
-    "IngestPlanner",
     "IngestReport",
-    "SegmentDraft",
     "WindowCoordinator",
     "encode_chunk",
     "ingest_batches",
-    "ingest_snapshots",
-    "ingest_transactions",
     "initialize_ingest_worker",
     "is_provisional",
     "provisional_symbol",

@@ -2,19 +2,19 @@
 
 Workers materialise batches concurrently, but exactly one
 :class:`WindowCoordinator` commits their results to the
-:class:`~repro.storage.backend.WindowStore` — in stream (chunk) order, one
-segment per batch, through :meth:`WindowStore.append_segment`.  Eviction
-and boundary semantics are therefore untouched: the store performs the
+:class:`~repro.storage.backend.WindowStore` — in stream (segment id)
+order, one segment per batch, through :meth:`WindowStore.append_segment`.
+Eviction and boundary semantics are therefore untouched: the store performs the
 identical slide it would have performed under sequential
 ``append_batch`` calls, and (for disk backends) persists the identical
 bytes.
 
 The coordinator also executes the registry-merge step of the protocol
-(DESIGN.md §5): each chunk's newly discovered edges are registered
+(DESIGN.md §5): each batch's newly discovered edges are registered
 against the live :class:`~repro.graph.edge_registry.EdgeRegistry` in
-chunk order and first-occurrence order — exactly the global
+stream order and first-occurrence order — exactly the global
 first-occurrence order sequential encoding would have used, so the
-assigned symbols are identical — and the chunk's provisional rows are
+assigned symbols are identical — and the batch's provisional rows are
 remapped to the final symbols before the segment is built.
 """
 
@@ -26,12 +26,7 @@ from repro import faults
 from repro.exceptions import EdgeRegistryError, IngestError
 from repro.graph.edge import Edge
 from repro.graph.edge_registry import EdgeRegistry
-from repro.ingest.worker import (
-    ChunkOutcome,
-    SegmentDraft,
-    is_provisional,
-    provisional_symbol,
-)
+from repro.ingest.worker import ChunkOutcome, is_provisional, provisional_symbol
 from repro.resilience import EventLog, FailurePolicy, retry_io
 from repro.storage.backend import WindowStore
 from repro.storage.segments import Segment
@@ -46,16 +41,16 @@ class WindowCoordinator:
         The window store receiving the segments.
     registry:
         The live edge registry new edges are merged into.  Only required
-        when chunks can report new edges (snapshot ingestion).
+        when batches can report new edges (snapshot ingestion).
     register_new_edges:
-        When ``False``, a chunk reporting an unregistered edge raises
+        When ``False``, a batch reporting an unregistered edge raises
         :class:`~repro.exceptions.EdgeRegistryError` instead of
         registering it (the sequential ``encode(register_new=False)``
         behaviour).
     on_batch_committed:
-        Optional callback invoked after *each batch* of a chunk has been
-        appended to the store (still inside the single-writer commit, so
-        in strict stream order).  This is the window-slide hook the
+        Optional callback invoked after each batch has been appended to
+        the store (still inside the single-writer commit, so in strict
+        stream order).  This is the window-slide hook the
         pattern-history subsystem mines from (DESIGN.md §10): because it
         fires between appends, the callback observes exactly the window
         states sequential ``append_batch`` calls would have produced,
@@ -81,7 +76,6 @@ class WindowCoordinator:
         self._on_batch_committed = on_batch_committed
         self._policy = policy
         self._events = events
-        self._next_chunk_id = 0
         #: Batches committed so far.
         self.batches_committed = 0
         #: Transaction columns committed so far.
@@ -96,87 +90,80 @@ class WindowCoordinator:
         """The window store being written to."""
         return self._store
 
-    @property
-    def next_chunk_id(self) -> int:
-        """Chunk id the next :meth:`commit` must carry (stream order)."""
-        return self._next_chunk_id
-
     def commit(self, outcome: ChunkOutcome) -> None:
-        """Commit one chunk's segments, merging its new edges first.
+        """Commit one batch's segment, merging its new edges first.
 
-        Commits must arrive in ``chunk_id`` order; anything else would
-        reorder the stream and is rejected.
+        Outcomes must arrive in segment id order, the store's next id
+        first; anything else would reorder the stream and is rejected
+        before the registry is touched.
         """
-        if outcome.chunk_id != self._next_chunk_id:
+        expected = self._store.next_segment_id
+        if outcome.segment_id != expected:
             raise IngestError(
-                f"chunk {outcome.chunk_id} committed out of stream order; "
-                f"expected chunk {self._next_chunk_id}"
+                f"segment {outcome.segment_id} committed out of stream order; "
+                f"expected segment {expected}"
             )
         mapping = self._merge_new_edges(outcome.new_edges)
-        for draft in outcome.drafts:
-            segment, payload = self._materialise(outcome.chunk_id, draft, mapping)
+        segment, payload = self._materialise(outcome, mapping)
 
-            def _append(
-                segment: Segment = segment, payload: Optional[bytes] = payload
-            ) -> int:
-                # Disk appends rewrite the segment file keyed by its id
-                # and only then update the manifest, so a retried append
-                # after a failed write is idempotent.
-                faults.trip("segment.write", OSError)
-                return self._store.append_segment(segment, payload=payload)
+        def _append() -> int:
+            # Disk appends rewrite the segment file keyed by its id and
+            # only then update the manifest, so a retried append after a
+            # failed write is idempotent.
+            faults.trip("segment.write", OSError)
+            return self._store.append_segment(segment, payload=payload)
 
-            self.columns_evicted += retry_io(
-                _append,
-                site="segment.write",
-                policy=self._policy,
-                events=self._events,
-            )
-            self.batches_committed += 1
-            self.columns_committed += draft.num_columns
-            if self._on_batch_committed is not None:
-                self._on_batch_committed()
-        self._next_chunk_id += 1
+        self.columns_evicted += retry_io(
+            _append,
+            site="segment.write",
+            policy=self._policy,
+            events=self._events,
+        )
+        self.batches_committed += 1
+        self.columns_committed += outcome.num_columns
+        if self._on_batch_committed is not None:
+            self._on_batch_committed()
 
+    @staticmethod
     def _materialise(
-        self,
-        chunk_id: int,
-        draft: SegmentDraft,
-        mapping: Dict[str, str],
+        outcome: ChunkOutcome, mapping: Dict[str, str]
     ) -> Tuple[Segment, Optional[bytes]]:
-        """One draft → the segment to append plus its verbatim payload."""
-        rows = draft.rows
-        payload = draft.payload
+        """One outcome → the segment to append plus its verbatim payload."""
+        rows = outcome.rows
+        payload = outcome.payload
         if any(is_provisional(item) for item in rows):
             rows = {mapping.get(item, item): bits for item, bits in rows.items()}
             payload = None
             unresolved = sorted(item for item in rows if is_provisional(item))
             if unresolved:
                 raise IngestError(
-                    f"chunk {chunk_id} references "
+                    f"segment {outcome.segment_id} references "
                     f"{len(unresolved)} provisional items with no "
                     "matching new_edges entry"
                 )
         # The worker's payload (when the rows were final) seeds the
         # segment's serialisation cache: persistence and later handle
         # shipping reuse those exact bytes instead of re-serialising.
-        segment = Segment(draft.segment_id, draft.num_columns, rows, payload=payload)
+        segment = Segment(
+            outcome.segment_id, outcome.num_columns, rows, payload=payload
+        )
         return segment, payload
 
     def _merge_new_edges(
         self, new_edges: Tuple[Edge, ...]
     ) -> Dict[str, str]:
-        """Register a chunk's new edges in order → provisional-to-final map.
+        """Register a batch's new edges in order → provisional-to-final map.
 
-        An edge already registered by an earlier chunk's merge simply
+        An edge already registered by an earlier batch's merge simply
         resolves to its existing symbol, which is how overlapping "new"
-        discoveries across concurrently encoded chunks converge on one
+        discoveries across concurrently encoded batches converge on one
         symbol per edge.
         """
         if not new_edges:
             return {}
         if self._registry is None:
             raise IngestError(
-                "chunk reported new edges but the coordinator has no "
+                "a batch reported new edges but the coordinator has no "
                 "registry to merge them into"
             )
         mapping: Dict[str, str] = {}

@@ -1,10 +1,10 @@
 """What runs inside an ingestion worker process.
 
-A worker receives an :class:`IngestChunkTask` — whole batches of raw
-transactions or graph snapshots plus the final segment ids those batches
-will receive — and does the expensive part of an append without touching
-the window: parse, canonicalise, count and materialise each batch into a
-:class:`SegmentDraft` (per-item bit-pattern rows, and the serialised
+A worker receives an :class:`IngestChunkTask` — one whole batch of raw
+transactions or graph snapshots plus the final segment id that batch will
+receive — and does the expensive part of an append without touching the
+window: parse, canonicalise, count and materialise the batch into a
+:class:`ChunkOutcome` (per-item bit-pattern rows, and the serialised
 segment payload whenever the rows are final).
 
 Canonicalisation uses the **registry-merge protocol** (DESIGN.md §5): the
@@ -12,9 +12,9 @@ worker reads a snapshot of the shared :class:`EdgeRegistry` (shipped once
 per worker process via the pool initializer) and never mutates it.  Edges
 unknown to the snapshot are recorded in first-occurrence order and encoded
 under *provisional* symbols; the single-writer coordinator later registers
-them against the live registry — chunks in stream order, edges in recorded
-order — which reproduces exactly the symbols sequential encoding would
-have assigned, and remaps the provisional rows before committing.
+them against the live registry — batches in stream order, edges in
+recorded order — which reproduces exactly the symbols sequential encoding
+would have assigned, and remaps the provisional rows before committing.
 
 Everything in this module is picklable and importable at module level, so
 the tasks work under every multiprocessing start method.
@@ -23,22 +23,24 @@ the tasks work under every multiprocessing start method.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, cast
+from typing import Dict, List, Optional, Sequence, Tuple, Union, cast
 
 from repro import faults
 from repro.exceptions import EdgeRegistryError, IngestError
 from repro.graph.edge import Edge
 from repro.graph.edge_registry import EdgeRegistry
 from repro.graph.graph import GraphSnapshot
-from repro.ingest.planner import RawUnit
 from repro.storage.segments import Segment, rows_from_transactions
+
+#: One unencoded stream element: a raw transaction or a graph snapshot.
+RawUnit = Union[Sequence[str], GraphSnapshot]
 
 #: Prefix of provisional item symbols; ``"\x00"`` cannot start a real
 #: symbol (registry symbols are ``a..z`` / ``e<N>`` or caller-supplied
 #: printable labels), so provisional keys never collide with final ones.
 PROVISIONAL_PREFIX = "\x00new#"
 
-#: Chunk kinds a task can carry.
+#: Unit kinds a task can carry.
 CHUNK_KINDS = ("transactions", "snapshots")
 
 # Per-worker-process state, installed by initialize_ingest_worker (which
@@ -49,7 +51,7 @@ _WORKER_REGISTRIES: Dict[str, Tuple[Optional[EdgeRegistry], bool]] = {}
 
 
 def provisional_symbol(index: int) -> str:
-    """The provisional symbol of the ``index``-th new edge of a chunk."""
+    """The provisional symbol of the ``index``-th new edge of a batch."""
     return f"{PROVISIONAL_PREFIX}{index}"
 
 
@@ -60,51 +62,39 @@ def is_provisional(item: str) -> bool:
 
 @dataclass(frozen=True)
 class IngestChunkTask:
-    """One unit of parallel ingestion work: encode a run of whole batches.
+    """One unit of parallel ingestion work: encode one whole batch.
 
-    ``base_segment_id`` is the segment id the chunk's first batch will
-    receive when committed — segment ids advance by exactly one per batch,
-    so the worker can serialise final payloads under their real ids.
-    ``context`` names the registry snapshot installed by
+    ``segment_id`` is the id the batch's segment will receive when
+    committed, so the worker can serialise the final payload under its
+    real id.  ``context`` names the registry snapshot installed by
     :func:`initialize_ingest_worker`; ``registry``/``register_new_edges``
     may be set instead for direct single-task invocation (tests, tools).
     """
 
-    chunk_id: int
     kind: str
-    base_segment_id: int
-    batches: Tuple[Tuple[RawUnit, ...], ...]
+    segment_id: int
+    units: Tuple[RawUnit, ...]
     context: str = ""
     registry: Optional[EdgeRegistry] = None
     register_new_edges: bool = True
 
 
 @dataclass(frozen=True)
-class SegmentDraft:
-    """A worker-materialised batch: its per-item rows, possibly provisional.
+class ChunkOutcome:
+    """What an ingestion worker sends back: one materialised batch.
 
     ``rows`` may carry provisional symbols the coordinator remaps;
     ``payload`` is additionally set when every row key is final, so the
-    coordinator can persist the serialised bytes verbatim.
+    coordinator can persist the serialised bytes verbatim.  ``new_edges``
+    lists the edges unknown to the worker's registry snapshot in
+    first-occurrence order — the order the coordinator must register them
+    in to reproduce sequential symbol assignment.
     """
 
     segment_id: int
     num_columns: int
     rows: Dict[str, int]
     payload: Optional[bytes] = None
-
-
-@dataclass(frozen=True)
-class ChunkOutcome:
-    """What an ingestion worker sends back.
-
-    ``new_edges`` lists the edges unknown to the worker's registry
-    snapshot in first-occurrence order — the order the coordinator must
-    register them in to reproduce sequential symbol assignment.
-    """
-
-    chunk_id: int
-    drafts: Tuple[SegmentDraft, ...]
     new_edges: Tuple[Edge, ...] = ()
 
 
@@ -116,7 +106,7 @@ def initialize_ingest_worker(
     """Pool initializer: install one run's registry snapshot in this process.
 
     The snapshot ships once per worker process (it is pickled with the
-    initializer arguments), not once per chunk task.  In-process runs
+    initializer arguments), not once per task.  In-process runs
     (``workers=0``) receive the live registry object — safe, because
     workers only ever read it.
     """
@@ -129,7 +119,7 @@ def clear_ingest_worker(context: str) -> None:
 
 
 def encode_chunk(task: IngestChunkTask) -> ChunkOutcome:
-    """Worker entry point: materialise every batch of the chunk.
+    """Worker entry point: materialise the task's batch.
 
     Raises :class:`~repro.exceptions.EdgeRegistryError` when an unseen
     edge arrives while ``register_new_edges`` is off, matching the
@@ -163,38 +153,27 @@ def encode_chunk(task: IngestChunkTask) -> ChunkOutcome:
             new_edges.append(edge)
         return provisional_symbol(index)
 
-    drafts: List[SegmentDraft] = []
-    segment_id = task.base_segment_id
-    for batch_units in task.batches:
-        if task.kind == "snapshots":
-            if registry is None:
-                raise IngestError(
-                    "snapshot chunks need a registry snapshot: run "
-                    "initialize_ingest_worker with this task's context "
-                    "first, or set registry= on the task"
-                )
-            transactions: Sequence[Sequence[str]] = [
-                [key_of(edge) for edge in cast(GraphSnapshot, unit).sorted_edges()]
-                for unit in batch_units
-            ]
-        else:
-            transactions = cast(Sequence[Sequence[str]], batch_units)
-        num_columns, rows = rows_from_transactions(transactions)
-        payload: Optional[bytes] = None
-        if not any(is_provisional(item) for item in rows):
-            payload = Segment(segment_id, num_columns, rows).to_bytes()
-        drafts.append(
-            SegmentDraft(
-                segment_id=segment_id,
-                num_columns=num_columns,
-                rows=rows,
-                payload=payload,
+    if task.kind == "snapshots":
+        if registry is None:
+            raise IngestError(
+                "snapshot batches need a registry snapshot: run "
+                "initialize_ingest_worker with this task's context "
+                "first, or set registry= on the task"
             )
-        )
-        segment_id += 1
+        transactions: Sequence[Sequence[str]] = [
+            [key_of(edge) for edge in cast(GraphSnapshot, unit).sorted_edges()]
+            for unit in task.units
+        ]
+    else:
+        transactions = cast(Sequence[Sequence[str]], task.units)
+    num_columns, rows = rows_from_transactions(transactions)
+    payload: Optional[bytes] = None
+    if not any(is_provisional(item) for item in rows):
+        payload = Segment(task.segment_id, num_columns, rows).to_bytes()
     return ChunkOutcome(
-        chunk_id=task.chunk_id,
-        drafts=tuple(drafts),
+        segment_id=task.segment_id,
+        num_columns=num_columns,
+        rows=rows,
+        payload=payload,
         new_edges=tuple(new_edges),
     )
-

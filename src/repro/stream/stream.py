@@ -10,12 +10,36 @@ sliding window and the storage structures consume.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Tuple, TypeVar, Union
 
 from repro.exceptions import StreamError
 from repro.graph.edge_registry import EdgeRegistry
 from repro.graph.graph import GraphSnapshot
 from repro.stream.batch import Batch, Transaction
+
+Unit = TypeVar("Unit")
+
+
+def group_units(
+    units: Iterable[Unit], batch_size: int, drop_last: bool = False
+) -> Iterator[Tuple[Unit, ...]]:
+    """Group raw stream units into tuples of ``batch_size``, lazily.
+
+    This is the one batching rule of the stream (DESIGN.md §5): the
+    trailing partial group is kept unless ``drop_last`` is set, the
+    grouping depends only on the input order, and each group is pulled
+    from ``units`` only when it is asked for.  :func:`assemble_batches`
+    wraps the groups in :class:`Batch` objects; the parallel ingestion
+    pipeline ships them to its workers as they are.
+    """
+    if batch_size <= 0:
+        raise StreamError(f"batch_size must be positive, got {batch_size}")
+    iterator = iter(units)
+    while True:
+        group = tuple(islice(iterator, batch_size))
+        if not group or (drop_last and len(group) < batch_size):
+            return
+        yield group
 
 
 def assemble_batches(
@@ -26,28 +50,13 @@ def assemble_batches(
 ) -> Iterator[Batch]:
     """Group transactions into :class:`Batch` objects of ``batch_size``.
 
-    This is the pure batch-assembly function behind
-    :class:`TransactionStream`: batches receive sequential ids starting
-    at ``start_batch_id``, the trailing partial batch is kept unless
-    ``drop_last`` is set, and the grouping depends only on the input
-    order — never on who performs it.  The parallel ingestion planner
-    (:meth:`repro.ingest.planner.IngestPlanner.plan_units`, DESIGN.md §5)
-    applies the same alignment rule to *raw* units without constructing
-    ``Batch`` objects; a change to the grouping semantics here must be
-    mirrored there (the ingestion parity suite pins the equivalence).
+    The batch-assembly function behind :class:`TransactionStream`: the
+    groups of :func:`group_units`, with sequential batch ids starting at
+    ``start_batch_id``.
     """
-    if batch_size <= 0:
-        raise StreamError(f"batch_size must be positive, got {batch_size}")
-    buffer: List[Sequence[str]] = []
-    batch_id = start_batch_id
-    for transaction in transactions:
-        buffer.append(transaction)
-        if len(buffer) == batch_size:
-            yield Batch(buffer, batch_id=batch_id)
-            buffer = []
-            batch_id += 1
-    if buffer and not drop_last:
-        yield Batch(buffer, batch_id=batch_id)
+    groups = group_units(transactions, batch_size, drop_last=drop_last)
+    for batch_id, group in enumerate(groups, start=start_batch_id):
+        yield Batch(group, batch_id=batch_id)
 
 
 class TransactionStream:

@@ -18,12 +18,12 @@ from repro.checkpoint import CheckpointManager, Checkpointer
 from repro.core.miner import StreamSubgraphMiner
 from repro.datasets.synthetic import IBMSyntheticGenerator
 from repro.history.journal import DiskJournal, MemoryJournal, SlideRecord
-from repro.ingest import ingest_transactions
+from repro.ingest import ingest_batches
 from repro.resilience import EventLog, FailurePolicy
 from repro.serve.app import ServeApp
 from repro.serve.http import BackgroundServer
 from repro.storage.backend import MemoryWindowStore
-from repro.stream.stream import TransactionStream
+from repro.stream.stream import TransactionStream, group_units
 
 #: Zero sleeps: these tests exercise the retry *logic*, not the pacing.
 FAST = FailurePolicy(
@@ -96,10 +96,9 @@ class TestSegmentWrite:
 
     def _ingest(self, events=None):
         store = MemoryWindowStore(3)
-        report = ingest_transactions(
+        report = ingest_batches(
             store,
-            self.TRANSACTIONS,
-            batch_size=5,
+            group_units(self.TRANSACTIONS, 5),
             policy=FAST,
             events=events,
         )

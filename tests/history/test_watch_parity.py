@@ -16,6 +16,7 @@ from repro.core.miner import StreamSubgraphMiner
 from repro.exceptions import MiningError
 from repro.graph.edge_registry import EdgeRegistry
 from repro.history.journal import DATA_NAME, DiskJournal, MemoryJournal
+from repro.parallel.pipeline import default_max_inflight
 from repro.stream.stream import GraphStream, TransactionStream
 
 from tests.ingest.test_ingest_parity import synthetic_snapshots
@@ -221,3 +222,40 @@ class TestWatchSemantics:
         assert report is not None
         assert report.batches == 4
         assert report.max_inflight == 2
+
+    @pytest.mark.parametrize("ingest_workers", (0, 1))
+    def test_stream_is_pulled_lazily(self, ingest_workers):
+        """Slides commit while the stream is still being read.
+
+        The ingestion pipeline pulls one batch per in-flight credit, so
+        when slide ``i`` is sealed at most ``i`` committed batches plus
+        the in-flight bound plus one more batch have been read — never
+        the whole stream.
+        """
+        batch_size, batches = 5, 20
+        pulled = 0
+
+        def units():
+            nonlocal pulled
+            for index in range(batches * batch_size):
+                pulled += 1
+                yield (f"i{index % 7}",)
+
+        pulled_at_slide = []
+        miner = StreamSubgraphMiner(
+            window_size=3,
+            batch_size=batch_size,
+            algorithm="vertical",
+            on_slide=lambda record: pulled_at_slide.append(pulled),
+        )
+        miner.watch(
+            TransactionStream(units(), batch_size=batch_size),
+            minsup=2,
+            connected_only=False,
+            ingest_workers=ingest_workers,
+        )
+        assert len(pulled_at_slide) == batches
+        bound = (default_max_inflight(ingest_workers) + 1) * batch_size
+        assert pulled_at_slide[0] <= bound
+        for slide, count in enumerate(pulled_at_slide):
+            assert count <= bound + slide * batch_size, (slide, count)

@@ -14,7 +14,6 @@ from repro.graph.graph import GraphSnapshot
 from repro.ingest import (
     ChunkOutcome,
     IngestChunkTask,
-    SegmentDraft,
     WindowCoordinator,
     encode_chunk,
     is_provisional,
@@ -31,29 +30,26 @@ def snapshot(*pairs):
 
 class TestEncodeChunk:
     def test_transactions_chunk_builds_segment_rows(self):
-        task = IngestChunkTask(
-            chunk_id=0,
-            kind="transactions",
-            base_segment_id=5,
-            batches=((("a", "b"), ("b",)), (("c",),)),
+        first, second = (
+            encode_chunk(
+                IngestChunkTask(kind="transactions", segment_id=segment_id, units=units)
+            )
+            for segment_id, units in ((5, (("a", "b"), ("b",))), (6, (("c",),)))
         )
-        outcome = encode_chunk(task)
-        assert [draft.segment_id for draft in outcome.drafts] == [5, 6]
-        first, second = outcome.drafts
+        assert [first.segment_id, second.segment_id] == [5, 6]
+        assert first.num_columns == 2
         assert first.rows == {"a": 0b01, "b": 0b11}
         assert second.rows == {"c": 0b1}
         # Final rows ship their exact serialisation for verbatim persistence.
         assert first.payload == Segment(5, 2, first.rows).to_bytes()
-        assert outcome.new_edges == ()
+        assert second.payload == Segment(6, 1, second.rows).to_bytes()
+        assert first.new_edges == second.new_edges == ()
 
     def test_duplicate_items_collapse_like_batch_normalisation(self):
         task = IngestChunkTask(
-            chunk_id=0,
-            kind="transactions",
-            base_segment_id=0,
-            batches=((("b", "a", "b"),),),
+            kind="transactions", segment_id=0, units=(("b", "a", "b"),)
         )
-        rows = encode_chunk(task).drafts[0].rows
+        rows = encode_chunk(task).rows
         assert rows == {"a": 0b1, "b": 0b1}
 
     def test_known_edges_use_registry_symbols(self):
@@ -61,42 +57,37 @@ class TestEncodeChunk:
         known = Edge("u", "v")
         registry.register(known)
         task = IngestChunkTask(
-            chunk_id=0,
             kind="snapshots",
-            base_segment_id=0,
-            batches=((GraphSnapshot([known]),),),
+            segment_id=0,
+            units=(GraphSnapshot([known]),),
             registry=registry,
         )
         outcome = encode_chunk(task)
-        assert outcome.drafts[0].rows == {"a": 0b1}
+        assert outcome.rows == {"a": 0b1}
         assert outcome.new_edges == ()
 
     def test_unseen_edges_become_provisional_in_first_occurrence_order(self):
         registry = EdgeRegistry()
         task = IngestChunkTask(
-            chunk_id=0,
             kind="snapshots",
-            base_segment_id=0,
-            batches=(
-                (snapshot(("x", "y")), snapshot(("y", "z"), ("x", "y"))),
-            ),
+            segment_id=0,
+            units=(snapshot(("x", "y")), snapshot(("y", "z"), ("x", "y"))),
             registry=registry,
         )
         outcome = encode_chunk(task)
         assert outcome.new_edges == (Edge("x", "y"), Edge("y", "z"))
-        rows = outcome.drafts[0].rows
+        rows = outcome.rows
         assert rows[provisional_symbol(0)] == 0b11  # x-y in both snapshots
         assert rows[provisional_symbol(1)] == 0b10
-        assert outcome.drafts[0].payload is None  # not final yet
+        assert outcome.payload is None  # not final yet
         assert all(is_provisional(item) for item in rows)
         assert len(registry) == 0  # the snapshot registry is never mutated
 
     def test_register_new_false_raises_in_worker(self):
         task = IngestChunkTask(
-            chunk_id=0,
             kind="snapshots",
-            base_segment_id=0,
-            batches=((snapshot(("x", "y")),),),
+            segment_id=0,
+            units=(snapshot(("x", "y")),),
             registry=EdgeRegistry(),
             register_new_edges=False,
         )
@@ -105,34 +96,24 @@ class TestEncodeChunk:
 
     def test_snapshot_chunk_without_registry_rejected(self):
         task = IngestChunkTask(
-            chunk_id=0,
-            kind="snapshots",
-            base_segment_id=0,
-            batches=((snapshot(("x", "y")),),),
+            kind="snapshots", segment_id=0, units=(snapshot(("x", "y")),)
         )
         with pytest.raises(IngestError):
             encode_chunk(task)
 
     def test_unknown_chunk_kind_rejected(self):
-        task = IngestChunkTask(
-            chunk_id=0, kind="bogus", base_segment_id=0, batches=()
-        )
+        task = IngestChunkTask(kind="bogus", segment_id=0, units=())
         with pytest.raises(IngestError):
             encode_chunk(task)
 
 
 class TestWindowCoordinator:
-    def outcome(self, chunk_id, segment_id, rows, new_edges=(), payload=None):
+    def outcome(self, segment_id, rows, new_edges=(), payload=None):
         return ChunkOutcome(
-            chunk_id=chunk_id,
-            drafts=(
-                SegmentDraft(
-                    segment_id=segment_id,
-                    num_columns=2,
-                    rows=rows,
-                    payload=payload,
-                ),
-            ),
+            segment_id=segment_id,
+            num_columns=2,
+            rows=rows,
+            payload=payload,
             new_edges=new_edges,
         )
 
@@ -140,13 +121,12 @@ class TestWindowCoordinator:
         registry = EdgeRegistry()
         store = MemoryWindowStore(window_size=4)
         coordinator = WindowCoordinator(store, registry=registry)
-        # Chunk 0 discovers u-v; chunk 1 independently discovers u-v and w-x.
+        # Batch 0 discovers u-v; batch 1 independently discovers u-v and w-x.
         coordinator.commit(
-            self.outcome(0, 0, {provisional_symbol(0): 0b01}, (Edge("u", "v"),))
+            self.outcome(0, {provisional_symbol(0): 0b01}, (Edge("u", "v"),))
         )
         coordinator.commit(
             self.outcome(
-                1,
                 1,
                 {provisional_symbol(0): 0b10, provisional_symbol(1): 0b11},
                 (Edge("u", "v"), Edge("w", "x")),
@@ -160,15 +140,23 @@ class TestWindowCoordinator:
         assert store.row("b").bits == 0b1100
 
     def test_out_of_order_commit_rejected(self):
-        coordinator = WindowCoordinator(MemoryWindowStore(window_size=2))
+        registry = EdgeRegistry()
+        coordinator = WindowCoordinator(
+            MemoryWindowStore(window_size=2), registry=registry
+        )
+        # The store expects segment 0 next; segment 1 must wait its turn,
+        # and the registry is not touched by the rejected commit.
         with pytest.raises(IngestError):
-            coordinator.commit(self.outcome(1, 0, {"a": 0b1}))
+            coordinator.commit(
+                self.outcome(1, {provisional_symbol(0): 0b1}, (Edge("u", "v"),))
+            )
+        assert len(registry) == 0
 
     def test_new_edges_without_registry_rejected(self):
         coordinator = WindowCoordinator(MemoryWindowStore(window_size=2))
         with pytest.raises(IngestError):
             coordinator.commit(
-                self.outcome(0, 0, {provisional_symbol(0): 0b1}, (Edge("u", "v"),))
+                self.outcome(0, {provisional_symbol(0): 0b1}, (Edge("u", "v"),))
             )
 
     def test_unresolved_provisional_rows_rejected(self):
@@ -178,7 +166,7 @@ class TestWindowCoordinator:
         # Rows reference provisional #1 but only #0 is declared new.
         with pytest.raises(IngestError):
             coordinator.commit(
-                self.outcome(0, 0, {provisional_symbol(1): 0b1}, (Edge("u", "v"),))
+                self.outcome(0, {provisional_symbol(1): 0b1}, (Edge("u", "v"),))
             )
 
     def test_register_new_false_rejects_unknown_edges_at_merge(self):
@@ -189,14 +177,14 @@ class TestWindowCoordinator:
         )
         with pytest.raises(EdgeRegistryError):
             coordinator.commit(
-                self.outcome(0, 0, {provisional_symbol(0): 0b1}, (Edge("u", "v"),))
+                self.outcome(0, {provisional_symbol(0): 0b1}, (Edge("u", "v"),))
             )
 
     def test_counters_track_commits(self):
         store = MemoryWindowStore(window_size=1)
         coordinator = WindowCoordinator(store)
-        coordinator.commit(self.outcome(0, 0, {"a": 0b11}))
-        coordinator.commit(self.outcome(1, 1, {"b": 0b01}))
+        coordinator.commit(self.outcome(0, {"a": 0b11}))
+        coordinator.commit(self.outcome(1, {"b": 0b01}))
         assert coordinator.batches_committed == 2
         assert coordinator.columns_committed == 4
         assert coordinator.columns_evicted == 2  # window of 1 batch slid once

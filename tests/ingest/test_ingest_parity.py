@@ -16,7 +16,9 @@ import pytest
 from repro.core.export import result_to_json
 from repro.core.miner import StreamSubgraphMiner
 from repro.datasets.random_graphs import GraphStreamGenerator, RandomGraphModel
+from repro.exceptions import StreamError
 from repro.graph.edge_registry import EdgeRegistry
+from repro.stream.batch import Batch
 from repro.stream.stream import GraphStream, TransactionStream
 
 WORKER_COUNTS = (0, 1, 4)
@@ -181,12 +183,32 @@ class TestTransactionStreamParity:
             miner.consume(batches, ingest_workers=workers)
             assert window_fingerprint(miner) == window_fingerprint(reference)
 
+    def test_existing_batch_boundaries_are_preserved(self, tmp_path):
+        # Pre-built batches keep their own sizes, whatever the miner's batch_size.
+        batches = [Batch([("a",)] * 4), Batch([("b",)] * 2)]
+        for workers in (0, 2):
+            miner = build_miner("memory", tmp_path / f"w{workers}")
+            miner.consume(batches, ingest_workers=workers)
+            assert miner.matrix.boundaries() == [4, 6]
+            assert miner.batches_consumed == 2
+
+    def test_non_batch_iterable_rejected_like_the_sequential_path(self, tmp_path):
+        with pytest.raises(StreamError) as sequential:
+            build_miner("memory", tmp_path).consume([("a", "b")])
+        for workers in (0, 2):
+            with pytest.raises(StreamError) as parallel:
+                build_miner("memory", tmp_path).consume(
+                    [("a", "b")], ingest_workers=workers
+                )
+            assert parallel.type is sequential.type is StreamError
+            assert str(parallel.value) == str(sequential.value)
+
 
 class TestMaxInflightParity:
     """Any in-flight bound yields the byte-identical committed window.
 
     The pipelined executor (DESIGN.md §9) only changes *when* encoded
-    chunks become resident, never what is committed: for every
+    batches become resident, never what is committed: for every
     ``ingest_workers`` × ``max_inflight`` combination the segment files,
     registry state and window fingerprint must equal the sequential path.
     """
@@ -220,14 +242,14 @@ class TestMaxInflightParity:
         ), f"ingest_workers={workers} max_inflight={max_inflight} diverged"
 
     def test_report_exposes_inflight_accounting(self, tmp_path):
-        from repro.ingest import ingest_transactions
+        from repro.ingest import ingest_batches
         from repro.storage.backend import MemoryWindowStore
+        from repro.stream.stream import group_units
 
         store = MemoryWindowStore(3)
-        report = ingest_transactions(
+        report = ingest_batches(
             store,
-            [("a",), ("b",), ("a", "b")] * 10,
-            batch_size=5,
+            group_units([("a",), ("b",), ("a", "b")] * 10, 5),
             workers=2,
             max_inflight=2,
         )

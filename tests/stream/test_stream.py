@@ -6,11 +6,67 @@ from repro.exceptions import StreamError
 from repro.graph.edge import Edge
 from repro.graph.edge_registry import EdgeRegistry
 from repro.graph.graph import GraphSnapshot
-from repro.stream.stream import GraphStream, TransactionStream, assemble_batches
+from repro.stream.stream import (
+    GraphStream,
+    TransactionStream,
+    assemble_batches,
+    group_units,
+)
+
+
+class TestGroupUnits:
+    """The one batching rule, shared by the batch streams and parallel ingest."""
+
+    def test_batches_are_aligned_and_ordered(self):
+        assert list(group_units(range(8), batch_size=3)) == [
+            (0, 1, 2),
+            (3, 4, 5),
+            (6, 7),
+        ]
+
+    def test_groups_hold_whole_batches(self):
+        groups = list(group_units(range(10), batch_size=2))
+        assert [len(group) for group in groups] == [2, 2, 2, 2, 2]
+        assert groups[2] == (4, 5)
+
+    def test_drop_last_discards_partial_batch(self):
+        groups = list(group_units(range(8), batch_size=3, drop_last=True))
+        assert groups == [(0, 1, 2), (3, 4, 5)]
+        # A full trailing batch is not partial and is kept.
+        assert len(list(group_units(range(6), batch_size=3, drop_last=True))) == 2
+
+    def test_empty_stream_yields_no_batches(self):
+        assert list(group_units([], batch_size=4)) == []
+        assert list(group_units([], batch_size=4, drop_last=True)) == []
+
+    def test_grouping_is_deterministic(self):
+        units = [f"t{i}" for i in range(57)]
+        assert list(group_units(units, 5)) == list(group_units(iter(units), 5))
+
+    def test_every_unit_lands_in_one_batch(self):
+        groups = list(group_units(range(11), batch_size=4))
+        assert [unit for group in groups for unit in group] == list(range(11))
+
+    def test_units_are_pulled_one_batch_at_a_time(self):
+        pulled = []
+
+        def generate():
+            for index in range(10):
+                pulled.append(index)
+                yield index
+
+        groups = group_units(generate(), batch_size=3)
+        assert next(groups) == (0, 1, 2)
+        assert pulled == [0, 1, 2]
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_non_positive_batch_size_rejected(self, batch_size):
+        with pytest.raises(StreamError):
+            list(group_units([], batch_size=batch_size))
 
 
 class TestAssembleBatches:
-    """The pure batch-assembly kernel shared with the ingestion planner."""
+    """Batch objects over the groups of :func:`group_units`."""
 
     def test_matches_transaction_stream_batching(self):
         transactions = [[f"i{index}"] for index in range(7)]

@@ -307,7 +307,7 @@ class TestMineStats:
                      "--max-inflight", "2"]) == 0
         output = capsys.readouterr().out
         assert "cache: " in output
-        assert "pipeline: chunks=3" in output
+        assert "pipeline: batches=3" in output
         assert "max_inflight=2" in output
 
     def test_without_stats_flag_no_summary(self, tmp_path, capsys):
