@@ -5,15 +5,13 @@ batch-aligned segments behind a ``WindowStore`` protocol.  This ablation
 quantifies the design choice along the axis the refactor targets — the cost
 of keeping the window persistent while it slides:
 
-* **segmented disk layout** — each append writes one segment file plus a
-  small manifest and deletes one evicted file: per-batch I/O is O(batch);
-* **legacy single-file layout** — each append rewrites the whole matrix:
-  per-batch I/O is O(window);
+* **disk store** — each append writes one segment file plus a small
+  manifest and deletes one evicted file: per-batch I/O is O(batch);
 * **in-memory backend** — the no-persistence baseline.
 
 The benchmarks also assert the structural property the refactor promises:
-after the window fills, the segmented layout performs no full-matrix
-rewrites.
+after the window fills, an append writes far less than the persisted
+window.
 """
 
 import pytest
@@ -21,15 +19,7 @@ import pytest
 from repro.bench.harness import prepare_window
 from repro.storage.backend import DiskWindowStore
 
-BACKENDS = ("memory", "disk", "single")
-
-
-def _storage_args(backend, tmp_path):
-    if backend == "memory":
-        return {"storage": None, "path": None}
-    if backend == "disk":
-        return {"storage": "disk", "path": tmp_path / "segments"}
-    return {"storage": "single", "path": tmp_path / "window.dsm"}
+BACKENDS = ("memory", "disk")
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -38,7 +28,8 @@ def test_stream_ingestion_per_backend(benchmark, backend, edge_workload, tmp_pat
 
     def ingest():
         tmp_path = tmp_path_factory.mktemp(f"ablation-{backend}")
-        return prepare_window(edge_workload, **_storage_args(backend, tmp_path))
+        path = tmp_path / "segments" if backend == "disk" else None
+        return prepare_window(edge_workload, path=path)
 
     matrix = benchmark.pedantic(ingest, rounds=3, iterations=1)
     benchmark.extra_info["backend"] = backend
@@ -46,24 +37,12 @@ def test_stream_ingestion_per_backend(benchmark, backend, edge_workload, tmp_pat
     store = matrix.store
     if isinstance(store, DiskWindowStore):
         benchmark.extra_info["bytes_last_append"] = store.io_stats.bytes_last_append
-        benchmark.extra_info["full_rewrites"] = store.io_stats.full_rewrites
 
 
 def test_segmented_layout_never_rewrites_the_window(edge_workload, tmp_path):
     """Steady-state appends persist O(batch) bytes, not O(window)."""
-    matrix = prepare_window(
-        edge_workload, storage="disk", path=tmp_path / "segments"
-    )
+    matrix = prepare_window(edge_workload, path=tmp_path / "segments")
     stats = matrix.store.io_stats
-    assert stats.full_rewrites == 0
     assert stats.appends >= matrix.num_batches
     # One steady-state append writes far less than the whole persisted window.
     assert stats.bytes_last_append < matrix.disk_size_bytes()
-
-
-def test_single_file_layout_rewrites_every_append(edge_workload, tmp_path):
-    matrix = prepare_window(
-        edge_workload, storage="single", path=tmp_path / "window.dsm"
-    )
-    stats = matrix.store.io_stats
-    assert stats.full_rewrites == stats.appends

@@ -86,7 +86,7 @@ def test_dense_stream_space_argument(structure_workloads):
 def test_disk_row_streaming_overhead(
     benchmark, name, edge_workload, default_minsup, tmp_path_factory
 ):
-    path = tmp_path_factory.mktemp("ablation") / "window.dsm"
+    path = tmp_path_factory.mktemp("ablation") / "window"
     matrix = DSMatrix(window_size=edge_workload.window_size, path=path)
     for batch in edge_workload.batches():
         matrix.append_batch(batch)

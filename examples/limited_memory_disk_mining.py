@@ -6,8 +6,9 @@ The paper's core argument is about memory: the DSTree keeps the whole window
 and the vertical miners only ever hold a handful of bit vectors.  This example
 makes that concrete:
 
-* the stream is ingested into a DSMatrix that persists itself to a file after
-  every batch (so a crash loses nothing and RAM holds only the rows in use);
+* the stream is ingested into a DSMatrix that persists itself to a directory
+  as one segment file per batch (so a crash loses nothing and RAM holds only
+  the rows in use);
 * the same stream is ingested into a DSTree baseline;
 * mining memory (peak allocations) and structure sizes are reported for the
   multi-FP-tree, single-FP-tree, vertical and direct algorithms, reproducing
@@ -46,9 +47,10 @@ def main() -> None:
     minsup = 60  # 4% of the 1500-transaction window
 
     with tempfile.TemporaryDirectory() as tmpdir:
-        matrix_path = os.path.join(tmpdir, "window.dsm")
+        matrix_path = os.path.join(tmpdir, "window")
 
-        # Ingest the stream; the matrix re-persists itself after every batch.
+        # Ingest the stream; every batch is written as one segment file and
+        # every slide deletes the evicted batch's file.
         matrix = DSMatrix(window_size=workload.window_size, path=matrix_path)
         for batch in workload.batches():
             matrix.append_batch(batch)

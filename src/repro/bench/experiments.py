@@ -357,13 +357,11 @@ def experiment_storage_backends(
 ) -> Dict[str, object]:
     """Ablation over the window storage engine (see DESIGN.md §3).
 
-    The same stream is ingested through the in-memory backend, the segmented
-    disk backend (one file per batch plus a manifest) and the legacy
-    single-file mirror; each row reports the ingestion time, the bytes
-    persisted by the *last* append (the steady-state per-batch I/O), the
-    number of full-matrix rewrites and the mining runtime.  The segmented
-    backend must report zero full rewrites — that is the point of the
-    refactor — and every backend must return identical patterns.
+    The same stream is ingested through the in-memory backend and the
+    disk backend (one file per batch plus a manifest); each row reports the
+    ingestion time, the bytes persisted by the *last* append (the
+    steady-state per-batch I/O) and the mining runtime.  Both backends must
+    return identical patterns.
     """
     workload = default_edge_workload(scale, seed=seed)
     support = minsup if minsup is not None else _default_minsup(workload)
@@ -371,14 +369,10 @@ def experiment_storage_backends(
     pattern_sets: Dict[str, Dict] = {}
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-storage-") as tmp:
-        targets = {
-            "memory": (None, None),
-            "disk": ("disk", Path(tmp) / "segments"),
-            "single": ("single", Path(tmp) / "window.dsm"),
-        }
-        for backend, (storage, path) in targets.items():
+        targets = {"memory": None, "disk": Path(tmp) / "segments"}
+        for backend, path in targets.items():
             with Timer() as ingest_timer:
-                matrix = prepare_window(workload, path=path, storage=storage)
+                matrix = prepare_window(workload, path=path)
             store = matrix.store
             io_stats = (
                 store.io_stats.as_dict()
@@ -398,7 +392,6 @@ def experiment_storage_backends(
                         "algorithm": name,
                         "ingest_s": round(ingest_timer.elapsed, 4),
                         "bytes_last_append": io_stats.get("bytes_last_append", 0),
-                        "full_rewrites": io_stats.get("full_rewrites", 0),
                         "disk_kb": round(matrix.disk_size_bytes() / 1024.0, 1),
                         "mine_runtime_s": round(result.runtime_seconds, 4),
                         "patterns": result.pattern_count,

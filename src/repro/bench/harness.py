@@ -160,18 +160,15 @@ def build_itemset_workload(
 # ---------------------------------------------------------------------- #
 # window preparation and measured runs
 # ---------------------------------------------------------------------- #
-def prepare_window(
-    workload: WorkloadSpec, path=None, storage: Optional[str] = None
-) -> DSMatrix:
+def prepare_window(workload: WorkloadSpec, path=None) -> DSMatrix:
     """Stream every batch of the workload through a DSMatrix.
 
     The returned matrix holds the last ``window_size`` batches, exactly as it
-    would after the stream has flowed through.  ``storage`` selects the
-    window backend (``memory``/``disk``/``single``, see
-    :class:`~repro.storage.dsmatrix.DSMatrix`); the default follows the
-    facade's path-based inference.
+    would after the stream has flowed through.  With a ``path`` the window
+    is persisted in that directory (one segment file per batch), otherwise
+    it lives in memory.
     """
-    matrix = DSMatrix(window_size=workload.window_size, path=path, storage=storage)
+    matrix = DSMatrix(window_size=workload.window_size, path=path)
     for batch in workload.batches():
         matrix.append_batch(batch)
     return matrix

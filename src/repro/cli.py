@@ -80,6 +80,7 @@ from repro.exceptions import (
     AlgebraError,
     CheckpointError,
     DatasetError,
+    DSMatrixError,
     FaultSpecError,
     HistoryError,
     ResilienceError,
@@ -93,7 +94,6 @@ from repro.serve.app import ServeApp
 from repro.serve.http import serve_async
 from repro.serve.shards import DEFAULT_SHARDS
 from repro.service.supervisor import RestartPolicy, Supervisor, SupervisorError
-from repro.storage.backend import STORE_BACKENDS
 from repro.stream.stream import TransactionStream
 
 #: Exit code for usage errors detected by the subcommands (bad flag combos).
@@ -171,24 +171,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for the parallel leg of the parity check",
     )
 
-    mine = subparsers.add_parser("mine", help="mine a FIMI transaction file")
-    _add_stream_options(mine)
-    mine.add_argument(
-        "--storage",
-        choices=STORE_BACKENDS,
-        default=None,
-        help=(
-            "window storage backend: in-memory (memory, the default), "
-            "segmented per-batch files (disk), or the legacy whole-file "
-            "mirror (single, the default when only --storage-path is given)"
-        ),
+    # No prefix matching: any prefix of ``--storage-path`` would otherwise
+    # be taken for it, persisting the window into a directory named after
+    # whatever value followed (e.g. a storage kind from an old script).
+    mine = subparsers.add_parser(
+        "mine", help="mine a FIMI transaction file", allow_abbrev=False
     )
+    _add_stream_options(mine)
     mine.add_argument(
         "--storage-path",
         default=None,
         help=(
-            "persistent location for --storage disk/single: a directory for "
-            "the segmented layout, a file for the legacy single-file layout"
+            "persist the window in this directory (one segment file per "
+            "batch plus a manifest); without it the window stays in memory"
         ),
     )
     _add_parallel_options(mine)
@@ -709,36 +704,26 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     transactions, error = _read_transactions(args.input)
     if error is not None:
         return error
-    if args.storage in ("disk", "single") and args.storage_path is None:
-        print(
-            f"error: --storage {args.storage} requires --storage-path",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE_ERROR
-    if args.storage == "memory" and args.storage_path is not None:
-        print(
-            "error: --storage memory does not persist anything; drop "
-            "--storage-path or pick --storage disk/single",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE_ERROR
     error = _validate_parallel_flags(args)
     if error is not None:
         return error
     policy, error = _resolve_failure_policy(args)
     if error is not None:
         return error
+    try:
+        miner = StreamSubgraphMiner(
+            window_size=args.window,
+            batch_size=args.batch_size,
+            algorithm=args.algorithm,
+            storage_path=args.storage_path,
+            failure_policy=policy,
+        )
+    except DSMatrixError as exc:  # --storage-path is a file or a foreign store
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE_ERROR
     installed, error = _install_faults(args)
     if error is not None:
         return error
-    miner = StreamSubgraphMiner(
-        window_size=args.window,
-        batch_size=args.batch_size,
-        algorithm=args.algorithm,
-        storage=args.storage,
-        storage_path=args.storage_path,
-        failure_policy=policy,
-    )
     try:
         with miner:
             if args.ingest_workers > 0:

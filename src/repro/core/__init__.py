@@ -12,7 +12,6 @@ from repro.core.export import (
     result_to_json,
 )
 from repro.core.miner import StreamSubgraphMiner
-from repro.core.monitor import PatternMonitor, WindowDelta
 from repro.core.patterns import FrequentPattern, MiningResult
 from repro.core.postprocess import filter_connected_patterns
 from repro.core.algorithms import (
@@ -32,8 +31,6 @@ __all__ = [
     "StreamSubgraphMiner",
     "FrequentPattern",
     "MiningResult",
-    "PatternMonitor",
-    "WindowDelta",
     "filter_connected_patterns",
     "result_to_json",
     "result_to_csv",

@@ -4,9 +4,9 @@ The paper's motivation for the DSMatrix is that the window may be too big for
 main memory: the matrix lives on disk and only the pieces needed at any moment
 are brought into RAM.  :class:`VerticalDiskMiner` takes that literally — it is
 the vertical miner of §3.4 except that **item rows are read from persistent
-storage on demand** (via the window store's ``row_persisted``, which reads the
-legacy single file or the per-batch segment files depending on the backend)
-instead of being loaded up front.  At any moment the resident set is one bit
+storage on demand** (via the window store's ``row_persisted``, which seeks
+the item's row out of each per-batch segment file) instead of being loaded up
+front.  At any moment the resident set is one bit
 vector per level of the depth-first search plus the row currently being
 intersected.
 

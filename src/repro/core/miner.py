@@ -87,14 +87,13 @@ class StreamSubgraphMiner:
     item_universe:
         Optional fixed set of item symbols for the DSMatrix rows.
     storage_path:
-        Optional path; when given the DSMatrix persists itself there after
-        every batch (the paper's on-disk behaviour).
+        Optional directory; when given the window is persisted there as
+        one segment file per batch plus a manifest (the paper's on-disk
+        behaviour, O(batch) I/O per append).  Without it the window lives
+        in memory.
     storage:
-        Storage backend for the window: ``"memory"`` (default without a
-        path), ``"disk"`` (segmented per-batch files under ``storage_path``,
-        O(batch) I/O per append), ``"single"`` (legacy whole-file mirror at
-        ``storage_path``, the default when only a path is given) or a
-        pre-built :class:`~repro.storage.backend.WindowStore`.
+        Optional pre-built :class:`~repro.storage.backend.WindowStore` to
+        hold the window instead (used by :meth:`from_checkpoint`).
     on_slide:
         Optional per-slide sink (e.g. ``journal.append``): during
         :meth:`watch` runs it receives one sealed
@@ -116,7 +115,7 @@ class StreamSubgraphMiner:
         registry: Optional[EdgeRegistry] = None,
         item_universe: Optional[Sequence[str]] = None,
         storage_path: Optional[Union[str, Path]] = None,
-        storage: Optional[Union[str, WindowStore]] = None,
+        storage: Optional[WindowStore] = None,
         on_slide: Optional[SlideSink] = None,
         failure_policy: Optional[FailurePolicy] = None,
     ) -> None:

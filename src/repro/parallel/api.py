@@ -140,11 +140,7 @@ def mine_window_parallel(
     planner = ShardPlanner(
         _shard_count(workers, num_shards) if shard_capable else 1
     )
-    store_path = (
-        str(store.path)
-        if isinstance(store, DiskWindowStore) and store.layout == "segmented"
-        else None
-    )
+    store_path = str(store.path) if isinstance(store, DiskWindowStore) else None
     # Every pattern is owned by its canonical minimum item, which is always
     # frequent: planning over the frequent items keeps the partition
     # complete and disjoint while striping only the items that start work.

@@ -8,20 +8,16 @@
   protocol, with :class:`~repro.storage.backend.MemoryWindowStore` and
   :class:`~repro.storage.backend.DiskWindowStore` backends.
 * :class:`~repro.storage.dsmatrix.DSMatrix` — the paper's disk-backed binary
-  matrix over the sliding window (§2.3, §3), a facade over a window store.
+  matrix over the sliding window (§2.3, §3), a facade over a window store:
+  in memory without a path, one segment file per batch in a directory with
+  one.
 * :class:`~repro.storage.dstable.DSTable` — the disk-backed pointer table
   baseline (§2.2).
 * :class:`~repro.storage.dstree.DSTree` — the in-memory stream tree baseline
   (§2.1).
 """
 
-from repro.storage.backend import (
-    STORE_BACKENDS,
-    DiskWindowStore,
-    MemoryWindowStore,
-    WindowStore,
-    create_store,
-)
+from repro.storage.backend import DiskWindowStore, MemoryWindowStore, WindowStore
 from repro.storage.bitvector import BitVector
 from repro.storage.dsmatrix import DSMatrix
 from repro.storage.dstable import DSTable
@@ -35,8 +31,6 @@ __all__ = [
     "WindowStore",
     "MemoryWindowStore",
     "DiskWindowStore",
-    "STORE_BACKENDS",
-    "create_store",
     "DSMatrix",
     "DSTable",
     "DSTree",

@@ -14,15 +14,13 @@ The sliding-window matrix is stored as a deque of batch-aligned
 Two backends implement the protocol:
 
 * :class:`MemoryWindowStore` — segments live only in memory;
-* :class:`DiskWindowStore` — segments are persisted as one file per batch
-  plus a small JSON manifest (``layout="segmented"``, the default), so
-  per-batch I/O is O(batch) instead of O(window); a ``layout="single"``
-  mode reproduces the legacy behaviour of mirroring the whole matrix into
-  one ``DSMX`` file after every append.
+* :class:`DiskWindowStore` — segments are persisted in a directory as one
+  file per batch plus a small JSON manifest, so per-batch I/O is O(batch)
+  instead of O(window) and a slide deletes exactly one file.
 
-Both backends export (:meth:`WindowStore.save`) and load the legacy
-single-file format, so matrices persisted by either engine remain readable
-by :meth:`repro.storage.dsmatrix.DSMatrix.load`.
+A persisted directory is reopened with :meth:`DiskWindowStore.open` (or
+:meth:`repro.storage.dsmatrix.DSMatrix.load`); :func:`read_persisted_row`
+reads one row out of it without loading the window.
 """
 
 from __future__ import annotations
@@ -48,72 +46,47 @@ from typing import (
 from repro.exceptions import DSMatrixError
 from repro.storage.bitvector import BitVector
 from repro.storage.segments import (
-    SEGMENT_MAGIC,
     Segment,
     SegmentHandle,
-    build_envelope,
-    read_envelope_header,
-    read_envelope_row,
+    read_segment_header,
     read_segment_row,
 )
 from repro.stream.batch import Batch, Transaction
 
-#: Magic prefix of the legacy single-file matrix format.
-LEGACY_MAGIC = b"DSMX"
-#: File name of the segmented layout's manifest inside its directory.
+#: File name of the manifest inside a disk store's directory.
 MANIFEST_NAME = "manifest.json"
-#: Format tag written into segmented-layout manifests.
+#: Format tag written into window manifests.
 MANIFEST_FORMAT = "dsmx-segments/1"
-
-
-# ---------------------------------------------------------------------- #
-# legacy single-file format helpers
-# ---------------------------------------------------------------------- #
-def read_legacy_header(source: Path) -> Tuple[dict, int, int]:
-    """Parse the header of a legacy ``DSMX`` file → (header, offset, stride)."""
-    if not source.exists():
-        raise DSMatrixError(f"DSMatrix file not found: {source}")
-    with open(source, "rb") as handle:
-        return read_envelope_header(handle, LEGACY_MAGIC, "DSMatrix", str(source))
-
-
-def read_legacy_row(path: Union[str, Path], item: str) -> BitVector:
-    """Read one full-window row from a legacy file without loading the rest."""
-    source = Path(path)
-    if not source.exists():
-        raise DSMatrixError(f"DSMatrix file not found: {source}")
-    bits, header = read_envelope_row(source, LEGACY_MAGIC, "DSMatrix", item)
-    if bits is None:
-        raise DSMatrixError(f"unknown item {item!r} in {source}") from None
-    length = header["num_columns"]
-    return BitVector(length, bits & ((1 << length) - 1 if length else 0))
+#: Keys every manifest written by :meth:`DiskWindowStore._write_manifest` carries.
+_MANIFEST_KEYS = (
+    "window_size",
+    "fixed_universe",
+    "universe",
+    "known_items",
+    "next_segment_id",
+    "segments",
+)
 
 
 @dataclass
 class IOStats:
     """Byte-level accounting of a disk backend's persistence work.
 
-    ``full_rewrites`` counts whole-matrix flushes (the legacy single-file
-    behaviour); the segmented layout never performs one after the initial
-    append, which is the property the storage benchmarks assert.
+    Every append writes one segment file and the manifest, and every
+    eviction deletes one segment file, so ``bytes_last_append`` stays
+    O(batch) however large the window grows.
     """
 
     appends: int = 0
     segment_bytes_written: int = 0
     manifest_bytes_written: int = 0
-    full_rewrite_bytes_written: int = 0
-    full_rewrites: int = 0
     segment_files_deleted: int = 0
     bytes_last_append: int = 0
 
     @property
     def total_bytes_written(self) -> int:
         """All bytes persisted since the store was created."""
-        return (
-            self.segment_bytes_written
-            + self.manifest_bytes_written
-            + self.full_rewrite_bytes_written
-        )
+        return self.segment_bytes_written + self.manifest_bytes_written
 
     def as_dict(self) -> Dict[str, int]:
         """Flatten into a plain dict (used by benchmark reports)."""
@@ -121,8 +94,6 @@ class IOStats:
             "appends": self.appends,
             "segment_bytes_written": self.segment_bytes_written,
             "manifest_bytes_written": self.manifest_bytes_written,
-            "full_rewrite_bytes_written": self.full_rewrite_bytes_written,
-            "full_rewrites": self.full_rewrites,
             "segment_files_deleted": self.segment_files_deleted,
             "bytes_last_append": self.bytes_last_append,
             "total_bytes_written": self.total_bytes_written,
@@ -508,35 +479,6 @@ class WindowStore(ABC):
         """Bytes currently held in persistent storage (0 when none)."""
         return 0
 
-    def save(self, path: Optional[Union[str, Path]] = None) -> Path:
-        """Export the window in the legacy single-file ``DSMX`` format.
-
-        The written file is bit-compatible with the historical
-        ``DSMatrix.save`` output, so it can be read back with
-        ``DSMatrix.load`` / ``row_from_disk`` regardless of which backend
-        produced it.
-        """
-        if path is None:
-            raise DSMatrixError("no path configured for DSMatrix.save()")
-        target = Path(path)
-        stride = (self._num_columns + 7) // 8
-        items = self.items()
-        header = {
-            "window_size": self._window_size,
-            "batch_sizes": self.batch_sizes(),
-            "num_columns": self._num_columns,
-            "items": items,
-            "stride": stride,
-            "fixed_universe": self._fixed_universe,
-        }
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_bytes(
-            build_envelope(
-                LEGACY_MAGIC, header, (self.row(item).bits for item in items), stride
-            )
-        )
-        return target
-
     # ------------------------------------------------------------------ #
     # shared loading machinery
     # ------------------------------------------------------------------ #
@@ -572,26 +514,8 @@ class WindowStore(ABC):
         )
 
 
-def segments_from_legacy_rows(
-    batch_sizes: Sequence[int], rows: Dict[str, int]
-) -> List[Segment]:
-    """Split full-window row integers into one segment per batch."""
-    segments: List[Segment] = []
-    start = 0
-    for segment_id, size in enumerate(batch_sizes):
-        mask = (1 << size) - 1
-        local = {
-            item: (bits >> start) & mask for item, bits in rows.items()
-        }
-        segments.append(Segment(segment_id, size, local))
-        start += size
-    return segments
-
-
 class MemoryWindowStore(WindowStore):
     """Segmented window store with no persistence (segments live in RAM)."""
-
-    kind = "memory"
 
     def _persist(
         self,
@@ -618,114 +542,87 @@ class MemoryWindowStore(WindowStore):
         store._adopt_segments(list(segments), known_items=known_items)
         return store
 
-    @classmethod
-    def from_legacy_file(cls, path: Union[str, Path]) -> "MemoryWindowStore":
-        """Load a legacy single-file matrix fully into memory."""
-        header, rows = _parse_legacy_file(Path(path))
-        store = cls(
-            window_size=header["window_size"],
-            items=header["items"] if header["fixed_universe"] else None,
-        )
-        store._adopt_segments(
-            segments_from_legacy_rows(header["batch_sizes"], rows),
-            known_items=header["items"],
-        )
-        return store
+
+def segment_file_name(segment_id: int) -> str:
+    """The file name of one segment inside a disk store's directory."""
+    return f"seg-{segment_id:08d}.dsg"
+
+
+def _is_count(value: object) -> bool:
+    """Whether ``value`` is a non-negative ``int`` (``bool`` excluded)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 class DiskWindowStore(WindowStore):
-    """Window store persisted on disk, incrementally in the segmented layout.
+    """Window store persisted incrementally in a directory.
+
+    The directory holds one segment file per batch (``seg-<id>.dsg``) plus
+    a JSON manifest listing the live segments: an append writes O(batch)
+    bytes and an eviction deletes one file.
 
     Parameters
     ----------
     window_size:
         Number of batches retained; may be ``None`` when resuming a
-        segmented directory, in which case the manifest's value is used.
+        persisted directory, in which case the manifest's value is used.
     items:
         Optional fixed item universe (see :class:`WindowStore`).
     path:
-        Directory of the segmented layout, or target file of the legacy
-        single-file layout.
-    layout:
-        ``"segmented"`` (default) — one segment file per batch plus a JSON
-        manifest; appends write O(batch) bytes and evictions delete one
-        file.  ``"single"`` — the legacy behaviour of rewriting the whole
-        ``DSMX`` file after every append (kept for backward compatibility).
+        The store's directory (created when absent).
     """
-
-    kind = "disk"
-    LAYOUTS = ("segmented", "single")
 
     def __init__(
         self,
         window_size: Optional[int],
         items: Optional[Sequence[str]] = None,
         path: Optional[Union[str, Path]] = None,
-        layout: str = "segmented",
     ) -> None:
         if path is None:
             raise DSMatrixError("DiskWindowStore needs a path")
-        if layout not in self.LAYOUTS:
-            raise DSMatrixError(
-                f"unknown disk layout {layout!r}; expected one of {self.LAYOUTS}"
-            )
-        self._layout = layout
         self._path = Path(path)
+        if self._path.exists() and not self._path.is_dir():
+            raise DSMatrixError(
+                f"{self._path} exists and is not a directory; a disk window "
+                "store needs a directory"
+            )
         self.io_stats = IOStats()
         # Parsed headers of the (immutable) live segment files, keyed by
         # segment id: item -> row index map, payload offset, stride, width.
         # Saves re-parsing every file header per row read in the
         # limited-memory miners' loops.
         self._header_cache: Dict[int, Tuple[Dict[str, int], int, int, int]] = {}
-        if layout == "segmented":
-            manifest = self._read_manifest_if_present(self._path)
-            if manifest is not None:
-                if window_size is not None and window_size != manifest["window_size"]:
-                    raise DSMatrixError(
-                        f"window size {window_size} does not match the persisted "
-                        f"window size {manifest['window_size']} in {self._path}"
-                    )
-                window_size = manifest["window_size"]
-                if items is not None and (
-                    not manifest["fixed_universe"]
-                    or sorted(items) != manifest["universe"]
-                ):
-                    raise DSMatrixError(
-                        f"item universe {sorted(items)} conflicts with the "
-                        f"persisted store in {self._path}; reopen without "
-                        "items= to adopt the persisted universe"
-                    )
-                items = manifest["universe"] if manifest["fixed_universe"] else None
-                super().__init__(window_size, items=items)
-                self._resume_from_manifest(manifest)
-                return
+        manifest = self._read_manifest_if_present(self._path)
+        if manifest is not None:
+            if window_size is not None and window_size != manifest["window_size"]:
+                raise DSMatrixError(
+                    f"window size {window_size} does not match the persisted "
+                    f"window size {manifest['window_size']} in {self._path}"
+                )
+            window_size = manifest["window_size"]
+            if items is not None and (
+                not manifest["fixed_universe"] or sorted(items) != manifest["universe"]
+            ):
+                raise DSMatrixError(
+                    f"item universe {sorted(items)} conflicts with the "
+                    f"persisted store in {self._path}; reopen without "
+                    "items= to adopt the persisted universe"
+                )
+            items = manifest["universe"] if manifest["fixed_universe"] else None
+            super().__init__(window_size, items=items)
+            self._resume_from_manifest(manifest)
+            return
         if window_size is None:
             raise DSMatrixError(
                 f"no persisted window found at {self._path}; "
                 "a window_size is required to start a fresh store"
             )
         super().__init__(window_size, items=items)
-        if layout == "segmented":
-            if self._path.exists() and not self._path.is_dir():
-                raise DSMatrixError(
-                    f"{self._path} exists and is not a directory; the "
-                    "segmented layout needs a directory (use layout='single' "
-                    "for a legacy single-file target)"
-                )
-            self._path.mkdir(parents=True, exist_ok=True)
+        self._path.mkdir(parents=True, exist_ok=True)
 
-    # ------------------------------------------------------------------ #
-    # properties
-    # ------------------------------------------------------------------ #
     @property
     def path(self) -> Optional[Path]:
-        """The directory (segmented) or file (single layout) backing the store."""
+        """The directory backing the store."""
         return self._path
-
-    @property
-    def layout(self) -> str:
-        """The persistence layout (``segmented`` or ``single``)."""
-        return self._layout
 
     # ------------------------------------------------------------------ #
     # persistence hooks
@@ -737,13 +634,6 @@ class DiskWindowStore(WindowStore):
         payload: Optional[bytes] = None,
     ) -> None:
         self.io_stats.appends += 1
-        if self._layout == "single":
-            target = self.save(self._path)
-            written = os.path.getsize(target)
-            self.io_stats.full_rewrites += 1
-            self.io_stats.full_rewrite_bytes_written += written
-            self.io_stats.bytes_last_append = written
-            return
         # Crash-safe ordering: new segment file, then manifest swap, then the
         # evicted file's deletion — at every intermediate crash point the
         # on-disk manifest references only files that still exist (a crash
@@ -761,7 +651,7 @@ class DiskWindowStore(WindowStore):
         self.io_stats.bytes_last_append = len(segment_bytes) + manifest_bytes
 
     def _segment_file(self, segment_id: int) -> Path:
-        return self._path / f"seg-{segment_id:08d}.dsg"
+        return self._path / segment_file_name(segment_id)
 
     def _write_manifest(self) -> int:
         """Rewrite the manifest and return its size (counted in io_stats).
@@ -800,18 +690,22 @@ class DiskWindowStore(WindowStore):
         self.io_stats.manifest_bytes_written += len(payload)
         return len(payload)
 
-    def sync(self) -> Path:
-        """Force the manifest (segmented) or full file (single) to disk."""
-        if self._layout == "segmented":
-            self._write_manifest()
-            return self._path
-        return self.save(self._path)
-
     # ------------------------------------------------------------------ #
     # resuming / loading
     # ------------------------------------------------------------------ #
     @staticmethod
     def _read_manifest_if_present(path: Path) -> Optional[dict]:
+        """Read and validate a store directory's manifest (``None`` if absent).
+
+        The constructor (hence :meth:`open`) and :func:`read_persisted_row`
+        both go through here, so anything other than what
+        :meth:`_write_manifest` writes raises :class:`~repro.exceptions.DSMatrixError` before a
+        segment is trusted: a non-object, a missing key, a non-positive
+        ``window_size``, more segments than the window holds, segment ids
+        out of order or repeated, a file name other than the id's own
+        (so no entry can point outside the directory), and a column count
+        that disagrees with the segment file's header.
+        """
         manifest_path = path / MANIFEST_NAME
         if not manifest_path.exists():
             return None
@@ -819,11 +713,51 @@ class DiskWindowStore(WindowStore):
             manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DSMatrixError(f"corrupt manifest in {path}") from exc
+
+        def reject(reason: str) -> DSMatrixError:
+            return DSMatrixError(f"malformed manifest {manifest_path}: {reason}")
+
+        if not isinstance(manifest, dict):
+            raise reject("not a JSON object")
         if manifest.get("format") != MANIFEST_FORMAT:
             raise DSMatrixError(
                 f"{manifest_path} has unsupported format "
                 f"{manifest.get('format')!r}"
             )
+        missing = [key for key in _MANIFEST_KEYS if key not in manifest]
+        if missing:
+            raise reject(f"missing {', '.join(missing)}")
+        window_size = manifest["window_size"]
+        if not _is_count(window_size) or window_size == 0:
+            raise reject(f"window_size {window_size!r} is not a positive integer")
+        if not _is_count(manifest["next_segment_id"]):
+            raise reject("next_segment_id is not a non-negative integer")
+        for key in ("universe", "known_items"):
+            if not isinstance(manifest[key], list) or not all(
+                isinstance(item, str) for item in manifest[key]
+            ):
+                raise reject(f"{key} is not a list of items")
+        entries = manifest["segments"]
+        if not isinstance(entries, list) or len(entries) > window_size:
+            raise reject(f"segments is not a list of at most {window_size} entries")
+        previous = -1
+        for entry in entries:
+            if not isinstance(entry, dict) or not all(
+                _is_count(entry.get(key)) for key in ("segment_id", "num_columns")
+            ):
+                raise reject(f"bad segment entry {entry!r}")
+            segment_id = entry["segment_id"]
+            if segment_id <= previous:
+                raise reject("segment ids do not strictly increase")
+            previous = segment_id
+            if entry.get("file") != segment_file_name(segment_id):
+                raise reject(f"segment {segment_id} names file {entry.get('file')!r}")
+            header, _, _ = read_segment_header(path / entry["file"])
+            if header.get("num_columns") != entry["num_columns"]:
+                raise reject(
+                    f"segment {segment_id} lists {entry['num_columns']} columns "
+                    f"but its file holds {header.get('num_columns')!r}"
+                )
         return manifest
 
     def _resume_from_manifest(self, manifest: dict) -> None:
@@ -831,49 +765,25 @@ class DiskWindowStore(WindowStore):
             Segment.read(self._path / entry["file"])
             for entry in manifest["segments"]
         ]
-        self._adopt_segments(segments, known_items=manifest.get("known_items", ()))
+        self._adopt_segments(segments, known_items=manifest["known_items"])
         self._next_segment_id = max(
-            self._next_segment_id, manifest.get("next_segment_id", 0)
+            self._next_segment_id, manifest["next_segment_id"]
         )
 
     @classmethod
     def open(cls, path: Union[str, Path]) -> "DiskWindowStore":
-        """Reopen a segmented store from its directory."""
+        """Reopen a persisted store from its directory."""
         directory = Path(path)
-        if cls._read_manifest_if_present(directory) is None:
-            raise DSMatrixError(f"no segmented window store found at {directory}")
-        return cls(window_size=None, path=directory, layout="segmented")
-
-    @classmethod
-    def from_legacy_file(cls, path: Union[str, Path]) -> "DiskWindowStore":
-        """Load a legacy single-file matrix, keeping it as the mirror target."""
-        source = Path(path)
-        header, rows = _parse_legacy_file(source)
-        store = cls(
-            window_size=header["window_size"],
-            items=header["items"] if header["fixed_universe"] else None,
-            path=source,
-            layout="single",
-        )
-        store._adopt_segments(
-            segments_from_legacy_rows(header["batch_sizes"], rows),
-            known_items=header["items"],
-        )
-        return store
+        if not (directory / MANIFEST_NAME).exists():
+            raise DSMatrixError(f"no persisted window store found at {directory}")
+        return cls(window_size=None, path=directory)
 
     # ------------------------------------------------------------------ #
     # on-disk row access and accounting
     # ------------------------------------------------------------------ #
     def row_persisted(self, item: str) -> Optional[BitVector]:
         if item not in self._support:
-            return None  # consistent across layouts: unknown item, no row
-        if self._layout == "single":
-            if not self._path.exists():
-                return None
-            try:
-                return read_legacy_row(self._path, item)
-            except DSMatrixError:
-                return None
+            return None  # unknown item, no row (as for the in-memory store)
         if not (self._path / MANIFEST_NAME).exists():
             return None
         bits = 0
@@ -900,13 +810,7 @@ class DiskWindowStore(WindowStore):
         """Parsed header of one live segment file (cached; files are immutable)."""
         cached = self._header_cache.get(segment_id)
         if cached is None:
-            path = self._segment_file(segment_id)
-            if not path.exists():
-                raise DSMatrixError(f"segment file not found: {path}")
-            with open(path, "rb") as handle:
-                header, payload, stride = read_envelope_header(
-                    handle, SEGMENT_MAGIC, "segment", str(path)
-                )
+            header, payload, stride = read_segment_header(self._segment_file(segment_id))
             cached = (
                 {item: index for index, item in enumerate(header["items"])},
                 payload,
@@ -917,16 +821,13 @@ class DiskWindowStore(WindowStore):
         return cached
 
     def segment_handles(self) -> List[SegmentHandle]:
-        """Path handles into the segmented layout (payload fallback otherwise).
+        """Path handles to the segment files (payload fallback per segment).
 
         Workers given a path handle open the segment file themselves, so an
         arbitrarily large window costs only a list of file names to ship
-        across the process boundary.  The single-file layout (and any
-        segment whose file is not on disk yet) falls back to payload
-        handles.
+        across the process boundary.  A segment whose file is not on disk
+        falls back to a payload handle.
         """
-        if self._layout != "segmented":
-            return super().segment_handles()
         handles: List[SegmentHandle] = []
         for segment in self._segments:
             segment_file = self._segment_file(segment.segment_id)
@@ -937,10 +838,6 @@ class DiskWindowStore(WindowStore):
         return handles
 
     def disk_size_bytes(self) -> int:
-        if self._layout == "single":
-            if not self._path.exists():
-                return 0
-            return os.path.getsize(self._path)
         total = 0
         manifest_path = self._path / MANIFEST_NAME
         if manifest_path.exists():
@@ -951,90 +848,20 @@ class DiskWindowStore(WindowStore):
                 total += os.path.getsize(segment_file)
         return total
 
-    def save(self, path: Optional[Union[str, Path]] = None) -> Path:
-        """Export to the legacy single-file format (defaults for each layout).
-
-        With no explicit ``path``, the single layout flushes to its mirror
-        file and the segmented layout refreshes its manifest (its data is
-        already on disk) and returns the directory.
-        """
-        if path is None:
-            if self._layout == "segmented":
-                return self.sync()
-            path = self._path
-        return super().save(path)
-
-
-def _parse_legacy_file(source: Path) -> Tuple[dict, Dict[str, int]]:
-    """Read a legacy ``DSMX`` file → (header, full-window row integers)."""
-    header, offset, stride = read_legacy_header(source)
-    rows: Dict[str, int] = {}
-    with open(source, "rb") as handle:
-        handle.seek(offset)
-        for item in header["items"]:
-            rows[item] = int.from_bytes(handle.read(stride), "little")
-    return header, rows
-
-
-# ---------------------------------------------------------------------- #
-# backend registry and loaders
-# ---------------------------------------------------------------------- #
-#: Storage backend kinds selectable from the CLI / facade.
-STORE_BACKENDS = ("memory", "disk", "single")
-
-
-def create_store(
-    kind: str,
-    window_size: int,
-    items: Optional[Sequence[str]] = None,
-    path: Optional[Union[str, Path]] = None,
-) -> WindowStore:
-    """Instantiate a window store by backend kind.
-
-    ``"memory"`` ignores ``path``; ``"disk"`` is the segmented on-disk
-    layout (``path`` is a directory); ``"single"`` is the legacy one-file
-    mirror (``path`` is a file).
-    """
-    if kind == "memory":
-        return MemoryWindowStore(window_size, items=items)
-    if kind == "disk":
-        return DiskWindowStore(window_size, items=items, path=path, layout="segmented")
-    if kind == "single":
-        return DiskWindowStore(window_size, items=items, path=path, layout="single")
-    raise DSMatrixError(
-        f"unknown storage backend {kind!r}; expected one of {STORE_BACKENDS}"
-    )
-
-
-def load_store(path: Union[str, Path]) -> WindowStore:
-    """Load a persisted window from either on-disk format.
-
-    A directory containing a manifest loads as a segmented
-    :class:`DiskWindowStore`; a ``DSMX`` file loads as a single-layout store
-    that keeps mirroring to that file (the legacy ``DSMatrix.load``
-    semantics).
-    """
-    source = Path(path)
-    if source.is_dir():
-        return DiskWindowStore.open(source)
-    return DiskWindowStore.from_legacy_file(source)
-
 
 def read_persisted_row(path: Union[str, Path], item: str) -> BitVector:
-    """Read one row from either persisted format without loading the window.
+    """Read one row from a persisted store directory without loading the window.
 
-    Raises :class:`~repro.exceptions.DSMatrixError` when the item is unknown
-    to the persisted window (matching the legacy ``row_from_disk``).
+    Raises :class:`~repro.exceptions.DSMatrixError` when ``path`` holds no
+    store or the item is unknown to the persisted window.
     """
     source = Path(path)
-    if not source.is_dir():
-        return read_legacy_row(source, item)
     manifest = DiskWindowStore._read_manifest_if_present(source)
     if manifest is None:
-        raise DSMatrixError(f"no segmented window store found at {source}")
+        raise DSMatrixError(f"no persisted window store found at {source}")
     bits = 0
     offset = 0
-    found = item in manifest.get("known_items", ())
+    found = item in manifest["known_items"]
     for entry in manifest["segments"]:
         local, width = read_segment_row(source / entry["file"], item)
         if local is not None:

@@ -10,18 +10,12 @@ Since the storage-engine refactor (DESIGN.md §3) the matrix itself is a thin
 facade over a :class:`~repro.storage.backend.WindowStore`: the window lives
 as batch-aligned :class:`~repro.storage.segments.Segment` objects, so the
 window slide is an O(1) deque pop, per-item support counters are maintained
-incrementally, and full-window rows are materialised lazily.  Three backends
-are available through the ``storage`` parameter:
-
-* ``"memory"`` — no persistence (the default without a ``path``);
-* ``"disk"`` — the segmented on-disk layout: one segment file per batch plus
-  a manifest in a directory, so each append persists O(batch) bytes;
-* ``"single"`` — the legacy behaviour (the default with a ``path``): the
-  whole matrix is mirrored into one ``DSMX`` file after every append.
-
-:meth:`save`/:meth:`load`/:meth:`row_from_disk` interoperate across
-backends: every backend exports the legacy single-file format, and both the
-legacy file and the segmented directory can be loaded or row-read directly.
+incrementally, and full-window rows are materialised lazily.  The ``path``
+picks the backend: without one the window lives only in memory; with one it
+is persisted in that directory as one segment file per batch plus a
+manifest, so each append writes O(batch) bytes and a slide deletes one file.
+:meth:`load` reopens such a directory and :meth:`row_from_disk` reads one
+row out of it without loading the rest.
 """
 
 from __future__ import annotations
@@ -32,11 +26,10 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import DSMatrixError
 from repro.storage.backend import (
-    STORE_BACKENDS,
     CacheStats,
+    DiskWindowStore,
+    MemoryWindowStore,
     WindowStore,
-    create_store,
-    load_store,
     read_persisted_row,
 )
 from repro.storage.bitvector import BitVector
@@ -56,15 +49,13 @@ class DSMatrix:
         order of the symbols).  Items outside the universe raise.  When
         omitted, the universe grows as new items appear.
     path:
-        Optional persistent location: the mirror file of the ``"single"``
-        backend or the directory of the ``"disk"`` backend.  Supplying a
-        ``path`` without a ``storage`` kind selects the legacy single-file
-        mirror, which flushes the whole matrix after every batch append.
+        Optional directory to persist the window in (a
+        :class:`~repro.storage.backend.DiskWindowStore`); without one the
+        window lives in a :class:`~repro.storage.backend.MemoryWindowStore`.
     storage:
-        Backend kind (``"memory"``, ``"disk"`` or ``"single"``) or an
-        already-constructed :class:`~repro.storage.backend.WindowStore`.
-        Defaults to ``"memory"`` without a ``path`` and ``"single"`` with
-        one.
+        An already-constructed
+        :class:`~repro.storage.backend.WindowStore` to wrap instead
+        (e.g. a window rebuilt from a checkpoint).
     """
 
     def __init__(
@@ -72,9 +63,14 @@ class DSMatrix:
         window_size: Optional[int] = None,
         items: Optional[Sequence[str]] = None,
         path: Optional[Union[str, Path]] = None,
-        storage: Optional[Union[str, WindowStore]] = None,
+        storage: Optional[WindowStore] = None,
     ) -> None:
-        if isinstance(storage, WindowStore):
+        if storage is not None:
+            if not isinstance(storage, WindowStore):
+                raise DSMatrixError(
+                    f"storage must be a WindowStore, got {storage!r}; pass a "
+                    "path to persist the window"
+                )
             if window_size is not None and window_size != storage.window_size:
                 raise DSMatrixError(
                     f"window_size {window_size} conflicts with the supplied "
@@ -92,18 +88,12 @@ class DSMatrix:
                 )
             self._store = storage
             return
-        if storage is None:
-            storage = "single" if path is not None else "memory"
-        if storage not in STORE_BACKENDS:
-            raise DSMatrixError(
-                f"unknown storage backend {storage!r}; "
-                f"expected one of {STORE_BACKENDS}"
-            )
-        if storage != "memory" and path is None:
-            raise DSMatrixError(f"storage={storage!r} requires a path")
         if window_size is None:
             raise DSMatrixError("window_size is required")
-        self._store = create_store(storage, window_size, items=items, path=path)
+        if path is None:
+            self._store = MemoryWindowStore(window_size, items=items)
+        else:
+            self._store = DiskWindowStore(window_size, items=items, path=path)
 
     # ------------------------------------------------------------------ #
     # window maintenance
@@ -223,24 +213,13 @@ class DSMatrix:
     # ------------------------------------------------------------------ #
     # persistence
     # ------------------------------------------------------------------ #
-    def save(self, path: Optional[Union[str, Path]] = None) -> Path:
-        """Write the matrix to disk and return the path written.
-
-        With an explicit ``path`` the legacy single-file format is exported
-        (readable by :meth:`load` regardless of backend); without one, the
-        backend flushes to its configured location.
-        """
-        return self._store.save(path)
-
     @classmethod
     def load(cls, path: Union[str, Path]) -> "DSMatrix":
-        """Read a matrix persisted by any backend.
+        """Reopen a matrix persisted in directory ``path``.
 
-        Accepts both the legacy single-file format (the store keeps
-        mirroring to that file, matching the historical behaviour) and a
-        segmented backend directory.
+        Later appends keep persisting to that directory.
         """
-        return cls(storage=load_store(path))
+        return cls(storage=DiskWindowStore.open(path))
 
     @classmethod
     def row_from_disk(cls, path: Union[str, Path], item: str) -> BitVector:
@@ -248,8 +227,7 @@ class DSMatrix:
 
         This is the access pattern of the limited-memory miners: the matrix
         stays on disk and only the row (bit vector) being processed is
-        brought into memory.  Works on legacy files and segmented
-        directories alike.
+        brought into memory.
         """
         return read_persisted_row(path, item)
 
@@ -271,7 +249,7 @@ class DSMatrix:
         window_size: Optional[int] = None,
         items: Optional[Sequence[str]] = None,
         path: Optional[Union[str, Path]] = None,
-        storage: Optional[Union[str, WindowStore]] = None,
+        storage: Optional[WindowStore] = None,
     ) -> "DSMatrix":
         """Build a matrix by appending ``batches`` in order.
 

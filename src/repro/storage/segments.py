@@ -248,9 +248,8 @@ def build_envelope(
 ) -> bytes:
     """Serialise the shared file envelope: magic, length, header, row block.
 
-    Both the segment format and the legacy single-file matrix format are
-    this envelope with different magics and header fields; ``rows`` are the
-    bit-pattern integers in header item order.
+    ``rows`` are the bit-pattern integers in header item order, each
+    ``stride`` bytes little-endian (the layout of a segment file).
     """
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     parts = [magic, len(header_bytes).to_bytes(4, "little"), header_bytes]
@@ -258,38 +257,13 @@ def build_envelope(
     return b"".join(parts)
 
 
-def read_envelope_row(
-    path: Union[str, Path], magic: bytes, kind: str, item: str
-) -> Tuple[Optional[int], dict]:
-    """Seek one item's bit pattern out of an envelope file.
-
-    Returns ``(bits, header)``; ``bits`` is ``None`` when the item is not
-    listed in the header.
-    """
-    source = Path(path)
-    if not source.exists():
-        raise DSMatrixError(f"{kind} file not found: {source}")
-    with open(source, "rb") as handle:
-        header, offset, stride = read_envelope_header(
-            handle, magic, kind, str(source)
-        )
-        try:
-            index = header["items"].index(item)
-        except ValueError:
-            return None, header
-        handle.seek(offset + index * stride)
-        data = handle.read(stride)
-    return int.from_bytes(data, "little"), header
-
-
 def read_envelope_header(
     handle: BinaryIO, magic: bytes, kind: str, source: str
 ) -> Tuple[dict, int, int]:
     """Parse the shared file envelope: magic, 4-byte length, JSON header.
 
-    Both the segment format and the legacy single-file matrix format use
-    this envelope (with different magics); returns
-    ``(header, payload_offset, stride)``.
+    Segment files and journal records use this envelope (with different
+    magics); returns ``(header, payload_offset, stride)``.
     """
     if handle.read(4) != magic:
         raise DSMatrixError(f"{source} is not a {kind} file (bad magic)")
@@ -306,6 +280,15 @@ def _parse_segment_header(data: bytes, source: str) -> Tuple[dict, int, int]:
     return read_envelope_header(io.BytesIO(data), SEGMENT_MAGIC, "segment", source)
 
 
+def read_segment_header(path: Union[str, Path]) -> Tuple[dict, int, int]:
+    """Parse one segment file's header → ``(header, payload_offset, stride)``."""
+    source = Path(path)
+    if not source.exists():
+        raise DSMatrixError(f"segment file not found: {source}")
+    with open(source, "rb") as handle:
+        return read_envelope_header(handle, SEGMENT_MAGIC, "segment", str(source))
+
+
 def read_segment_row(
     path: Union[str, Path], item: str
 ) -> Tuple[Optional[int], int]:
@@ -315,8 +298,15 @@ def read_segment_row(
     not occur in the segment (callers treat that as an all-zero pattern while
     still learning the segment's width).
     """
-    bits, header = read_envelope_row(path, SEGMENT_MAGIC, "segment", item)
-    return bits, header["num_columns"]
+    source = Path(path)
+    header, offset, stride = read_segment_header(source)
+    try:
+        index = header["items"].index(item)
+    except ValueError:
+        return None, header["num_columns"]
+    with open(source, "rb") as handle:
+        handle.seek(offset + index * stride)
+        return int.from_bytes(handle.read(stride), "little"), header["num_columns"]
 
 
 # ---------------------------------------------------------------------- #

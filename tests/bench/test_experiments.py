@@ -120,6 +120,6 @@ class TestExperimentDrivers:
         )
         assert outcome["backends_identical"] is True
         by_backend = {row["backend"]: row for row in outcome["rows"]}
-        assert set(by_backend) == {"memory", "disk", "single"}
-        assert by_backend["disk"]["full_rewrites"] == 0
-        assert by_backend["single"]["full_rewrites"] > 0
+        assert set(by_backend) == {"memory", "disk"}
+        assert by_backend["memory"]["bytes_last_append"] == 0
+        assert by_backend["disk"]["bytes_last_append"] > 0

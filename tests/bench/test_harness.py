@@ -62,7 +62,7 @@ class TestPrepareWindow:
         assert small_matrix.num_columns == 60
 
     def test_window_can_persist(self, small_workload, tmp_path):
-        matrix = prepare_window(small_workload, path=tmp_path / "w.dsm")
+        matrix = prepare_window(small_workload, path=tmp_path / "window")
         assert matrix.disk_size_bytes() > 0
 
 

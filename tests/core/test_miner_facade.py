@@ -39,12 +39,12 @@ class TestConstruction:
         assert "vertical_direct" in miner.available_algorithms()
 
     def test_storage_path_persists_matrix(self, paper_registry, paper_batches, tmp_path):
-        target = tmp_path / "stream.dsm"
+        target = tmp_path / "stream"
         miner = StreamSubgraphMiner(
             window_size=2, registry=paper_registry, storage_path=target
         )
         miner.add_batch(paper_batches[0])
-        assert target.exists()
+        assert (target / "manifest.json").exists()
 
 
 class TestFeeding:
@@ -188,7 +188,6 @@ class TestStorageBackends:
         miner = StreamSubgraphMiner(
             window_size=2,
             registry=paper_registry,
-            storage="disk",
             storage_path=directory,
         )
         for batch in paper_batches:
@@ -198,20 +197,12 @@ class TestStorageBackends:
 
     def test_disk_storage_mining_matches_memory(self, paper_registry, paper_batches, tmp_path):
         results = {}
-        for storage, path in (
-            (None, None),
-            ("disk", tmp_path / "segments"),
-            ("single", tmp_path / "window.dsm"),
-        ):
+        for path in (None, tmp_path / "segments"):
             miner = StreamSubgraphMiner(
-                window_size=2,
-                registry=paper_registry,
-                storage=storage,
-                storage_path=path,
+                window_size=2, registry=paper_registry, storage_path=path
             )
             for batch in paper_batches:
                 miner.add_batch(batch)
-            results[storage] = miner.mine(minsup=2).to_dict()
+            results[path] = miner.mine(minsup=2).to_dict()
         assert results[None] == PAPER_CONNECTED_FREQUENT
-        assert results["disk"] == results[None]
-        assert results["single"] == results[None]
+        assert results[tmp_path / "segments"] == results[None]

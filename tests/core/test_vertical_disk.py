@@ -1,5 +1,7 @@
 """Tests for the disk-resident vertical miner (`vertical_disk`)."""
 
+import shutil
+
 import pytest
 
 from repro.core.algorithms import get_algorithm
@@ -10,7 +12,7 @@ from repro.storage.dsmatrix import DSMatrix
 @pytest.fixture
 def persisted_paper_matrix(paper_batches, tmp_path):
     """The paper-example window persisted to (and kept on) disk."""
-    matrix = DSMatrix(window_size=2, path=tmp_path / "window.dsm")
+    matrix = DSMatrix(window_size=2, path=tmp_path / "window")
     for batch in paper_batches:
         matrix.append_batch(batch)
     return matrix
@@ -50,11 +52,11 @@ class TestVerticalDiskMiner:
         assert algorithm.stats.patterns_found == len(PAPER_ALL_FREQUENT)
 
     def test_stale_path_fallback(self, paper_batches, tmp_path, paper_registry):
-        # If the configured file vanished, the miner still works from memory.
-        path = tmp_path / "gone.dsm"
+        # If the store's directory vanished, the miner still works from memory.
+        path = tmp_path / "gone"
         matrix = DSMatrix(window_size=2, path=path)
         for batch in paper_batches:
             matrix.append_batch(batch)
-        path.unlink()
+        shutil.rmtree(path)
         found = get_algorithm("vertical_disk").mine(matrix, 2, registry=paper_registry)
         assert found == PAPER_ALL_FREQUENT

@@ -44,11 +44,6 @@ pool_required = pytest.mark.skipif(
 )
 
 
-#: The transport axis has one value: every segment crosses a process
-#: boundary pickled (or as a path handle).
-TRANSPORTS = ("pickle",)
-
-
 @pytest.fixture(autouse=True)
 def disarm():
     yield
@@ -92,9 +87,8 @@ def reference_bytes(tmp_path_factory):
 class TestChaosParity:
     @pytest.mark.parametrize("plan", FAULT_PLANS)
     @pytest.mark.parametrize("workers,ingest_workers", COMBOS)
-    @pytest.mark.parametrize("transport", TRANSPORTS)
     def test_journal_bytes_survive_faults(
-        self, tmp_path, reference_bytes, plan, workers, ingest_workers, transport
+        self, tmp_path, reference_bytes, plan, workers, ingest_workers
     ):
         faults.install_plan(plan)
         try:
@@ -113,9 +107,8 @@ class TestChaosParity:
             assert any(event.kind == "retry" for event in events)
 
     @pytest.mark.parametrize("workers,ingest_workers", COMBOS)
-    @pytest.mark.parametrize("transport", TRANSPORTS)
     def test_fault_free_runs_record_zero_events(
-        self, tmp_path, reference_bytes, workers, ingest_workers, transport
+        self, tmp_path, reference_bytes, workers, ingest_workers
     ):
         events = run_watch(
             tmp_path / "journal",

@@ -37,7 +37,6 @@ def build_miner(backend, tmp_path, registry=None):
         batch_size=15,
         algorithm="vertical",
         registry=registry,
-        storage=backend if backend != "memory" else None,
         storage_path=tmp_path / "segments" if backend != "memory" else None,
     )
 

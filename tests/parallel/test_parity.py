@@ -39,7 +39,6 @@ def build_paper_miner(algorithm, backend, tmp_path):
         batch_size=3,
         algorithm=algorithm,
         registry=registry,
-        storage=backend if backend != "memory" else None,
         storage_path=tmp_path / "segments" if backend != "memory" else None,
     )
     for batch in paper_example_batches():
@@ -54,7 +53,6 @@ def build_synthetic_miner(algorithm, backend, tmp_path):
         batch_size=15,
         algorithm=algorithm,
         registry=registry,
-        storage=backend if backend != "memory" else None,
         storage_path=tmp_path / "segments" if backend != "memory" else None,
     )
     miner.add_snapshots(snapshots)

@@ -2,9 +2,15 @@
 
 import pytest
 
+from repro.core.miner import StreamSubgraphMiner
+from repro.datasets.paper_example import paper_example_batches, paper_example_registry
 from repro.exceptions import ServeError
+from repro.graph.edge import Edge
+from repro.graph.edge_registry import EdgeRegistry
 from repro.history import algebra
+from repro.history.journal import MemoryJournal
 from repro.serve.shards import ShardedJournalIndex
+from repro.stream.batch import Batch
 from repro.serve.standing import (
     Notification,
     StandingQuery,
@@ -93,6 +99,82 @@ class TestStandingSemantics:
                     n.items,
                 )
                 assert key(earlier) <= key(later)
+
+
+#: Every pattern of a slide, so its transitions are everything that changed.
+EVERY_PATTERN = algebra.to_json(algebra.select(algebra.support_gte(1)))
+ALL_EVENTS = ("enter", "exit", "update")
+
+
+def watched_records(batches, registry, window_size=2):
+    """One sealed record per slide of a ``watch`` over ``batches`` (minsup 2)."""
+    journal = MemoryJournal()
+    miner = StreamSubgraphMiner(
+        window_size=window_size,
+        algorithm="vertical",
+        registry=registry,
+        on_slide=journal.append,
+    )
+    miner.watch(batches, 2)
+    return journal.records()
+
+
+def transitions_at(records, slide):
+    return [
+        notification
+        for notification in poll_oracle(records, EVERY_PATTERN, events=ALL_EVENTS)
+        if notification.slide == slide
+    ]
+
+
+class TestWatchTransitions:
+    """What changed between slides of the paper's running example."""
+
+    @pytest.fixture(scope="class")
+    def paper_records(self):
+        return watched_records(paper_example_batches(), paper_example_registry())
+
+    def test_first_slide_reports_everything_as_entered(self, paper_records):
+        first = transitions_at(paper_records, paper_records[0].slide_id)
+        assert {notification.event for notification in first} == {"enter"}
+        assert len(first) == len(paper_records[0].patterns)
+
+    def test_final_window_matches_direct_mining(self, paper_records):
+        # The final window (B2-B3) is the paper's 15-connected-subgraph window.
+        assert len(paper_records) == 3
+        assert len(paper_records[-1].patterns) == 15
+
+    def test_enters_and_exits_track_window_slides(self, paper_records):
+        second, third = paper_records[1], paper_records[2]
+        # Edge e is frequent in the B1-B2 window but not in B2-B3.
+        assert ("e",) in dict(second.patterns)
+        changes = transitions_at(paper_records, third.slide_id)
+        assert ("e",) in {n.items for n in changes if n.event == "exit"}
+        # Everything reported as entered is indeed in the new window's answer.
+        for notification in changes:
+            if notification.event == "enter":
+                assert notification.items in dict(third.patterns)
+
+    def test_updates_carry_old_and_new_support(self, paper_records):
+        supports = {record.slide_id: dict(record.patterns) for record in paper_records}
+        updates = poll_oracle(paper_records, EVERY_PATTERN, events=("update",))
+        assert updates, "fixture produced no support changes; weak test"
+        for notification in updates:
+            assert notification.previous_support != notification.support
+            assert supports[notification.slide][notification.items] == notification.support
+
+    def test_stable_window_reports_no_changes(self):
+        registry = EdgeRegistry()
+        pair = [Edge("x", "y"), Edge("y", "z")]
+        for edge in pair:
+            registry.register(edge)
+        transaction = tuple(registry.item_for(edge) for edge in pair)
+        batch = Batch([transaction] * 2)
+        records = watched_records([batch] * 3, registry)
+        # The second slide fills the window (supports double); the third
+        # replaces a batch with an identical one.
+        assert transitions_at(records, records[1].slide_id)
+        assert transitions_at(records, records[2].slide_id) == []
 
 
 class TestValidation:

@@ -2,19 +2,16 @@
 
 Covers the contract of DESIGN.md §3: incremental support counters, O(1)
 window slides, segment-level persistence (per-batch I/O, no full-matrix
-rewrites), cross-format save/load round trips and the edge cases around
-empty batches and slid windows.
+rewrites), reopening a persisted directory, rejecting a malformed manifest
+and the edge cases around empty batches and slid windows.
 """
+
+import json
 
 import pytest
 
 from repro.exceptions import DSMatrixError
-from repro.storage.backend import (
-    DiskWindowStore,
-    MemoryWindowStore,
-    create_store,
-    load_store,
-)
+from repro.storage.backend import DiskWindowStore, MemoryWindowStore
 from repro.storage.dsmatrix import DSMatrix
 from repro.stream.batch import Batch
 
@@ -31,14 +28,12 @@ def batches_for(count, items_per_batch=3, start=0):
     return result
 
 
-@pytest.fixture(params=["memory", "disk", "single"])
+@pytest.fixture(params=["memory", "disk"])
 def any_store(request, tmp_path):
-    """One store per backend kind, window size 3."""
+    """One store per backend, window size 3."""
     if request.param == "memory":
-        return create_store("memory", window_size=3)
-    if request.param == "disk":
-        return create_store("disk", window_size=3, path=tmp_path / "segments")
-    return create_store("single", window_size=3, path=tmp_path / "window.dsm")
+        return MemoryWindowStore(3)
+    return DiskWindowStore(3, path=tmp_path / "segments")
 
 
 class TestSharedSemantics:
@@ -101,23 +96,22 @@ class TestSharedSemantics:
 class TestSegmentedPersistence:
     def test_slide_past_capacity_keeps_window_size_files(self, tmp_path):
         directory = tmp_path / "segments"
-        store = create_store("disk", window_size=8, path=directory)
+        store = DiskWindowStore(8, path=directory)
         for batch in batches_for(50):
             store.append_batch(batch)
         segment_files = sorted(directory.glob("seg-*.dsg"))
         assert len(segment_files) == 8
         assert store.io_stats.segment_files_deleted == 42
 
-    def test_no_full_rewrites_and_per_batch_io(self, tmp_path):
+    def test_steady_state_appends_write_one_batch(self, tmp_path):
         """Acceptance: 50 batches through a window of 8 with persistence on
         performs no full-matrix rewrites; steady-state appends persist
         O(batch) bytes (segment + manifest), not the whole window."""
-        store = create_store("disk", window_size=8, path=tmp_path / "segments")
+        store = DiskWindowStore(8, path=tmp_path / "segments")
         per_append = []
         for batch in batches_for(50, items_per_batch=20):
             store.append_batch(batch)
             per_append.append(store.io_stats.bytes_last_append)
-        assert store.io_stats.full_rewrites == 0
         # Steady state (window full): every append writes about the same
         # number of bytes, and far less than the persisted window.
         steady = per_append[10:]
@@ -126,7 +120,7 @@ class TestSegmentedPersistence:
 
     def test_old_segment_files_untouched_by_later_appends(self, tmp_path):
         directory = tmp_path / "segments"
-        store = create_store("disk", window_size=4, path=directory)
+        store = DiskWindowStore(4, path=directory)
         for batch in batches_for(3):
             store.append_batch(batch)
         snapshot = {
@@ -138,7 +132,7 @@ class TestSegmentedPersistence:
 
     def test_reopen_round_trip(self, tmp_path):
         directory = tmp_path / "segments"
-        store = create_store("disk", window_size=3, path=directory)
+        store = DiskWindowStore(3, path=directory)
         for batch in batches_for(5):
             store.append_batch(batch)
         reopened = DiskWindowStore.open(directory)
@@ -153,13 +147,13 @@ class TestSegmentedPersistence:
 
     def test_reopen_with_mismatched_window_size(self, tmp_path):
         directory = tmp_path / "segments"
-        store = create_store("disk", window_size=3, path=directory)
+        store = DiskWindowStore(3, path=directory)
         store.append_batch(Batch([["a"]]))
         with pytest.raises(DSMatrixError):
             DiskWindowStore(window_size=5, path=directory)
 
     def test_row_persisted_reads_segment_files(self, tmp_path):
-        store = create_store("disk", window_size=2, path=tmp_path / "segments")
+        store = DiskWindowStore(2, path=tmp_path / "segments")
         store.append_batch(Batch([["a", "b"], ["a"]]))
         store.append_batch(Batch([["b"]]))
         store.append_batch(Batch([["a"], ["c"]]))  # slides the window
@@ -168,7 +162,7 @@ class TestSegmentedPersistence:
 
     def test_row_persisted_falls_back_when_segment_file_vanishes(self, tmp_path):
         directory = tmp_path / "segments"
-        store = create_store("disk", window_size=2, path=directory)
+        store = DiskWindowStore(2, path=directory)
         store.append_batch(Batch([["a"]]))
         next(directory.glob("seg-*.dsg")).unlink()
         assert store.row_persisted("a") is None  # caller falls back to row()
@@ -177,10 +171,8 @@ class TestSegmentedPersistence:
     def test_append_keeps_manifest_consistent_before_deleting(self, tmp_path):
         """Crash-safety ordering: at no point does the manifest reference a
         deleted segment file, so the store is reopenable after every append."""
-        import json
-
         directory = tmp_path / "segments"
-        store = create_store("disk", window_size=2, path=directory)
+        store = DiskWindowStore(2, path=directory)
         for batch in batches_for(5):
             store.append_batch(batch)
             manifest = json.loads((directory / "manifest.json").read_text())
@@ -191,67 +183,16 @@ class TestSegmentedPersistence:
 
     def test_reopen_rejects_conflicting_item_universe(self, tmp_path):
         directory = tmp_path / "segments"
-        store = create_store("disk", window_size=2, path=directory)
+        store = DiskWindowStore(2, path=directory)
         store.append_batch(Batch([["x", "y"]]))
         with pytest.raises(DSMatrixError):
             DiskWindowStore(window_size=2, items=["a"], path=directory)
 
 
-class TestCrossFormatRoundTrips:
-    def test_legacy_load_of_segmented_save(self, tmp_path):
-        """A matrix persisted by the segmented backend exports a legacy file
-        that the single-file loader reads back identically."""
-        store = create_store("disk", window_size=3, path=tmp_path / "segments")
-        for batch in batches_for(5):
-            store.append_batch(batch)
-        exported = store.save(tmp_path / "export.dsm")
-        restored = DSMatrix.load(exported)
-        assert restored.items() == store.items()
-        assert restored.boundaries() == store.boundaries()
-        for item in store.items():
-            assert restored.row(item) == store.row(item)
-
-    def test_memory_store_save_matches_disk_store_save(self, tmp_path):
-        memory = create_store("memory", window_size=3)
-        disk = create_store("disk", window_size=3, path=tmp_path / "segments")
-        for batch in batches_for(5):
-            memory.append_batch(batch)
-            disk.append_batch(batch)
-        memory_file = memory.save(tmp_path / "memory.dsm")
-        disk_file = disk.save(tmp_path / "disk.dsm")
-        assert memory_file.read_bytes() == disk_file.read_bytes()
-
-    def test_load_store_dispatches_on_path_kind(self, tmp_path):
-        directory = tmp_path / "segments"
-        store = create_store("disk", window_size=2, path=directory)
-        store.append_batch(Batch([["a", "b"]]))
-        from_dir = load_store(directory)
-        assert isinstance(from_dir, DiskWindowStore)
-        assert from_dir.layout == "segmented"
-        legacy = store.save(tmp_path / "legacy.dsm")
-        from_file = load_store(legacy)
-        assert from_file.layout == "single"
-        assert from_file.row("a") == store.row("a")
-
-    def test_memory_store_from_legacy_file(self, tmp_path):
-        original = create_store("memory", window_size=3)
-        for batch in batches_for(4):
-            original.append_batch(batch)
-        target = original.save(tmp_path / "window.dsm")
-        restored = MemoryWindowStore.from_legacy_file(target)
-        assert restored.boundaries() == original.boundaries()
-        assert restored.item_frequencies() == original.item_frequencies()
-
-    def test_save_without_target_on_memory_store_raises(self):
-        store = create_store("memory", window_size=2)
-        with pytest.raises(DSMatrixError):
-            store.save()
-
-
 class TestFacadeDiskMode:
     def test_dsmatrix_disk_storage_round_trip(self, tmp_path):
         directory = tmp_path / "segments"
-        matrix = DSMatrix(window_size=2, path=directory, storage="disk")
+        matrix = DSMatrix(window_size=2, path=directory)
         matrix.append_batch(Batch([["a", "b"], ["b"]]))
         matrix.append_batch(Batch([["a"]]))
         matrix.append_batch(Batch([["c"]]))  # slides
@@ -262,34 +203,28 @@ class TestFacadeDiskMode:
 
     def test_row_from_disk_on_segment_directory_after_slide(self, tmp_path):
         directory = tmp_path / "segments"
-        matrix = DSMatrix(window_size=2, path=directory, storage="disk")
+        matrix = DSMatrix(window_size=2, path=directory)
         for batch in batches_for(5):
             matrix.append_batch(batch)
         for item in matrix.items():
             assert DSMatrix.row_from_disk(directory, item) == matrix.row(item)
 
-    def test_row_from_disk_after_slide_legacy(self, tmp_path):
-        target = tmp_path / "window.dsm"
-        matrix = DSMatrix(window_size=2, path=target)
-        for batch in batches_for(5):
-            matrix.append_batch(batch)
-        for item in matrix.items():
-            assert DSMatrix.row_from_disk(target, item) == matrix.row(item)
-
     def test_row_from_disk_unknown_item_on_directory(self, tmp_path):
         directory = tmp_path / "segments"
-        matrix = DSMatrix(window_size=2, path=directory, storage="disk")
+        matrix = DSMatrix(window_size=2, path=directory)
         matrix.append_batch(Batch([["a"]]))
         with pytest.raises(DSMatrixError):
             DSMatrix.row_from_disk(directory, "zz")
 
     def test_storage_requires_path(self):
         with pytest.raises(DSMatrixError):
-            DSMatrix(window_size=2, storage="disk")
+            DiskWindowStore(2)
 
     def test_unknown_storage_kind(self):
-        with pytest.raises(DSMatrixError):
-            DSMatrix(window_size=2, storage="quantum", path="x")
+        # The path alone picks the backend; no kind name is accepted.
+        for kind in ("quantum", "memory", "disk"):
+            with pytest.raises(DSMatrixError):
+                DSMatrix(window_size=2, storage=kind, path="x")
 
     def test_store_instance_passthrough(self):
         store = MemoryWindowStore(4)
@@ -309,21 +244,22 @@ class TestFacadeDiskMode:
         target = tmp_path / "window.dsm"
         target.write_bytes(b"not a directory")
         with pytest.raises(DSMatrixError):
-            DSMatrix(window_size=2, path=target, storage="disk")
+            DSMatrix(window_size=2, path=target)
+        with pytest.raises(DSMatrixError):
+            DSMatrix.load(target)
+        with pytest.raises(DSMatrixError):
+            DSMatrix.row_from_disk(target, "a")
 
     def test_row_persisted_unknown_item_is_none_on_all_backends(self, tmp_path):
-        disk = DSMatrix(window_size=2, path=tmp_path / "segs", storage="disk")
-        single = DSMatrix(window_size=2, path=tmp_path / "win.dsm")
+        disk = DSMatrix(window_size=2, path=tmp_path / "segs")
         memory = DSMatrix(window_size=2)
-        for matrix in (disk, single, memory):
+        for matrix in (disk, memory):
             matrix.append_batch(Batch([["a"]]))
             assert matrix.row_persisted("zz") is None
 
     def test_manifest_known_items_only_lists_zero_support_items(self, tmp_path):
-        import json
-
         directory = tmp_path / "segs"
-        store = create_store("disk", window_size=1, path=directory)
+        store = DiskWindowStore(1, path=directory)
         store.append_batch(Batch([["x"]]))
         store.append_batch(Batch([["y"]]))  # evicts x -> zero support
         manifest = json.loads((directory / "manifest.json").read_text())
@@ -331,3 +267,56 @@ class TestFacadeDiskMode:
         reopened = DiskWindowStore.open(directory)
         assert reopened.item_frequency("x") == 0
         assert reopened.row("x").is_empty()
+
+
+def _duplicate_first_segment(manifest, directory):
+    manifest["segments"].insert(0, dict(manifest["segments"][0]))
+
+
+def _reverse_segments(manifest, directory):
+    manifest["segments"].reverse()
+
+
+def _point_outside_directory(manifest, directory):
+    # A valid segment file that lives outside the store's directory.
+    (directory.parent / "seg-00000000.dsg").write_bytes(
+        (directory / "seg-00000000.dsg").read_bytes()
+    )
+    manifest["segments"][0]["file"] = "../seg-00000000.dsg"
+
+
+MALFORMED_MANIFESTS = [
+    pytest.param(lambda m, d: {"format": m["format"]}, id="format-only"),
+    pytest.param(lambda m, d: [m], id="json-list"),
+    pytest.param(lambda m, d: {**m, "window_size": "3"}, id="string-window-size"),
+    pytest.param(lambda m, d: {**m, "window_size": 0}, id="zero-window-size"),
+    pytest.param(lambda m, d: {**m, "window_size": True}, id="bool-window-size"),
+    pytest.param(lambda m, d: {**m, "window_size": 1}, id="more-segments-than-window"),
+    pytest.param(lambda m, d: {**m, "segments": {}}, id="segments-not-a-list"),
+    pytest.param(lambda m, d: {**m, "segments": [1, 2]}, id="entry-not-an-object"),
+    pytest.param(lambda m, d: {**m, "known_items": "x"}, id="known-items-not-a-list"),
+    pytest.param(_duplicate_first_segment, id="duplicate-segment"),
+    pytest.param(_reverse_segments, id="decreasing-segment-ids"),
+    pytest.param(_point_outside_directory, id="file-outside-directory"),
+    pytest.param(
+        lambda m, d: m["segments"][1].update(num_columns=99),
+        id="column-count-mismatch",
+    ),
+]
+
+
+@pytest.mark.parametrize("corrupt", MALFORMED_MANIFESTS)
+def test_malformed_manifest_raises_dsmatrix_error(tmp_path, corrupt):
+    """Both loaders reject any manifest other than what the store writes."""
+    directory = tmp_path / "segments"
+    store = DiskWindowStore(3, path=directory)
+    for batch in batches_for(2):
+        store.append_batch(batch)
+    manifest_path = directory / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    corrupted = corrupt(manifest, directory)
+    manifest_path.write_text(json.dumps(manifest if corrupted is None else corrupted))
+    with pytest.raises(DSMatrixError):
+        DSMatrix.load(directory)
+    with pytest.raises(DSMatrixError):
+        DSMatrix.row_from_disk(directory, "i1")

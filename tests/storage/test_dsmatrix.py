@@ -122,49 +122,46 @@ class TestAccessErrors:
 
 
 class TestPersistence:
-    def test_save_and_load_round_trip(self, paper_window_matrix, tmp_path):
-        target = tmp_path / "window.dsm"
-        paper_window_matrix.save(target)
-        restored = DSMatrix.load(target)
+    @pytest.fixture
+    def persisted(self, paper_batches, tmp_path):
+        """The paper's window of B2-B3 persisted in a store directory."""
+        directory = tmp_path / "window"
+        DSMatrix.from_batches(paper_batches, window_size=2, path=directory)
+        return directory
+
+    def test_save_and_load_round_trip(self, paper_window_matrix, persisted):
+        restored = DSMatrix.load(persisted)
         assert restored.items() == paper_window_matrix.items()
         assert restored.boundaries() == paper_window_matrix.boundaries()
         for item in restored.items():
             assert restored.row(item) == paper_window_matrix.row(item)
 
-    def test_row_from_disk(self, paper_window_matrix, tmp_path):
-        target = tmp_path / "window.dsm"
-        paper_window_matrix.save(target)
-        row = DSMatrix.row_from_disk(target, "a")
+    def test_row_from_disk(self, paper_window_matrix, persisted):
+        row = DSMatrix.row_from_disk(persisted, "a")
         assert row == paper_window_matrix.row("a")
 
-    def test_row_from_disk_unknown_item(self, paper_window_matrix, tmp_path):
-        target = tmp_path / "window.dsm"
-        paper_window_matrix.save(target)
+    def test_row_from_disk_unknown_item(self, persisted):
         with pytest.raises(DSMatrixError):
-            DSMatrix.row_from_disk(target, "zz")
+            DSMatrix.row_from_disk(persisted, "zz")
 
     def test_automatic_flush_when_path_configured(self, paper_batches, tmp_path):
-        target = tmp_path / "auto.dsm"
+        target = tmp_path / "auto"
         matrix = DSMatrix(window_size=2, path=target)
         matrix.append_batch(paper_batches[0])
-        assert target.exists()
+        assert (target / "manifest.json").exists()
+        assert len(list(target.glob("seg-*.dsg"))) == 1
         assert matrix.disk_size_bytes() > 0
         restored = DSMatrix.load(target)
         assert restored.num_columns == 3
 
-    def test_save_without_path_raises(self, paper_window_matrix):
-        with pytest.raises(DSMatrixError):
-            paper_window_matrix.save()
-
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(DSMatrixError):
-            DSMatrix.load(tmp_path / "absent.dsm")
+            DSMatrix.load(tmp_path / "absent")
 
-    def test_load_rejects_bad_magic(self, tmp_path):
-        bogus = tmp_path / "bogus.dsm"
-        bogus.write_bytes(b"NOPE" + b"\x00" * 16)
+    def test_load_rejects_bad_magic(self, persisted):
+        next(persisted.glob("seg-*.dsg")).write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(DSMatrixError):
-            DSMatrix.load(bogus)
+            DSMatrix.load(persisted)
 
 
 class TestAccounting:

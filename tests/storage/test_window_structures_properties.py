@@ -96,11 +96,10 @@ def test_structures_agree_on_item_frequencies(batches, window_size):
 @settings(max_examples=30, deadline=None)
 @given(batches_strategy, window_sizes)
 def test_dsmatrix_persistence_round_trip(tmp_path_factory, batches, window_size):
-    matrix = DSMatrix(window_size=window_size)
+    target = tmp_path_factory.mktemp("dsm") / "window"
+    matrix = DSMatrix(window_size=window_size, path=target)
     for batch in batches:
         matrix.append_batch(batch)
-    target = tmp_path_factory.mktemp("dsm") / "window.dsm"
-    matrix.save(target)
     restored = DSMatrix.load(target)
     assert list(restored.transactions()) == list(matrix.transactions())
     assert restored.boundaries() == matrix.boundaries()

@@ -100,8 +100,6 @@ class TestGenerateAndMine:
                     "2",
                     "--minsup",
                     "4",
-                    "--storage",
-                    "disk",
                     "--storage-path",
                     str(storage_dir),
                 ]
@@ -111,22 +109,12 @@ class TestGenerateAndMine:
         assert "frequent patterns" in capsys.readouterr().out
         assert (storage_dir / "manifest.json").exists()
 
-    def test_mine_disk_storage_requires_path(self, tmp_path, capsys):
+    def test_mine_storage_path_must_be_a_directory(self, tmp_path, capsys):
         target = tmp_path / "graph.fimi"
         main(["generate", str(target), "--kind", "graph", "--count", "20", "--seed", "5"])
         capsys.readouterr()
-        assert main(["mine", str(target), "--storage", "disk"]) == 2
-        assert "requires --storage-path" in capsys.readouterr().err
-
-    def test_mine_memory_storage_rejects_path(self, tmp_path, capsys):
-        target = tmp_path / "graph.fimi"
-        main(["generate", str(target), "--kind", "graph", "--count", "20", "--seed", "5"])
-        capsys.readouterr()
-        code = main(
-            ["mine", str(target), "--storage", "memory", "--storage-path", str(tmp_path / "s")]
-        )
-        assert code == 2
-        assert "does not persist" in capsys.readouterr().err
+        assert main(["mine", str(target), "--storage-path", str(target)]) == 2
+        assert "not a directory" in capsys.readouterr().err
 
     def test_mine_with_workers_matches_sequential(self, tmp_path, capsys):
         target = tmp_path / "graph.fimi"
@@ -151,7 +139,7 @@ class TestGenerateAndMine:
             [
                 "mine", str(target), "--batch-size", "20", "--window", "2",
                 "--minsup", "4", "--workers", "2",
-                "--storage", "disk", "--storage-path", str(storage_dir),
+                "--storage-path", str(storage_dir),
             ]
         )
         assert code == 0
@@ -208,7 +196,7 @@ class TestGenerateAndMine:
             base_args
             + [
                 "--ingest-workers", "2", "--workers", "2",
-                "--storage", "disk", "--storage-path", str(storage_dir),
+                "--storage-path", str(storage_dir),
             ]
         )
         assert code == 0

@@ -95,7 +95,7 @@ class TestGraphStreamPipeline:
         generator = GraphStreamGenerator(model, avg_edges_per_snapshot=5.0, seed=32)
         snapshots = generator.generate(120)
 
-        storage = tmp_path / "window.dsm"
+        storage = tmp_path / "window"
         miner = StreamSubgraphMiner(
             window_size=4,
             batch_size=20,
@@ -106,7 +106,7 @@ class TestGraphStreamPipeline:
         stream = GraphStream(snapshots, registry=registry, batch_size=20)
         miner.consume(stream)
 
-        assert storage.exists()
+        assert (storage / "manifest.json").exists()
         reloaded = DSMatrix.load(storage)
         assert list(reloaded.transactions()) == list(miner.matrix.transactions())
 
