@@ -1,4 +1,4 @@
-"""Crash-safe miner checkpoints: coordinated snapshot/restore (DESIGN.md §12)."""
+"""Crash-safe miner checkpoints, restore and the watch supervisor (DESIGN.md §12)."""
 
 from repro.checkpoint.snapshot import (
     CHECKPOINT_FORMAT,

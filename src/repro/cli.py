@@ -60,6 +60,7 @@ from repro.bench.experiments import EXPERIMENTS
 from repro.bench.regression import compare_outcomes
 from repro.bench.report import format_table
 from repro.checkpoint import Checkpoint, CheckpointManager, Checkpointer
+from repro.checkpoint.supervisor import RestartPolicy, Supervisor, SupervisorError
 from repro.core.algorithms import ALGORITHMS
 from repro.core.export import result_to_csv, result_to_json
 from repro.core.miner import StreamSubgraphMiner
@@ -93,7 +94,6 @@ from repro.resilience import FailurePolicy, ResilienceEvent
 from repro.serve.app import ServeApp
 from repro.serve.http import serve_async
 from repro.serve.shards import DEFAULT_SHARDS
-from repro.service.supervisor import RestartPolicy, Supervisor, SupervisorError
 from repro.stream.stream import TransactionStream
 
 #: Exit code for usage errors detected by the subcommands (bad flag combos).

@@ -29,7 +29,7 @@ from repro.core.patterns import MiningResult
 from repro.core.postprocess import filter_connected_patterns
 from repro.exceptions import CheckpointError, MiningError, StreamError
 from repro.graph.edge_registry import EdgeRegistry
-from repro.history.journal import SlideRecord
+from repro.history.journal import SlideRecord, SlideSealer
 from repro.ingest.api import IngestReport, ingest_batches
 from repro.ingest.worker import RawUnit
 from repro.parallel.api import mine_window_parallel
@@ -136,6 +136,7 @@ class StreamSubgraphMiner:
         self._batches_consumed = 0
         self._algorithm = self._resolve_algorithm(algorithm)
         self._slide_sinks: List[SlideSink] = []
+        self._sealer = SlideSealer()
         if on_slide is not None:
             self._slide_sinks.append(on_slide)
         self._last_ingest_report: Optional[IngestReport] = None
@@ -546,13 +547,13 @@ class StreamSubgraphMiner:
         )
         elapsed = time.perf_counter() - started
         segments = self._matrix.segments()
-        record = SlideRecord(
+        record = self._sealer.seal(
+            result.counts,
             slide_id=segments[-1].segment_id,
             first_batch=segments[0].segment_id,
             last_batch=segments[-1].segment_id,
             num_columns=self._matrix.num_columns,
             minsup=absolute,
-            patterns=result.entries(),
             timings={"mine_s": elapsed},
         )
         for sink in self._slide_sinks:

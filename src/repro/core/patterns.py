@@ -12,6 +12,7 @@ size, set-style comparison between algorithms).
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import (
     Callable,
     Dict,
@@ -133,7 +134,7 @@ class MiningResult:
     Results built by :meth:`from_counts` keep the validated pattern ->
     support map and build their :class:`FrequentPattern` objects (decoding
     edges through the registry) only when a caller first needs patterns or
-    edges; :meth:`entries`, :meth:`to_dict`, :meth:`support_of` and
+    edges; :attr:`counts`, :meth:`to_dict`, :meth:`support_of` and
     ``len`` never need them.
     """
 
@@ -218,17 +219,14 @@ class MiningResult:
             self._patterns.values(), key=lambda p: (p.size, p.sorted_items())
         )
 
-    def entries(self) -> Tuple[Tuple[Tuple[str, ...], int], ...]:
-        """``(sorted items, support)`` per pattern, in canonical (size, items) order.
+    @property
+    def counts(self) -> Mapping[Items, int]:
+        """The validated pattern -> support map, as a read-only view (no copy).
 
-        The form a :class:`~repro.history.journal.SlideRecord` seals, built
-        without materialising any pattern object: one lexicographic sort
-        (item tuples are unique, so supports are never compared), then a
-        stable pass by size.
+        What :class:`~repro.history.journal.SlideSealer` seals: it relies
+        on the validation :meth:`from_counts` already did.
         """
-        rows = sorted(zip(map(tuple, map(sorted, self._counts)), self._counts.values()))
-        rows.sort(key=lambda row: len(row[0]))
-        return tuple(rows)
+        return MappingProxyType(self._counts)
 
     def support_of(self, items: Iterable[str]) -> Optional[int]:
         """Support of a specific itemset, or ``None`` if it is not frequent."""

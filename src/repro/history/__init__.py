@@ -19,11 +19,13 @@ from repro.history.journal import (
     MemoryJournal,
     PatternJournal,
     SlideRecord,
+    SlideSealer,
     open_journal,
 )
 
 __all__ = [
     "SlideRecord",
+    "SlideSealer",
     "PatternJournal",
     "MemoryJournal",
     "DiskJournal",

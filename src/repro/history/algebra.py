@@ -854,20 +854,25 @@ def _run_conjunction(
                 ):
                     rows.append((slide, candidate, support))
     elif isinstance(driver, Contains):
-        wanted = frozenset(driver.items)
         if optimize:
             enum_item = min(driver.items, key=index.posting_total)
         else:
             enum_item = driver.items[0]
+        # The enumerated posting already guarantees enum_item, so a
+        # one-item driver needs no per-candidate containment check.
+        wanted = frozenset(driver.items) if len(driver.items) > 1 else None
+        support_at = index.support_at
         for slide in scan_slides:
             for candidate in index.posting(enum_item, slide):
                 scanned += 1
-                if not wanted.issubset(candidate):
+                if wanted is not None and not wanted.issubset(candidate):
                     continue
-                support = index.support_at(slide, candidate)
+                support = support_at(slide, candidate)
                 if support is None:  # pragma: no cover - postings mirror slides
                     continue
-                if all(matches_row(f, slide, candidate, support, index) for f in filters):
+                if not filters or all(
+                    matches_row(f, slide, candidate, support, index) for f in filters
+                ):
                     rows.append((slide, candidate, support))
     else:
         allowed = frozenset(driver.items)

@@ -33,8 +33,9 @@ import io
 import json
 import os
 from abc import ABC, abstractmethod
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from repro import faults
@@ -43,6 +44,7 @@ from typing import (
     BinaryIO,
     Callable,
     Dict,
+    FrozenSet,
     Iterator,
     List,
     Mapping,
@@ -72,6 +74,16 @@ COMPACT_FORMAT = "repro-journal-compact/1"
 #: Bytes used for each pattern's support counter in the record row block.
 SUPPORT_BYTES = 4
 
+#: Integer fields of a record header besides ``stride``.
+RECORD_HEADER_INTS = (
+    "slide_id",
+    "first_batch",
+    "last_batch",
+    "num_columns",
+    "minsup",
+    "pattern_count",
+)
+
 #: One canonical pattern entry: (sorted item tuple, support).
 PatternEntry = Tuple[Tuple[str, ...], int]
 
@@ -79,11 +91,13 @@ PatternEntry = Tuple[Tuple[str, ...], int]
 def _canonical_patterns(
     patterns: Mapping[Tuple[str, ...], int] | Tuple[PatternEntry, ...] | List[PatternEntry],
 ) -> Tuple[PatternEntry, ...]:
-    """Normalise a pattern collection into canonical (size, items) order.
+    """Validate caller data and normalise it into canonical (size, items) order.
 
-    Input that already arrives in that order — ``MiningResult.entries()``
-    and every record decoded by :meth:`SlideRecord.from_bytes` — is
-    validated without being sorted again.
+    The untrusted boundary: every record built from caller data or
+    decoded by :meth:`SlideRecord.from_bytes` passes here once.  Input
+    that already arrives in canonical order is validated without being
+    sorted again.  The miner's own output skips this walk altogether
+    (:class:`SlideSealer`).
     """
     entries: List[PatternEntry] = []
     items_seen = set()
@@ -91,7 +105,7 @@ def _canonical_patterns(
     previous: Tuple[int, Tuple[str, ...]] = (0, ())
     pairs = patterns.items() if isinstance(patterns, Mapping) else patterns
     for items, support in pairs:
-        ordered = tuple(sorted(items))
+        ordered = tuple(sorted(set(items)))
         support = int(support)
         if not ordered:
             raise HistoryError("a journalled pattern must contain at least one item")
@@ -108,6 +122,27 @@ def _canonical_patterns(
     if not in_order:
         entries.sort(key=lambda entry: (len(entry[0]), entry[0]))
     return tuple(entries)
+
+
+def _check_header(
+    slide_id: int, first_batch: int, last_batch: int, num_columns: int, minsup: int
+) -> None:
+    """Reject a slide header no window could have produced."""
+    if slide_id < 0:
+        raise HistoryError(f"slide_id must be non-negative, got {slide_id}")
+    if first_batch > last_batch:
+        raise HistoryError(f"batch range [{first_batch}, {last_batch}] is empty")
+    if num_columns < 0:
+        raise HistoryError(f"num_columns must be non-negative, got {num_columns}")
+    if minsup < 1:
+        raise HistoryError(f"minsup must be at least 1, got {minsup}")
+
+
+def _pattern_size(entry: PatternEntry) -> int:
+    return len(entry[0])
+
+
+_slide_of = attrgetter("slide_id")
 
 
 @dataclass(frozen=True)
@@ -144,18 +179,34 @@ class SlideRecord:
     timings: Mapping[str, float] = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
-        if self.slide_id < 0:
-            raise HistoryError(f"slide_id must be non-negative, got {self.slide_id}")
-        if self.first_batch > self.last_batch:
-            raise HistoryError(
-                f"batch range [{self.first_batch}, {self.last_batch}] is empty"
-            )
-        if self.num_columns < 0:
-            raise HistoryError(f"num_columns must be non-negative, got {self.num_columns}")
-        if self.minsup < 1:
-            raise HistoryError(f"minsup must be at least 1, got {self.minsup}")
+        _check_header(
+            self.slide_id, self.first_batch, self.last_batch, self.num_columns, self.minsup
+        )
         object.__setattr__(self, "patterns", _canonical_patterns(self.patterns))
         object.__setattr__(self, "timings", dict(self.timings))
+
+    @classmethod
+    def _sealed(
+        cls,
+        patterns: Tuple[PatternEntry, ...],
+        symbols: Tuple[str, ...],
+        timings: Optional[Mapping[str, float]],
+        **header: int,
+    ) -> "SlideRecord":
+        """A record over patterns already in canonical form (:class:`SlideSealer`).
+
+        Skips the per-pattern walk of :func:`_canonical_patterns`; the
+        symbol table the seal computed is kept for :meth:`to_bytes`.
+        """
+        _check_header(**header)
+        record = object.__new__(cls)
+        record.__dict__.update(
+            header,
+            patterns=patterns,
+            timings=dict(timings) if timings else {},
+            _symbols=symbols,
+        )
+        return record
 
     # ------------------------------------------------------------------ #
     # accessors
@@ -183,7 +234,14 @@ class SlideRecord:
 
     def items(self) -> List[str]:
         """The record's symbol table: every item of every pattern, sorted."""
-        return sorted({item for pattern_items, _ in self.patterns for item in pattern_items})
+        return list(self._symbol_table())
+
+    def _symbol_table(self) -> Tuple[str, ...]:
+        symbols = self.__dict__.get("_symbols")
+        if symbols is None:
+            symbols = tuple(sorted(set().union(*map(itemgetter(0), self.patterns))))
+            object.__setattr__(self, "_symbols", symbols)
+        return symbols
 
     # ------------------------------------------------------------------ #
     # serialisation
@@ -196,10 +254,11 @@ class SlideRecord:
         ``num_columns``, ``minsup``, ``pattern_count``, sorted ``items``
         symbol table, ``stride``), then one fixed-width row per pattern in
         canonical order: a ``stride``-byte little-endian bitmask over the
-        symbol table followed by a 4-byte little-endian support counter.
+        symbol table followed by a 4-byte little-endian support counter —
+        together one ``stride + 4``-byte little-endian integer.
         """
-        symbols = self.items()
-        index = {item: position for position, item in enumerate(symbols)}
+        symbols = self._symbol_table()
+        bit = {item: 1 << position for position, item in enumerate(symbols)}.__getitem__
         stride = max(1, (len(symbols) + 7) // 8)
         header = {
             "slide_id": self.slide_id,
@@ -208,18 +267,21 @@ class SlideRecord:
             "num_columns": self.num_columns,
             "minsup": self.minsup,
             "pattern_count": len(self.patterns),
-            "items": symbols,
+            "items": list(symbols),
             "stride": stride,
         }
         header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-        parts = [RECORD_MAGIC, len(header_bytes).to_bytes(4, "little"), header_bytes]
-        for pattern_items, support in self.patterns:
-            mask = 0
-            for item in pattern_items:
-                mask |= 1 << index[item]
-            parts.append(mask.to_bytes(stride, "little"))
-            parts.append(support.to_bytes(SUPPORT_BYTES, "little"))
-        return b"".join(parts)
+        shift = 8 * stride
+        width = stride + SUPPORT_BYTES
+        # Canonical item tuples hold distinct items, so the sum of their
+        # bits is the bitmask.
+        rows = [
+            (sum(map(bit, items)) | support << shift).to_bytes(width, "little")
+            for items, support in self.patterns
+        ]
+        return b"".join(
+            [RECORD_MAGIC, len(header_bytes).to_bytes(4, "little"), header_bytes, *rows]
+        )
 
     @classmethod
     def from_bytes(
@@ -228,7 +290,11 @@ class SlideRecord:
         """Inverse of :meth:`to_bytes` (``timings`` may be re-attached)."""
         try:
             header, offset, stride = read_envelope_header(
-                io.BytesIO(data), RECORD_MAGIC, "journal record", "<bytes>"
+                io.BytesIO(data),
+                RECORD_MAGIC,
+                "journal record",
+                "<bytes>",
+                RECORD_HEADER_INTS,
             )
         except Exception as exc:  # DSMatrixError from the shared envelope parser
             raise HistoryError(f"corrupt journal record: {exc}") from exc
@@ -268,6 +334,57 @@ class SlideRecord:
             f"SlideRecord(slide={self.slide_id}, "
             f"batches=[{self.first_batch},{self.last_batch}], "
             f"minsup={self.minsup}, patterns={len(self.patterns)})"
+        )
+
+
+class SlideSealer:
+    """Seals a miner's per-slide answers straight into canonical records.
+
+    The input is a :class:`~repro.core.patterns.MiningResult`'s validated
+    pattern → support map (non-empty item sets, non-negative supports, one
+    entry per pattern), so sealing validates nothing again; it only puts
+    the map in canonical (size, items) order — one lexicographic sort of
+    the distinct item tuples, then a stable pass by size — and computes
+    the symbol table :meth:`SlideRecord.to_bytes` writes.
+
+    Each pattern's item tuple is interned against the *previous* slide's
+    table only: most patterns survive a slide, so most tuples are reused
+    rather than sorted again, and the records, the index maps and the
+    provenance of consecutive slides share one tuple object per pattern.
+    The table holds one slide, so it never grows with the stream.
+    """
+
+    __slots__ = ("_previous",)
+
+    def __init__(self) -> None:
+        self._previous: Dict[FrozenSet[str], Tuple[str, ...]] = {}
+
+    def seal(
+        self,
+        counts: Mapping[FrozenSet[str], int],
+        *,
+        slide_id: int,
+        first_batch: int,
+        last_batch: int,
+        num_columns: int,
+        minsup: int,
+        timings: Optional[Mapping[str, float]] = None,
+    ) -> SlideRecord:
+        """The record of one slide whose mined answer is ``counts``."""
+        previous = self._previous.get
+        tuples = [previous(pattern) or tuple(sorted(pattern)) for pattern in counts]
+        self._previous = dict(zip(counts, tuples))
+        rows = sorted(zip(tuples, counts.values()), key=itemgetter(0))
+        rows.sort(key=_pattern_size)
+        return SlideRecord._sealed(
+            tuple(rows),
+            tuple(sorted(set().union(*counts))),
+            timings,
+            slide_id=slide_id,
+            first_batch=first_batch,
+            last_batch=last_batch,
+            num_columns=num_columns,
+            minsup=minsup,
         )
 
 
@@ -322,6 +439,16 @@ class PatternJournal(ABC):
     def records(self) -> Tuple[SlideRecord, ...]:
         """Every sealed record, oldest slide first."""
         return tuple(self._records)
+
+    def records_after(self, slide_id: Optional[int]) -> List[SlideRecord]:
+        """The resident records newer than ``slide_id`` (all for ``None``).
+
+        A bisection of the slide order: O(log slides + suffix), not a walk
+        of the journal.
+        """
+        if slide_id is None:
+            return list(self._records)
+        return self._records[bisect_right(self._records, slide_id, key=_slide_of) :]
 
     def record(self, slide_id: int) -> SlideRecord:
         """The record of one slide id."""

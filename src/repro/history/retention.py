@@ -237,6 +237,10 @@ class TieredJournal:
         """The resident (hot-tier) records, oldest first."""
         return self._journal.records()
 
+    def records_after(self, slide_id: Optional[int]) -> List[SlideRecord]:
+        """The resident records newer than ``slide_id`` (all for ``None``)."""
+        return self._journal.records_after(slide_id)
+
     def record(self, slide_id: int) -> SlideRecord:
         """One resident record by slide id (archived slides raise)."""
         return self._journal.record(slide_id)

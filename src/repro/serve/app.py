@@ -244,12 +244,7 @@ class ServeApp:
         """Journal records not yet indexed (cross-process via the tail)."""
         if self._tail is not None:
             return self._tail.poll()
-        last = self._index.current.last_slide_id
-        return [
-            record
-            for record in self._journal.records()
-            if last is None or record.slide_id > last
-        ]
+        return self._journal.records_after(self._index.current.last_slide_id)
 
     def refresh(self) -> int:
         """Index the journal suffix; swap, advance standing queries, push.

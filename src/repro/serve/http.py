@@ -6,7 +6,7 @@ endpoints:
 
 * ``POST /query`` — one JSON algebra expression in, the evaluation
   payload out, through :meth:`~repro.serve.app.ServeApp.query` and
-  rendered by :func:`~repro.service.render.render_json` (the bytes of
+  rendered by :func:`~repro.serve.render.render_json` (the bytes of
   ``json.dumps(..., indent=2, default=str)``, which is also what
   ``repro query --expr`` prints);
 * ``GET /stats`` — index shape + journal + serve counters + resilience;
@@ -41,9 +41,9 @@ from typing import Callable, Dict, Optional, Set, Union
 from repro import faults
 from repro.exceptions import AlgebraError, HistoryError, ServiceError
 from repro.serve.app import ServeApp
+from repro.serve.render import render_json
 from repro.serve.shards import DEFAULT_SHARDS
 from repro.serve.standing import Notification
-from repro.service.render import render_json
 
 #: Endpoint paths served by the async front end.
 ENDPOINTS = ("/query", "/stats", "/subscribe")

@@ -39,7 +39,18 @@ from __future__ import annotations
 import threading
 import zlib
 from bisect import bisect_left, bisect_right
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from collections import defaultdict
+from typing import (
+    DefaultDict,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.exceptions import HistoryError, ServeError
 from repro.history.journal import SlideRecord
@@ -219,10 +230,11 @@ class IndexSnapshot:
         slide = self.slides.get(slide_id)
         if slide is None:
             return None
-        key = items if isinstance(items, tuple) else tuple(items)
-        if key in slide:  # fast path: canonical (sorted) tuples, the hot loop
-            return slide[key]
-        return slide.get(tuple(sorted(key)))
+        if type(items) is tuple:  # canonical (sorted) tuples: the hot loop
+            support = slide.get(items)
+            if support is not None:
+                return support
+        return slide.get(tuple(sorted(items)))
 
     def first_frequent(self, items: Iterable[str]) -> Optional[int]:
         """The first slide at which the exact itemset was frequent."""
@@ -392,6 +404,8 @@ class ShardedJournalIndex:
         if shard_count < 1:
             raise ServeError(f"shard count must be at least 1, got {shard_count}")
         self._snapshot = IndexSnapshot.empty(shard_count)
+        #: item -> shard id; crc32 is stable, so the memo is exact.
+        self._shards_of: Dict[str, int] = {}
         self._swaps = 0
         self._write_lock = threading.Lock()
         self.extend(records)
@@ -406,6 +420,12 @@ class ShardedJournalIndex:
     @property
     def shard_count(self) -> int:
         return self._snapshot.shard_count
+
+    def _shard_of(self, item: str) -> int:
+        shard_id = self._shards_of.get(item)
+        if shard_id is None:
+            shard_id = self._shards_of[item] = shard_of(item, self.shard_count)
+        return shard_id
 
     @property
     def swaps(self) -> int:
@@ -451,20 +471,26 @@ class ShardedJournalIndex:
                 snapshot.order,
                 snapshot.provenance.for_extending(last),
             )
-        patterns: Dict[Tuple[str, ...], int] = {}
-        per_shard: Dict[int, Dict[str, List[Tuple[str, ...]]]] = {}
-        shard_count = snapshot.shard_count
-        for items, support in record.ranked_patterns():
-            patterns[items] = support
+        # One pass over the record's rank order builds the slide map, the
+        # per-item postings and the slide's newly seen patterns.
+        patterns = dict(record.ranked_patterns())
+        added: DefaultDict[str, List[Tuple[str, ...]]] = defaultdict(list)
+        seen = snapshot.provenance.first
+        new: List[Tuple[str, ...]] = []
+        for items in patterns:
+            if items not in seen:
+                new.append(items)
             for item in items:
-                shard_id = shard_of(item, shard_count)
-                per_shard.setdefault(shard_id, {}).setdefault(item, []).append(items)
+                added[item].append(items)
+        per_shard: Dict[int, Dict[str, List[Tuple[str, ...]]]] = {}
+        for item, posting in added.items():
+            per_shard.setdefault(self._shard_of(item), {})[item] = posting
         shards = list(snapshot.shards)
-        for shard_id, added in per_shard.items():
-            shards[shard_id] = shards[shard_id].extended(record.slide_id, added)
+        for shard_id, postings in per_shard.items():
+            shards[shard_id] = shards[shard_id].extended(record.slide_id, postings)
         slides = dict(snapshot.slides)
         slides[record.slide_id] = patterns
-        snapshot.provenance.record(record.slide_id, patterns)
+        snapshot.provenance.record(record.slide_id, new)
         return IndexSnapshot(
             snapshot.generation + 1,
             tuple(shards),

@@ -258,12 +258,20 @@ def build_envelope(
 
 
 def read_envelope_header(
-    handle: BinaryIO, magic: bytes, kind: str, source: str
+    handle: BinaryIO,
+    magic: bytes,
+    kind: str,
+    source: str,
+    int_fields: Tuple[str, ...],
 ) -> Tuple[dict, int, int]:
     """Parse the shared file envelope: magic, 4-byte length, JSON header.
 
     Segment files and journal records use this envelope (with different
-    magics); returns ``(header, payload_offset, stride)``.
+    magics); returns ``(header, payload_offset, stride)``.  The header's
+    shape is checked before anyone reads it: a JSON object whose
+    ``stride`` and ``int_fields`` are non-negative integers and whose
+    ``items`` is a list of strings.  Anything else is a
+    :class:`DSMatrixError`, never a ``KeyError``/``TypeError`` later.
     """
     if handle.read(4) != magic:
         raise DSMatrixError(f"{source} is not a {kind} file (bad magic)")
@@ -272,12 +280,32 @@ def read_envelope_header(
         header = json.loads(handle.read(header_len).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DSMatrixError(f"corrupt {kind} header in {source}") from exc
+    if not isinstance(header, dict):
+        raise DSMatrixError(f"corrupt {kind} header in {source}: not a JSON object")
+    for name in ("stride", *int_fields):
+        value = header.get(name)
+        if type(value) is not int or value < 0:
+            raise DSMatrixError(
+                f"corrupt {kind} header in {source}: {name!r} must be a "
+                f"non-negative integer, got {value!r}"
+            )
+    items = header.get("items")
+    if type(items) is not list or not all(type(item) is str for item in items):
+        raise DSMatrixError(
+            f"corrupt {kind} header in {source}: 'items' must be a list of strings"
+        )
     return header, 8 + header_len, header["stride"]
+
+
+#: Integer fields of a segment header besides ``stride``.
+SEGMENT_HEADER_INTS = ("segment_id", "num_columns")
 
 
 def _parse_segment_header(data: bytes, source: str) -> Tuple[dict, int, int]:
     """Validate magic and decode the JSON header of a serialised segment."""
-    return read_envelope_header(io.BytesIO(data), SEGMENT_MAGIC, "segment", source)
+    return read_envelope_header(
+        io.BytesIO(data), SEGMENT_MAGIC, "segment", source, SEGMENT_HEADER_INTS
+    )
 
 
 def read_segment_header(path: Union[str, Path]) -> Tuple[dict, int, int]:
@@ -286,7 +314,9 @@ def read_segment_header(path: Union[str, Path]) -> Tuple[dict, int, int]:
     if not source.exists():
         raise DSMatrixError(f"segment file not found: {source}")
     with open(source, "rb") as handle:
-        return read_envelope_header(handle, SEGMENT_MAGIC, "segment", str(source))
+        return read_envelope_header(
+            handle, SEGMENT_MAGIC, "segment", str(source), SEGMENT_HEADER_INTS
+        )
 
 
 def read_segment_row(

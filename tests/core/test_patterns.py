@@ -5,6 +5,7 @@ import pytest
 from repro.core.patterns import FrequentPattern, MiningResult
 from repro.exceptions import MiningError
 from repro.graph.edge import Edge
+from repro.history.journal import SlideSealer
 
 
 class TestFrequentPattern:
@@ -139,7 +140,7 @@ class TestLazyFromCounts:
         with pytest.raises(MiningError):
             MiningResult.from_counts({frozenset({"a"}): -1})
 
-    def test_entries_equal_the_sorted_patterns(self):
+    def test_sealed_patterns_equal_the_sorted_patterns(self):
         counts = {
             frozenset({"c", "a"}): 2,
             frozenset({"b"}): 5,
@@ -149,11 +150,13 @@ class TestLazyFromCounts:
             frozenset({"e10", "e9"}): 4,
         }
         result = MiningResult.from_counts(counts)
-        assert result.entries() == tuple(
+        header = dict(slide_id=0, first_batch=0, last_batch=0, num_columns=9, minsup=1)
+        sealed = SlideSealer().seal(result.counts, **header).patterns
+        assert sealed == tuple(
             (pattern.sorted_items(), pattern.support) for pattern in result
         )
-        assert result.entries()[0] == (("a",), 6)
-        assert MiningResult.from_counts({}).entries() == ()
+        assert sealed[0] == (("a",), 6)
+        assert SlideSealer().seal(MiningResult.from_counts({}).counts, **header).patterns == ()
 
     def test_graph_results_unchanged(self, paper_registry):
         counts = {

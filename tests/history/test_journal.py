@@ -108,6 +108,25 @@ class TestRecordSerialisation:
         with pytest.raises(HistoryError):
             SlideRecord.from_bytes(truncated)
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda header: [header],
+            lambda header: {k: v for k, v in header.items() if k != "pattern_count"},
+            lambda header: {**header, "slide_id": "3"},
+            lambda header: {**header, "items": ["a", 1]},
+        ],
+        ids=["json-list", "missing-pattern-count", "string-slide-id", "non-string-item"],
+    )
+    def test_malformed_header_rejected(self, corrupt):
+        data = make_record().to_bytes()
+        length = int.from_bytes(data[4:8], "little")
+        header = json.loads(data[8 : 8 + length])
+        encoded = json.dumps(corrupt(header)).encode("utf-8")
+        bad = data[:4] + len(encoded).to_bytes(4, "little") + encoded + data[8 + length :]
+        with pytest.raises(HistoryError):
+            SlideRecord.from_bytes(bad)
+
     def test_timings_reattached_on_request(self):
         record = make_record()
         clone = SlideRecord.from_bytes(record.to_bytes(), timings={"mine_s": 0.25})

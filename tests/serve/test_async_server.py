@@ -12,8 +12,8 @@ from repro.history.journal import MemoryJournal
 from repro.serve.app import ServeApp, evaluate_expression
 from repro.serve.http import BackgroundServer
 from repro.serve.loadgen import sse_collect
+from repro.serve.render import render_json
 from repro.serve.shards import ShardedJournalIndex
-from repro.service.render import render_json
 
 from serve_helpers import mined_journal
 

@@ -8,8 +8,8 @@ import pytest
 from repro.exceptions import HistoryError, ServeError
 from repro.history import algebra
 from repro.serve.app import evaluate_expression
+from repro.serve.render import render_json
 from repro.serve.shards import IndexSnapshot, ShardedJournalIndex, shard_of
-from repro.service.render import render_json
 
 from serve_helpers import mined_journal
 from tests.helpers import ScanReader, drifting_records

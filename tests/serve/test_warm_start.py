@@ -6,9 +6,9 @@ from repro.checkpoint import load_serve_index, seal_serve_index
 from repro.checkpoint.serve_index import MANIFEST_NAME, PAYLOAD_NAME, SERVE_INDEX_DIRNAME
 from repro.history.journal import DiskJournal, open_journal
 from repro.serve.app import ServeApp, evaluate_expression
+from repro.serve.render import render_json
 from repro.serve.shards import SERVE_INDEX_FORMAT, IndexSnapshot, ShardedJournalIndex, shard_of
 from repro.serve.warm import JournalTail, read_journal_suffix
-from repro.service.render import render_json
 
 from tests.helpers import drifting_records
 

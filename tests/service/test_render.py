@@ -12,7 +12,7 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from repro.service.render import render_json
+from repro.serve.render import render_json
 
 
 def oracle(payload):

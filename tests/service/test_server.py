@@ -19,8 +19,8 @@ from repro.history import algebra
 from repro.history.journal import MemoryJournal
 from repro.serve.app import ServeApp
 from repro.serve.http import BackgroundServer
+from repro.serve.render import render_json
 from repro.serve.shards import ShardedJournalIndex
-from repro.service.render import render_json
 from repro.stream.stream import TransactionStream
 
 from tests.helpers import (
@@ -249,6 +249,31 @@ class TestIncrementalRefresh:
         assert service.query(expr) == ServeApp.from_journal(
             service.journal, shard_count=1
         ).query(expr)
+
+    def test_refresh_indexes_only_the_unindexed_suffix(self, monkeypatch):
+        service = self.make_service(TRANSACTIONS[:30])
+        self.append_unseen(service)
+        last = service.index.current.last_slide_id
+        # What the whole-journal filter used to return.
+        expected = [r for r in service.journal.records() if r.slide_id > last]
+        assert expected
+
+        def whole_journal():
+            raise AssertionError("refresh copied the whole journal")
+
+        monkeypatch.setattr(service.journal, "records", whole_journal)
+        assert service.pending_records() == expected
+        indexed = []
+        extend = service.index.extend
+
+        def recording_extend(records):
+            indexed.extend(records)
+            return extend(records)
+
+        monkeypatch.setattr(service.index, "extend", recording_extend)
+        assert service.refresh() == len(expected)
+        assert indexed == expected
+        assert service.pending_records() == []
 
     def test_refresh_without_new_records_is_noop(self):
         service = self.make_service(TRANSACTIONS)

@@ -6,7 +6,7 @@ is exercised without real processes or real waiting.
 
 import pytest
 
-from repro.service.supervisor import RestartPolicy, Supervisor, SupervisorError
+from repro.checkpoint.supervisor import RestartPolicy, Supervisor, SupervisorError
 
 
 class FakeChild:

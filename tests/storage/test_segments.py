@@ -1,8 +1,11 @@
 """Unit tests for repro.storage.segments."""
 
+import json
+
 import pytest
 
 from repro.exceptions import DSMatrixError
+from repro.storage.dsmatrix import DSMatrix
 from repro.storage.segments import Segment, read_segment_row
 from repro.stream.batch import Batch
 
@@ -121,3 +124,48 @@ class TestPayloadMemoisation:
         payload = reference.to_bytes()
         seeded = Segment(4, 2, {"a": 0b01, "b": 0b11}, payload=payload)
         assert seeded.to_bytes() is payload
+
+
+def _with_header(data, header):
+    """``data`` (a serialised segment) with its JSON header replaced."""
+    length = int.from_bytes(data[4:8], "little")
+    encoded = json.dumps(header).encode("utf-8")
+    return data[:4] + len(encoded).to_bytes(4, "little") + encoded + data[8 + length :]
+
+
+def _without(name):
+    return lambda header: {key: value for key, value in header.items() if key != name}
+
+
+MALFORMED_HEADERS = [
+    pytest.param(lambda header: [header], id="json-list"),
+    pytest.param(_without("stride"), id="missing-stride"),
+    pytest.param(_without("items"), id="missing-items"),
+    pytest.param(_without("segment_id"), id="missing-segment-id"),
+    pytest.param(_without("num_columns"), id="missing-num-columns"),
+    pytest.param(lambda header: {**header, "stride": "1"}, id="string-stride"),
+    pytest.param(lambda header: {**header, "stride": -1}, id="negative-stride"),
+    pytest.param(lambda header: {**header, "num_columns": True}, id="bool-num-columns"),
+    pytest.param(lambda header: {**header, "items": "ab"}, id="items-not-a-list"),
+    pytest.param(lambda header: {**header, "items": [1, 2]}, id="items-not-strings"),
+]
+
+
+@pytest.mark.parametrize("corrupt", MALFORMED_HEADERS)
+def test_malformed_segment_header_raises_dsmatrix_error(tmp_path, corrupt):
+    """Every reader of a segment file rejects a header of the wrong shape."""
+    directory = tmp_path / "segments"
+    matrix = DSMatrix(window_size=3, path=directory)
+    matrix.append_batch(Batch([["a", "b"], ["b"]]))
+    matrix.append_batch(Batch([["a"], ["c"]]))
+    path = directory / "seg-00000000.dsg"
+    data = path.read_bytes()
+    header = json.loads(data[8 : 8 + int.from_bytes(data[4:8], "little")])
+    corrupted = _with_header(data, corrupt(header))
+    path.write_bytes(corrupted)
+    with pytest.raises(DSMatrixError):
+        Segment.from_bytes(corrupted)
+    with pytest.raises(DSMatrixError):
+        DSMatrix.load(directory)
+    with pytest.raises(DSMatrixError):
+        DSMatrix.row_from_disk(directory, "a")
