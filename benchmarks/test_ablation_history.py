@@ -21,7 +21,7 @@ from repro.bench.experiments import experiment_journal_history
 from repro.core.miner import StreamSubgraphMiner
 from repro.history import algebra
 from repro.history.journal import DiskJournal, MemoryJournal
-from repro.serve.shards import ShardedJournalIndex
+from repro.serve.index import JournalIndex
 from repro.stream.stream import TransactionStream
 
 
@@ -113,7 +113,7 @@ def test_concurrent_query_throughput(benchmark, edge_workload):
         max(2, edge_workload.batch_size // 4),
         connected_only=False,
     )
-    index = ShardedJournalIndex(journal.records(), shard_count=1).current
+    index = JournalIndex(journal.records()).current
     universe = index.items()
     assert universe, "the workload must produce at least one frequent item"
 

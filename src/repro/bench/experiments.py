@@ -713,7 +713,7 @@ def experiment_journal_history(
       ``reader_threads`` threads evaluate ``select(contains)`` (row
       ``super``), ``select(contained_in)`` (row ``sub``) and ``history``
       (row ``support-history``) against one shared immutable
-      :class:`~repro.serve.shards.IndexSnapshot`;
+      :class:`~repro.serve.index.IndexSnapshot`;
       ``index_matches_bruteforce`` cross-checks a sample of the answers
       against :func:`~repro.history.algebra.brute_force_query`.
 
@@ -725,7 +725,7 @@ def experiment_journal_history(
 
     from repro.history import algebra
     from repro.history.journal import DiskJournal, MemoryJournal, SlideRecord
-    from repro.serve.shards import ShardedJournalIndex
+    from repro.serve.index import JournalIndex
 
     workload = default_edge_workload(scale, seed=seed)
     support = minsup if minsup is not None else _default_minsup(workload)
@@ -783,7 +783,7 @@ def experiment_journal_history(
 
     # Query throughput: concurrent readers over the shared immutable index.
     records: Tuple[SlideRecord, ...] = memory_journal.records()
-    index = ShardedJournalIndex(records, shard_count=1).current
+    index = JournalIndex(records).current
     universe = index.items() or ["_"]
 
     def query_args(offset: int) -> List[Tuple[str, ...]]:
@@ -859,14 +859,14 @@ def experiment_journal_history(
 # ---------------------------------------------------------------------- #
 
 #: E11 scale -> canonical workload (see :mod:`repro.datasets.workloads`).
-_TRANSPORT_WORKLOADS = {
+_SCALING_WORKLOADS = {
     "tiny": "random-graph[smoke]",
     "small": "random-graph[medium]",
     "large": "random-graph[large]",
 }
 
 
-def experiment_transport_scaling(
+def experiment_worker_scaling(
     scale: str = "tiny",
     worker_counts: Sequence[int] = (1, 2, 4, 8),
     ingest_worker_counts: Sequence[int] = (0, 2),
@@ -900,11 +900,11 @@ def experiment_transport_scaling(
     (``BENCH_e11.json`` by default, pass ``None`` to skip) for the CI
     artifact and the nightly regression gate.
     """
-    workload_name = _TRANSPORT_WORKLOADS.get(scale)
+    workload_name = _SCALING_WORKLOADS.get(scale)
     if workload_name is None:
         raise DatasetError(
             f"unknown E11 scale {scale!r}; "
-            f"expected one of {sorted(_TRANSPORT_WORKLOADS)}"
+            f"expected one of {sorted(_SCALING_WORKLOADS)}"
         )
     spec = get_workload(workload_name)
 
@@ -964,9 +964,6 @@ def experiment_transport_scaling(
             {
                 "phase": "scaling",
                 "workers": workers,
-                # Kept from when a transport could be chosen, so the
-                # scaling rows keep their committed baseline identity.
-                "transport": "auto",
                 "runtime_s": round(elapsed, 4),
                 "speedup_vs_1": (
                     round(baseline_runtime / elapsed, 2)
@@ -1028,7 +1025,7 @@ def experiment_transport_scaling(
                 )
 
     outcome: Dict[str, object] = {
-        "experiment": "E11-transport-scaling",
+        "experiment": "E11-worker-scaling",
         "workload": spec.name,
         "minsup": support,
         "columns": matrix.num_columns,
@@ -1266,7 +1263,7 @@ def experiment_query_algebra(
     """
     from repro.history import algebra
     from repro.history.journal import MemoryJournal, SlideRecord
-    from repro.serve.shards import ShardedJournalIndex
+    from repro.serve.index import JournalIndex
 
     workload = default_edge_workload(scale, seed=seed)
     support = minsup if minsup is not None else _default_minsup(workload)
@@ -1284,7 +1281,7 @@ def experiment_query_algebra(
         connected_only=False,
     )
     records: Tuple[SlideRecord, ...] = journal.records()
-    index = ShardedJournalIndex(records, shard_count=1).current
+    index = JournalIndex(records).current
     slide_ids = index.slide_ids()
     total_rows = sum(index.row_count(slide) for slide in slide_ids)
 
@@ -1616,7 +1613,7 @@ def experiment_chaos_resilience(
 
 
 # ---------------------------------------------------------------------- #
-# E15 — serving at scale: cross-shard-count parity, load, swaps, push
+# E15 — serving at scale: wire parity, load, swaps, push
 # ---------------------------------------------------------------------- #
 def experiment_serving_scale(
     scale: str = "tiny",
@@ -1624,7 +1621,6 @@ def experiment_serving_scale(
     seed: int = 42,
     clients: int = 1000,
     requests_per_client: int = 3,
-    shards: int = 4,
     queries_per_family: int = 4,
     swap_readers: int = 8,
     queries_per_reader: int = 40,
@@ -1635,12 +1631,13 @@ def experiment_serving_scale(
     Four legs over one mined journal, split into a pre-loaded prefix and
     a live suffix committed mid-bench:
 
-    * **parity** — every algebra query is POSTed to two servers at every
-      commit checkpoint (before, between and after live slides): one at
-      ``shards`` shards and one at a different shard count.  The
-      response bytes must be identical, and the parsed matches/curve
-      must equal :func:`~repro.history.algebra.brute_force_query` over
-      exactly the committed records (``answers_identical``);
+    * **parity** — every algebra query is POSTed to the server at every
+      commit checkpoint (before, between and after live slides).  The
+      response bytes must equal the bytes ``repro query --expr`` prints
+      for the same expression over an in-process index of exactly the
+      committed records, and the parsed matches/curve must equal
+      :func:`~repro.history.algebra.brute_force_query` over them
+      (``answers_identical``);
     * **load** — ``clients`` concurrent keep-alive clients drive the
       async server; the row records latency percentiles and throughput
       (volatile, excluded from the regression row identity);
@@ -1667,7 +1664,7 @@ def experiment_serving_scale(
     from repro.serve.app import ServeApp, evaluate_expression
     from repro.serve.http import BackgroundServer
     from repro.serve.loadgen import run_load, sse_collect
-    from repro.serve.shards import ShardedJournalIndex
+    from repro.serve.index import JournalIndex
     from repro.serve.standing import poll_oracle
 
     workload = default_edge_workload(scale, seed=seed)
@@ -1703,7 +1700,7 @@ def experiment_serving_scale(
     prefix, live = records[:split], records[split:]
 
     # Deterministic query workload straight from the indexed items.
-    probe_index = ShardedJournalIndex(records, shard_count=shards)
+    probe_index = JournalIndex(records)
     universe = sorted(
         probe_index.current.items(),
         key=lambda item: (probe_index.current.posting_total(item), item),
@@ -1765,6 +1762,10 @@ def experiment_serving_scale(
             )
         return body
 
+    def rendered(expression: Dict[str, object], index: JournalIndex) -> bytes:
+        payload = evaluate_expression(expression, index.current)
+        return json.dumps(payload, indent=2, default=str).encode("utf-8")
+
     def oracle_payload(
         expression: Dict[str, object], committed: Sequence[SlideRecord]
     ) -> object:
@@ -1780,40 +1781,36 @@ def experiment_serving_scale(
     answers_identical = True
     parity_checks = 0
 
-    # --- leg 1: byte parity across shard counts + brute force --------- #
-    async_app = ServeApp.from_journal(fresh_journal(prefix), shard_count=shards)
-    other_app = ServeApp.from_journal(
-        fresh_journal(prefix), shard_count=1 if shards != 1 else 2
-    )
-    with BackgroundServer(async_app) as background, BackgroundServer(
-        other_app
-    ) as other:
+    # --- leg 1: wire bytes vs in-process bytes + brute force ----------- #
+    async_app = ServeApp.from_journal(fresh_journal(prefix))
+    in_process = JournalIndex(prefix)
+    with BackgroundServer(async_app) as background:
         async_conn = HTTPConnection("127.0.0.1", background.port, timeout=30)
-        other_conn = HTTPConnection("127.0.0.1", other.port, timeout=30)
         committed: List[SlideRecord] = list(prefix)
         checkpoints = 0
         while True:
             checkpoints += 1
             for expression in queries:
                 async_body = post(async_conn, expression)
-                other_body = post(other_conn, expression)
                 parsed = json.loads(async_body)
                 key = "history" if "history" in parsed else "matches"
                 expected = json.loads(
                     json.dumps(oracle_payload(expression, committed), default=str)
                 )
                 parity_checks += 1
-                if other_body != async_body or parsed[key] != expected:
+                if (
+                    async_body != rendered(expression, in_process)
+                    or parsed[key] != expected
+                ):
                     answers_identical = False
             if len(committed) == len(records):
                 break
             record = live[len(committed) - len(prefix)]
-            for app, server in ((async_app, background), (other_app, other)):
-                app.journal.append(record)
-                server.refresh()
+            async_app.journal.append(record)
+            background.refresh()
+            in_process.extend([record])
             committed.append(record)
         async_conn.close()
-        other_conn.close()
     rows.append(
         {
             "mode": "parity",
@@ -1824,7 +1821,7 @@ def experiment_serving_scale(
     )
 
     # --- leg 2: concurrent-client load ---------------------------------- #
-    load_app = ServeApp.from_journal(fresh_journal(records), shard_count=shards)
+    load_app = ServeApp.from_journal(fresh_journal(records))
     with BackgroundServer(load_app) as background:
         report = run_load(
             "127.0.0.1",
@@ -1845,10 +1842,8 @@ def experiment_serving_scale(
     probe = queries[0]
     canonical: Dict[bytes, int] = {}
     for end in range(len(prefix), len(records) + 1):
-        snapshot = ShardedJournalIndex(records[:end], shard_count=shards).current
-        payload = evaluate_expression(probe, snapshot)
-        canonical[json.dumps(payload, indent=2, default=str).encode("utf-8")] = end
-    swap_app = ServeApp.from_journal(fresh_journal(prefix), shard_count=shards)
+        canonical[rendered(probe, JournalIndex(records[:end]))] = end
+    swap_app = ServeApp.from_journal(fresh_journal(prefix))
     swap_latencies: List[float] = []
     torn_responses = 0
 
@@ -1933,7 +1928,7 @@ def experiment_serving_scale(
             f"suffix of workload {workload.name!r} at minsup={support}"
         )
 
-    standing_app = ServeApp.from_journal(fresh_journal(prefix), shard_count=shards)
+    standing_app = ServeApp.from_journal(fresh_journal(prefix))
     with BackgroundServer(standing_app) as background:
         port = background.port
 
@@ -1985,7 +1980,6 @@ def experiment_serving_scale(
         "workload": workload.name,
         "minsup": support,
         "batch_size": batch_size,
-        "shards": shards,
         "slides": len(records),
         "live_slides": len(live),
         "clients": clients,
@@ -2018,7 +2012,7 @@ EXPERIMENTS = {
     "e8": experiment_ingest_scaling,
     "e9": experiment_pipelined_ingest,
     "e10": experiment_journal_history,
-    "e11": experiment_transport_scaling,
+    "e11": experiment_worker_scaling,
     "e12": experiment_checkpoint_recovery,
     "e13": experiment_query_algebra,
     "e14": experiment_chaos_resilience,

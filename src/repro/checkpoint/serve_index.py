@@ -2,7 +2,7 @@
 
 The miner checkpoints of :mod:`repro.checkpoint.snapshot` make the
 *writer* resumable; this module makes the *server* warm-startable: the
-sharded serving index (:class:`~repro.serve.shards.IndexSnapshot`) is
+serving index (:class:`~repro.serve.index.IndexSnapshot`) is
 sealed as one JSON payload so a restarted server hydrates the index by
 deserialisation and re-indexes only the journal suffix appended after
 the seal, instead of rebuilding every posting list from scratch.
@@ -72,7 +72,6 @@ def seal_serve_index(root: Union[str, Path], payload: Mapping[str, object]) -> P
         "payload": PAYLOAD_NAME,
         "last_slide": last_slide,
         "generation": payload.get("generation"),
-        "shard_count": payload.get("shard_count"),
         "digest": _sha256(payload_bytes),
     }
     _write_fsynced(

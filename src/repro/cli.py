@@ -36,9 +36,9 @@ Subcommands
     stats.
 ``serve``
     Expose a journal over HTTP with the asyncio serving subsystem
-    (DESIGN.md §15): sharded snapshot-swapped reads (``--shards``),
-    standing-query push over ``GET /subscribe`` (SSE), journal following
-    (``--follow``) and warm start (``--warm-dir``).
+    (DESIGN.md §15): snapshot-swapped reads, standing-query push over
+    ``GET /subscribe`` (SSE), journal following (``--follow``) and warm
+    start (``--warm-dir``).
 ``bench``
     Run one of the paper's experiments (e1-e15) and print its table;
     ``--baseline`` compares the outcome against a committed
@@ -93,7 +93,6 @@ from repro.history.retention import RetentionPolicy, TieredJournal
 from repro.resilience import FailurePolicy, ResilienceEvent
 from repro.serve.app import ServeApp
 from repro.serve.http import serve_async
-from repro.serve.shards import DEFAULT_SHARDS
 from repro.stream.stream import TransactionStream
 
 #: Exit code for usage errors detected by the subcommands (bad flag combos).
@@ -349,12 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("journal", help="journal directory written by `repro watch`")
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument("--port", type=int, default=8765, help="TCP port (0 = ephemeral)")
-    serve.add_argument(
-        "--shards",
-        type=int,
-        default=DEFAULT_SHARDS,
-        help="index shard count (default: %(default)s)",
-    )
     serve.add_argument(
         "--follow",
         type=float,
@@ -1053,16 +1046,12 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    if getattr(args, "shards", DEFAULT_SHARDS) < 1:
-        print(f"error: --shards must be at least 1, got {args.shards}", file=sys.stderr)
-        return EXIT_USAGE_ERROR
-
     def announce(server) -> None:
         print(
             f"serving pattern history of {args.journal} on "
             f"http://{server.host}:{server.port} "
             f"(endpoints: POST /query, GET /stats, GET /subscribe [SSE]; "
-            f"{args.shards} shards; SIGTERM/Ctrl-C drains)",
+            "SIGTERM/Ctrl-C drains)",
             flush=True,
         )
 
@@ -1074,7 +1063,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             args.journal,
             host=args.host,
             port=args.port,
-            shard_count=args.shards,
             follow_interval=args.follow if args.follow > 0 else None,
             warm_dir=args.warm_dir,
             on_bound=announce,

@@ -8,9 +8,8 @@ over the journal are expressions of the composable algebra of
 :mod:`repro.history.algebra` (DESIGN.md §13): predicates over journalled
 rows compiled to posting-list plans under a cost-based planner.  The
 index they run against is the snapshot-swapped
-:class:`~repro.serve.shards.ShardedJournalIndex`; a one-shard
-``ShardedJournalIndex(records, shard_count=1).current`` is the plain
-index, and :class:`~repro.serve.app.ServeApp` is the library facade.
+:class:`~repro.serve.index.JournalIndex`;
+``JournalIndex(records).current`` is the plain index, and :class:`~repro.serve.app.ServeApp` is the library facade.
 """
 
 from repro.history import algebra

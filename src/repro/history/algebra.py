@@ -27,8 +27,8 @@ per-slide support curve of one exact itemset, zeroes explicit).
 
 Execution — :func:`evaluate` — compiles a shape against any
 :class:`IndexReader` (the posting-list read protocol, satisfied by the
-immutable :class:`~repro.serve.shards.IndexSnapshot` of the serving
-index; a one-shard snapshot is the plain index):
+immutable :class:`~repro.serve.index.IndexSnapshot` of the serving
+index):
 
 * conjunctions are lowered to posting-list operations: ``slides`` bounds
   are pushed into the scan range (a bisection of the ordered slide ids),
@@ -532,10 +532,9 @@ class EvalContext(Protocol):
 class IndexReader(Protocol):
     """The posting-list read protocol the compiler executes against.
 
-    The immutable :class:`~repro.serve.shards.IndexSnapshot` published by
-    the serving index satisfies it, at any shard count.  The compiler
-    only ever sees these thirteen methods, so the shard count can never
-    change an answer, and a test can substitute a naive per-record
+    The immutable :class:`~repro.serve.index.IndexSnapshot` published by
+    the serving index satisfies it.  The compiler only ever sees these
+    thirteen methods, so a test can substitute a naive per-record
     reader for the index.
     """
 

@@ -93,11 +93,11 @@ def _canonical_patterns(
 ) -> Tuple[PatternEntry, ...]:
     """Validate caller data and normalise it into canonical (size, items) order.
 
-    The untrusted boundary: every record built from caller data or
-    decoded by :meth:`SlideRecord.from_bytes` passes here once.  Input
-    that already arrives in canonical order is validated without being
-    sorted again.  The miner's own output skips this walk altogether
-    (:class:`SlideSealer`).
+    The untrusted boundary for caller data: every record built from it
+    passes here once.  Input that already arrives in canonical order is
+    validated without being sorted again.  The miner's own output
+    (:class:`SlideSealer`) and decoded bytes (:meth:`SlideRecord.from_bytes`,
+    which checks its rows in its own decoding walk) skip this walk.
     """
     entries: List[PatternEntry] = []
     items_seen = set()
@@ -287,7 +287,13 @@ class SlideRecord:
     def from_bytes(
         cls, data: bytes, timings: Optional[Mapping[str, float]] = None
     ) -> "SlideRecord":
-        """Inverse of :meth:`to_bytes` (``timings`` may be re-attached)."""
+        """Inverse of :meth:`to_bytes` (``timings`` may be re-attached).
+
+        One walk over the rows: the header's symbol table must be strictly
+        ascending (as :meth:`to_bytes` writes it), so each mask decoded by
+        its set bits is already a canonical item tuple, and the rows only
+        have to arrive in strictly ascending (size, items) order.
+        """
         try:
             header, offset, stride = read_envelope_header(
                 io.BytesIO(data),
@@ -298,35 +304,60 @@ class SlideRecord:
             )
         except Exception as exc:  # DSMatrixError from the shared envelope parser
             raise HistoryError(f"corrupt journal record: {exc}") from exc
-        symbols = list(header["items"])
-        row_size = stride + SUPPORT_BYTES
-        patterns: List[PatternEntry] = []
-        for row in range(header["pattern_count"]):
-            start = offset + row * row_size
-            chunk = data[start : start + row_size]
-            if len(chunk) < row_size:
-                raise HistoryError(
-                    f"truncated journal record: row {row} of "
-                    f"{header['pattern_count']} is incomplete"
-                )
-            mask = int.from_bytes(chunk[:stride], "little")
-            support = int.from_bytes(chunk[stride:], "little")
-            items = tuple(
-                symbols[position]
-                for position in range(len(symbols))
-                if mask >> position & 1
+        symbols: List[str] = header["items"]
+        if any(a >= b for a, b in zip(symbols, symbols[1:])):
+            raise HistoryError(
+                "corrupt journal record: the symbol table is not strictly ascending"
             )
-            if not items:
+        count = header["pattern_count"]
+        row_size = stride + SUPPORT_BYTES
+        if len(data) < offset + count * row_size:
+            raise HistoryError(
+                f"truncated journal record: row {(len(data) - offset) // row_size} "
+                f"of {count} is incomplete"
+            )
+        shift = 8 * stride
+        stride_mask = (1 << shift) - 1
+        width = len(symbols)
+        used = 0
+        patterns: List[PatternEntry] = []
+        previous: Tuple[int, Tuple[str, ...]] = (0, ())
+        for row, start in enumerate(range(offset, offset + count * row_size, row_size)):
+            value = int.from_bytes(data[start : start + row_size], "little")
+            mask = value & stride_mask
+            if not mask:
                 raise HistoryError(f"journal record row {row} has an empty bitmask")
-            patterns.append((items, support))
-        return cls(
+            if mask >> width:
+                raise HistoryError(
+                    f"journal record row {row} names an item outside the symbol table"
+                )
+            used |= mask
+            bits = []
+            while mask:
+                low = mask & -mask
+                bits.append(symbols[low.bit_length() - 1])
+                mask ^= low
+            items = tuple(bits)
+            key = (len(items), items)
+            if key <= previous:
+                if key == previous:
+                    raise HistoryError(f"duplicate pattern {items} in one slide record")
+                raise HistoryError(
+                    f"journal record row {row} breaks the canonical (size, items) order"
+                )
+            previous = key
+            patterns.append((items, value >> shift))
+        if used != (1 << width) - 1:
+            raise HistoryError("corrupt journal record: the symbol table names unused items")
+        return cls._sealed(
+            tuple(patterns),
+            tuple(symbols),
+            timings,
             slide_id=header["slide_id"],
             first_batch=header["first_batch"],
             last_batch=header["last_batch"],
             num_columns=header["num_columns"],
             minsup=header["minsup"],
-            patterns=tuple(patterns),
-            timings=dict(timings) if timings else {},
         )
 
     def __repr__(self) -> str:

@@ -4,7 +4,7 @@ The provenance question — "at which slide did this pattern first become
 frequent?" — has an append-only answer: once a pattern has been seen,
 its first slide never changes.  :class:`Provenance` keeps that answer as
 a map plus two parallel lists ordered by first slide, filled at commit
-time.  Every version of an index (each :class:`~repro.serve.shards.
+time.  Every version of an index (each :class:`~repro.serve.index.
 IndexSnapshot` of one lineage) holds the *same* object and reads it as
 of its own last slide, ignoring entries first seen after it — so a
 commit appends only the slide's new patterns and copies nothing that

@@ -1,4 +1,4 @@
-"""The serve application: one journal behind the sharded snapshot index.
+"""The serve application: one journal behind the snapshot-swapped index.
 
 :class:`ServeApp` is the transport-independent core of the async
 serving subsystem (DESIGN.md §15) — the HTTP layer
@@ -6,14 +6,13 @@ serving subsystem (DESIGN.md §15) — the HTTP layer
 object:
 
 * **reads** (:meth:`query`, :meth:`stats`) pin the current
-  :class:`~repro.serve.shards.IndexSnapshot` once and evaluate through
+  :class:`~repro.serve.index.IndexSnapshot` once and evaluate through
   :func:`evaluate_expression` — the one read path behind ``POST
   /query``, ``repro query`` and every library caller;
 * **writes** (:meth:`refresh`) index the journal suffix one slide at a
   time: snapshot swap first, then every registered standing query is
-  advanced against the *new* snapshot (restricted to the new slide —
-  only the changed shards are touched) and its transitions are
-  delivered to the subscriber's sink;
+  advanced against the *new* snapshot (restricted to the new slide)
+  and its transitions are delivered to the subscriber's sink;
 * **warm start** (:meth:`from_directory` with ``warm_dir``) hydrates
   the index from a sealed serve-index checkpoint and re-indexes only
   the journal records appended after the seal.
@@ -34,7 +33,7 @@ from repro.checkpoint.serve_index import load_serve_index, seal_serve_index
 from repro.exceptions import AlgebraError, ServeError
 from repro.history import algebra
 from repro.history.journal import PatternJournal, SlideRecord, open_journal
-from repro.serve.shards import DEFAULT_SHARDS, IndexSnapshot, ShardedJournalIndex
+from repro.serve.index import IndexSnapshot, JournalIndex
 from repro.serve.standing import Expression, Notification, StandingQuery
 from repro.serve.warm import JournalTail
 
@@ -80,17 +79,14 @@ class ServeApp:
         self,
         journal: PatternJournal,
         *,
-        shard_count: int = DEFAULT_SHARDS,
-        index: Optional[ShardedJournalIndex] = None,
+        index: Optional[JournalIndex] = None,
         tail: Optional[JournalTail] = None,
         owns_journal: bool = False,
         cold_records_indexed: int = 0,
         hydrated_slide: Optional[int] = None,
     ) -> None:
         self._journal = journal
-        self._index = index if index is not None else ShardedJournalIndex(
-            journal.records(), shard_count=shard_count
-        )
+        self._index = index if index is not None else JournalIndex(journal.records())
         if index is None:
             cold_records_indexed = len(journal.records())
         self._tail = tail
@@ -111,17 +107,14 @@ class ServeApp:
     # construction
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_journal(
-        cls, journal: PatternJournal, shard_count: int = DEFAULT_SHARDS
-    ) -> "ServeApp":
+    def from_journal(cls, journal: PatternJournal) -> "ServeApp":
         """Serve an in-process journal object (tests, bench, embedding)."""
-        return cls(journal, shard_count=shard_count)
+        return cls(journal)
 
     @classmethod
     def from_directory(
         cls,
         path: Union[str, Path],
-        shard_count: int = DEFAULT_SHARDS,
         warm_dir: Optional[Union[str, Path]] = None,
     ) -> "ServeApp":
         """Serve a journal directory (the CLI path).
@@ -135,13 +128,13 @@ class ServeApp:
         journal = open_journal(path)
         try:
             records = journal.records()
-            snapshot = cls._hydrate(warm_dir, shard_count, records)
+            snapshot = cls._hydrate(warm_dir, records)
             if snapshot is None:
-                index = ShardedJournalIndex(records, shard_count=shard_count)
+                index = JournalIndex(records)
                 cold = len(records)
                 hydrated_slide = None
             else:
-                index = ShardedJournalIndex.from_snapshot(snapshot)
+                index = JournalIndex.from_snapshot(snapshot)
                 hydrated_slide = snapshot.last_slide_id
                 suffix = [
                     record
@@ -166,15 +159,14 @@ class ServeApp:
     @staticmethod
     def _hydrate(
         warm_dir: Optional[Union[str, Path]],
-        shard_count: int,
         records: Tuple[SlideRecord, ...],
     ) -> Optional[IndexSnapshot]:
         """Load a usable warm snapshot, or ``None`` for a cold build.
 
         A snapshot is only adopted when it is an exact prefix of the
-        journal with the requested shard count — anything else (stale
-        partitioning, a truncated/rolled-back journal, corruption) falls
-        back to cold, because warm start must never change an answer.
+        journal — anything else (an older payload format, a malformed
+        payload, a truncated/rolled-back journal, corruption) falls back
+        to cold, because warm start must never change an answer.
         """
         if warm_dir is None:
             return None
@@ -184,8 +176,6 @@ class ServeApp:
         try:
             snapshot = IndexSnapshot.from_payload(payload)
         except ServeError:
-            return None
-        if snapshot.shard_count != shard_count:
             return None
         journal_order = tuple(record.slide_id for record in records)
         if snapshot.order != journal_order[: len(snapshot.order)]:
@@ -200,7 +190,7 @@ class ServeApp:
         return self._journal
 
     @property
-    def index(self) -> ShardedJournalIndex:
+    def index(self) -> JournalIndex:
         return self._index
 
     def query(
@@ -223,7 +213,6 @@ class ServeApp:
             "disk_size_bytes": self._journal.disk_size_bytes(),
         }
         payload["serve"] = {
-            "shards": self._index.shard_count,
             "generation": snapshot.generation,
             "snapshot_swaps": self._index.swaps,
             "queries": self.queries_served,

@@ -42,7 +42,6 @@ from repro import faults
 from repro.exceptions import AlgebraError, HistoryError, ServiceError
 from repro.serve.app import ServeApp
 from repro.serve.render import render_json
-from repro.serve.shards import DEFAULT_SHARDS
 from repro.serve.standing import Notification
 
 #: Endpoint paths served by the async front end.
@@ -511,7 +510,6 @@ def serve_async(
     host: str = "127.0.0.1",
     port: int = 8765,
     *,
-    shard_count: int = DEFAULT_SHARDS,
     follow_interval: Optional[float] = 1.0,
     warm_dir: Optional[Union[str, Path]] = None,
     on_bound: Optional[Callable[[AsyncHistoryServer], None]] = None,
@@ -526,7 +524,6 @@ def serve_async(
             Path(path),
             host,
             port,
-            shard_count=shard_count,
             follow_interval=follow_interval,
             warm_dir=warm_dir,
             on_bound=on_bound,
@@ -539,12 +536,11 @@ async def _serve_async(
     host: str,
     port: int,
     *,
-    shard_count: int,
     follow_interval: Optional[float],
     warm_dir: Optional[Union[str, Path]],
     on_bound: Optional[Callable[[AsyncHistoryServer], None]],
 ) -> None:
-    app = ServeApp.from_directory(path, shard_count=shard_count, warm_dir=warm_dir)
+    app = ServeApp.from_directory(path, warm_dir=warm_dir)
     try:
         server = AsyncHistoryServer(
             app, host, port, follow_interval=follow_interval

@@ -1,17 +1,11 @@
-"""Sharded, snapshot-swapped posting-list index (DESIGN.md §15).
+"""Snapshot-swapped posting-list index (DESIGN.md §15).
 
 The one posting-list index of the journal, built on an *immutable
 snapshot* discipline so that readers never lock and never see a
 half-applied slide:
 
-* the item → posting-list map is partitioned into N :class:`IndexShard`
-  pieces by a **stable** item hash (``zlib.crc32`` — the builtin
-  ``hash()`` is salted per process, which would scramble the partition
-  across restarts and break warm-start hydration);
-* committing one slide builds a *new* :class:`IndexSnapshot` by
-  structural sharing — only the shards whose items appear in the slide
-  get a new item map and totals, every untouched shard is carried over
-  by reference;
+* committing one slide builds a *new* :class:`IndexSnapshot` with its
+  own item → posting-list map and per-item totals;
 * what a committed slide adds never changes, so two structures are
   append-only and shared by every snapshot, each reading them as of its
   own last slide: the per-item slide → patterns dicts (a new slide's
@@ -28,16 +22,13 @@ half-applied slide:
 
 :class:`IndexSnapshot` implements the full
 :class:`~repro.history.algebra.IndexReader` protocol, so the algebra
-compiler runs against it unchanged.  The shard count only partitions the
-posting map: every shard count answers every query byte-identically,
-and ``ShardedJournalIndex(records, shard_count=1).current`` is the plain
-index for library callers that never swap.
+compiler runs against it unchanged; ``JournalIndex(records).current``
+is the plain index for library callers that never swap.
 """
 
 from __future__ import annotations
 
 import threading
-import zlib
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from typing import (
@@ -56,16 +47,11 @@ from repro.exceptions import HistoryError, ServeError
 from repro.history.journal import SlideRecord
 from repro.history.provenance import FirstSeen, Provenance
 
-#: Default shard count of the serving index (CLI ``--shards``).
-DEFAULT_SHARDS = 4
-
 #: Format tag of a sealed serve-index payload (checkpoint/serve_index.py).
-SERVE_INDEX_FORMAT = "repro-serve-index/1"
+SERVE_INDEX_FORMAT = "repro-serve-index/2"
 
-
-def shard_of(item: str, shard_count: int) -> int:
-    """Stable shard assignment of one item (process-independent)."""
-    return zlib.crc32(item.encode("utf-8")) % shard_count
+#: item -> slide id -> the patterns containing the item at that slide.
+Postings = Dict[str, Dict[int, Tuple[Tuple[str, ...], ...]]]
 
 
 def _rank_order(row: Tuple[Tuple[str, ...], int]) -> Tuple[int, int, Tuple[str, ...]]:
@@ -80,89 +66,69 @@ def _normalise_items(items: Iterable[str]) -> Tuple[str, ...]:
     return ordered
 
 
-class IndexShard:
-    """One immutable partition of the posting-list map.
+def _malformed(reason: str) -> ServeError:
+    return ServeError(f"malformed serve-index payload: {reason}")
 
-    ``postings`` maps item → slide id → tuple of pattern item-tuples;
-    ``posting_totals`` carries the planner's per-item selectivity
-    estimates.  :meth:`extended` returns a new shard with its own item
-    map and totals; the per-item slide → patterns dicts are append-only
-    and shared with the parent, which never reads a slide past its own
-    snapshot's last one.
-    """
 
-    __slots__ = ("shard_id", "postings", "posting_totals")
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
-    def __init__(
-        self,
-        shard_id: int,
-        postings: Dict[str, Dict[int, Tuple[Tuple[str, ...], ...]]],
-        posting_totals: Dict[str, int],
-    ) -> None:
-        self.shard_id = shard_id
-        self.postings = postings
-        self.posting_totals = posting_totals
 
-    @classmethod
-    def empty(cls, shard_id: int) -> "IndexShard":
-        return cls(shard_id, {}, {})
+def _mapping(value: object, what: str) -> Mapping[str, object]:
+    if not isinstance(value, Mapping):
+        raise _malformed(f"{what} is not an object")
+    return value
 
-    def extended(
-        self,
-        slide_id: int,
-        added: Mapping[str, Sequence[Tuple[str, ...]]],
-    ) -> "IndexShard":
-        """A new shard with one slide's postings appended.
 
-        The parent keeps its items and totals; the new slide's entry is
-        appended to the per-item dicts the two shards share.
-        """
-        postings = dict(self.postings)
-        totals = dict(self.posting_totals)
-        for item, patterns in added.items():
-            per_item = postings.get(item)
-            if per_item is None:
-                per_item = postings[item] = {}
-            per_item[slide_id] = tuple(patterns)
-            totals[item] = totals.get(item, 0) + len(patterns)
-        return IndexShard(self.shard_id, postings, totals)
-
-    def cut(self, last_slide: Optional[int]) -> "IndexShard":
-        """A copy sharing nothing, holding the slides up to ``last_slide``."""
-        postings = {
-            item: {
-                slide: patterns
-                for slide, patterns in per_item.items()
-                if last_slide is not None and slide <= last_slide
-            }
-            for item, per_item in self.postings.items()
-        }
-        return IndexShard(self.shard_id, postings, dict(self.posting_totals))
-
-    def __repr__(self) -> str:
-        return f"IndexShard(id={self.shard_id}, items={len(self.postings)})"
+def _slide_rows(slide: int, raw: object) -> List[Tuple[Tuple[str, ...], int]]:
+    """One payload slide's ``[[items...], support]`` rows, validated."""
+    if not isinstance(raw, list):
+        raise _malformed(f"slide {slide} rows are not a list")
+    rows: List[Tuple[Tuple[str, ...], int]] = []
+    for row in raw:
+        if not (isinstance(row, list) and len(row) == 2):
+            raise _malformed(f"slide {slide} has a row that is not [items, support]")
+        items, support = row
+        if (
+            not isinstance(items, list)
+            or not items
+            or not all(isinstance(item, str) for item in items)
+            or items != sorted(set(items))
+            or not _is_int(support)
+        ):
+            raise _malformed(f"slide {slide} has a malformed row {row!r}")
+        rows.append((tuple(items), support))
+    if len({items for items, _ in rows}) != len(rows):
+        raise _malformed(f"slide {slide} repeats a row")
+    return rows
 
 
 class IndexSnapshot:
-    """One immutable, fully consistent view of the sharded index.
+    """One immutable, fully consistent view of the index.
 
-    Implements the :class:`~repro.history.algebra.IndexReader` protocol,
-    so compiled queries — and therefore their payload bytes — are the
-    same at every shard count.
+    Implements the :class:`~repro.history.algebra.IndexReader` protocol.
+    ``postings`` maps item → slide id → tuple of pattern item-tuples
+    (the per-item dicts are shared along the lineage and read only up to
+    :attr:`last_slide_id`); ``posting_totals`` carries the planner's
+    per-item selectivity estimates.
     """
 
-    __slots__ = ("generation", "shards", "slides", "order", "provenance")
+    __slots__ = (
+        "generation", "postings", "posting_totals", "slides", "order", "provenance"
+    )
 
     def __init__(
         self,
         generation: int,
-        shards: Tuple[IndexShard, ...],
+        postings: Postings,
+        posting_totals: Dict[str, int],
         slides: Dict[int, Dict[Tuple[str, ...], int]],
         order: Tuple[int, ...],
         provenance: Provenance,
     ) -> None:
         self.generation = generation
-        self.shards = shards
+        self.postings = postings
+        self.posting_totals = posting_totals
         #: slide id -> {items -> support}, each slide's rows in rank order.
         self.slides = slides
         self.order = order
@@ -171,16 +137,8 @@ class IndexSnapshot:
         self.provenance = provenance
 
     @classmethod
-    def empty(cls, shard_count: int) -> "IndexSnapshot":
-        shards = tuple(IndexShard.empty(i) for i in range(shard_count))
-        return cls(0, shards, {}, (), Provenance())
-
-    @property
-    def shard_count(self) -> int:
-        return len(self.shards)
-
-    def _shard_for(self, item: str) -> IndexShard:
-        return self.shards[shard_of(item, len(self.shards))]
+    def empty(cls) -> "IndexSnapshot":
+        return cls(0, {}, {}, {}, (), Provenance())
 
     # ------------------------------------------------------------------ #
     # the IndexReader protocol
@@ -207,13 +165,13 @@ class IndexSnapshot:
 
     def posting_total(self, item: str) -> int:
         """Total posting length of ``item`` across every slide."""
-        return self._shard_for(item).posting_totals.get(item, 0)
+        return self.posting_totals.get(item, 0)
 
     def posting(self, item: str, slide_id: int) -> Sequence[Tuple[str, ...]]:
         """The patterns containing ``item`` at one slide."""
         if slide_id not in self.slides:  # a slide committed after this snapshot
             return ()
-        return self._shard_for(item).postings.get(item, {}).get(slide_id, ())
+        return self.postings.get(item, {}).get(slide_id, ())
 
     def row_count(self, slide_id: int) -> int:
         """Number of journalled pattern rows at one slide (0 if unknown)."""
@@ -256,9 +214,7 @@ class IndexSnapshot:
 
     def items(self) -> List[str]:
         """Every item that ever appeared in a journalled pattern, sorted."""
-        return sorted(
-            item for shard in self.shards for item in shard.postings
-        )
+        return sorted(self.postings)
 
     # ------------------------------------------------------------------ #
     # shape accessors (the /stats surface)
@@ -282,7 +238,7 @@ class IndexSnapshot:
             "last_slide": self.order[-1] if self.order else None,
             "pattern_rows": pattern_total,
             "distinct_patterns": self.provenance.count(self.last_slide_id),
-            "items": sum(len(shard.postings) for shard in self.shards),
+            "items": len(self.postings),
         }
 
     # ------------------------------------------------------------------ #
@@ -305,88 +261,109 @@ class IndexSnapshot:
             row_index[slide] = {
                 items: position for position, (items, _) in enumerate(rows)
             }
-        shards_payload = []
-        for shard in self.shards:
-            shard_postings: Dict[str, Dict[str, List[int]]] = {}
-            for item, per_slide in shard.postings.items():
-                shard_postings[item] = {
-                    str(slide): [row_index[slide][items] for items in patterns]
-                    for slide, patterns in list(per_slide.items())
-                    if slide in row_index
-                }
-            shards_payload.append({"postings": shard_postings})
+        postings_payload = {
+            item: {
+                str(slide): [row_index[slide][items] for items in patterns]
+                for slide, patterns in list(per_slide.items())
+                if slide in row_index
+            }
+            for item, per_slide in self.postings.items()
+        }
         return {
             "format": SERVE_INDEX_FORMAT,
-            "shard_count": len(self.shards),
             "generation": self.generation,
             "order": list(self.order),
             "slides": slides_payload,
-            "shards": shards_payload,
+            "postings": postings_payload,
         }
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, object]) -> "IndexSnapshot":
         """Hydrate a snapshot sealed by :meth:`to_payload`.
 
-        The row order inside a slide is not trusted (older seals list
-        rows in (size, items) order): every slide is re-sorted into rank
-        order, and the provenance map is rebuilt from the slides.
+        The payload is not trusted: any shape :meth:`to_payload` cannot
+        write raises :class:`~repro.exceptions.ServeError` (the caller's
+        cue to build cold).  Posting positions must index rows that hold
+        their item and cover every (item, row) pair exactly once.  The row order inside a slide is not trusted either: every
+        slide is re-sorted into rank order, and the provenance map is
+        rebuilt from the slides.
         """
+        payload = _mapping(payload, "the payload")
         if payload.get("format") != SERVE_INDEX_FORMAT:
             raise ServeError(
                 f"unsupported serve-index format {payload.get('format')!r}"
             )
-        try:
-            order = tuple(int(slide) for slide in payload["order"])  # type: ignore[index]
-            raw_slides: Mapping[str, object] = payload["slides"]  # type: ignore[assignment]
-            raw_shards: Sequence[Mapping[str, object]] = payload["shards"]  # type: ignore[assignment]
-            generation = int(payload["generation"])  # type: ignore[arg-type]
-            shard_count = int(payload["shard_count"])  # type: ignore[arg-type]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ServeError(f"malformed serve-index payload: {exc}") from exc
-        if shard_count != len(raw_shards):
-            raise ServeError(
-                f"serve-index payload declares {shard_count} shards but "
-                f"carries {len(raw_shards)}"
-            )
+        missing = {"generation", "order", "slides", "postings"} - set(payload)
+        if missing:
+            raise _malformed(f"missing {sorted(missing)}")
+        generation, order = payload["generation"], payload["order"]
+        if not _is_int(generation):
+            raise _malformed("generation is not an integer")
+        if not (
+            isinstance(order, list)
+            and all(_is_int(slide) for slide in order)
+            and all(a < b for a, b in zip(order, order[1:]))
+        ):
+            raise _malformed("order is not an ascending list of slide ids")
+        raw_slides = _mapping(payload["slides"], "slides")
+        if set(raw_slides) != {str(slide) for slide in order}:
+            raise _malformed("slides do not match order")
+        rows_by_key = {
+            str(slide): _slide_rows(slide, raw_slides[str(slide)]) for slide in order
+        }
+        postings: Postings = {}
+        totals: Dict[str, int] = {}
+        for item, raw_per_slide in _mapping(payload["postings"], "postings").items():
+            per_slide = _mapping(raw_per_slide, f"postings of {item!r}")
+            if not per_slide:
+                raise _malformed(f"item {item!r} has no postings")
+            item_postings: Dict[int, Tuple[Tuple[str, ...], ...]] = {}
+            for slide_key, positions in per_slide.items():
+                rows = rows_by_key.get(slide_key)  # type: ignore[call-overload]
+                if rows is None:
+                    raise _malformed(f"item {item!r} posts to unknown slide {slide_key!r}")
+                if not (
+                    isinstance(positions, list)
+                    and positions
+                    and all(_is_int(position) for position in positions)
+                    and all(0 <= position < len(rows) for position in positions)
+                    and len(set(positions)) == len(positions)
+                ):
+                    raise _malformed(
+                        f"item {item!r} at slide {slide_key} has bad positions"
+                    )
+                entries = tuple(rows[position][0] for position in positions)
+                if not all(item in items for items in entries):
+                    raise _malformed(
+                        f"item {item!r} at slide {slide_key} posts a row without it"
+                    )
+                item_postings[int(slide_key)] = entries
+            postings[item] = item_postings
+            totals[item] = sum(len(entries) for entries in item_postings.values())
+        expected = sum(len(items) for rows in rows_by_key.values() for items, _ in rows)
+        if sum(totals.values()) != expected:
+            raise _malformed("postings do not cover every row's items")
         slides: Dict[int, Dict[Tuple[str, ...], int]] = {}
-        rows_by_slide: Dict[int, List[Tuple[str, ...]]] = {}
-        for slide_key, rows in raw_slides.items():
-            slide = int(slide_key)
-            entries = [
-                (tuple(items), int(support)) for items, support in rows  # type: ignore[union-attr]
-            ]
-            rows_by_slide[slide] = [items for items, _ in entries]
-            entries.sort(key=_rank_order)
-            slides[slide] = dict(entries)
         provenance = Provenance()
-        try:
-            for slide in order:
-                provenance.record(slide, slides[slide])
-        except KeyError as exc:
-            raise ServeError(f"malformed serve-index payload: {exc}") from exc
-        shards: List[IndexShard] = []
-        for shard_id, raw_shard in enumerate(raw_shards):
-            postings: Dict[str, Dict[int, Tuple[Tuple[str, ...], ...]]] = {}
-            totals: Dict[str, int] = {}
-            raw_postings: Mapping[str, Mapping[str, Sequence[int]]]
-            raw_postings = raw_shard["postings"]  # type: ignore[assignment]
-            for item, per_slide in raw_postings.items():
-                item_postings: Dict[int, Tuple[Tuple[str, ...], ...]] = {}
-                total = 0
-                for slide_key, positions in per_slide.items():
-                    slide = int(slide_key)
-                    rows = rows_by_slide[slide]
-                    entries = tuple(rows[position] for position in positions)
-                    item_postings[slide] = entries
-                    total += len(entries)
-                postings[item] = item_postings
-                totals[item] = total
-            shards.append(IndexShard(shard_id, postings, totals))
-        return cls(generation, tuple(shards), slides, order, provenance)
+        for slide in order:
+            slides[slide] = dict(sorted(rows_by_key[str(slide)], key=_rank_order))
+            provenance.record(slide, slides[slide])
+        return cls(generation, postings, totals, slides, tuple(order), provenance)
 
 
-class ShardedJournalIndex:
+def _cut(postings: Postings, last_slide: Optional[int]) -> Postings:
+    """A copy sharing nothing, holding the slides up to ``last_slide``."""
+    return {
+        item: {
+            slide: patterns
+            for slide, patterns in per_item.items()
+            if last_slide is not None and slide <= last_slide
+        }
+        for item, per_item in postings.items()
+    }
+
+
+class JournalIndex:
     """The writer side: applies slide records, publishes snapshots.
 
     One writer (the serve app's commit path) calls :meth:`extend`; any
@@ -396,36 +373,18 @@ class ShardedJournalIndex:
     writer by design).
     """
 
-    def __init__(
-        self,
-        records: Iterable[SlideRecord] = (),
-        shard_count: int = DEFAULT_SHARDS,
-    ) -> None:
-        if shard_count < 1:
-            raise ServeError(f"shard count must be at least 1, got {shard_count}")
-        self._snapshot = IndexSnapshot.empty(shard_count)
-        #: item -> shard id; crc32 is stable, so the memo is exact.
-        self._shards_of: Dict[str, int] = {}
+    def __init__(self, records: Iterable[SlideRecord] = ()) -> None:
+        self._snapshot = IndexSnapshot.empty()
         self._swaps = 0
         self._write_lock = threading.Lock()
         self.extend(records)
 
     @classmethod
-    def from_snapshot(cls, snapshot: IndexSnapshot) -> "ShardedJournalIndex":
+    def from_snapshot(cls, snapshot: IndexSnapshot) -> "JournalIndex":
         """Adopt a hydrated snapshot (warm start) as the current view."""
-        index = cls(shard_count=snapshot.shard_count)
+        index = cls()
         index._snapshot = snapshot
         return index
-
-    @property
-    def shard_count(self) -> int:
-        return self._snapshot.shard_count
-
-    def _shard_of(self, item: str) -> int:
-        shard_id = self._shards_of.get(item)
-        if shard_id is None:
-            shard_id = self._shards_of[item] = shard_of(item, self.shard_count)
-        return shard_id
 
     @property
     def swaps(self) -> int:
@@ -459,59 +418,56 @@ class ShardedJournalIndex:
                 f"already indexed up to slide {snapshot.order[-1]}"
             )
         last = snapshot.last_slide_id
-        if snapshot.provenance.through != last:
+        postings = snapshot.postings
+        provenance = snapshot.provenance
+        if provenance.through != last:
             # Extending a snapshot that is not its lineage's newest (e.g.
             # one adopted after its index moved on): appending to the
             # shared per-item postings and provenance would rewrite the
             # newer snapshots' view, so this branch gets private copies.
-            snapshot = IndexSnapshot(
-                snapshot.generation,
-                tuple(shard.cut(last) for shard in snapshot.shards),
-                snapshot.slides,
-                snapshot.order,
-                snapshot.provenance.for_extending(last),
-            )
+            postings = _cut(postings, last)
+            provenance = provenance.for_extending(last)
         # One pass over the record's rank order builds the slide map, the
         # per-item postings and the slide's newly seen patterns.
         patterns = dict(record.ranked_patterns())
         added: DefaultDict[str, List[Tuple[str, ...]]] = defaultdict(list)
-        seen = snapshot.provenance.first
+        seen = provenance.first
         new: List[Tuple[str, ...]] = []
         for items in patterns:
             if items not in seen:
                 new.append(items)
             for item in items:
                 added[item].append(items)
-        per_shard: Dict[int, Dict[str, List[Tuple[str, ...]]]] = {}
+        postings = dict(postings)
+        totals = dict(snapshot.posting_totals)
         for item, posting in added.items():
-            per_shard.setdefault(self._shard_of(item), {})[item] = posting
-        shards = list(snapshot.shards)
-        for shard_id, postings in per_shard.items():
-            shards[shard_id] = shards[shard_id].extended(record.slide_id, postings)
+            per_item = postings.get(item)
+            if per_item is None:
+                per_item = postings[item] = {}
+            per_item[record.slide_id] = tuple(posting)
+            totals[item] = totals.get(item, 0) + len(posting)
         slides = dict(snapshot.slides)
         slides[record.slide_id] = patterns
-        snapshot.provenance.record(record.slide_id, new)
+        provenance.record(record.slide_id, new)
         return IndexSnapshot(
             snapshot.generation + 1,
-            tuple(shards),
+            postings,
+            totals,
             slides,
             snapshot.order + (record.slide_id,),
-            snapshot.provenance,
+            provenance,
         )
 
     def __repr__(self) -> str:
         snapshot = self._snapshot
         return (
-            f"ShardedJournalIndex(shards={snapshot.shard_count}, "
-            f"slides={len(snapshot.order)}, generation={snapshot.generation})"
+            f"JournalIndex(slides={len(snapshot.order)}, "
+            f"generation={snapshot.generation})"
         )
 
 
 __all__ = [
-    "DEFAULT_SHARDS",
     "SERVE_INDEX_FORMAT",
-    "IndexShard",
     "IndexSnapshot",
-    "ShardedJournalIndex",
-    "shard_of",
+    "JournalIndex",
 ]

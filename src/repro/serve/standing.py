@@ -1,6 +1,6 @@
 """Standing queries: fire-on-transition semantics over slide commits.
 
-A standing query is one PR-8 algebra expression (``select`` or
+A standing query is one algebra expression (``select`` or
 ``top_k``) registered by a subscriber.  It is *not* re-run over the
 whole journal on every commit — after slide ``S`` commits, the
 expression is evaluated restricted to slide ``S`` only (the registered
@@ -8,8 +8,7 @@ expression is evaluated restricted to slide ``S`` only (the registered
 things at once:
 
 * **incrementality** — the ``slides`` push-down in the compiler means
-  only slide ``S``'s postings and rows are touched, i.e. only the
-  shard(s) the new slide actually changed;
+  only slide ``S``'s postings and rows are touched;
 * **transition semantics** — the matched row set *at* ``S`` is diffed
   against the matched row set at the previously processed slide, and
   the differences fire as events: ``enter`` ("pattern P became

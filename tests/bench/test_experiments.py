@@ -10,7 +10,7 @@ from repro.bench.experiments import (
     experiment_runtime_fig2,
     experiment_scalability,
     experiment_storage_backends,
-    experiment_transport_scaling,
+    experiment_worker_scaling,
     scale_parameters,
 )
 from repro.exceptions import DatasetError
@@ -88,8 +88,8 @@ class TestExperimentDrivers:
         assert len(outcome["rows"]) == 2
         assert all(row["total_runtime_s"] >= 0 for row in outcome["rows"])
 
-    def test_e11_transport_scaling(self):
-        outcome = experiment_transport_scaling(
+    def test_e11_worker_scaling(self):
+        outcome = experiment_worker_scaling(
             scale="tiny",
             worker_counts=(1, 2),
             ingest_worker_counts=(0, 2),
@@ -112,7 +112,7 @@ class TestExperimentDrivers:
 
     def test_e11_unknown_scale(self):
         with pytest.raises(DatasetError):
-            experiment_transport_scaling(scale="huge", output_path=None)
+            experiment_worker_scaling(scale="huge", output_path=None)
 
     def test_e6_storage_backends(self):
         outcome = experiment_storage_backends(

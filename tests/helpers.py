@@ -176,7 +176,7 @@ class ScanReader:
 
     No postings, no provenance map, no sharing: each method re-derives its
     answer from the raw :class:`SlideRecord` rows, so it is a reference for
-    :class:`~repro.serve.shards.IndexSnapshot` rather than a second index.
+    :class:`~repro.serve.index.IndexSnapshot` rather than a second index.
     Rows are read in rank order (support descending, then size, items),
     the order the index stores them in.
     """

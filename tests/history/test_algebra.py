@@ -39,7 +39,7 @@ from repro.history.algebra import (
     top_k,
 )
 from repro.history.journal import MemoryJournal, SlideRecord
-from repro.serve.shards import ShardedJournalIndex
+from repro.serve.index import JournalIndex
 
 from tests.helpers import (
     ITEMS,
@@ -52,7 +52,7 @@ from tests.helpers import (
 
 
 def make_index(journal):
-    return ShardedJournalIndex(journal.records(), shard_count=1).current
+    return JournalIndex(journal.records()).current
 
 
 # ---------------------------------------------------------------------- #
@@ -169,16 +169,12 @@ def random_access_path_query(rng):
 @pytest.mark.parametrize("seed", [1, 7, 23, 99])
 def test_access_paths_match_brute_force_on_both_readers(seed):
     """top_k with and without a slide range, first_frequent_in and
-    became_frequent_within agree with the oracle on the index (one and
-    three shards) and on the record-scanning reference reader, under both
-    planners, with identical payloads (Explain included)."""
+    became_frequent_within agree with the oracle on the index and on the
+    record-scanning reference reader, under both planners, with identical
+    payloads (Explain included)."""
     journal = random_journal(seed, slides=14)
     records = journal.records()
-    readers = [
-        ShardedJournalIndex(records, shard_count=1).current,
-        ShardedJournalIndex(records, shard_count=3).current,
-        ScanReader(records),
-    ]
+    readers = [JournalIndex(records).current, ScanReader(records)]
     rng = random.Random(seed + 17000)
     for _ in range(60):
         query = random_access_path_query(rng)
@@ -441,7 +437,7 @@ class TestEvaluationShapes:
         assert supports == sorted(supports, reverse=True)
 
     def test_empty_index(self):
-        index = ShardedJournalIndex(()).current
+        index = JournalIndex(()).current
         assert evaluate(select(contains("a")), index).matches == []
         assert evaluate(top_k(3), index).matches == []
         evaluation = evaluate(history("a"), index)

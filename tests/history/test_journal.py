@@ -115,8 +115,17 @@ class TestRecordSerialisation:
             lambda header: {k: v for k, v in header.items() if k != "pattern_count"},
             lambda header: {**header, "slide_id": "3"},
             lambda header: {**header, "items": ["a", 1]},
+            lambda header: {**header, "items": list(reversed(header["items"]))},
+            lambda header: {**header, "items": [header["items"][0]] * len(header["items"])},
         ],
-        ids=["json-list", "missing-pattern-count", "string-slide-id", "non-string-item"],
+        ids=[
+            "json-list",
+            "missing-pattern-count",
+            "string-slide-id",
+            "non-string-item",
+            "unsorted-table",
+            "duplicate-table",
+        ],
     )
     def test_malformed_header_rejected(self, corrupt):
         data = make_record().to_bytes()
@@ -125,6 +134,30 @@ class TestRecordSerialisation:
         encoded = json.dumps(corrupt(header)).encode("utf-8")
         bad = data[:4] + len(encoded).to_bytes(4, "little") + encoded + data[8 + length :]
         with pytest.raises(HistoryError):
+            SlideRecord.from_bytes(bad)
+
+    @pytest.mark.parametrize(
+        "rows, items, message",
+        [
+            ([(0b11, 4), (0b01, 7)], ["a", "b"], "canonical"),
+            ([(0b01, 7), (0b01, 7)], ["a", "b"], "duplicate"),
+            ([(0b00, 7), (0b11, 4)], ["a", "b"], "empty"),
+            ([(0b01, 7), (0b101, 4)], ["a", "b"], "outside"),
+            ([(0b01, 7), (0b11, 4)], ["a", "b", "c"], "unused"),
+        ],
+        ids=["out-of-order", "duplicate-row", "empty-mask", "outside-table", "unused-symbol"],
+    )
+    def test_malformed_rows_rejected(self, rows, items, message):
+        data = make_record().to_bytes()
+        length = int.from_bytes(data[4:8], "little")
+        header = json.loads(data[8 : 8 + length])
+        encoded = json.dumps({**header, "items": items}).encode("utf-8")
+        body = b"".join(
+            mask.to_bytes(1, "little") + support.to_bytes(4, "little")
+            for mask, support in rows
+        )
+        bad = data[:4] + len(encoded).to_bytes(4, "little") + encoded + body
+        with pytest.raises(HistoryError, match=message):
             SlideRecord.from_bytes(bad)
 
     def test_timings_reattached_on_request(self):

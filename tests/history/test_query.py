@@ -1,7 +1,6 @@
 """Index correctness: every query over a snapshot must match a journal scan.
 
-The index is :class:`~repro.serve.shards.IndexSnapshot`; a one-shard
-snapshot is the plain index.  The references are the ``brute_force_*``
+The index is :class:`~repro.serve.index.IndexSnapshot`.  The references are the ``brute_force_*``
 scans of ``tests.helpers``, which do not share the algebra's row matcher.
 """
 
@@ -11,7 +10,7 @@ import pytest
 
 from repro.exceptions import AlgebraError, HistoryError
 from repro.history import algebra
-from repro.serve.shards import ShardedJournalIndex
+from repro.serve.index import JournalIndex
 
 from tests.helpers import (
     ITEMS,
@@ -22,8 +21,8 @@ from tests.helpers import (
 )
 
 
-def snapshot_of(journal, shard_count=1):
-    return ShardedJournalIndex(journal.records(), shard_count=shard_count).current
+def snapshot_of(journal):
+    return JournalIndex(journal.records()).current
 
 
 def random_queries(rng, count=40):
@@ -45,7 +44,7 @@ class TestIndexMatchesBruteForce:
 
     def test_super_pattern_match_at_one_slide(self, seed):
         journal = random_journal(seed)
-        index = snapshot_of(journal, shard_count=3)
+        index = snapshot_of(journal)
         rng = random.Random(seed + 2000)
         for query in random_queries(rng, count=15):
             slide = rng.choice(journal.slide_ids())
@@ -75,7 +74,7 @@ class TestIndexMatchesBruteForce:
 
     def test_first_and_last_frequent(self, seed):
         journal = random_journal(seed)
-        index = snapshot_of(journal, shard_count=4)
+        index = snapshot_of(journal)
         rng = random.Random(seed + 5000)
         for query in random_queries(rng):
             frequent_slides = [
@@ -119,7 +118,7 @@ class TestIndexBehaviour:
         assert all(slide == index.last_slide_id for slide, _, _ in matches)
 
     def test_empty_index(self):
-        index = ShardedJournalIndex(()).current
+        index = JournalIndex(()).current
         assert len(index) == 0
         assert index.last_slide_id is None
         assert algebra.evaluate(algebra.top_k(3), index).matches == []
@@ -145,7 +144,7 @@ class TestIndexBehaviour:
 
     def test_extend_enforces_slide_order(self):
         journal = random_journal(11, slides=4)
-        index = ShardedJournalIndex(journal.records(), shard_count=1)
+        index = JournalIndex(journal.records())
         with pytest.raises(HistoryError, match="breaks the index's slide order"):
             index.extend([journal.record(0)])
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro.core.patterns import MiningResult
 from repro.history.algebra import contains, evaluate, history, select, top_k
 from repro.history.journal import SlideRecord, SlideSealer
-from repro.serve.shards import ShardedJournalIndex
+from repro.serve.index import JournalIndex
 
 #: Prefix chains ("a" < "ab" < "abc"), and non-ASCII items whose UTF-8 and
 #: code-point orders must not be confused.
@@ -47,8 +47,8 @@ def test_seal_path_equals_the_validating_constructor(maps, item):
         sealed.append(record)
         built.append(reference)
 
-    index = ShardedJournalIndex(sealed, shard_count=3).current
-    reference_index = ShardedJournalIndex(built, shard_count=3).current
+    index = JournalIndex(sealed).current
+    reference_index = JournalIndex(built).current
     assert index.to_payload() == reference_index.to_payload()
     probe = built[0].patterns[0][0]
     for query in (select(contains(item)), top_k(3, contains(item)), history(*probe)):

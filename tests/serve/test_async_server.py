@@ -12,8 +12,8 @@ from repro.history.journal import MemoryJournal
 from repro.serve.app import ServeApp, evaluate_expression
 from repro.serve.http import BackgroundServer
 from repro.serve.loadgen import sse_collect
+from repro.serve.index import JournalIndex
 from repro.serve.render import render_json
-from repro.serve.shards import ShardedJournalIndex
 
 from serve_helpers import mined_journal
 
@@ -51,27 +51,24 @@ def raw_exchange(port, payload):
 
 
 @pytest.fixture()
-def server_pair():
-    """Two servers over identical journals: four shards and one shard."""
+def server():
+    """One server over the first three slides; the rest are live."""
     source = mined_journal()
     prefix = list(source.records()[:3])
     live = list(source.records()[3:])
-    servers = []
-    for shard_count in (4, 1):
-        journal = MemoryJournal()
-        for record in prefix:
-            journal.append(record)
-        app = ServeApp.from_journal(journal, shard_count=shard_count)
-        servers.append((app, BackgroundServer(app).start()))
+    journal = MemoryJournal()
+    for record in prefix:
+        journal.append(record)
+    app = ServeApp.from_journal(journal)
+    background = BackgroundServer(app).start()
     yield {
-        "async_port": servers[0][1].port,
-        "one_shard_port": servers[1][1].port,
-        "servers": servers,
+        "async_port": background.port,
+        "app": app,
+        "background": background,
         "committed": prefix,
         "live": live,
     }
-    for _, background in servers:
-        background.stop()
+    background.stop()
 
 
 QUERIES = [
@@ -83,33 +80,27 @@ QUERIES = [
 
 
 class TestByteParity:
-    def test_answers_byte_identical_including_mid_stream(self, server_pair):
-        pair = server_pair
+    def test_answers_byte_identical_including_mid_stream(self, server):
         rounds = 0
         while True:
-            # The reference: a cold one-shard build over the committed prefix.
-            cold = ShardedJournalIndex(pair["committed"], shard_count=1).current
+            # The reference: a cold build over the committed prefix.
+            cold = JournalIndex(server["committed"]).current
             for expression in QUERIES:
-                body = json.dumps(expression)
-                sharded_status, sharded_body, _ = post(pair["async_port"], body)
-                one_status, one_body, _ = post(pair["one_shard_port"], body)
-                assert sharded_status == one_status == 200
-                assert sharded_body == one_body
-                assert sharded_body == render_json(evaluate_expression(expression, cold))
-            if not pair["live"]:
+                status, body, _ = post(server["async_port"], json.dumps(expression))
+                assert status == 200
+                assert body == render_json(evaluate_expression(expression, cold))
+            if not server["live"]:
                 break
-            # Commit one live slide on both servers and re-check parity —
-            # queries interleaved with slide commits must stay identical.
-            record = pair["live"].pop(0)
-            for app, background in pair["servers"]:
-                app.journal.append(record)
-                background.refresh()
-            pair["committed"].append(record)
+            # Commit one live slide and re-check — queries interleaved
+            # with slide commits must answer like a cold build.
+            record = server["live"].pop(0)
+            server["app"].journal.append(record)
+            server["background"].refresh()
+            server["committed"].append(record)
             rounds += 1
         assert rounds >= 2, "fixture had no live slides; mid-stream leg skipped"
 
-    def test_error_payloads_byte_identical(self, server_pair):
-        pair = server_pair
+    def test_error_payloads_byte_identical(self, server):
         bad_bodies = [
             (b"", "invalid-json"),
             (b"not json", "invalid-json"),
@@ -117,11 +108,10 @@ class TestByteParity:
             (json.dumps({"nope": {}}).encode("utf-8"), "malformed-expression"),
         ]
         for body, code in bad_bodies:
-            sharded_status, sharded_body, _ = post(pair["async_port"], body)
-            one_status, one_body, _ = post(pair["one_shard_port"], body)
-            assert sharded_status == one_status == 400
-            assert sharded_body == one_body
-            assert json.loads(sharded_body)["code"] == code
+            status, answer, _ = post(server["async_port"], body)
+            assert status == 400
+            assert answer == render_json(json.loads(answer))
+            assert json.loads(answer)["code"] == code
 
 
 class TestRequestFraming:
@@ -140,9 +130,9 @@ class TestRequestFraming:
         ids=["non-numeric-length", "signed-length", "transfer-encoding", "repeated-length"],
     )
     def test_ambiguous_body_framing_is_not_read_as_a_second_request(
-        self, server_pair, framing
+        self, server, framing
     ):
-        port = server_pair["async_port"]
+        port = server["async_port"]
         request = b"POST /query HTTP/1.1\r\nHost: x\r\n" + framing + b"\r\n"
         answered = raw_exchange(port, request + self.SMUGGLED)
         # No response at all: in particular, no 200 for the body bytes
@@ -152,9 +142,9 @@ class TestRequestFraming:
         assert status == 200
 
     def test_oversized_header_line_ends_the_connection_cleanly(
-        self, server_pair, caplog
+        self, server, caplog
     ):
-        port = server_pair["async_port"]
+        port = server["async_port"]
         request = (
             b"GET /stats HTTP/1.1\r\nX-Padding: "
             + b"a" * (70 * 1024)
@@ -171,13 +161,12 @@ class TestRequestFraming:
 
 
 class TestEndpoints:
-    def test_stats_carries_serve_section(self, server_pair):
-        status, body = get(server_pair["async_port"], "/stats")
+    def test_stats_carries_serve_section(self, server):
+        status, body = get(server["async_port"], "/stats")
         assert status == 200
         payload = json.loads(body)
         assert payload["resilience"] == {"dropped_connections": 0}
         serve = payload["serve"]
-        assert serve["shards"] == 4
         assert serve["snapshot_swaps"] >= 1
         assert serve["draining"] is False
         assert serve["warm_start"] == {
@@ -185,29 +174,29 @@ class TestEndpoints:
             "cold_records_indexed": 3,
         }
 
-    def test_unknown_endpoint_404(self, server_pair):
-        status, body = get(server_pair["async_port"], "/nope")
+    def test_unknown_endpoint_404(self, server):
+        status, body = get(server["async_port"], "/nope")
         assert status == 404
         payload = json.loads(body)
         assert payload["code"] == "unknown-endpoint"
         assert payload["endpoints"] == ["/query", "/stats", "/subscribe"]
 
-    def test_method_not_allowed_405(self, server_pair):
-        status, body, _ = post(server_pair["async_port"], b"{}", path="/stats")
+    def test_method_not_allowed_405(self, server):
+        status, body, _ = post(server["async_port"], b"{}", path="/stats")
         assert status == 405
         assert json.loads(body)["code"] == "method-not-allowed"
 
-    def test_subscribe_requires_expr(self, server_pair):
-        status, body = get(server_pair["async_port"], "/subscribe")
+    def test_subscribe_requires_expr(self, server):
+        status, body = get(server["async_port"], "/subscribe")
         assert status == 400
         assert json.loads(body)["code"] == "bad-query"
 
-    def test_subscribe_rejects_history_shape(self, server_pair):
+    def test_subscribe_rejects_history_shape(self, server):
         from urllib.parse import quote
 
         expr = quote(json.dumps({"history": {"items": ["a"]}}))
         status, body = get(
-            server_pair["async_port"], f"/subscribe?expr={expr}"
+            server["async_port"], f"/subscribe?expr={expr}"
         )
         assert status == 400
         assert b"history is a curve" in body
@@ -227,7 +216,7 @@ class TestSSE:
         journal = MemoryJournal()
         for record in records[:3]:
             journal.append(record)
-        app = ServeApp.from_journal(journal, shard_count=4)
+        app = ServeApp.from_journal(journal)
         background = BackgroundServer(app).start()
         try:
             expression = {"top_k": {"k": 10}}
@@ -291,7 +280,7 @@ class TestSSE:
 
     def test_stats_counts_notifications(self):
         journal = mined_journal()
-        app = ServeApp.from_journal(journal, shard_count=2)
+        app = ServeApp.from_journal(journal)
         received = []
         app.subscribe({"top_k": {"k": 5}}, events=("enter", "exit"), sink=received.append)
         stats = app.stats()["serve"]
@@ -302,7 +291,7 @@ class TestSSE:
 class TestGracefulShutdown:
     def test_shutdown_is_idempotent_and_drains(self):
         journal = mined_journal()
-        app = ServeApp.from_journal(journal, shard_count=2)
+        app = ServeApp.from_journal(journal)
         background = BackgroundServer(app).start()
         port = background.port
         status, body, _ = post(port, json.dumps({"top_k": {"k": 3}}))

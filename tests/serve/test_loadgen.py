@@ -21,7 +21,7 @@ class TestPercentile:
 class TestRunLoad:
     def test_concurrent_clients_all_succeed(self):
         journal = mined_journal()
-        app = ServeApp.from_journal(journal, shard_count=4)
+        app = ServeApp.from_journal(journal)
         with BackgroundServer(app) as background:
             report = run_load(
                 "127.0.0.1",

@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from repro.core.miner import StreamSubgraphMiner
 from repro.history.journal import MemoryJournal
 from repro.serve.app import ServeApp, evaluate_expression
-from repro.serve.shards import ShardedJournalIndex
+from repro.serve.index import JournalIndex
 from repro.stream.stream import TransactionStream
 from tests.helpers import drifting_records
 
@@ -47,15 +47,15 @@ def mined_records():
 
 
 def cold(records):
-    """A cold one-shard index build over ``records``."""
-    return ShardedJournalIndex(records, shard_count=1).current
+    """A cold index build over ``records``."""
+    return JournalIndex(records).current
 
 
-def app_over(records, shard_count=3):
+def app_over(records):
     journal = MemoryJournal()
     for record in records:
         journal.append(record)
-    return ServeApp.from_journal(journal, shard_count=shard_count)
+    return ServeApp.from_journal(journal)
 
 
 class TestRefreshRace:
@@ -132,7 +132,7 @@ class TestRefreshRace:
             end: [evaluate_expression(query, cold(records[:end])) for query in queries]
             for end in range(1, len(records) + 1)
         }
-        index = ShardedJournalIndex(records[:1], shard_count=3)
+        index = JournalIndex(records[:1])
         stop = threading.Event()
         wrong = []
 

@@ -19,8 +19,8 @@ from repro.history import algebra
 from repro.history.journal import MemoryJournal
 from repro.serve.app import ServeApp
 from repro.serve.http import BackgroundServer
+from repro.serve.index import JournalIndex
 from repro.serve.render import render_json
-from repro.serve.shards import ShardedJournalIndex
 from repro.stream.stream import TransactionStream
 
 from tests.helpers import (
@@ -240,15 +240,13 @@ class TestIncrementalRefresh:
         self.append_unseen(service)
         service.refresh()
         current = service.index.current
-        rebuilt = ShardedJournalIndex(service.journal.records(), shard_count=1).current
+        rebuilt = JournalIndex(service.journal.records()).current
         assert current.stats() == rebuilt.stats()
         assert current.slide_ids() == rebuilt.slide_ids()
         for slide in rebuilt.slide_ids():
             assert current.patterns_at(slide) == rebuilt.patterns_at(slide)
         expr = {"select": {"where": {"contains": ["a"]}}}
-        assert service.query(expr) == ServeApp.from_journal(
-            service.journal, shard_count=1
-        ).query(expr)
+        assert service.query(expr) == ServeApp.from_journal(service.journal).query(expr)
 
     def test_refresh_indexes_only_the_unindexed_suffix(self, monkeypatch):
         service = self.make_service(TRANSACTIONS[:30])

@@ -1,7 +1,6 @@
-"""The sharded snapshot-swapped index: parity, sharing, atomicity."""
+"""The snapshot-swapped index: parity, sharing, atomicity."""
 
 import json
-import zlib
 
 import pytest
 
@@ -9,7 +8,7 @@ from repro.exceptions import HistoryError, ServeError
 from repro.history import algebra
 from repro.serve.app import evaluate_expression
 from repro.serve.render import render_json
-from repro.serve.shards import IndexSnapshot, ShardedJournalIndex, shard_of
+from repro.serve.index import IndexSnapshot, JournalIndex
 
 from serve_helpers import mined_journal
 from tests.helpers import ScanReader, drifting_records
@@ -36,24 +35,19 @@ def answers(reader):
     return [render_json(evaluate_expression(query, reader)) for query in DRIFT_QUERIES]
 
 
-class TestShardOf:
-    def test_crc32_partitioning(self):
-        # Stable across processes and restarts (unlike builtin hash()),
-        # which is what makes warm-started shards line up.
-        assert shard_of("a", 4) == zlib.crc32(b"a") % 4
-        assert shard_of("edge:1-2", 7) == zlib.crc32(b"edge:1-2") % 7
-
-    def test_single_shard_maps_everything_to_zero(self):
-        assert shard_of("anything", 1) == 0
-
-
 class TestProtocolParity:
     """Every IndexReader method must answer like a scan of the journal."""
 
-    @pytest.mark.parametrize("shard_count", [1, 3, 4, 7])
-    def test_reader_surface_matches_journal_index(self, records, shard_count):
+    @pytest.mark.parametrize("batch", [1, 3, 4, 7])
+    def test_reader_surface_matches_journal_index(self, records, batch):
+        # The index is fed in ``extend`` calls of ``batch`` slides each; the
+        # published snapshot must not depend on how commits were grouped.
         reference = ScanReader(records)
-        snapshot = ShardedJournalIndex(records, shard_count=shard_count).current
+        index = JournalIndex()
+        for start in range(0, len(records), batch):
+            index.extend(records[start:start + batch])
+        assert index.swaps == len(records)
+        snapshot = index.current
         assert snapshot.slide_ids() == reference.slide_ids()
         assert snapshot.last_slide_id == reference.last_slide_id
         items = reference.items()
@@ -89,32 +83,29 @@ class TestProtocolParity:
 
     def test_stats_match(self, records):
         reference = ScanReader(records)
-        snapshot = ShardedJournalIndex(records, shard_count=4).current
+        snapshot = JournalIndex(records).current
         assert dict(snapshot.stats()) == dict(reference.stats())
 
     def test_distinct_patterns_counts_each_pattern_once(self):
         records = drifting_records(10)
         for cut in (0, 1, 6, 10):
             distinct = {items for record in records[:cut] for items, _ in record.patterns}
-            snapshot = ShardedJournalIndex(records[:cut], shard_count=2).current
+            snapshot = JournalIndex(records[:cut]).current
             assert snapshot.stats()["distinct_patterns"] == len(distinct)
             assert ScanReader(records[:cut]).stats()["distinct_patterns"] == len(distinct)
 
     def test_rows_iterate_in_rank_order(self):
         records = drifting_records(8)
-        for reader in (
-            ShardedJournalIndex(records, shard_count=1).current,
-            ShardedJournalIndex(records).current,
-        ):
-            for record in records:
-                rows = list(reader.iter_patterns_at(record.slide_id))
-                assert rows == sorted(
-                    record.patterns, key=lambda row: (-row[1], len(row[0]), row[0])
-                )
+        reader = JournalIndex(records).current
+        for record in records:
+            rows = list(reader.iter_patterns_at(record.slide_id))
+            assert rows == sorted(
+                record.patterns, key=lambda row: (-row[1], len(row[0]), row[0])
+            )
 
     def test_algebra_evaluation_parity(self, records):
         reference = ScanReader(records)
-        snapshot = ShardedJournalIndex(records, shard_count=4).current
+        snapshot = JournalIndex(records).current
         items = reference.items()
         queries = [
             algebra.select(algebra.contains(items[0])),
@@ -132,17 +123,17 @@ class TestProtocolParity:
             algebra.history(items[0]),
         ]
         for query in queries:
-            sharded = algebra.evaluate(query, snapshot)
+            indexed = algebra.evaluate(query, snapshot)
             plain = algebra.evaluate(query, reference)
             oracle = algebra.brute_force_query(query, records)
-            assert sharded.payload() == plain.payload()
-            result = sharded.curve if isinstance(query, algebra.History) else sharded.matches
+            assert indexed.payload() == plain.payload()
+            result = indexed.curve if isinstance(query, algebra.History) else indexed.matches
             assert result == oracle
 
 
 class TestSnapshotSwap:
     def test_swap_is_atomic_for_pinned_readers(self, records):
-        index = ShardedJournalIndex(records[:-2], shard_count=4)
+        index = JournalIndex(records[:-2])
         pinned = index.current
         before_slides = pinned.slide_ids()
         before_rows = {s: pinned.row_count(s) for s in before_slides}
@@ -156,7 +147,7 @@ class TestSnapshotSwap:
 
     def test_pinned_snapshot_answers_provenance_and_top_k_unchanged(self):
         records = drifting_records(16)
-        index = ShardedJournalIndex(records[:8], shard_count=3)
+        index = JournalIndex(records[:8])
         pinned = index.current
         before, stats_before = answers(pinned), pinned.stats()
         index.extend(records[8:])
@@ -166,7 +157,7 @@ class TestSnapshotSwap:
         # and the same answers as an index that never saw those slides.
         assert answers(pinned) == before
         assert pinned.stats() == stats_before
-        cold = ShardedJournalIndex(records[:8], shard_count=3).current
+        cold = JournalIndex(records[:8]).current
         assert answers(cold) == before
         # Postings are appended to dicts the snapshots share; the pinned
         # one neither reports nor seals the later slides' entries.
@@ -177,54 +168,38 @@ class TestSnapshotSwap:
 
     def test_extending_an_adopted_older_snapshot_branches_cleanly(self):
         records = drifting_records(12)
-        index = ShardedJournalIndex(records[:5], shard_count=3)
+        index = JournalIndex(records[:5])
         older = index.current
         index.extend(records[5:9])
-        branch = ShardedJournalIndex.from_snapshot(older)
+        branch = JournalIndex.from_snapshot(older)
         branch.extend(records[9:])  # skips slides 5-8
-        cold = ShardedJournalIndex(records[:5] + records[9:], shard_count=3).current
+        cold = JournalIndex(records[:5] + records[9:]).current
         assert answers(branch.current) == answers(cold)
-        assert branch.current.to_payload()["shards"] == cold.to_payload()["shards"]
+        assert branch.current.to_payload()["postings"] == cold.to_payload()["postings"]
         assert answers(index.current) == answers(ScanReader(records[:9]))
         assert answers(older) == answers(ScanReader(records[:5]))
 
     def test_extending_an_older_version_forks_the_provenance(self):
         records = drifting_records(12)
-        base = ShardedJournalIndex(records[:5], shard_count=1).current
-        newer = ShardedJournalIndex.from_snapshot(base)
+        base = JournalIndex(records[:5]).current
+        newer = JournalIndex.from_snapshot(base)
         newer.extend(records[5:9])  # appends to the shared provenance
-        branch = ShardedJournalIndex.from_snapshot(base)
+        branch = JournalIndex.from_snapshot(base)
         branch.extend(records[9:])  # skips slides 5-8: must fork it
         assert answers(newer.current) == answers(ScanReader(records[:9]))
         assert answers(branch.current) == answers(ScanReader(records[:5] + records[9:]))
         assert answers(base) == answers(ScanReader(records[:5]))
 
     def test_generation_and_swap_counters(self, records):
-        index = ShardedJournalIndex(records[:2], shard_count=4)
+        index = JournalIndex(records[:2])
         assert index.current.generation == 2
         assert index.swaps == 2
         index.extend(records[2:4])
         assert index.current.generation == 4
         assert index.swaps == 4
 
-    def test_structural_sharing_of_untouched_shards(self, records):
-        shard_count = 8
-        index = ShardedJournalIndex(records[:-1], shard_count=shard_count)
-        before = index.current
-        last = records[-1]
-        touched = {shard_of(item, shard_count) for items, _ in last.patterns for item in items}
-        assert len(touched) < shard_count, "workload touches every shard; widen shard_count"
-        index.extend([last])
-        after = index.current
-        for shard_id in range(shard_count):
-            if shard_id in touched:
-                assert after.shards[shard_id] is not before.shards[shard_id]
-            else:
-                # Untouched shards are carried by reference, not copied.
-                assert after.shards[shard_id] is before.shards[shard_id]
-
     def test_out_of_order_extend_rejected_with_journal_index_message(self, records):
-        index = ShardedJournalIndex(records, shard_count=4)
+        index = JournalIndex(records)
         with pytest.raises(HistoryError) as error:
             index.extend([records[0]])
         assert str(error.value) == (
@@ -232,14 +207,10 @@ class TestSnapshotSwap:
             f"already indexed up to slide {records[-1].slide_id}"
         )
 
-    def test_shard_count_validation(self, records):
-        with pytest.raises(ServeError, match="shard count must be at least 1"):
-            ShardedJournalIndex(records, shard_count=0)
-
 
 class TestPayloadRoundTrip:
     def test_round_trip_preserves_answers(self, records):
-        original = ShardedJournalIndex(records, shard_count=4).current
+        original = JournalIndex(records).current
         payload = json.loads(json.dumps(original.to_payload()))
         restored = IndexSnapshot.from_payload(payload)
         assert restored.slide_ids() == original.slide_ids()
@@ -263,8 +234,8 @@ class TestPayloadRoundTrip:
     def test_extend_after_round_trip(self):
         journal = mined_journal()
         records = journal.records()
-        payload = ShardedJournalIndex(records[:3], shard_count=4).current.to_payload()
-        index = ShardedJournalIndex.from_snapshot(IndexSnapshot.from_payload(payload))
+        payload = JournalIndex(records[:3]).current.to_payload()
+        index = JournalIndex.from_snapshot(IndexSnapshot.from_payload(payload))
         index.extend(records[3:])
         reference = ScanReader(records)
         assert index.current.slide_ids() == reference.slide_ids()

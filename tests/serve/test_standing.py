@@ -9,7 +9,7 @@ from repro.graph.edge import Edge
 from repro.graph.edge_registry import EdgeRegistry
 from repro.history import algebra
 from repro.history.journal import MemoryJournal
-from repro.serve.shards import ShardedJournalIndex
+from repro.serve.index import JournalIndex
 from repro.stream.batch import Batch
 from repro.serve.standing import (
     Notification,
@@ -34,7 +34,7 @@ class TestStandingSemantics:
         expression = algebra.to_json(algebra.select(algebra.contains(item)))
         events = ("enter", "exit", "update")
         split = 2
-        index = ShardedJournalIndex(records[:split], shard_count=4)
+        index = JournalIndex(records[:split])
         standing = StandingQuery("sub-0", expression, events)
         standing.prime(index.current)
         pushed = []
@@ -59,7 +59,7 @@ class TestStandingSemantics:
 
     def test_exactly_once_per_slide(self, records):
         expression = algebra.to_json(algebra.top_k(3))
-        index = ShardedJournalIndex(records[:-1], shard_count=4)
+        index = JournalIndex(records[:-1])
         standing = StandingQuery("s", expression, ("enter", "exit", "update"))
         standing.prime(index.current)
         snapshot = index.extend([records[-1]])

@@ -1,13 +1,17 @@
 """Warm-start serving: sealed snapshots, suffix re-indexing, fallbacks."""
 
+import copy
 import json
+
+import pytest
 
 from repro.checkpoint import load_serve_index, seal_serve_index
 from repro.checkpoint.serve_index import MANIFEST_NAME, PAYLOAD_NAME, SERVE_INDEX_DIRNAME
 from repro.history.journal import DiskJournal, open_journal
 from repro.serve.app import ServeApp, evaluate_expression
 from repro.serve.render import render_json
-from repro.serve.shards import SERVE_INDEX_FORMAT, IndexSnapshot, ShardedJournalIndex, shard_of
+from repro.exceptions import ServeError
+from repro.serve.index import SERVE_INDEX_FORMAT, IndexSnapshot, JournalIndex
 from repro.serve.warm import JournalTail, read_journal_suffix
 
 from tests.helpers import drifting_records
@@ -67,18 +71,27 @@ class TestWarmStart:
         finally:
             restarted.close()
 
-    def test_shard_count_mismatch_falls_back_to_cold(self, tmp_path, records):
+    def test_parent_format_seal_falls_back_to_cold(self, tmp_path, records):
+        # A digest-valid seal in the older sharded layout
+        # (``repro-serve-index/1``: a ``shards`` list of posting maps).
         path = disk_journal(tmp_path, records)
         warm = tmp_path / "warm"
-        app = ServeApp.from_directory(path, shard_count=4, warm_dir=warm)
-        app.seal_warm(warm)
-        app.close()
-        restarted = ServeApp.from_directory(path, shard_count=8, warm_dir=warm)
+        payload = JournalIndex(records).current.to_payload()
+        postings = payload.pop("postings")
+        payload.update(format="repro-serve-index/1", shards=[{"postings": postings}])
+        with pytest.raises(ServeError, match="format"):
+            IndexSnapshot.from_payload(payload)
+        seal_serve_index(warm, payload)
+        assert load_serve_index(warm) == json.loads(json.dumps(payload))
+        restarted = ServeApp.from_directory(path, warm_dir=warm)
+        cold = ServeApp.from_directory(path)
         try:
             assert restarted.hydrated_slide is None
             assert restarted.cold_records_indexed == len(records)
+            assert restarted.query(QUERY) == cold.query(QUERY)
         finally:
             restarted.close()
+            cold.close()
 
     def test_snapshot_beyond_journal_falls_back_to_cold(self, tmp_path, records):
         # Seal at all N slides, then restart over a journal holding fewer:
@@ -106,10 +119,8 @@ class TestWarmStart:
 
     def test_seal_replaces_previous_snapshot(self, tmp_path, records):
         warm = tmp_path / "warm"
-        from repro.serve.shards import ShardedJournalIndex
-
-        first = ShardedJournalIndex(records[:2], shard_count=4).current
-        second = ShardedJournalIndex(records, shard_count=4).current
+        first = JournalIndex(records[:2]).current
+        second = JournalIndex(records).current
         seal_serve_index(warm, first.to_payload())
         seal_serve_index(warm, second.to_payload())
         manifest = json.loads(
@@ -118,27 +129,25 @@ class TestWarmStart:
         assert manifest["last_slide"] == records[-1].slide_id
 
 
-def size_ordered_payload(records, shard_count):
+def size_ordered_payload(records):
     """A serve-index payload with every slide's rows in (size, items) order.
 
     The layout seals used to have (the records' own canonical order, no
     rank order): hydration must not assume the rows arrive ranked.
     """
-    slides, shards = {}, [{"postings": {}} for _ in range(shard_count)]
+    slides, postings = {}, {}
     for record in records:
         rows = [[list(items), support] for items, support in record.patterns]
         slides[str(record.slide_id)] = rows
         for position, (items, _) in enumerate(record.patterns):
             for item in items:
-                postings = shards[shard_of(item, shard_count)]["postings"]
                 postings.setdefault(item, {}).setdefault(str(record.slide_id), []).append(position)
     return {
         "format": SERVE_INDEX_FORMAT,
-        "shard_count": shard_count,
         "generation": len(records),
         "order": [record.slide_id for record in records],
         "slides": slides,
-        "shards": shards,
+        "postings": postings,
     }
 
 
@@ -154,25 +163,106 @@ class TestHydrationDoesNotTrustRowOrder:
 
     def test_size_ordered_payload_answers_like_a_cold_build(self):
         records = drifting_records(10)
-        payload = json.loads(json.dumps(size_ordered_payload(records, 3)))
+        payload = json.loads(json.dumps(size_ordered_payload(records)))
         # The fixture really is out of rank order somewhere.
-        assert payload != ShardedJournalIndex(records, shard_count=3).current.to_payload()
+        assert payload != JournalIndex(records).current.to_payload()
         warm = IndexSnapshot.from_payload(payload)
-        cold = ShardedJournalIndex(records, shard_count=3).current
+        cold = JournalIndex(records).current
         for query in self.QUERIES:
             assert render_json(evaluate_expression(query, warm)) == render_json(
                 evaluate_expression(query, cold)
             )
         assert warm.stats() == cold.stats()
+        # Its own seal hydrates again (postings keep the payload's order).
+        assert IndexSnapshot.from_payload(warm.to_payload()).stats() == cold.stats()
         # Extending the hydrated snapshot keeps it equal to a cold build.
         more = drifting_records(14)[10:]
-        extended = ShardedJournalIndex.from_snapshot(warm)
+        extended = JournalIndex.from_snapshot(warm)
         extended.extend(more)
-        rebuilt = ShardedJournalIndex(records + more, shard_count=3).current
+        rebuilt = JournalIndex(records + more).current
         for query in self.QUERIES:
             assert evaluate_expression(query, extended.current) == evaluate_expression(
                 query, rebuilt
             )
+
+
+def _first_posting(payload):
+    """(item, slide key) of the payload's first posting list."""
+    item = min(payload["postings"])
+    return item, min(payload["postings"][item])
+
+
+def _post_row_without_item(payload):
+    item, slide = _first_posting(payload)
+    rows = payload["slides"][slide]
+    payload["postings"][item][slide] = [
+        next(position for position, (items, _) in enumerate(rows) if item not in items)
+    ]
+
+
+def _set_posting(positions):
+    def corrupt(payload):
+        item, slide = _first_posting(payload)
+        payload["postings"][item][slide] = positions(payload["slides"][slide])
+
+    return corrupt
+
+
+def _set_slide(value):
+    def corrupt(payload):
+        payload["slides"][min(payload["slides"])] = value
+
+    return corrupt
+
+
+#: One way each to break a digest-valid payload's shape.
+MALFORMED = {
+    "negative-position": _set_posting(lambda rows: [-1, 0]),
+    "out-of-range-position": _set_posting(lambda rows: [len(rows)]),
+    "non-int-position": _set_posting(lambda rows: ["0"]),
+    "bool-position": _set_posting(lambda rows: [True]),
+    "repeated-position": _set_posting(lambda rows: [0, 0]),
+    "row-without-item": _post_row_without_item,
+    "unknown-slide": lambda payload: payload["postings"][min(payload["postings"])]
+    .update({"999999": [0]}),
+    "missing-postings": lambda payload: payload.pop("postings"),
+    "missing-item": lambda payload: payload["postings"].pop(min(payload["postings"])),
+    "postings-not-object": lambda payload: payload.update(postings=[]),
+    "non-list-rows": _set_slide("rows"),
+    "row-not-a-pair": _set_slide([["a"]]),
+    "string-support": _set_slide([[["a"], "5"]]),
+    "non-string-item": _set_slide([[[1], 5]]),
+    "unsorted-row-items": _set_slide([[["b", "a"], 5]]),
+    "slide-missing-from-order": lambda payload: payload["order"].pop(),
+    "string-generation": lambda payload: payload.update(generation="3"),
+    "order-not-list": lambda payload: payload.update(order="0,1"),
+}
+
+
+class TestUntrustedPayload:
+    """A digest-valid payload of the wrong shape is a cold start, never a crash."""
+
+    @pytest.mark.parametrize("corrupt", list(MALFORMED.values()), ids=list(MALFORMED))
+    def test_malformed_payload_starts_cold(self, tmp_path, records, corrupt):
+        payload = json.loads(json.dumps(JournalIndex(records).current.to_payload()))
+        IndexSnapshot.from_payload(copy.deepcopy(payload))  # the intact one hydrates
+        corrupt(payload)
+        with pytest.raises(ServeError):
+            IndexSnapshot.from_payload(payload)
+        path = disk_journal(tmp_path, records)
+        warm = tmp_path / "warm"
+        seal_serve_index(warm, payload)
+        assert load_serve_index(warm) is not None  # the digest is valid
+        restarted = ServeApp.from_directory(path, warm_dir=warm)
+        cold = ServeApp.from_directory(path)
+        try:
+            assert restarted.hydrated_slide is None
+            assert restarted.cold_records_indexed == len(records)
+            for query in (QUERY, {"top_k": {"k": 5}}, {"history": {"items": ["a"]}}):
+                assert render_json(restarted.query(query)) == render_json(cold.query(query))
+        finally:
+            restarted.close()
+            cold.close()
 
 
 class TestJournalTail:
