@@ -123,15 +123,19 @@ class MiningAlgorithm(ABC):
     ) -> PatternCounts:
         """Mine only the patterns *owned* by ``owned_items`` (DESIGN.md §4).
 
-        Ownership is by canonical minimum item: every pattern has exactly
-        one owner, so mining each shard of an item partition and taking the
+        Every pattern has exactly one owner among its own items, fixed by
+        the window alone (the same in every shard): the first item of the
+        algorithm's total order over the frequent items — the canonical
+        minimum, or for the vertical pair the first in ascending-support
+        order.  So mining each shard of an item partition and taking the
         union of the results reproduces :meth:`mine` exactly.  This is the
         entry point the parallel workers call.
 
         The base implementation runs the full sequential :meth:`mine` and
-        filters — always correct, never faster; the single-tree algorithms
-        keep it, and the parallel executor runs such algorithms as a
-        single shard rather than fanning out duplicate full runs.
+        filters by canonical minimum item — always correct, never faster;
+        the single-tree algorithms keep it, and the parallel executor runs
+        such algorithms as a single shard rather than fanning out duplicate
+        full runs.
         Algorithms whose search space naturally splits by start item (the
         vertical family and the multi-tree miner) override it with a real
         search-space restriction.

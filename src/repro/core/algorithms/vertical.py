@@ -3,19 +3,44 @@
 Every DSMatrix row is a bit vector over the window's transaction columns.  The
 row sum of an item is its frequency; intersecting two bit vectors and counting
 the result gives the frequency of the pair, and so on.  The algorithm performs
-a depth-first enumeration over canonical item order (each extension only adds
-items later in the order, so every itemset is generated exactly once) and
-never materialises any tree — only the prefix's bit vector is kept per
-recursion level, which is why the vertical algorithms are the most
+a depth-first enumeration in a fixed total order of the frequent items (each
+extension only adds items later in the order, so every itemset is generated
+exactly once) and never materialises any tree — only the prefix's bit vector
+is kept per recursion level, which is why the vertical algorithms are the most
 memory-frugal of the five.
+
+The order and the candidates are Eclat's (Zaki, "Scalable Algorithms for
+Association Mining", IEEE TKDE 2000):
+
+* **Search order.**  Items are sorted by ascending window support, ties
+  broken by the item itself (:func:`search_order`).  Rare items come first,
+  so the long candidate lists hang off prefixes whose bit vectors are sparse
+  and die young.
+* **Candidate lists.**  A prefix ``P + x`` is extended only with the frequent
+  extensions ``y > x`` of its parent ``P`` (its equivalence class): an item
+  infrequent with ``P`` is infrequent with every superset of ``P``.
+  Candidates are visited from the last in the order to the first, so when
+  ``P + x`` is reached every frequent extension after ``x`` is already known
+  and the recursion can descend at once with the one intersection it just
+  computed — the resident state stays one prefix bit vector per level plus
+  lists of ``int`` indices, never a list of sibling bit vectors.
+
+A pattern is **owned** by its first item in the search order.  Every shard
+of one window computes the same order, so any partition of the frequent
+items partitions the patterns (DESIGN.md §4.1).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.algorithms.base import MatrixLike, MiningAlgorithm, PatternCounts
 from repro.graph.edge_registry import EdgeRegistry
+
+
+def search_order(supports: Mapping[str, int]) -> List[str]:
+    """The frequent items in search order: ascending ``(support, item)``."""
+    return sorted(supports, key=lambda item: (supports[item], item))
 
 
 class VerticalMiner(MiningAlgorithm):
@@ -38,18 +63,7 @@ class VerticalMiner(MiningAlgorithm):
         minsup: int,
         registry: Optional[EdgeRegistry] = None,
     ) -> PatternCounts:
-        self.reset_stats()
-        patterns: PatternCounts = {}
-        ordered: List[str] = matrix.frequent_items(minsup)  # canonical order
-        rows: List[int] = [matrix.row(item).bits for item in ordered]
-
-        for item, bits in zip(ordered, rows):
-            patterns[frozenset({item})] = bits.bit_count()
-
-        for index, item in enumerate(ordered):
-            self._extend((item,), rows[index], index + 1, ordered, rows, minsup, patterns)
-        self.stats.patterns_found = len(patterns)
-        return patterns
+        return self._mine(matrix, minsup, None)
 
     def mine_shard(
         self,
@@ -60,62 +74,67 @@ class VerticalMiner(MiningAlgorithm):
     ) -> PatternCounts:
         """Depth-first search restricted to prefixes starting at owned items.
 
-        Every itemset's canonical minimum item is its owner, so only the
-        owned start items are expanded — the shard does ``1/num_shards`` of
+        Every itemset's first item in the search order is its owner, so only
+        the owned start items are expanded — the shard does its share of
         the enumeration work instead of filtering a full run.
         """
+        return self._mine(matrix, minsup, set(owned_items))
+
+    def _mine(
+        self, matrix: MatrixLike, minsup: int, owned: Optional[Set[str]]
+    ) -> PatternCounts:
+        """Expand every frequent start item (or only the ``owned`` ones)."""
         self.reset_stats()
-        owned = set(owned_items)
         patterns: PatternCounts = {}
-        ordered: List[str] = matrix.frequent_items(minsup)
-        rows: List[int] = [matrix.row(item).bits for item in ordered]
-        for index, item in enumerate(ordered):
-            if item not in owned:
+        order = search_order(
+            {item: matrix.item_frequency(item) for item in matrix.frequent_items(minsup)}
+        )
+        rows: List[int] = [matrix.row(item).bits for item in order]
+        intersections = 0
+        for index in range(len(order) - 1, -1, -1):
+            item = order[index]
+            if owned is not None and item not in owned:
                 continue
-            patterns[frozenset({item})] = rows[index].bit_count()
-            self._extend((item,), rows[index], index + 1, ordered, rows, minsup, patterns)
+            bits = rows[index]
+            patterns[frozenset((item,))] = bits.bit_count()
+            if index + 1 < len(order):
+                intersections += _extend_bits(
+                    (item,), bits, range(len(order) - 1, index, -1),
+                    order, rows, minsup, patterns,
+                )
+        self.stats.bitvector_intersections = intersections
         self.stats.patterns_found = len(patterns)
         return patterns
-
-    def _extend(
-        self,
-        prefix: Tuple[str, ...],
-        prefix_bits: int,
-        start: int,
-        ordered: List[str],
-        rows: List[int],
-        minsup: int,
-        patterns: PatternCounts,
-    ) -> None:
-        """Enumerate every frequent extension of ``prefix`` depth-first.
-
-        ``rows[i]`` holds the bits of ``ordered[i]``.  Intersections are
-        counted locally and added to the stats once per call.
-        """
-        self.stats.bitvector_intersections += _extend_bits(
-            prefix, prefix_bits, start, ordered, rows, minsup, patterns
-        )
 
 
 def _extend_bits(
     prefix: Tuple[str, ...],
     prefix_bits: int,
-    start: int,
-    ordered: List[str],
+    candidates: Sequence[int],
+    order: List[str],
     rows: List[int],
     minsup: int,
     patterns: PatternCounts,
 ) -> int:
-    """The recursive kernel of :meth:`VerticalMiner._extend`; returns its
-    intersection count."""
-    intersections = 0
-    for index in range(start, len(ordered)):
+    """Record every frequent extension of ``prefix`` depth-first.
+
+    ``candidates`` are indices into ``order``/``rows`` in descending order;
+    returns the intersection count (one per candidate, recursively).  A
+    child iterates ``found`` while it is the parent's list: the parent
+    appends to it only after the child returns.
+    """
+    intersections = len(candidates)
+    found: List[int] = []  # frequent extensions so far, descending
+    for index in candidates:
         bits = prefix_bits & rows[index]
-        intersections += 1
         support = bits.bit_count()
         if support < minsup:
             continue
-        extended = prefix + (ordered[index],)
+        extended = prefix + (order[index],)
         patterns[frozenset(extended)] = support
-        intersections += _extend_bits(extended, bits, index + 1, ordered, rows, minsup, patterns)
+        if found:
+            intersections += _extend_bits(
+                extended, bits, found, order, rows, minsup, patterns
+            )
+        found.append(index)
     return intersections

@@ -6,9 +6,11 @@ are brought into RAM.  :class:`VerticalDiskMiner` takes that literally — it is
 the vertical miner of §3.4 except that **item rows are read from persistent
 storage on demand** (via the window store's ``row_persisted``, which seeks
 the item's row out of each per-batch segment file) instead of being loaded up
-front.  At any moment the resident set is one bit
-vector per level of the depth-first search plus the row currently being
-intersected.
+front.  It enumerates exactly as ``vertical`` does — the same search order
+(:func:`~repro.core.algorithms.vertical.search_order`) and the same
+candidate lists — so a candidate pruned from a prefix's list is also a row
+that is never read.  At any moment the resident set is one bit vector per
+level of the depth-first search plus the row currently being intersected.
 
 When the window has no persistent storage (or its files vanished) the miner
 transparently falls back to reading rows from the in-memory structure, still
@@ -17,9 +19,10 @@ one row at a time.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.algorithms.base import MatrixLike, MiningAlgorithm, PatternCounts
+from repro.core.algorithms.vertical import search_order
 from repro.graph.edge_registry import EdgeRegistry
 from repro.storage.bitvector import BitVector
 
@@ -36,34 +39,7 @@ class VerticalDiskMiner(MiningAlgorithm):
         minsup: int,
         registry: Optional[EdgeRegistry] = None,
     ) -> PatternCounts:
-        self.reset_stats()
-        self.stats.extra["rows_read_from_disk"] = 0
-        patterns: PatternCounts = {}
-
-        # First pass: singleton frequencies, one row resident at a time.
-        frequent_items: List[str] = []
-        for item in matrix.items():
-            row = self._load_row(matrix, item)
-            support = row.count()
-            if support >= minsup:
-                frequent_items.append(item)
-                patterns[frozenset({item})] = support
-
-        # Depth-first extension in canonical order; only the prefix vectors of
-        # the current search path are resident.
-        for index, item in enumerate(frequent_items):
-            prefix_vector = self._load_row(matrix, item)
-            self._extend(
-                matrix=matrix,
-                prefix=(item,),
-                prefix_vector=prefix_vector,
-                start=index + 1,
-                ordered=frequent_items,
-                minsup=minsup,
-                patterns=patterns,
-            )
-        self.stats.patterns_found = len(patterns)
-        return patterns
+        return self._mine(matrix, minsup, None)
 
     def mine_shard(
         self,
@@ -75,41 +51,50 @@ class VerticalDiskMiner(MiningAlgorithm):
         """Disk-streaming variant of the vertical shard search.
 
         The singleton pass still scans every item (each shard needs the
-        full frequent-item order for its extensions), but only owned start
-        items are expanded, keeping the shard's resident set at one prefix
+        full search order for its extensions), but only owned start items
+        are expanded, keeping the shard's resident set at one prefix
         vector per search level.
         """
-        self.reset_stats()
-        self.stats.extra["rows_read_from_disk"] = 0
-        owned = set(owned_items)
-        patterns: PatternCounts = {}
-        frequent_items: List[str] = []
-        for item in matrix.items():
-            row = self._load_row(matrix, item)
-            support = row.count()
-            if support >= minsup:
-                frequent_items.append(item)
-                if item in owned:
-                    patterns[frozenset({item})] = support
-        for index, item in enumerate(frequent_items):
-            if item not in owned:
-                continue
-            prefix_vector = self._load_row(matrix, item)
-            self._extend(
-                matrix=matrix,
-                prefix=(item,),
-                prefix_vector=prefix_vector,
-                start=index + 1,
-                ordered=frequent_items,
-                minsup=minsup,
-                patterns=patterns,
-            )
-        self.stats.patterns_found = len(patterns)
-        return patterns
+        return self._mine(matrix, minsup, set(owned_items))
 
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
+    def _mine(
+        self, matrix: MatrixLike, minsup: int, owned: Optional[Set[str]]
+    ) -> PatternCounts:
+        self.reset_stats()
+        self.stats.extra["rows_read_from_disk"] = 0
+        patterns: PatternCounts = {}
+
+        # First pass: singleton frequencies, one row resident at a time.
+        supports: Dict[str, int] = {}
+        for item in matrix.items():
+            support = self._load_row(matrix, item).count()
+            if support >= minsup:
+                supports[item] = support
+        order = search_order(supports)
+
+        # Depth-first extension in search order; only the prefix vectors of
+        # the current search path are resident.
+        for index in range(len(order) - 1, -1, -1):
+            item = order[index]
+            if owned is not None and item not in owned:
+                continue
+            patterns[frozenset((item,))] = supports[item]
+            if index + 1 < len(order):
+                self._extend(
+                    matrix=matrix,
+                    prefix=(item,),
+                    prefix_vector=self._load_row(matrix, item),
+                    candidates=range(len(order) - 1, index, -1),
+                    order=order,
+                    minsup=minsup,
+                    patterns=patterns,
+                )
+        self.stats.patterns_found = len(patterns)
+        return patterns
+
     def _load_row(self, matrix: MatrixLike, item: str) -> BitVector:
         """Read one item row, preferring persistent storage when available."""
         persisted = matrix.row_persisted(item)
@@ -123,27 +108,30 @@ class VerticalDiskMiner(MiningAlgorithm):
         matrix: MatrixLike,
         prefix: Tuple[str, ...],
         prefix_vector: BitVector,
-        start: int,
-        ordered: List[str],
+        candidates: Sequence[int],
+        order: List[str],
         minsup: int,
         patterns: PatternCounts,
     ) -> None:
-        for index in range(start, len(ordered)):
-            item = ordered[index]
-            candidate_row = self._load_row(matrix, item)
-            intersection = prefix_vector.intersect(candidate_row)
+        """The ``vertical`` kernel over ``BitVector`` rows read on demand."""
+        found: List[int] = []  # frequent extensions so far, descending
+        for index in candidates:
+            item = order[index]
+            intersection = prefix_vector.intersect(self._load_row(matrix, item))
             self.stats.bitvector_intersections += 1
             support = intersection.count()
             if support < minsup:
                 continue
             extended = prefix + (item,)
             patterns[frozenset(extended)] = support
-            self._extend(
-                matrix=matrix,
-                prefix=extended,
-                prefix_vector=intersection,
-                start=index + 1,
-                ordered=ordered,
-                minsup=minsup,
-                patterns=patterns,
-            )
+            if found:
+                self._extend(
+                    matrix=matrix,
+                    prefix=extended,
+                    prefix_vector=intersection,
+                    candidates=found,
+                    order=order,
+                    minsup=minsup,
+                    patterns=patterns,
+                )
+            found.append(index)

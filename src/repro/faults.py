@@ -33,7 +33,13 @@ Spec grammar (``;``-separated specs, whitespace ignored)::
     the same policy.
 ``sleep``
     block for ``DELAY`` seconds (default 0.05), then continue normally —
-    a straggler, not a failure.
+    a straggler, not a failure.  ``~DELAY`` is accepted on ``sleep`` only;
+    on any other action it is a :class:`~repro.exceptions.FaultSpecError`
+    rather than a delay silently dropped.
+
+Numbers are ASCII digits.  ``FaultPlan.to_text`` writes a plan back so
+that ``parse_fault_plan(plan.to_text()) == plan`` — it is also how a plan
+reaches worker processes.
 
 Hit counters are **per process** and **per site**: a respawned worker
 starts counting from zero again, exactly like a fresh process losing its
@@ -44,12 +50,14 @@ sequence.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import re
 import threading
 import time
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Dict, Optional, Tuple, Type, Union
 
 from repro.exceptions import FaultSpecError, InjectedWorkerCrash
@@ -77,6 +85,9 @@ CRASH_EXIT_STATUS = 77
 
 _ACTIONS = ("raise", "crash", "sleep")
 
+#: Seconds a ``sleep`` fault blocks when the spec gives no ``~DELAY``.
+DEFAULT_DELAY_S = 0.05
+
 #: Instrumented call sites (the authoritative list; ``trip`` accepts any
 #: string so layers can add sites without editing this module, but specs
 #: naming unknown sites are rejected to catch typos in chaos schedules).
@@ -92,10 +103,10 @@ SITES = (
 _SPEC_RE = re.compile(
     r"""^
     (?P<site>[a-z][a-z0-9_.-]*)
-    @(?P<at>\d+)
-    (?:x(?P<times>\d+))?
+    @(?P<at>[0-9]+)
+    (?:x(?P<times>[0-9]+))?
     (?::(?P<action>[a-z]+))?
-    (?:~(?P<delay>\d+(?:\.\d+)?))?
+    (?:~(?P<delay>[0-9]+(?:\.[0-9]+)?))?
     $""",
     re.VERBOSE,
 )
@@ -109,7 +120,7 @@ class FaultSpec:
     at: int
     times: int = 1
     action: str = "raise"
-    delay_s: float = 0.05
+    delay_s: float = DEFAULT_DELAY_S
 
     def __post_init__(self) -> None:
         if self.site not in SITES:
@@ -124,8 +135,14 @@ class FaultSpec:
             raise FaultSpecError(
                 f"unknown fault action {self.action!r}; one of {', '.join(_ACTIONS)}"
             )
-        if self.delay_s < 0:
-            raise FaultSpecError(f"fault delay must be >= 0, got {self.delay_s}")
+        if not (math.isfinite(self.delay_s) and self.delay_s >= 0):
+            raise FaultSpecError(
+                f"fault delay must be finite and >= 0, got {self.delay_s}"
+            )
+        if self.action != "sleep" and self.delay_s != DEFAULT_DELAY_S:
+            raise FaultSpecError(
+                f"a fault delay applies to the sleep action only, not {self.action!r}"
+            )
 
     def to_text(self) -> str:
         """The spec back in grammar form (``parse_fault_plan`` round-trips)."""
@@ -134,13 +151,20 @@ class FaultSpec:
             text += f"x{self.times}"
         if self.action != "raise":
             text += f":{self.action}"
-        if self.action == "sleep" and self.delay_s != 0.05:
-            text += f"~{self.delay_s:g}"
+        if self.delay_s != DEFAULT_DELAY_S:
+            text += f"~{_decimal_text(self.delay_s)}"
         return text
 
     def covers(self, hit: int) -> bool:
         """Whether this spec fires at the given 1-based hit number."""
         return self.at <= hit < self.at + self.times
+
+
+def _decimal_text(value: float) -> str:
+    """``value`` as a plain decimal (no exponent) that ``float`` reads back
+    exactly: ``repr`` is the shortest exact form, ``Decimal`` unfolds it."""
+    text = format(Decimal(repr(value)), "f")
+    return text[:-2] if text.endswith(".0") else text
 
 
 @dataclass(frozen=True)
@@ -188,13 +212,24 @@ def parse_fault_plan(text: str) -> FaultPlan:
                 f"malformed fault spec {part!r} "
                 "(expected SITE@AT[xTIMES][:ACTION][~DELAY])"
             )
+        action = match.group("action") or "raise"
+        delay = match.group("delay")
+        if delay is not None and action != "sleep":
+            raise FaultSpecError(
+                f"malformed fault spec {part!r}: ~DELAY applies to the sleep action only"
+            )
+        try:
+            at = int(match.group("at"))
+            times = int(match.group("times") or 1)
+        except ValueError as exc:  # more digits than int() converts
+            raise FaultSpecError(f"malformed fault spec {part!r}: {exc}") from None
         specs.append(
             FaultSpec(
                 site=match.group("site"),
-                at=int(match.group("at")),
-                times=int(match.group("times") or 1),
-                action=match.group("action") or "raise",
-                delay_s=float(match.group("delay") or 0.05),
+                at=at,
+                times=times,
+                action=action,
+                delay_s=float(delay) if delay is not None else DEFAULT_DELAY_S,
             )
         )
     return FaultPlan(tuple(specs))

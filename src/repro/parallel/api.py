@@ -141,9 +141,10 @@ def mine_window_parallel(
         _shard_count(workers, num_shards) if shard_capable else 1
     )
     store_path = str(store.path) if isinstance(store, DiskWindowStore) else None
-    # Every pattern is owned by its canonical minimum item, which is always
-    # frequent: planning over the frequent items keeps the partition
-    # complete and disjoint while striping only the items that start work.
+    # Every pattern is owned by one of its own items (the first in the
+    # algorithm's order), which is always frequent: planning over the
+    # frequent items keeps the partition complete and disjoint while
+    # striping only the items that start work.
     shards = list(planner.plan_items(store.frequent_items(minsup)))
     effective = effective_workers(workers, len(shards))
     # The window (and registry) travel on every shard task; each worker

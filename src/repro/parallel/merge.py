@@ -2,8 +2,9 @@
 
 Merging is where the determinism guarantee is enforced rather than hoped
 for: pattern shards must be disjoint except where two shards computed the
-same support for the same pattern (which cannot happen under min-item
-ownership, and raises if it does with a different support).
+same support for the same pattern (which cannot happen when every
+pattern has one owning item, and raises if it does with a different
+support).
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ def merge_pattern_counts_into(
 def merge_pattern_counts(parts: Iterable[Mapping[Items, int]]) -> PatternCounts:
     """Union per-shard pattern sets, rejecting any support disagreement.
 
-    Shards own disjoint pattern sets (ownership is by canonical minimum
-    item), so a pattern appearing in two shards with different supports
+    Shards own disjoint pattern sets (every pattern has one owning item,
+    DESIGN.md §4.1), so a pattern appearing in two shards with different supports
     means the shard plan or a worker is broken — that is surfaced as a
     :class:`~repro.exceptions.ParallelMiningError` instead of silently
     keeping either value.

@@ -1,16 +1,24 @@
 """Property tests for the raw-int vertical kernels and the item-shard plan.
 
 ``vertical`` and ``vertical_direct`` intersect plain ``int`` row bits.  The
-``BitVector`` kernels they replaced are kept here as oracles: on random
+``BitVector`` kernels below are oracles of their enumerations: on random
 windows and thresholds both algorithms must return the identical patterns
 (in the identical depth-first insertion order) and count the identical
-number of intersections.  The union of ``mine_shard`` over
-``plan_items(frequent_items)`` must equal ``mine`` for 1-4 shards.
+number of intersections.  Independently of any order, ``vertical`` (and
+``vertical_disk``) must equal a brute-force support count over every subset
+of the frequent items.  The union of ``mine_shard`` over
+``plan_items(frequent_items)`` must equal ``mine`` for 1-4 shards, and on a
+``zipf-transactions[medium]`` window two shards must share the
+intersections evenly.
 """
+
+from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
 from repro.core.algorithms import get_algorithm
+from repro.core.algorithms.base import resolve_minsup
+from repro.datasets.workloads import get_workload, stream_transactions
 from repro.graph.edge_registry import EdgeRegistry
 from repro.parallel.merge import merge_pattern_counts
 from repro.parallel.planner import ShardPlanner
@@ -22,18 +30,21 @@ ITEMS = REGISTRY.items()
 
 
 def reference_vertical(store, minsup):
-    """The ``BitVector`` depth-first kernel of ``VerticalMiner.mine``."""
+    """The ``BitVector`` Eclat enumeration of ``VerticalMiner.mine``.
+
+    Items in ascending ``(support, item)`` order; the last start item first;
+    each prefix tried only against its parent's frequent extensions, from
+    the last in the order to the first.
+    """
     patterns = {}
     intersections = 0
-    frequent = store.frequent_items(minsup)
-    rows = {item: store.row(item) for item in frequent}
-    for item in frequent:
-        patterns[frozenset({item})] = rows[item].count()
+    rows = {item: store.row(item) for item in store.frequent_items(minsup)}
+    order = sorted(rows, key=lambda item: (rows[item].count(), item))
 
-    def extend(prefix, vector, start):
+    def extend(prefix, vector, candidates):
         nonlocal intersections
-        for index in range(start, len(frequent)):
-            item = frequent[index]
+        found = []
+        for item in candidates:
             intersection = vector.intersect(rows[item])
             intersections += 1
             support = intersection.count()
@@ -41,10 +52,13 @@ def reference_vertical(store, minsup):
                 continue
             extended = prefix + (item,)
             patterns[frozenset(extended)] = support
-            extend(extended, intersection, index + 1)
+            extend(extended, intersection, list(found))
+            found.append(item)
 
-    for index, item in enumerate(frequent):
-        extend((item,), rows[item], index + 1)
+    for index in reversed(range(len(order))):
+        item = order[index]
+        patterns[frozenset({item})] = rows[item].count()
+        extend((item,), rows[item], order[:index:-1])
     return patterns, intersections
 
 
@@ -91,12 +105,20 @@ transactions = st.lists(
 
 
 @st.composite
-def windows(draw):
-    """A store that has slid over 1-6 batches with a window of 1-3."""
-    store = MemoryWindowStore(draw(st.integers(min_value=1, max_value=3)))
-    for index, batch in enumerate(draw(st.lists(transactions, min_size=1, max_size=6))):
+def windows_and_transactions(draw):
+    """A store that has slid over 1-6 batches with a window of 1-3, and the
+    transactions its window holds."""
+    window_size = draw(st.integers(min_value=1, max_value=3))
+    batches = draw(st.lists(transactions, min_size=1, max_size=6))
+    store = MemoryWindowStore(window_size)
+    for index, batch in enumerate(batches):
         store.append_batch(Batch(batch, batch_id=index))
-    return store
+    return store, [set(txn) for batch in batches[-window_size:] for txn in batch]
+
+
+def windows():
+    """The store of :func:`windows_and_transactions` alone."""
+    return windows_and_transactions().map(lambda drawn: drawn[0])
 
 
 minsups = st.integers(min_value=1, max_value=4)
@@ -111,6 +133,26 @@ def test_vertical_matches_the_bitvector_kernel(store, minsup):
     assert list(patterns.items()) == list(expected.items())
     assert miner.stats.bitvector_intersections == intersections
     assert miner.stats.patterns_found == len(expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    windows_and_transactions(),
+    minsups,
+    st.sampled_from(["vertical", "vertical_disk"]),
+)
+def test_vertical_equals_brute_force_support_counts(drawn, minsup, name):
+    """Order-independent: a candidate list that dropped a frequent
+    extension would lose every pattern below it."""
+    store, window = drawn
+    frequent = store.frequent_items(minsup)
+    expected = {}
+    for size in range(1, len(frequent) + 1):
+        for subset in combinations(frequent, size):
+            support = sum(1 for txn in window if txn.issuperset(subset))
+            if support >= minsup:
+                expected[frozenset(subset)] = support
+    assert get_algorithm(name).mine(store, minsup) == expected
 
 
 @settings(max_examples=80, deadline=None)
@@ -143,3 +185,27 @@ def test_shards_over_frequent_items_partition_mine(store, minsup, shards, name):
     assert merge_pattern_counts(parts) == expected
     assert sum(len(part) for part in parts) == len(expected)  # disjoint
     assert intersections == full.stats.bitvector_intersections
+
+
+def test_two_round_robin_shards_balance_the_intersections():
+    """Ascending-support order spreads the search over round-robin stripes
+    of the canonical item order: on the first ``zipf-transactions[medium]``
+    window (10 x 500, minsup 0.05) the heavier of two shards does at most
+    58 % of the intersections (canonical-order search: 72 %)."""
+    units = list(
+        stream_transactions(get_workload("zipf-transactions[medium]"), limit=5_000)
+    )
+    store = MemoryWindowStore(10)
+    for index in range(10):
+        store.append_batch(Batch(units[index * 500:(index + 1) * 500], batch_id=index))
+    minsup = resolve_minsup(0.05, store.num_columns)
+    full = get_algorithm("vertical")
+    full.mine(store, minsup)
+    counts = []
+    for shard in ShardPlanner(2).plan_items(store.frequent_items(minsup)):
+        miner = get_algorithm("vertical")
+        miner.mine_shard(store, minsup, shard.items)
+        counts.append(miner.stats.bitvector_intersections)
+    assert len(counts) == 2
+    assert sum(counts) == full.stats.bitvector_intersections
+    assert max(counts) <= 0.58 * sum(counts)

@@ -9,6 +9,7 @@ import os
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import faults
 from repro.exceptions import FaultSpecError, InjectedWorkerCrash
@@ -59,11 +60,71 @@ class TestSpecGrammar:
             "no.such.site@1",  # unknown site
             "journal.write@2;journal.write@3",  # duplicate site
             "JOURNAL.WRITE@2",  # sites are lowercase
+            "journal.write@1:crash~2",  # a delay on a non-sleep action
+            "journal.write@1~2",  # ... the default raise action included
+            "journal.write@1:raise~0.05",  # ... even the default delay
+            "journal.write@\u0663",  # non-ASCII digits (ARABIC-INDIC THREE)
+            "segment.write@1x\u0662",
+            "ingest.encode@1:sleep~\u0660.5",
+            "ingest.encode@1:sleep~" + "9" * 400,  # float('9' * 400) is inf
+            "journal.write@" + "9" * 5000,  # beyond int()'s digit limit
         ],
     )
     def test_malformed_specs_rejected(self, bad):
         with pytest.raises(FaultSpecError):
             faults.parse_fault_plan(bad)
+
+    def test_delay_on_a_non_sleep_spec_is_rejected_when_built_directly(self):
+        with pytest.raises(FaultSpecError):
+            faults.FaultSpec("journal.write", 1, action="crash", delay_s=2.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_plans_round_trip_through_text(self, data):
+        """Whatever ``to_text`` writes, ``parse_fault_plan`` reads back to
+        the same plan — the worker processes receive plans this way."""
+        specs = []
+        for site in data.draw(st.lists(st.sampled_from(faults.SITES), unique=True)):
+            action = data.draw(st.sampled_from(("raise", "crash", "sleep")))
+            delay = faults.DEFAULT_DELAY_S
+            if action == "sleep":
+                delay = data.draw(
+                    st.floats(min_value=0, allow_nan=False, allow_infinity=False)
+                )
+            specs.append(
+                faults.FaultSpec(
+                    site,
+                    at=data.draw(st.integers(min_value=1, max_value=10**12)),
+                    times=data.draw(st.integers(min_value=1, max_value=10**12)),
+                    action=action,
+                    delay_s=delay,
+                )
+            )
+        plan = faults.FaultPlan(tuple(specs))
+        text = plan.to_text()
+        assert faults.parse_fault_plan(text) == plan
+        assert faults.parse_fault_plan(f" {text.replace(';', ' ; ')} ;") == plan
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(faults.SITES),
+        st.sampled_from(["", ":raise", ":crash"]),
+        st.from_regex(r"[0-9]+(\.[0-9]+)?", fullmatch=True),
+    )
+    def test_delay_is_rejected_on_every_non_sleep_action(self, site, action, delay):
+        with pytest.raises(FaultSpecError):
+            faults.parse_fault_plan(f"{site}@1{action}~{delay}")
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.characters(whitelist_categories=["Nd"]).filter(
+            lambda char: not "0" <= char <= "9"
+        ),
+        st.sampled_from(["journal.write@{}", "journal.write@1x{}", "ingest.encode@1:sleep~{}"]),
+    )
+    def test_non_ascii_digits_are_rejected(self, digit, template):
+        with pytest.raises(FaultSpecError):
+            faults.parse_fault_plan(template.format(digit))
 
     def test_covers_window(self):
         spec = faults.parse_fault_plan("segment.write@2x3").specs[0]
