@@ -53,7 +53,7 @@ import argparse
 import json
 import sys
 import time
-from typing import Any, Dict, Optional, Sequence, Union
+from typing import Any, Dict, Optional, Sequence
 
 from repro import __version__, faults
 from repro.bench.experiments import EXPERIMENTS
@@ -88,8 +88,7 @@ from repro.exceptions import (
     ServiceError,
 )
 from repro.graph.edge_registry import EdgeRegistry
-from repro.history.journal import DiskJournal, truncate_journal
-from repro.history.retention import RetentionPolicy, TieredJournal
+from repro.history.journal import DiskJournal, RetentionPolicy, truncate_journal
 from repro.resilience import FailurePolicy, ResilienceEvent
 from repro.serve.app import ServeApp
 from repro.serve.http import serve_async
@@ -796,20 +795,6 @@ def _validate_watch_flags(args: argparse.Namespace) -> Optional[int]:
     return None
 
 
-def _open_watch_journal(
-    args: argparse.Namespace,
-) -> Union[DiskJournal, TieredJournal]:
-    """The watch journal — tiered when any retention bound was asked for."""
-    if args.retain_hot or args.retain_warm:
-        policy = RetentionPolicy(
-            hot_slides=args.retain_hot or None,
-            warm_slides=args.retain_warm or None,
-            cold_sample_every=args.cold_sample_every,
-        )
-        return TieredJournal(args.journal, policy)
-    return DiskJournal(args.journal)
-
-
 def _cmd_watch(args: argparse.Namespace) -> int:
     transactions, error = _read_transactions(args.input)
     if error is not None:
@@ -873,8 +858,13 @@ def _run_watch(
                 f"cannot roll back journal for resume: {exc}", EXIT_INPUT_ERROR
             )
 
+    retention = RetentionPolicy(
+        hot_slides=args.retain_hot or None,
+        warm_slides=args.retain_warm or None,
+        cold_sample_every=args.cold_sample_every,
+    )
     try:
-        journal = _open_watch_journal(args)
+        journal = DiskJournal(args.journal, retention)
     except (HistoryError, OSError) as exc:
         return _fail_json(f"cannot open journal: {exc}", EXIT_INPUT_ERROR)
 
@@ -1023,26 +1013,21 @@ def _cmd_query(args: argparse.Namespace) -> int:
         app = ServeApp.from_directory(args.journal)
     except HistoryError as exc:
         return _fail_json(f"cannot open journal: {exc}", EXIT_INPUT_ERROR)
-    # Close the journal on every exit path — including the error returns —
-    # so a failed query never leaks the journal's file handles.
-    try:
-        if args.expr is None:
-            payload = app.stats()
-        else:
-            try:
-                payload = app.query(json.loads(args.expr))
-            except json.JSONDecodeError as exc:
-                return _fail_query_json(
-                    f"--expr is not valid JSON: {exc}", code="invalid-json"
-                )
-            except AlgebraError as exc:
-                return _fail_query_json(str(exc), code=exc.code, path=exc.path)
-            except (HistoryError, ServiceError) as exc:
-                return _fail_query_json(str(exc), code="bad-query")
-        print(json.dumps(payload, indent=2, default=str))
-        return 0
-    finally:
-        app.close()
+    if args.expr is None:
+        payload = app.stats()
+    else:
+        try:
+            payload = app.query(json.loads(args.expr))
+        except json.JSONDecodeError as exc:
+            return _fail_query_json(
+                f"--expr is not valid JSON: {exc}", code="invalid-json"
+            )
+        except AlgebraError as exc:
+            return _fail_query_json(str(exc), code=exc.code, path=exc.path)
+        except (HistoryError, ServiceError) as exc:
+            return _fail_query_json(str(exc), code="bad-query")
+    print(json.dumps(payload, indent=2, default=str))
+    return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:

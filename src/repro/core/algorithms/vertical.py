@@ -38,8 +38,12 @@ from repro.core.algorithms.base import MatrixLike, MiningAlgorithm, PatternCount
 from repro.graph.edge_registry import EdgeRegistry
 
 
-def search_order(supports: Mapping[str, int]) -> List[str]:
-    """The frequent items in search order: ascending ``(support, item)``."""
+def search_order(supports: Mapping[str, float]) -> List[str]:
+    """The frequent items in search order: ascending ``(support, item)``.
+
+    Any anti-monotone support works — the time-fading miner orders by
+    faded support.
+    """
     return sorted(supports, key=lambda item: (supports[item], item))
 
 

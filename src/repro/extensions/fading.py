@@ -25,6 +25,7 @@ from collections import Counter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.algorithms.base import MatrixLike, MiningStats
+from repro.core.algorithms.vertical import search_order
 from repro.exceptions import MiningError
 from repro.graph.edge_registry import EdgeRegistry
 from repro.storage.bitvector import BitVector
@@ -80,10 +81,12 @@ class TimeFadingVerticalMiner:
         floats).
 
     The miner enumerates collections of frequent edges exactly like the §3.4
-    vertical algorithm (canonical-order depth-first extension of bit-vector
-    intersections); only the support function changes.  Faded support is
-    anti-monotone — a superset's bit vector is a subset of its parts' — so the
-    same pruning applies.
+    vertical algorithm: items in :func:`~repro.core.algorithms.vertical.search_order`
+    over their faded support, and each prefix extended only with its
+    parent's frequent extensions.  Only the support function changes.  Faded
+    support is anti-monotone — a superset's bit vector is a subset of its
+    parts' — so the same candidate lists apply, and at ``decay=1`` the miner
+    does exactly the vertical miner's intersections.
     """
 
     name = "vertical_fading"
@@ -113,64 +116,39 @@ class TimeFadingVerticalMiner:
         boundaries = matrix.boundaries()
         weights = batch_decay_weights(len(boundaries), self._decay)
 
-        patterns: FadedPatternWeights = {}
-        rows: Dict[str, BitVector] = {}
-        frequent_items: List[str] = []
+        supports: Dict[str, float] = {}
+        vectors: Dict[str, BitVector] = {}
         for item in matrix.items():
             row = matrix.row(item)
             support = weighted_support(row, boundaries, weights)
             if support >= min_weight:
-                frequent_items.append(item)
-                rows[item] = row
-                patterns[frozenset({item})] = support
+                supports[item] = support
+                vectors[item] = row
+        order = search_order(supports)
+        rows = [vectors[item] for item in order]
+        patterns: FadedPatternWeights = {}
 
-        for index, item in enumerate(frequent_items):
-            self._extend(
-                prefix=(item,),
-                prefix_vector=rows[item],
-                start=index + 1,
-                ordered=frequent_items,
-                rows=rows,
-                boundaries=boundaries,
-                weights=weights,
-                min_weight=min_weight,
-                patterns=patterns,
-            )
+        def extend(prefix: Tuple[str, ...], vector: BitVector, candidates: Sequence[int]) -> None:
+            # As vertical's _extend_bits: ``candidates`` are the parent's
+            # frequent extensions, indices into ``order`` in descending order.
+            self.stats.bitvector_intersections += len(candidates)
+            found: List[int] = []  # frequent extensions so far, descending
+            for index in candidates:
+                intersection = vector.intersect(rows[index])
+                support = weighted_support(intersection, boundaries, weights)
+                if support < min_weight:
+                    continue
+                extended = prefix + (order[index],)
+                patterns[frozenset(extended)] = support
+                if found:
+                    extend(extended, intersection, found)
+                found.append(index)
+
+        for index in range(len(order) - 1, -1, -1):
+            patterns[frozenset((order[index],))] = supports[order[index]]
+            extend((order[index],), rows[index], range(len(order) - 1, index, -1))
         self.stats.patterns_found = len(patterns)
         return patterns
-
-    def _extend(
-        self,
-        prefix: Tuple[str, ...],
-        prefix_vector: BitVector,
-        start: int,
-        ordered: List[str],
-        rows: Dict[str, BitVector],
-        boundaries: Sequence[int],
-        weights: Sequence[float],
-        min_weight: float,
-        patterns: FadedPatternWeights,
-    ) -> None:
-        for index in range(start, len(ordered)):
-            item = ordered[index]
-            intersection = prefix_vector.intersect(rows[item])
-            self.stats.bitvector_intersections += 1
-            support = weighted_support(intersection, boundaries, weights)
-            if support < min_weight:
-                continue
-            extended = prefix + (item,)
-            patterns[frozenset(extended)] = support
-            self._extend(
-                prefix=extended,
-                prefix_vector=intersection,
-                start=index + 1,
-                ordered=ordered,
-                rows=rows,
-                boundaries=boundaries,
-                weights=weights,
-                min_weight=min_weight,
-                patterns=patterns,
-            )
 
 
 class LandmarkCounter:

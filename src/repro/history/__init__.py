@@ -3,7 +3,9 @@
 The miner answers "what is frequent in the *current* window"; this package
 retains those answers.  A :class:`~repro.history.journal.PatternJournal`
 holds one sealed :class:`~repro.history.journal.SlideRecord` per window
-slide (memory or disk backend, mirroring the §3 segment design).  Queries
+slide (memory or disk backend, mirroring the §3 segment design);
+:class:`~repro.history.journal.DiskJournal` is the one journal writer and
+:class:`~repro.history.journal.JournalTail` the one reader.  Queries
 over the journal are expressions of the composable algebra of
 :mod:`repro.history.algebra` (DESIGN.md §13): predicates over journalled
 rows compiled to posting-list plans under a cost-based planner.  The
@@ -15,8 +17,10 @@ index they run against is the snapshot-swapped
 from repro.history import algebra
 from repro.history.journal import (
     DiskJournal,
+    JournalTail,
     MemoryJournal,
     PatternJournal,
+    RetentionPolicy,
     SlideRecord,
     SlideSealer,
     open_journal,
@@ -28,6 +32,8 @@ __all__ = [
     "PatternJournal",
     "MemoryJournal",
     "DiskJournal",
+    "JournalTail",
+    "RetentionPolicy",
     "open_journal",
     "algebra",
 ]

@@ -11,9 +11,15 @@ provenance queries from.
 Two backends mirror the §3 segment design:
 
 * :class:`MemoryJournal` — records live only in memory;
-* :class:`DiskJournal` — one binary record file per slide plus a JSON
-  manifest in a directory, written with the same crash-safe ordering as the
-  segmented window store (record file first, manifest swap second).
+* :class:`DiskJournal` — the one journal writer: an append-only data file
+  plus a JSON manifest and log in a directory, written data first, log
+  line second, with optional hot/warm/cold retention
+  (:class:`RetentionPolicy`).
+
+:class:`JournalTail` is the one journal reader: it decodes and checks the
+log from a byte cursor and never writes, so a serving process can follow a
+directory another process is appending to.  The writer's open reads
+through the same checked decoder and then settles what it found on disk.
 
 **Determinism.**  A record's byte serialisation (:meth:`SlideRecord.to_bytes`)
 is a pure function of the mined window: patterns are held in canonical
@@ -22,7 +28,7 @@ by ``workers=0, ingest_workers=0`` is byte-identical to any
 ``workers × ingest_workers × max_inflight`` combination.  Wall-clock
 timings are operational metadata, not part of the mined answer — they live
 in the record's ``timings`` mapping, are excluded from equality and from
-:meth:`SlideRecord.to_bytes`, and are persisted in the (volatile) manifest
+:meth:`SlideRecord.to_bytes`, and are persisted in the (volatile) log
 instead, exactly as the window manifest of §3 carries metadata next to the
 deterministic segment files.
 """
@@ -67,6 +73,8 @@ DATA_NAME = "journal.dat"
 LOG_NAME = "journal.log"
 #: File name of the compaction intent marker (present only mid-compaction).
 COMPACT_MARKER_NAME = "journal.compact.json"
+#: File name of the cold-tier retention archive (one JSON line per aged slide).
+ARCHIVE_NAME = "archive.jsonl"
 #: Format tag written into journal manifests.
 JOURNAL_FORMAT = "repro-journal/1"
 #: Format tag written into compaction markers.
@@ -316,6 +324,10 @@ class SlideRecord:
                 f"truncated journal record: row {(len(data) - offset) // row_size} "
                 f"of {count} is incomplete"
             )
+        if len(data) > offset + count * row_size:
+            raise HistoryError(
+                "corrupt journal record: trailing bytes after its last row"
+            )
         shift = 8 * stride
         stride_mask = (1 << shift) - 1
         width = len(symbols)
@@ -442,7 +454,11 @@ class PatternJournal(ABC):
     # appending
     # ------------------------------------------------------------------ #
     def append(self, record: SlideRecord) -> None:
-        """Seal one slide record into the journal (the miner's sink hook)."""
+        """Seal one slide record into the journal (the miner's sink hook).
+
+        The record is held only once :meth:`_persist` put it on disk, so a
+        failed persist leaves the journal as it was.
+        """
         if not isinstance(record, SlideRecord):
             raise HistoryError(
                 f"journals accept SlideRecord objects, got {type(record).__name__}"
@@ -452,8 +468,8 @@ class PatternJournal(ABC):
                 f"slide {record.slide_id} breaks the append-only order; the "
                 f"journal already holds slide {self._records[-1].slide_id}"
             )
-        self._records.append(record)
         self._persist(record)
+        self._records.append(record)
 
     @abstractmethod
     def _persist(self, record: SlideRecord) -> None:
@@ -468,7 +484,7 @@ class PatternJournal(ABC):
         return None
 
     def records(self) -> Tuple[SlideRecord, ...]:
-        """Every sealed record, oldest slide first."""
+        """Every resident record, oldest slide first."""
         return tuple(self._records)
 
     def records_after(self, slide_id: Optional[int]) -> List[SlideRecord]:
@@ -482,14 +498,14 @@ class PatternJournal(ABC):
         return self._records[bisect_right(self._records, slide_id, key=_slide_of) :]
 
     def record(self, slide_id: int) -> SlideRecord:
-        """The record of one slide id."""
+        """The record of one resident slide id."""
         for record in self._records:
             if record.slide_id == slide_id:
                 return record
         raise HistoryError(f"no record for slide {slide_id} in the journal")
 
     def slide_ids(self) -> List[int]:
-        """All journalled slide ids, ascending."""
+        """All resident slide ids, ascending."""
         return [record.slide_id for record in self._records]
 
     @property
@@ -520,43 +536,79 @@ class MemoryJournal(PatternJournal):
         pass
 
 
+@dataclass(frozen=True)
+class RetentionPolicy:
+    """How many slides each tier of a :class:`DiskJournal` retains.
+
+    ``None`` disables a bound: ``hot_slides=None`` keeps every record
+    resident, ``warm_slides=None`` never compacts.  ``cold_sample_every``
+    controls the cold tier's downsampling — every ``k``-th slide id keeps
+    its full pattern map.
+    """
+
+    hot_slides: Optional[int] = None
+    warm_slides: Optional[int] = None
+    cold_sample_every: int = 10
+
+    def __post_init__(self) -> None:
+        for name, value in (
+            ("hot_slides", self.hot_slides),
+            ("warm_slides", self.warm_slides),
+        ):
+            if value is not None and value < 1:
+                raise HistoryError(f"{name} must be at least 1, got {value}")
+        if self.cold_sample_every < 1:
+            raise HistoryError(
+                f"cold_sample_every must be at least 1, got {self.cold_sample_every}"
+            )
+
+
+def summarise_record(record: SlideRecord, sample_every: int) -> Dict[str, object]:
+    """One cold-archive line for a record (full patterns on sampled slides)."""
+    summary: Dict[str, object] = {
+        "slide_id": record.slide_id,
+        "first_batch": record.first_batch,
+        "last_batch": record.last_batch,
+        "num_columns": record.num_columns,
+        "minsup": record.minsup,
+        "pattern_count": record.pattern_count,
+        "max_support": max((support for _, support in record.patterns), default=0),
+    }
+    if record.slide_id % sample_every == 0:
+        summary["patterns"] = {
+            " ".join(items): support for items, support in record.patterns
+        }
+    return summary
+
+
 class DiskJournal(PatternJournal):
-    """Journal persisted as an append-only data file plus a manifest + log.
+    """The one journal writer: a write-once manifest (``journal.json``),
+    the records' :meth:`SlideRecord.to_bytes` payloads concatenated in
+    ``journal.dat`` (byte-identical across execution modes — the artifact
+    the parity suite digests), and one ``journal.log`` JSON line per record
+    (slide metadata, ``(offset, length)``, the volatile timings).
 
-    Three files make up the on-disk layout, all append-only after creation:
+    An append costs O(record): the payload onto the open data handle, then
+    one log line — flushed in that order, so the log only ever references
+    bytes on disk, and a crash leaves at most an unreferenced data tail or
+    a log line without its newline.  Opening reads the directory through
+    the checked reader :class:`JournalTail` uses and then settles what it
+    found on disk (:func:`_settle`); only a writer does that.
 
-    * ``journal.json`` — the write-once format header (the manifest, never
-      rewritten);
-    * ``journal.dat`` — the sealed records' :meth:`SlideRecord.to_bytes`
-      payloads, concatenated in slide order.  Each payload is a
-      deterministic function of the mined window, so the whole file is
-      byte-identical across execution modes — the artifact the parity
-      suite digests;
-    * ``journal.log`` — one JSON line per record: slide metadata, the
-      record's ``(offset, length)`` inside ``journal.dat``, and the
-      volatile timings that must stay out of the deterministic bytes.
-
-    An append costs O(record): payload bytes onto the open data handle,
-    one log line onto the open log handle — no file creation and no
-    rewrite (a manifest listing every record would make the journal's
-    lifetime cost quadratic, and a file per record pays a directory-entry
-    creation per slide).  The data file is flushed before the log line is
-    written, so at every crash point the log references only bytes that
-    exist; a crash between the two writes leaves at most one unreferenced
-    record tail — the same orphan guarantee as the §3 segment store.
+    ``retention`` (DESIGN.md §12.3) keeps the newest ``hot_slides``
+    records resident, the newest ``warm_slides`` in the journal files, and
+    summarises older ones into the ``archive.jsonl`` cold tier before
+    :meth:`compact` retires them.  ``len()`` counts warm + cold — every
+    slide ever appended; :meth:`records` returns the resident ones.
     """
 
     kind = "disk"
 
     def __init__(
-        self, path: Union[str, Path], max_resident: Optional[int] = None
+        self, path: Union[str, Path], retention: Optional[RetentionPolicy] = None
     ) -> None:
         super().__init__()
-        if max_resident is not None and max_resident < 1:
-            raise HistoryError(
-                f"max_resident must be at least 1, got {max_resident}"
-            )
-        self._max_resident = max_resident
+        self._retention = retention if retention is not None else RetentionPolicy()
         self._path = Path(path)
         if self._path.exists() and not self._path.is_dir():
             raise HistoryError(
@@ -570,13 +622,19 @@ class DiskJournal(PatternJournal):
         self._data_handle: Optional[BinaryIO] = None
         self._log_handle: Optional[TextIO] = None
         self._data_size = 0
-        manifest = self._read_manifest_if_present(self._path)
-        if manifest is not None:
-            self._recover_compaction()
-            self._resume_from_log()
-            self._trim_resident()
-        else:
+        self._warm_count = 0
+        archived = read_archive(self._path)
+        self._cold_count = len(archived)
+        self._last_archived = archived[-1]["slide_id"] if archived else None
+        if _read_manifest(self._path) is None:
             self._write_manifest()
+            return
+        scan = _scan(self._path)
+        self._records = _load(self._path, scan.entries)
+        _settle(self._path, scan)
+        self._data_size = scan.data_end
+        self._warm_count = len(scan.entries)
+        self._trim_resident()
 
     # ------------------------------------------------------------------ #
     # persistence
@@ -592,9 +650,23 @@ class DiskJournal(PatternJournal):
         return self._data_size
 
     @property
-    def max_resident(self) -> Optional[int]:
-        """Bound on in-memory records (the retention hot tier), if any."""
-        return self._max_resident
+    def warm_count(self) -> int:
+        """Records currently in the warm (full-fidelity, on-disk) tier."""
+        return self._warm_count
+
+    @property
+    def cold_count(self) -> int:
+        """Records summarised into the cold archive."""
+        return self._cold_count
+
+    def append(self, record: SlideRecord) -> None:
+        """Append one record, then enforce the hot and warm bounds."""
+        super().append(record)
+        self._warm_count += 1
+        self._trim_resident()
+        warm = self._retention.warm_slides
+        if warm is not None and self._warm_count > warm:
+            self.compact(warm, on_aged=self._archive)
 
     def _trim_resident(self) -> None:
         """Drop the oldest in-memory records beyond the hot-tier bound.
@@ -602,8 +674,9 @@ class DiskJournal(PatternJournal):
         Only the resident cache shrinks — the records stay on disk (until a
         :meth:`compact` retires them) and reload on the next open.
         """
-        if self._max_resident is not None and len(self._records) > self._max_resident:
-            del self._records[: len(self._records) - self._max_resident]
+        hot = self._retention.hot_slides
+        if hot is not None and len(self._records) > hot:
+            del self._records[: len(self._records) - hot]
 
     def _persist(self, record: SlideRecord) -> None:
         # The append is retried under the failure policy (DESIGN.md §14):
@@ -619,7 +692,6 @@ class DiskJournal(PatternJournal):
             events=self.resilience_events,
             reset=self._reset_append,
         )
-        self._trim_resident()
 
     def _append_once(self, record: SlideRecord, payload: bytes) -> None:
         faults.trip("journal.write", OSError)
@@ -673,25 +745,6 @@ class DiskJournal(PatternJournal):
     def __del__(self) -> None:  # pragma: no cover - interpreter-dependent
         self.close()
 
-    # ------------------------------------------------------------------ #
-    # resuming / loading
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _read_manifest_if_present(path: Path) -> Optional[dict]:
-        manifest_path = path / MANIFEST_NAME
-        if not manifest_path.exists():
-            return None
-        try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise HistoryError(f"corrupt journal manifest in {path}") from exc
-        if manifest.get("format") != JOURNAL_FORMAT:
-            raise HistoryError(
-                f"{manifest_path} has unsupported journal format "
-                f"{manifest.get('format')!r}"
-            )
-        return manifest
-
     def _write_manifest(self) -> None:
         """Write the format header once, atomically (never rewritten)."""
         payload = json.dumps(
@@ -701,47 +754,6 @@ class DiskJournal(PatternJournal):
         temp = self._path / (MANIFEST_NAME + ".tmp")
         temp.write_bytes(payload)
         os.replace(temp, self._path / MANIFEST_NAME)
-
-    def _resume_from_log(self) -> None:
-        log_path = self._path / LOG_NAME
-        data_path = self._path / DATA_NAME
-        if not log_path.exists():
-            return  # manifest written, nothing appended yet
-        data = data_path.read_bytes() if data_path.exists() else b""
-        end = 0
-        with open(log_path, "r", encoding="utf-8") as handle:
-            for line_number, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise HistoryError(
-                        f"corrupt journal log entry at {log_path}:{line_number}"
-                    ) from exc
-                offset, length = entry["offset"], entry["length"]
-                if offset + length > len(data):
-                    raise HistoryError(
-                        f"journal data file {data_path} is truncated: log "
-                        f"entry {line_number} references bytes "
-                        f"[{offset}, {offset + length}) beyond its "
-                        f"{len(data)}-byte end"
-                    )
-                self._records.append(
-                    SlideRecord.from_bytes(
-                        data[offset : offset + length],
-                        timings=entry.get("timings"),
-                    )
-                )
-                end = max(end, offset + length)
-        if len(data) > end:
-            # A crash between the data flush and its log line left an
-            # unreferenced tail.  Drop it now: appends write at physical
-            # end-of-file, so the orphan must go before the next append's
-            # logged offset can be trusted.
-            with open(data_path, "r+b") as data_handle:
-                data_handle.truncate(end)
-        self._data_size = end
 
     # ------------------------------------------------------------------ #
     # compaction (the retention warm → cold hand-off, DESIGN.md §12)
@@ -753,148 +765,392 @@ class DiskJournal(PatternJournal):
             "Callable[[List[Tuple[SlideRecord, Dict[str, object]]]], None]"
         ] = None,
     ) -> int:
-        """Retire all but the newest ``keep_last`` records from disk.
+        """Retire all but the newest ``keep_last`` records; returns how many.
 
-        The aged ``(record, log-entry)`` pairs are handed to ``on_aged``
-        (oldest first) *before* any file is touched — a tiered journal
-        archives them there, so a crash at any point loses nothing (a crash
-        after archiving but before the swap re-ages the same records on the
-        next attempt; the archiver deduplicates by slide id).  The swap
-        itself is staged behind an intent marker: marker → data swap → log
-        swap → marker removal, with :meth:`_recover_compaction` completing
-        or abandoning a half-done swap on the next open.  Returns the
-        number of records retired.
+        The aged ``(record, log-entry)`` pairs go to ``on_aged`` (oldest
+        first) *before* any file is touched, so archiving there loses
+        nothing to a crash.  The swap is staged marker → data → log →
+        marker removal, and the new log is exactly what
+        :func:`_resolve_compaction` computes from the marker, so a reader
+        or the next open settles a half-done swap the same way.
         """
         if keep_last < 0:
             raise HistoryError(f"keep_last must be non-negative, got {keep_last}")
-        entries = _parse_log_entries(self._path / LOG_NAME)
+        entries = _scan(self._path).entries
         if len(entries) <= keep_last:
             return 0
         split = len(entries) - keep_last
-        aged_entries, kept = entries[:split], entries[split:]
-        data_path = self._path / DATA_NAME
-        data = data_path.read_bytes() if data_path.exists() else b""
-        aged = [
-            (
-                SlideRecord.from_bytes(
-                    data[entry["offset"] : entry["offset"] + entry["length"]],
-                    timings=entry.get("timings"),
-                ),
-                entry,
-            )
-            for entry in aged_entries
-        ]
+        data = (self._path / DATA_NAME).read_bytes()
+        aged = list(zip(_load(self._path, entries[:split]), entries[:split]))
         if on_aged is not None:
             on_aged(aged)
+        kept = entries[split:]
         base = kept[0]["offset"] if kept else len(data)
-        keep_first = kept[0]["slide_id"] if kept else None
-        self.close()  # release the append handles before the file swap
         marker = {
             "format": COMPACT_FORMAT,
             "data_size_before": len(data),
             "base_offset": base,
-            "keep_first_slide_id": keep_first,
+            "keep_first_slide_id": kept[0]["slide_id"] if kept else None,
         }
+        rebased, _ = _resolve_compaction(marker, len(data) - base, entries)
+        self.close()  # release the append handles before the file swap
         _atomic_write(
             self._path,
             COMPACT_MARKER_NAME,
             json.dumps(marker, sort_keys=True).encode("utf-8"),
         )
-        # Data before log: recovery distinguishes the crash windows by the
-        # data file's size and the log's first slide id (see
-        # _recover_compaction), which requires this order.
+        # Data before log: recovery tells the crash windows apart by the
+        # data file's size and the log's first slide id, which requires
+        # this order.
         _atomic_write(self._path, DATA_NAME, data[base:])
-        _atomic_write(self._path, LOG_NAME, _render_log(kept, rebase=base))
+        _atomic_write(self._path, LOG_NAME, _render_log(rebased))
         (self._path / COMPACT_MARKER_NAME).unlink()
         self._data_size = len(data) - base
+        self._warm_count -= len(aged)
         return len(aged)
 
-    def _recover_compaction(self) -> None:
-        """Complete (or abandon) a compaction interrupted by a crash."""
-        marker_path = self._path / COMPACT_MARKER_NAME
-        if not marker_path.exists():
+    def _archive(self, aged: List[Tuple[SlideRecord, Dict[str, object]]]) -> None:
+        """Summarise aged records into the cold tier (before the swap).
+
+        A crash between archiving and the swap re-ages the same records
+        next time — already-archived slide ids are skipped, so the archive
+        stays append-only and duplicate-free.
+        """
+        fresh = [
+            record
+            for record, _ in aged
+            if self._last_archived is None or record.slide_id > self._last_archived
+        ]
+        if not fresh:
             return
-        try:
-            marker = json.loads(marker_path.read_text(encoding="utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise HistoryError(
-                f"corrupt compaction marker in {self._path}"
-            ) from exc
-        data_path = self._path / DATA_NAME
-        size = data_path.stat().st_size if data_path.exists() else 0
-        before = int(marker["data_size_before"])
-        base = int(marker["base_offset"])
-        if size == before:
-            # Crash before the data swap: both files are still the
-            # pre-compaction originals — abandon the attempt.
-            marker_path.unlink()
-            return
-        if size != before - base:
-            raise HistoryError(
-                f"unrecoverable compaction state in {self._path}: data file "
-                f"is {size} bytes, expected {before} (before) or "
-                f"{before - base} (after)"
-            )
-        # The data swap landed.  If the crash hit before the log swap the
-        # log still lists the retired records at pre-swap offsets — filter
-        # and rebase it now.
-        entries = _parse_log_entries(self._path / LOG_NAME)
-        keep_first = marker["keep_first_slide_id"]
-        if keep_first is None:
-            kept = []
-        else:
-            kept = [entry for entry in entries if entry["slide_id"] >= keep_first]
-        if len(kept) != len(entries):
-            _atomic_write(self._path, LOG_NAME, _render_log(kept, rebase=base))
-        marker_path.unlink()
+        with open(self._path / ARCHIVE_NAME, "a", encoding="utf-8") as handle:
+            for record in fresh:
+                line = summarise_record(record, self._retention.cold_sample_every)
+                handle.write(json.dumps(line, sort_keys=True) + "\n")
+            handle.flush()
+            os.fsync(handle.fileno())
+        self._cold_count += len(fresh)
+        self._last_archived = fresh[-1].slide_id
+
+    # ------------------------------------------------------------------ #
+    # reading
+    # ------------------------------------------------------------------ #
+    def cold_records(self) -> List[Dict[str, object]]:
+        """Every cold-archive summary line, oldest first."""
+        return read_archive(self._path)
+
+    def disk_size_bytes(self) -> int:
+        """The journal's files plus the cold archive."""
+        return _disk_size(self._path)
+
+    def timings(self) -> Dict[int, Dict[str, float]]:
+        """Per-slide timing metadata of the resident records, by slide id."""
+        return {record.slide_id: dict(record.timings) for record in self._records}
+
+    def __len__(self) -> int:
+        return self._warm_count + self._cold_count
+
+
+class JournalTail:
+    """The one journal reader; it never writes, not even to recover.
+
+    Each :meth:`poll` decodes ``journal.log`` from a byte cursor through
+    the checked reader (:func:`_scan`, :func:`_load`).  The first poll is
+    the cold load — one read of ``journal.dat`` — and a later one reads
+    the line before the cursor plus the new lines and payloads.  When that
+    line is no longer there, the log was rewritten (compaction, resume
+    rollback; possibly to the same size, possibly in a file that reuses
+    the inode): it is re-read from the top, dropping every slide id
+    already returned — slide ids ascend across rewrites, so that is exact.
+    """
+
+    kind = "disk"
+
+    def __init__(
+        self, path: Union[str, Path], after_slide: Optional[int] = None
+    ) -> None:
+        self._path = Path(path)
+        self._cursor = 0  # bytes of journal.log consumed
+        self._anchor = b""  # the log line that ends at the cursor
+        self._previous: Optional[int] = None  # ... and its slide id
+        self._last_slide = after_slide
 
     @classmethod
-    def open(cls, path: Union[str, Path]) -> "DiskJournal":
-        """Reopen an existing journal directory (appends continue from it)."""
+    def open(cls, path: Union[str, Path]) -> "JournalTail":
+        """A tail over an existing journal directory (HistoryError if none)."""
         directory = Path(path)
-        if cls._read_manifest_if_present(directory) is None:
+        if _read_manifest(directory) is None:
             raise HistoryError(f"no pattern journal found at {directory}")
         return cls(directory)
 
+    @property
+    def path(self) -> Path:
+        return self._path
+
+    def poll(self) -> List[SlideRecord]:
+        """Every record appended since the last poll, oldest first.
+
+        On malformed input the cursor stays where it was, so the next poll
+        reads the same lines again.
+        """
+        scan = _scan(self._path, self._cursor, self._previous, self._anchor)
+        last = self._last_slide
+        fresh = [e for e in scan.entries if last is None or e["slide_id"] > last]
+        records = _load(self._path, fresh)
+        self._cursor, self._anchor, self._previous = scan.log_end, scan.anchor, scan.previous
+        if records:
+            self._last_slide = records[-1].slide_id
+        return records
+
     def disk_size_bytes(self) -> int:
-        total = 0
-        for name in (MANIFEST_NAME, DATA_NAME, LOG_NAME):
-            part = self._path / name
-            if part.exists():
-                total += os.path.getsize(part)
-        return total
-
-    def timings(self) -> Dict[int, Dict[str, float]]:
-        """Per-slide timing metadata, keyed by slide id."""
-        return {record.slide_id: dict(record.timings) for record in self._records}
+        """The journal's files plus the cold archive."""
+        return _disk_size(self._path)
 
 
-def _parse_log_entries(log_path: Path) -> List[Dict[str, object]]:
-    """Parse a ``journal.log`` into its entry dicts (empty for no file)."""
-    if not log_path.exists():
-        return []
-    entries: List[Dict[str, object]] = []
-    with open(log_path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                entries.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise HistoryError(
-                    f"corrupt journal log entry at {log_path}:{line_number}"
-                ) from exc
-    return entries
+# ---------------------------------------------------------------------- #
+# the reader's pure parts: decode, check, resolve (nothing here writes)
+# ---------------------------------------------------------------------- #
+#: Fields every ``journal.log`` entry must carry as non-negative integers.
+LOG_ENTRY_INTS = ("slide_id", "offset", "length")
 
 
-def _render_log(entries: List[Dict[str, object]], rebase: int = 0) -> bytes:
-    """Serialise log entries back to JSONL, shifting offsets by ``-rebase``."""
-    lines = []
+@dataclass(frozen=True)
+class _Scan:
+    """What one read of ``journal.log`` found; nothing on disk changed."""
+
+    entries: List[Dict]  # checked, compaction-resolved entries
+    log_end: int  # end of the last complete log line
+    log_size: int  # bytes of journal.log when read
+    anchor: bytes  # the last complete log line read
+    previous: Optional[int]  # ... and its slide id
+    data_size: int  # bytes of journal.dat when read
+    data_end: int  # end of the last referenced payload
+    marker: bool  # a compaction marker was present
+    log_stale: bool  # ... and the log still lists the retired records
+
+
+def _read_manifest(directory: Path) -> Optional[dict]:
+    """The journal manifest, or ``None`` when the directory holds none."""
+    manifest_path = directory / MANIFEST_NAME
+    try:
+        manifest = json.loads(manifest_path.read_bytes())
+    except FileNotFoundError:
+        return None
+    except ValueError as exc:
+        raise HistoryError(f"corrupt journal manifest in {directory}") from exc
+    if not isinstance(manifest, dict) or manifest.get("format") != JOURNAL_FORMAT:
+        raise HistoryError(f"{manifest_path} is not a {JOURNAL_FORMAT} manifest")
+    return manifest
+
+
+def _non_negative_int(value: object) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _read_marker(directory: Path) -> Optional[dict]:
+    """The compaction intent marker, or ``None`` when no compaction is open."""
+    try:
+        marker = json.loads((directory / COMPACT_MARKER_NAME).read_bytes())
+    except FileNotFoundError:
+        return None
+    except ValueError:
+        marker = None
+    keep_first = marker.get("keep_first_slide_id", -1) if isinstance(marker, dict) else -1
+    if not (
+        isinstance(marker, dict)
+        and marker.get("format") == COMPACT_FORMAT
+        and _non_negative_int(marker.get("data_size_before"))
+        and _non_negative_int(marker.get("base_offset"))
+        and (keep_first is None or _non_negative_int(keep_first))
+    ):
+        raise HistoryError(f"corrupt compaction marker in {directory}")
+    return marker
+
+
+def _decode_log(
+    raw: bytes, where: Path, start: int, previous: Optional[int]
+) -> Tuple[List[Dict], int]:
+    """Checked entries of the complete lines in ``raw`` + the bytes they span.
+
+    ``raw`` is ``journal.log`` from byte ``start``; ``previous`` is the
+    slide id of the line before it.  A last line without its newline is a
+    write in flight (or torn by a crash) and is not consumed.
+    """
+    consumed = raw.rfind(b"\n") + 1
+    entries: List[Dict] = []
+    position = start
+    for line in raw[:consumed].split(b"\n")[:-1]:
+        at = position
+        position += len(line) + 1
+        if not line.strip():
+            continue
+        try:
+            entry = json.loads(line)
+        except ValueError as exc:  # JSON and UTF-8 decoding errors alike
+            raise HistoryError(f"corrupt journal log entry at {where} byte {at}") from exc
+        if not (
+            isinstance(entry, dict)
+            and all(_non_negative_int(entry.get(name)) for name in LOG_ENTRY_INTS)
+            and isinstance(entry.get("timings", {}), dict)
+        ):
+            raise HistoryError(
+                f"malformed journal log entry at {where} byte {at}: {line[:80]!r} "
+                "(needs non-negative integer slide_id, offset and length)"
+            )
+        if previous is not None and entry["slide_id"] <= previous:
+            raise HistoryError(
+                f"journal log entry at {where} byte {at} names slide "
+                f"{entry['slide_id']} after slide {previous}; slide ids must ascend"
+            )
+        previous = entry["slide_id"]
+        entries.append(entry)
+    return entries, consumed
+
+
+def _resolve_compaction(
+    marker: Dict, data_size: int, entries: List[Dict]
+) -> Tuple[List[Dict], bool]:
+    """The log entries once an interrupted compaction is settled (pure).
+
+    :meth:`DiskJournal.compact` writes the marker, then swaps the data
+    file, then the log.  A data file still ``data_size_before`` bytes long
+    means the swap never began: the attempt is abandoned and the entries
+    stand.  One ``base_offset`` bytes shorter means the data swap landed:
+    if the log still lists retired slides it is filtered to the kept ones
+    and rebased (the second value is then ``True``); otherwise the log
+    swap landed too.  Any other size is unrecoverable.
+    """
+    before = marker["data_size_before"]
+    base = marker["base_offset"]
+    keep_first = marker["keep_first_slide_id"]
+    if data_size == before:
+        return entries, False
+    if data_size != before - base:
+        raise HistoryError(
+            f"unrecoverable compaction state: data file is {data_size} bytes, "
+            f"expected {before} (before) or {before - base} (after)"
+        )
+    kept = [e for e in entries if keep_first is not None and e["slide_id"] >= keep_first]
+    if len(kept) == len(entries):
+        return entries, False
+    if any(entry["offset"] < base for entry in kept):
+        raise HistoryError("a kept journal entry lies before the compaction base")
+    return [dict(entry, offset=entry["offset"] - base) for entry in kept], True
+
+
+def _scan(
+    directory: Path, start: int = 0, previous: Optional[int] = None, anchor: bytes = b""
+) -> _Scan:
+    """Read ``journal.log`` from byte ``start`` into checked entries.
+
+    ``anchor`` is the line expected to end at ``start`` (``previous`` its
+    slide id); when the log no longer holds it there, or a compaction
+    marker is present, the whole log is read instead (and a marker
+    resolved in memory, :func:`_resolve_compaction`).  The log is read
+    before the data file's size is taken: the writer flushes a payload
+    before its log line, so every line read references bytes that exist.
+    """
+    marker = _read_marker(directory)
+    log_path = directory / LOG_NAME
+    try:
+        with open(log_path, "rb") as handle:
+            handle.seek(max(0, start - len(anchor)))
+            if marker is not None or handle.read(len(anchor)) != anchor:
+                start, previous, anchor = 0, None, b""
+                handle.seek(0)
+            raw = handle.read()
+    except FileNotFoundError:
+        start, previous, anchor, raw = 0, None, b"", b""
+    data_path = directory / DATA_NAME
+    data_size = data_path.stat().st_size if data_path.exists() else 0
+    entries, consumed = _decode_log(raw, log_path, start, previous)
+    if consumed:
+        anchor = raw[raw.rfind(b"\n", 0, consumed - 1) + 1 : consumed]
+    if entries:
+        previous = entries[-1]["slide_id"]
+    log_stale = False
+    if marker is not None:
+        entries, log_stale = _resolve_compaction(marker, data_size, entries)
+    data_end = 0
     for entry in entries:
-        if rebase:
-            entry = dict(entry, offset=entry["offset"] - rebase)
-        lines.append(json.dumps(entry, sort_keys=True) + "\n")
-    return "".join(lines).encode("utf-8")
+        end = entry["offset"] + entry["length"]
+        if end > data_size:
+            raise HistoryError(
+                f"journal data file {data_path} is truncated: the log entry "
+                f"of slide {entry['slide_id']} references bytes "
+                f"[{entry['offset']}, {end}) beyond its {data_size}-byte end"
+            )
+        data_end = max(data_end, end)
+    return _Scan(
+        entries,
+        start + consumed,
+        start + len(raw),
+        anchor,
+        previous,
+        data_size,
+        data_end,
+        marker is not None,
+        log_stale,
+    )
+
+
+def _load(directory: Path, entries: List[Dict]) -> List[SlideRecord]:
+    """The records of checked entries, from one read of ``journal.dat``."""
+    if not entries:
+        return []
+    first = min(entry["offset"] for entry in entries)
+    end = max(entry["offset"] + entry["length"] for entry in entries)
+    data_path = directory / DATA_NAME
+    try:
+        with open(data_path, "rb") as handle:
+            handle.seek(first)
+            data = handle.read(end - first)
+    except FileNotFoundError as exc:
+        raise HistoryError(f"journal data file {data_path} is missing") from exc
+    if len(data) < end - first:
+        raise HistoryError(f"journal data file {data_path} shrank while being read")
+    records: List[SlideRecord] = []
+    for entry in entries:
+        offset = entry["offset"] - first
+        record = SlideRecord.from_bytes(
+            data[offset : offset + entry["length"]], timings=entry.get("timings")
+        )
+        if record.slide_id != entry["slide_id"]:
+            raise HistoryError(
+                f"the log entry of slide {entry['slide_id']} in {directory} "
+                f"points at the record of slide {record.slide_id}"
+            )
+        records.append(record)
+    return records
+
+
+# ---------------------------------------------------------------------- #
+# the writer's side: recovery, rollback and the cold archive
+# ---------------------------------------------------------------------- #
+def _settle(directory: Path, scan: _Scan) -> None:
+    """Apply what a scan resolved in memory to disk (writers only).
+
+    Rewrites a stale log, removes the compaction marker, and cuts a torn
+    last log line and an orphan data tail: appends write at end-of-file,
+    so both must go before the next logged offset can be trusted.
+    """
+    if scan.log_stale:
+        _atomic_write(directory, LOG_NAME, _render_log(scan.entries))
+    elif scan.log_size > scan.log_end:
+        with open(directory / LOG_NAME, "r+b") as handle:
+            handle.truncate(scan.log_end)
+    if scan.marker:
+        (directory / COMPACT_MARKER_NAME).unlink()
+    if scan.data_size > scan.data_end:
+        with open(directory / DATA_NAME, "r+b") as handle:
+            handle.truncate(scan.data_end)
+
+
+def _render_log(entries: List[Dict]) -> bytes:
+    """Serialise log entries back to JSONL (as the writer writes them)."""
+    return "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in entries).encode(
+        "utf-8"
+    )
 
 
 def _atomic_write(directory: Path, name: str, payload: bytes) -> None:
@@ -922,6 +1178,47 @@ def _fsync_directory(directory: Path) -> None:
         os.close(fd)
 
 
+def _disk_size(directory: Path) -> int:
+    """Bytes of a journal directory's files, the cold archive included."""
+    total = 0
+    for name in (MANIFEST_NAME, DATA_NAME, LOG_NAME, ARCHIVE_NAME):
+        part = directory / name
+        if part.exists():
+            total += os.path.getsize(part)
+    return total
+
+
+def read_archive(directory: Union[str, Path]) -> List[Dict]:
+    """Every cold-archive line of a journal directory, oldest first.
+
+    Each line must be a JSON object with a non-negative integer
+    ``slide_id``, ascending; anything else is a ``HistoryError``.
+    """
+    archive = Path(directory) / ARCHIVE_NAME
+    try:
+        raw = archive.read_bytes()
+    except FileNotFoundError:
+        return []
+    entries: List[Dict] = []
+    previous = -1
+    for line_number, line in enumerate(raw.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            entry = json.loads(line)
+        except ValueError:
+            entry = None
+        if not (
+            isinstance(entry, dict)
+            and _non_negative_int(entry.get("slide_id"))
+            and entry["slide_id"] > previous
+        ):
+            raise HistoryError(f"corrupt archive entry at {archive}:{line_number}")
+        previous = entry["slide_id"]
+        entries.append(entry)
+    return entries
+
+
 def truncate_journal(path: Union[str, Path], slide_id: int) -> Tuple[int, int]:
     """Roll a closed journal directory back to ``slide_id`` (resume support).
 
@@ -932,7 +1229,8 @@ def truncate_journal(path: Union[str, Path], slide_id: int) -> Tuple[int, int]:
     (DESIGN.md §12).  Truncation is keyed by slide id, not byte offset, so
     it also holds after a retention compaction rebased the offsets.  With
     ``slide_id < 0`` the journal is reset to empty (a resume that found no
-    checkpoint restarts the stream from scratch).
+    checkpoint restarts the stream from scratch).  The journal is read
+    (and settled) exactly as a writer open reads it.
 
     Returns ``(records_kept, data_size)``.  Raises
     :class:`~repro.exceptions.HistoryError` when the journal does not hold
@@ -940,29 +1238,26 @@ def truncate_journal(path: Union[str, Path], slide_id: int) -> Tuple[int, int]:
     resumed against it.
     """
     directory = Path(path)
-    if DiskJournal._read_manifest_if_present(directory) is None:
+    if _read_manifest(directory) is None:
         if slide_id < 0:
             return 0, 0  # nothing journalled yet — a fresh start is a no-op
         raise HistoryError(
             f"no pattern journal found at {directory}; cannot resume a "
             f"checkpoint at slide {slide_id} without its journal prefix"
         )
-    entries = _parse_log_entries(directory / LOG_NAME)
-    kept = [entry for entry in entries if int(entry["slide_id"]) <= slide_id]
-    if slide_id >= 0 and not any(
-        int(entry["slide_id"]) == slide_id for entry in kept
-    ):
+    scan = _scan(directory)
+    _load(directory, scan.entries)
+    kept = [entry for entry in scan.entries if entry["slide_id"] <= slide_id]
+    if slide_id >= 0 and (not kept or kept[-1]["slide_id"] != slide_id):
         raise HistoryError(
             f"journal at {directory} holds no record for slide {slide_id}; "
             "it was compacted away or never written — cannot resume there"
         )
-    end = max(
-        (int(entry["offset"]) + int(entry["length"]) for entry in kept),
-        default=0,
-    )
-    if len(kept) != len(entries):
+    _settle(directory, scan)
+    end = max((entry["offset"] + entry["length"] for entry in kept), default=0)
+    if len(kept) != len(scan.entries):
         # Log first, then data: a crash in between leaves an unreferenced
-        # data tail, which the next open's orphan recovery drops.
+        # data tail, which the next writer open drops.
         _atomic_write(directory, LOG_NAME, _render_log(kept))
     data_path = directory / DATA_NAME
     if data_path.exists() and data_path.stat().st_size > end:
@@ -974,5 +1269,7 @@ def truncate_journal(path: Union[str, Path], slide_id: int) -> Tuple[int, int]:
 
 
 def open_journal(path: Union[str, Path]) -> DiskJournal:
-    """Open a persisted journal directory (the CLI/service entry point)."""
-    return DiskJournal.open(path)
+    """Reopen an existing journal directory for appending (the writer's open)."""
+    if _read_manifest(Path(path)) is None:
+        raise HistoryError(f"no pattern journal found at {path}")
+    return DiskJournal(path)

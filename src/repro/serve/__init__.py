@@ -27,7 +27,6 @@ from repro.serve.standing import (
     diff_rows,
     poll_oracle,
 )
-from repro.serve.warm import JournalTail, read_journal_suffix
 
 __all__ = [
     "AsyncHistoryServer",
@@ -36,7 +35,6 @@ __all__ = [
     "EVENT_KINDS",
     "IndexSnapshot",
     "JournalIndex",
-    "JournalTail",
     "LoadReport",
     "Notification",
     "ServeApp",
@@ -44,7 +42,6 @@ __all__ = [
     "StandingQuery",
     "diff_rows",
     "poll_oracle",
-    "read_journal_suffix",
     "run_load",
     "serve_async",
     "sse_collect",

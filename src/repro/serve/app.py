@@ -13,6 +13,9 @@ object:
   time: snapshot swap first, then every registered standing query is
   advanced against the *new* snapshot (restricted to the new slide)
   and its transitions are delivered to the subscriber's sink;
+* **directories** (:meth:`from_directory`) are read, never written:
+  the app loads and follows them through the one journal reader,
+  :class:`~repro.history.journal.JournalTail`;
 * **warm start** (:meth:`from_directory` with ``warm_dir``) hydrates
   the index from a sealed serve-index checkpoint and re-indexes only
   the journal records appended after the seal.
@@ -32,10 +35,9 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 from repro.checkpoint.serve_index import load_serve_index, seal_serve_index
 from repro.exceptions import AlgebraError, ServeError
 from repro.history import algebra
-from repro.history.journal import PatternJournal, SlideRecord, open_journal
+from repro.history.journal import JournalTail, PatternJournal, SlideRecord
 from repro.serve.index import IndexSnapshot, JournalIndex
 from repro.serve.standing import Expression, Notification, StandingQuery
-from repro.serve.warm import JournalTail
 
 #: A subscriber's delivery sink: called once per fired notification.
 Sink = Callable[[Notification], None]
@@ -57,7 +59,6 @@ def parse_expression(
 def evaluate_expression(
     expression: Union[Mapping[str, object], algebra.Query],
     index: algebra.IndexReader,
-    optimize: bool = True,
 ) -> Dict[str, object]:
     """Evaluate one expression against any index reader → response payload.
 
@@ -67,30 +68,28 @@ def evaluate_expression(
     with the offending node path; the front ends turn that into a
     structured error.
     """
-    return algebra.evaluate(
-        parse_expression(expression), index, optimize=optimize
-    ).payload()
+    return algebra.evaluate(parse_expression(expression), index).payload()
 
 
 class ServeApp:
-    """Queries, stats, standing subscriptions and commits over one journal."""
+    """Queries, stats, standing subscriptions and commits over one journal:
+    an in-process :class:`PatternJournal`, or a :class:`JournalTail`
+    following a directory another process writes."""
 
     def __init__(
         self,
-        journal: PatternJournal,
+        journal: Union[PatternJournal, JournalTail],
         *,
         index: Optional[JournalIndex] = None,
-        tail: Optional[JournalTail] = None,
-        owns_journal: bool = False,
         cold_records_indexed: int = 0,
         hydrated_slide: Optional[int] = None,
     ) -> None:
         self._journal = journal
-        self._index = index if index is not None else JournalIndex(journal.records())
         if index is None:
-            cold_records_indexed = len(journal.records())
-        self._tail = tail
-        self._owns_journal = owns_journal
+            records = self._pending(None)
+            index = JournalIndex(records)
+            cold_records_indexed = len(records)
+        self._index = index
         self._subscribers: Dict[str, Tuple[StandingQuery, Sink]] = {}
         self._next_subscription = 0
         self.queries_served = 0
@@ -117,49 +116,38 @@ class ServeApp:
         path: Union[str, Path],
         warm_dir: Optional[Union[str, Path]] = None,
     ) -> "ServeApp":
-        """Serve a journal directory (the CLI path).
+        """Serve a journal directory (the CLI path) as a reader only.
 
-        Opens the journal (validating its manifest and recovering any
-        interrupted compaction), optionally hydrates the index from a
-        sealed serve-index snapshot under ``warm_dir``, and attaches a
-        :class:`~repro.serve.warm.JournalTail` so later refreshes see
-        appends made by a concurrently running writer process.
+        Loads every record through a
+        :class:`~repro.history.journal.JournalTail` (one read of
+        ``journal.dat``; an interrupted compaction or an orphan tail is
+        resolved in memory, never on disk), optionally hydrates the index
+        from a sealed serve-index snapshot under ``warm_dir``, and keeps
+        the tail — its cursor at the log's end — so later refreshes read
+        only what a concurrently running writer appends.
         """
-        journal = open_journal(path)
-        try:
-            records = journal.records()
-            snapshot = cls._hydrate(warm_dir, records)
-            if snapshot is None:
-                index = JournalIndex(records)
-                cold = len(records)
-                hydrated_slide = None
-            else:
-                index = JournalIndex.from_snapshot(snapshot)
-                hydrated_slide = snapshot.last_slide_id
-                suffix = [
-                    record
-                    for record in records
-                    if hydrated_slide is None or record.slide_id > hydrated_slide
-                ]
-                index.extend(suffix)
-                cold = len(suffix)
-            tail = JournalTail(path, after_slide=index.current.last_slide_id)
-            return cls(
-                journal,
-                index=index,
-                tail=tail,
-                owns_journal=True,
-                cold_records_indexed=cold,
-                hydrated_slide=hydrated_slide,
-            )
-        except BaseException:
-            journal.close()
-            raise
+        tail = JournalTail.open(path)
+        records = tail.poll()
+        snapshot = cls._hydrate(warm_dir, records)
+        hydrated: Optional[int] = None
+        if snapshot is None:
+            index, suffix = JournalIndex(records), records
+        else:
+            index = JournalIndex.from_snapshot(snapshot)
+            hydrated = snapshot.last_slide_id
+            suffix = [r for r in records if hydrated is None or r.slide_id > hydrated]
+            index.extend(suffix)
+        return cls(
+            tail,
+            index=index,
+            cold_records_indexed=len(suffix),
+            hydrated_slide=hydrated,
+        )
 
     @staticmethod
     def _hydrate(
         warm_dir: Optional[Union[str, Path]],
-        records: Tuple[SlideRecord, ...],
+        records: List[SlideRecord],
     ) -> Optional[IndexSnapshot]:
         """Load a usable warm snapshot, or ``None`` for a cold build.
 
@@ -186,7 +174,7 @@ class ServeApp:
     # the read path
     # ------------------------------------------------------------------ #
     @property
-    def journal(self) -> PatternJournal:
+    def journal(self) -> Union[PatternJournal, JournalTail]:
         return self._journal
 
     @property
@@ -194,14 +182,12 @@ class ServeApp:
         return self._index
 
     def query(
-        self,
-        expression: Union[Mapping[str, object], Expression],
-        optimize: bool = True,
+        self, expression: Union[Mapping[str, object], Expression]
     ) -> Dict[str, object]:
         """Evaluate one algebra expression against the pinned snapshot."""
         snapshot = self._index.current
         self.queries_served += 1
-        return evaluate_expression(expression, snapshot, optimize=optimize)
+        return evaluate_expression(expression, snapshot)
 
     def stats(self) -> Dict[str, object]:
         """The ``/stats`` payload: index shape + journal + serve counters."""
@@ -231,9 +217,12 @@ class ServeApp:
     # ------------------------------------------------------------------ #
     def pending_records(self) -> List[SlideRecord]:
         """Journal records not yet indexed (cross-process via the tail)."""
-        if self._tail is not None:
-            return self._tail.poll()
-        return self._journal.records_after(self._index.current.last_slide_id)
+        return self._pending(self._index.current.last_slide_id)
+
+    def _pending(self, indexed: Optional[int]) -> List[SlideRecord]:
+        if isinstance(self._journal, JournalTail):
+            return self._journal.poll()
+        return self._journal.records_after(indexed)
 
     def refresh(self) -> int:
         """Index the journal suffix; swap, advance standing queries, push.
@@ -298,9 +287,7 @@ class ServeApp:
         return seal_serve_index(warm_dir, self._index.current.to_payload())
 
     def close(self) -> None:
-        """Release the journal when this app opened it."""
-        if self._owns_journal:
-            self._journal.close()  # type: ignore[attr-defined]
+        """Nothing to release: the app keeps no file open between polls."""
 
 
 __all__ = ["ServeApp", "Sink", "evaluate_expression", "parse_expression"]

@@ -152,9 +152,10 @@ class AsyncHistoryServer:
             try:
                 self._app.refresh()
             except HistoryError:
-                # A truncated/rolled-back journal mid-follow: keep serving
-                # the snapshot we have; the operator restarts to re-sync.
-                break
+                # Malformed or mid-compaction journal input: keep serving
+                # the snapshot we have.  A failed poll leaves the tail's
+                # cursor where it was, so the next tick reads it again.
+                continue
 
     async def shutdown(
         self, reason: str = "shutdown", drain_timeout: float = 5.0
@@ -541,29 +542,24 @@ async def _serve_async(
     on_bound: Optional[Callable[[AsyncHistoryServer], None]],
 ) -> None:
     app = ServeApp.from_directory(path, warm_dir=warm_dir)
-    try:
-        server = AsyncHistoryServer(
-            app, host, port, follow_interval=follow_interval
-        )
-        await server.start()
-        loop = asyncio.get_running_loop()
-        for signum, name in ((signal.SIGTERM, "sigterm"), (signal.SIGINT, "sigint")):
-            try:
-                loop.add_signal_handler(
-                    signum,
-                    lambda reason=name: asyncio.ensure_future(
-                        server.shutdown(reason=reason)
-                    ),
-                )
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass  # non-main thread / platform without signal support
-        if on_bound is not None:
-            on_bound(server)
-        await server.wait_terminated()
-        if warm_dir is not None:
-            app.seal_warm(warm_dir)
-    finally:
-        app.close()
+    server = AsyncHistoryServer(app, host, port, follow_interval=follow_interval)
+    await server.start()
+    loop = asyncio.get_running_loop()
+    for signum, name in ((signal.SIGTERM, "sigterm"), (signal.SIGINT, "sigint")):
+        try:
+            loop.add_signal_handler(
+                signum,
+                lambda reason=name: asyncio.ensure_future(
+                    server.shutdown(reason=reason)
+                ),
+            )
+        except (NotImplementedError, RuntimeError):  # pragma: no cover
+            pass  # non-main thread / platform without signal support
+    if on_bound is not None:
+        on_bound(server)
+    await server.wait_terminated()
+    if warm_dir is not None:
+        app.seal_warm(warm_dir)
 
 
 class BackgroundServer:

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core.algorithms import get_algorithm
+from repro.core.algorithms.base import resolve_minsup
+from repro.datasets.workloads import get_workload, stream_transactions
 from repro.exceptions import MiningError
 from repro.extensions.fading import (
     LandmarkCounter,
@@ -10,6 +12,7 @@ from repro.extensions.fading import (
     batch_decay_weights,
     weighted_support,
 )
+from repro.storage.backend import MemoryWindowStore
 from repro.storage.bitvector import BitVector
 from repro.storage.dsmatrix import DSMatrix
 from repro.stream.batch import Batch
@@ -132,3 +135,23 @@ class TestLandmarkCounter:
 
     def test_repr(self):
         assert "transactions=0" in repr(LandmarkCounter())
+
+
+def test_decay_one_does_the_vertical_miners_intersections():
+    """At decay 1 the faded miner walks vertical's search exactly: same
+    ascending-support order, same per-prefix candidate lists — so the same
+    patterns from the same number of intersections, on the first
+    ``zipf-transactions[medium]`` window (10 x 500, minsup 0.05)."""
+    units = list(
+        stream_transactions(get_workload("zipf-transactions[medium]"), limit=5_000)
+    )
+    store = MemoryWindowStore(10)
+    for index in range(10):
+        store.append_batch(Batch(units[index * 500 : (index + 1) * 500], batch_id=index))
+    minsup = resolve_minsup(0.05, store.num_columns)
+    plain = get_algorithm("vertical")
+    expected = plain.mine(store, minsup)
+    faded_miner = TimeFadingVerticalMiner(decay=1.0)
+    faded = faded_miner.mine(store, float(minsup))
+    assert faded == {items: float(support) for items, support in expected.items()}
+    assert faded_miner.stats.bitvector_intersections == plain.stats.bitvector_intersections

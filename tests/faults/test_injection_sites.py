@@ -81,6 +81,27 @@ class TestJournalWrite:
             journal.append(make_record(0))
         journal.close()
 
+    def test_failed_append_leaves_the_journal_unchanged(self, tmp_path):
+        # A record is held only once it is on disk: after an exhausted
+        # persist the journal still ends at the last record written, and
+        # the same record can be appended again.
+        journal = DiskJournal(tmp_path / "journal")
+        journal.failure_policy = FailurePolicy(
+            max_retries=1, backoff_s=0.0, io_retries=1, io_backoff_s=0.0, jitter=0.0
+        )
+        journal.append(make_record(0))
+        faults.install_plan("journal.write@1x99")
+        with pytest.raises(OSError):
+            journal.append(make_record(1))
+        assert len(journal) == 1
+        assert journal.last_slide_id == 0
+        assert [record.slide_id for record in journal.records()] == [0]
+        assert DiskJournal(tmp_path / "journal").slide_ids() == [0]
+        faults.uninstall_plan()
+        journal.append(make_record(1))
+        journal.close()
+        assert DiskJournal(tmp_path / "journal").slide_ids() == [0, 1]
+
     def test_clean_append_records_no_events(self, tmp_path):
         events = EventLog()
         journal = DiskJournal(tmp_path / "journal")

@@ -1,21 +1,32 @@
-"""Unit tests for the pattern journal: records, serialisation, backends."""
+"""Unit tests for the pattern journal: records, serialisation, backends,
+and the one reader's behaviour on hostile input."""
 
 import json
+import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.cli import EXIT_INPUT_ERROR, main
 from repro.exceptions import HistoryError
 from repro.history.journal import (
+    COMPACT_FORMAT,
+    COMPACT_MARKER_NAME,
     DATA_NAME,
     JOURNAL_FORMAT,
     LOG_NAME,
     MANIFEST_NAME,
     RECORD_MAGIC,
     DiskJournal,
+    JournalTail,
     MemoryJournal,
     SlideRecord,
     open_journal,
+    truncate_journal,
 )
+from repro.serve.app import ServeApp
 
 
 def make_record(slide_id=0, patterns=None, timings=None, **overrides):
@@ -354,3 +365,247 @@ class TestCanonicalPatterns:
     def test_decoded_records_round_trip(self):
         record = make_record(patterns=self.CANONICAL)
         assert SlideRecord.from_bytes(record.to_bytes()) == record
+
+
+# ---------------------------------------------------------------------- #
+# one reader: hostile input and "a reader never writes"
+# ---------------------------------------------------------------------- #
+#: The records of the pristine journal the hostile inputs are cut from.
+WRITTEN = [
+    make_record(0, timings={"mine_s": 0.1}),
+    make_record(1, patterns=((("x",), 9), (("x", "y"), 2))),
+    make_record(2, patterns=((("a",), 4), (("b",), 3), (("a", "b"), 3))),
+    make_record(5, patterns=((("q",), 1),)),
+]
+WRITTEN_BYTES = [record.to_bytes() for record in WRITTEN]
+
+
+def write_journal(path, records=WRITTEN):
+    journal = DiskJournal(path)
+    for record in records:
+        journal.append(record)
+    journal.close()
+    return path
+
+
+def pristine_files():
+    with tempfile.TemporaryDirectory() as scratch:
+        path = write_journal(Path(scratch) / "journal")
+        return {
+            name: (path / name).read_bytes() for name in (MANIFEST_NAME, DATA_NAME, LOG_NAME)
+        }
+
+
+PRISTINE = pristine_files()
+
+
+def sizes(path):
+    return {child.name: child.stat().st_size for child in sorted(path.iterdir())}
+
+
+def assert_prefix(records):
+    """The records read back are a prefix of those written, byte for byte."""
+    got = [record.to_bytes() for record in records]
+    assert got == WRITTEN_BYTES[: len(got)]
+
+
+def read_three_ways(files, truncate_to):
+    """The follower, ``truncate_journal`` and the writer's open over
+    ``files``: each returns a prefix of the records written or raises
+    ``HistoryError``; the follower leaves every file as it found it."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "journal"
+        path.mkdir()
+        for name, payload in files.items():
+            (path / name).write_bytes(payload)
+        before = {child.name: child.read_bytes() for child in path.iterdir()}
+        try:
+            assert_prefix(JournalTail(path).poll())
+        except HistoryError:
+            pass
+        assert {child.name: child.read_bytes() for child in path.iterdir()} == before
+        writer_path = Path(scratch) / "writer"
+        shutil.copytree(path, writer_path)
+        try:
+            assert_prefix(DiskJournal(writer_path).records())
+        except HistoryError:
+            pass
+        try:
+            kept, _ = truncate_journal(path, truncate_to)
+        except HistoryError:
+            return
+        records = DiskJournal(path).records()
+        assert len(records) == kept
+        assert_prefix(records)
+
+
+class TestHostileInput:
+    """Any cut or single-byte change gives a prefix of the records written
+    or a clean ``HistoryError`` — never a wrong answer, never a traceback."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        name=st.sampled_from([LOG_NAME, DATA_NAME]),
+        fraction=st.floats(min_value=0.0, max_value=1.0),
+        truncate_to=st.sampled_from([-1, 0, 1, 2, 5]),
+    )
+    def test_any_truncation(self, name, fraction, truncate_to):
+        files = dict(PRISTINE)
+        files[name] = files[name][: int(len(files[name]) * fraction)]
+        read_three_ways(files, truncate_to)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        position=st.integers(min_value=0, max_value=len(PRISTINE[LOG_NAME]) - 1),
+        value=st.integers(min_value=0, max_value=255),
+        truncate_to=st.sampled_from([-1, 0, 1, 2, 5]),
+    )
+    def test_any_single_byte_change_in_the_log(self, position, value, truncate_to):
+        log = bytearray(PRISTINE[LOG_NAME])
+        log[position] = value
+        read_three_ways(dict(PRISTINE, **{LOG_NAME: bytes(log)}), truncate_to)
+
+    MALFORMED = [
+        '{"slide_id": 99}',
+        "[1,2]",
+        '{"slide_id": 9, "offset": "x", "length": 10}',
+        '{"slide_id": 9, "offset": -5, "length": 10}',
+    ]
+
+    @pytest.mark.parametrize("line", MALFORMED)
+    def test_malformed_log_line_is_a_history_error(self, tmp_path, line, capsys):
+        path = write_journal(tmp_path / "journal")
+        tail = JournalTail(path)
+        assert len(tail.poll()) == len(WRITTEN)
+        with open(path / LOG_NAME, "a", encoding="utf-8") as handle:
+            handle.write(line + "\n")
+        with pytest.raises(HistoryError):
+            tail.poll()
+        with pytest.raises(HistoryError):
+            JournalTail(path).poll()
+        with pytest.raises(HistoryError):
+            DiskJournal(path)
+        with pytest.raises(HistoryError):
+            truncate_journal(path, 1)
+        capsys.readouterr()
+        assert main(["query", str(path)]) == EXIT_INPUT_ERROR
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["exit_code"] == EXIT_INPUT_ERROR
+        assert "cannot open journal" in error["error"]
+
+    def test_entry_pointing_at_another_record_is_caught(self, tmp_path):
+        path = write_journal(tmp_path / "journal")
+        lines = (path / LOG_NAME).read_text(encoding="utf-8").splitlines()
+        first, second = json.loads(lines[0]), json.loads(lines[1])
+        second.update(offset=first["offset"], length=first["length"])
+        lines[1] = json.dumps(second, sort_keys=True)
+        (path / LOG_NAME).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(HistoryError, match="points at the record of slide 0"):
+            JournalTail(path).poll()
+
+
+class TestReadersNeverWrite:
+    def test_reader_open_between_data_flush_and_log_line(self, tmp_path):
+        """A writer flushed a payload but not yet its log line when a
+        reader opened: the reader must leave the payload where it is."""
+        path = tmp_path / "journal"
+        journal = DiskJournal(path)
+        for record in WRITTEN[:2]:
+            journal.append(record)
+        seen = []
+
+        class PausingLog:
+            """The writer's log handle, opening a reader before each line."""
+
+            def __init__(self, handle):
+                self.handle = handle
+
+            def write(self, text):
+                app = ServeApp.from_directory(path)
+                seen.append(app.index.current.slide_ids())
+                return self.handle.write(text)
+
+            def flush(self):
+                self.handle.flush()
+
+            def close(self):
+                self.handle.close()
+
+        journal._log_handle = PausingLog(journal._log_handle)
+        journal.append(WRITTEN[2])
+        journal.close()
+        assert seen == [[0, 1]]
+        reopened = DiskJournal(path)
+        assert [record.to_bytes() for record in reopened.records()] == WRITTEN_BYTES[:3]
+        reopened.append(WRITTEN[3])
+        reopened.close()
+        assert_prefix(DiskJournal(path).records())
+        assert len(DiskJournal(path)) == len(WRITTEN)
+
+    def test_reader_open_leaves_an_orphan_tail_and_a_torn_line(self, tmp_path):
+        path = write_journal(tmp_path / "journal", WRITTEN[:2])
+        with open(path / DATA_NAME, "ab") as handle:
+            handle.write(WRITTEN[2].to_bytes())
+        with open(path / LOG_NAME, "a", encoding="utf-8") as handle:
+            handle.write('{"slide_id": 2, "off')
+        before = sizes(path)
+        app = ServeApp.from_directory(path)
+        assert app.index.current.slide_ids() == [0, 1]
+        assert app.refresh() == 0
+        assert sizes(path) == before
+        # The writer's open is the one that drops both.
+        assert DiskJournal(path).slide_ids() == [0, 1]
+        assert sizes(path)[DATA_NAME] == sum(map(len, WRITTEN_BYTES[:2]))
+
+    def test_reader_open_resolves_a_compaction_marker_in_memory(self, tmp_path):
+        path = write_journal(tmp_path / "journal")
+        entries = [
+            json.loads(line)
+            for line in (path / LOG_NAME).read_text(encoding="utf-8").splitlines()
+        ]
+        base = entries[2]["offset"]
+        data = (path / DATA_NAME).read_bytes()
+        # The crash window between the data swap and the log swap.
+        (path / DATA_NAME).write_bytes(data[base:])
+        marker = {
+            "format": COMPACT_FORMAT,
+            "data_size_before": len(data),
+            "base_offset": base,
+            "keep_first_slide_id": 2,
+        }
+        (path / COMPACT_MARKER_NAME).write_text(json.dumps(marker))
+        before = sizes(path)
+        app = ServeApp.from_directory(path)
+        assert app.index.current.slide_ids() == [2, 5]
+        assert [r.slide_id for r in JournalTail(path).poll()] == [2, 5]
+        assert sizes(path) == before
+        assert (path / COMPACT_MARKER_NAME).exists()
+        # The writer settles it on disk, to the same records.
+        assert DiskJournal(path).slide_ids() == [2, 5]
+        assert not (path / COMPACT_MARKER_NAME).exists()
+
+    def test_failed_poll_is_retried_from_the_same_cursor(self, tmp_path):
+        path = write_journal(tmp_path / "journal", WRITTEN[:2])
+        tail = JournalTail(path)
+        assert len(tail.poll()) == 2
+        size = (path / DATA_NAME).stat().st_size
+        payload = WRITTEN[2].to_bytes()
+        entry = {"slide_id": 2, "offset": size, "length": len(payload), "timings": {}}
+        # A log line whose payload is not (yet) in journal.dat ...
+        with open(path / LOG_NAME, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(entry, sort_keys=True) + "\n")
+        with pytest.raises(HistoryError, match="beyond"):
+            tail.poll()
+        # ... is read again, not skipped, once the bytes are there.
+        with open(path / DATA_NAME, "ab") as handle:
+            handle.write(payload)
+        assert [record.to_bytes() for record in tail.poll()] == [payload]
+
+    def test_follower_cursor_starts_at_the_log_end(self, tmp_path):
+        path = write_journal(tmp_path / "journal", WRITTEN[:3])
+        app = ServeApp.from_directory(path)
+        assert app.pending_records() == []
+        writer = open_journal(path)
+        writer.append(WRITTEN[3])
+        writer.close()
+        assert [r.slide_id for r in app.pending_records()] == [5]

@@ -1,4 +1,5 @@
-"""Tiered retention: hot trim, warm compaction, cold archive, crash recovery."""
+"""Tiered retention of a DiskJournal: hot trim, warm compaction, cold archive,
+crash recovery."""
 
 import json
 
@@ -6,19 +7,17 @@ import pytest
 
 from repro.exceptions import HistoryError
 from repro.history.journal import (
+    ARCHIVE_NAME,
     COMPACT_FORMAT,
     COMPACT_MARKER_NAME,
     DATA_NAME,
     LOG_NAME,
     DiskJournal,
-    SlideRecord,
-    truncate_journal,
-)
-from repro.history.retention import (
-    ARCHIVE_NAME,
+    JournalTail,
     RetentionPolicy,
-    TieredJournal,
+    SlideRecord,
     summarise_record,
+    truncate_journal,
 )
 
 
@@ -53,12 +52,19 @@ class TestRetentionPolicy:
         assert policy.warm_slides is None
 
 
+def hot(slides):
+    return RetentionPolicy(hot_slides=slides)
+
+
 class TestHotTier:
+    """``hot_slides`` is the max-resident bound on in-memory records."""
+
     def test_max_resident_bounds_the_in_memory_records(self, tmp_path):
-        journal = DiskJournal(tmp_path / "j", max_resident=3)
+        journal = DiskJournal(tmp_path / "j", hot(3))
         for slide in range(8):
             journal.append(make_record(slide))
         assert [r.slide_id for r in journal.records()] == [5, 6, 7]
+        assert len(journal) == 8  # len() counts every slide, not the resident ones
         journal.close()
         # The trimmed records are still on disk — an unbounded reopen
         # serves all of them.
@@ -71,13 +77,13 @@ class TestHotTier:
         for slide in range(6):
             journal.append(make_record(slide))
         journal.close()
-        reopened = DiskJournal(tmp_path / "j", max_resident=2)
+        reopened = DiskJournal(tmp_path / "j", hot(2))
         assert [r.slide_id for r in reopened.records()] == [4, 5]
         reopened.close()
 
     def test_max_resident_must_be_positive(self, tmp_path):
         with pytest.raises(HistoryError):
-            DiskJournal(tmp_path / "j", max_resident=0)
+            DiskJournal(tmp_path / "j", hot(0))
 
 
 class TestCompaction:
@@ -172,8 +178,11 @@ class TestCompaction:
 
 
 class TestTieredJournal:
+    """A DiskJournal with a retention policy: bounded hot/warm tiers plus the
+    cold archive."""
+
     def tiered(self, tmp_path, **policy):
-        return TieredJournal(tmp_path / "j", RetentionPolicy(**policy))
+        return DiskJournal(tmp_path / "j", RetentionPolicy(**policy))
 
     def test_warm_overflow_archives_then_compacts(self, tmp_path):
         journal = self.tiered(tmp_path, warm_slides=4, cold_sample_every=3)
@@ -266,6 +275,42 @@ class TestTieredJournal:
         archive.write_text(archive.read_text() + "{not json\n")
         with pytest.raises(HistoryError, match="corrupt archive"):
             self.tiered(tmp_path, warm_slides=2)
+
+    def test_follower_sees_every_slide_once_across_compactions(self, tmp_path):
+        journal = self.tiered(tmp_path, warm_slides=2)
+        tail = JournalTail(tmp_path / "j")
+        seen = []
+        for slide in range(8):
+            journal.append(make_record(slide))
+            seen.extend(record.slide_id for record in tail.poll())
+        assert seen == list(range(8))
+        assert [r.slide_id for r in JournalTail(tmp_path / "j").poll()] == [6, 7]
+        journal.close()
+
+    def test_follower_detects_a_log_rewritten_under_its_cursor(self, tmp_path):
+        # A compacted-and-appended log may reuse the old file's inode and be
+        # longer than the follower's cursor: the follower must notice that
+        # the line before its cursor changed, not read on from the cursor.
+        followed = DiskJournal(tmp_path / "followed")
+        for slide in range(4):
+            followed.append(make_record(slide))
+        followed.close()
+        tail = JournalTail(tmp_path / "followed")
+        assert [r.slide_id for r in tail.poll()] == [0, 1, 2, 3]
+        rewritten = DiskJournal(tmp_path / "rewritten")
+        for slide in range(4):
+            rewritten.append(make_record(slide))
+        rewritten.compact(2)
+        for slide in range(4, 8):
+            rewritten.append(make_record(slide))
+        rewritten.close()
+        for name in (DATA_NAME, LOG_NAME):
+            payload = (tmp_path / "rewritten" / name).read_bytes()
+            with open(tmp_path / "followed" / name, "r+b") as handle:  # same inode
+                handle.truncate(0)
+                handle.write(payload)
+        assert [r.slide_id for r in tail.poll()] == [4, 5, 6, 7]
+        assert tail.poll() == []
 
     def test_truncate_after_compaction_uses_slide_ids(self, tmp_path):
         journal = self.tiered(tmp_path, warm_slides=4)

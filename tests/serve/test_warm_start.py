@@ -7,12 +7,11 @@ import pytest
 
 from repro.checkpoint import load_serve_index, seal_serve_index
 from repro.checkpoint.serve_index import MANIFEST_NAME, PAYLOAD_NAME, SERVE_INDEX_DIRNAME
-from repro.history.journal import DiskJournal, open_journal
+from repro.history.journal import DiskJournal, JournalTail, open_journal
 from repro.serve.app import ServeApp, evaluate_expression
 from repro.serve.render import render_json
 from repro.exceptions import ServeError
 from repro.serve.index import SERVE_INDEX_FORMAT, IndexSnapshot, JournalIndex
-from repro.serve.warm import JournalTail, read_journal_suffix
 
 from tests.helpers import drifting_records
 
@@ -281,7 +280,7 @@ class TestJournalTail:
 
     def test_seeded_after_slide_skips_prefix(self, tmp_path, records):
         path = disk_journal(tmp_path, records)
-        suffix = read_journal_suffix(path, after_slide=records[1].slide_id)
+        suffix = JournalTail(path, after_slide=records[1].slide_id).poll()
         assert [r.slide_id for r in suffix] == [r.slide_id for r in records[2:]]
 
     def test_records_round_trip_content(self, tmp_path, records):
