@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import Any, Dict, Optional, Sequence
@@ -1026,8 +1027,23 @@ def _cmd_query(args: argparse.Namespace) -> int:
             return _fail_query_json(str(exc), code=exc.code, path=exc.path)
         except (HistoryError, ServiceError) as exc:
             return _fail_query_json(str(exc), code="bad-query")
-    print(json.dumps(payload, indent=2, default=str))
+    _print_to_pipe(json.dumps(payload, indent=2, default=str))
     return 0
+
+
+def _print_to_pipe(text: str) -> None:
+    """Print ``text``; a reader that stops early (``| head``) ends it quietly.
+
+    Once the reading end is closed, stdout is pointed at the null device so
+    the interpreter's final flush cannot fail on the same pipe again.
+    """
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:

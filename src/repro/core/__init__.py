@@ -12,7 +12,7 @@ from repro.core.export import (
     result_to_json,
 )
 from repro.core.miner import StreamSubgraphMiner
-from repro.core.patterns import FrequentPattern, MiningResult
+from repro.core.patterns import FrequentPattern, MiningResult, PatternRows
 from repro.core.postprocess import filter_connected_patterns
 from repro.core.algorithms import (
     ALGORITHMS,
@@ -31,6 +31,7 @@ __all__ = [
     "StreamSubgraphMiner",
     "FrequentPattern",
     "MiningResult",
+    "PatternRows",
     "filter_connected_patterns",
     "result_to_json",
     "result_to_csv",

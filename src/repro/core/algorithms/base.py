@@ -8,12 +8,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, Optional, Union
 
+from repro.core.patterns import PatternRows
 from repro.exceptions import InvalidSupportError
 from repro.graph.edge_registry import EdgeRegistry
 from repro.storage.backend import WindowStore
 from repro.storage.dsmatrix import DSMatrix
 
 Items = FrozenSet[str]
+#: What the fptree algorithms and the baselines collect patterns in.
 PatternCounts = Dict[Items, int]
 #: What the algorithms mine from: the DSMatrix facade or a bare window store.
 MatrixLike = Union[DSMatrix, WindowStore]
@@ -75,7 +77,8 @@ class MiningAlgorithm(ABC):
     """Base class of the five DSMatrix algorithms.
 
     Subclasses implement :meth:`mine`, which returns *all* frequent patterns
-    (collections of frequent edges).  Algorithms whose output is already
+    (collections of frequent edges) as :class:`~repro.core.patterns.PatternRows`
+    over the window's sorted frequent items.  Algorithms whose output is already
     restricted to connected subgraphs set ``produces_connected_only = True``
     (only the direct algorithm of §4 does).
     """
@@ -98,7 +101,7 @@ class MiningAlgorithm(ABC):
         matrix: MatrixLike,
         minsup: int,
         registry: Optional[EdgeRegistry] = None,
-    ) -> PatternCounts:
+    ) -> PatternRows:
         """Mine frequent edge collections from the window matrix.
 
         Parameters
@@ -120,33 +123,31 @@ class MiningAlgorithm(ABC):
         minsup: int,
         owned_items: Iterable[str],
         registry: Optional[EdgeRegistry] = None,
-    ) -> PatternCounts:
+    ) -> PatternRows:
         """Mine only the patterns *owned* by ``owned_items`` (DESIGN.md §4).
 
         Every pattern has exactly one owner among its own items, fixed by
         the window alone (the same in every shard): the first item of the
         algorithm's total order over the frequent items — the canonical
         minimum, or for the vertical pair the first in ascending-support
-        order.  So mining each shard of an item partition and taking the
-        union of the results reproduces :meth:`mine` exactly.  This is the
-        entry point the parallel workers call.
+        order.  So mining each shard of an item partition and
+        concatenating the results reproduces :meth:`mine` exactly.  Every
+        shard's rows are over the same table, the window's sorted frequent
+        items.  This is the entry point the parallel workers call.
 
         The base implementation runs the full sequential :meth:`mine` and
-        filters by canonical minimum item — always correct, never faster;
-        the single-tree algorithms keep it, and the parallel executor runs
-        such algorithms as a single shard rather than fanning out duplicate
-        full runs.
+        keeps the rows whose canonical minimum item (the lowest set bit of
+        the mask) is owned — always correct, never faster; the single-tree
+        algorithms keep it, and the parallel executor runs such algorithms
+        as a single shard rather than fanning out duplicate full runs.
         Algorithms whose search space naturally splits by start item (the
         vertical family and the multi-tree miner) override it with a real
         search-space restriction.
         """
         owned = set(owned_items)
-        patterns = self.mine(matrix, minsup, registry=registry)
-        shard = {
-            items: support
-            for items, support in patterns.items()
-            if min(items) in owned
-        }
+        rows = self.mine(matrix, minsup, registry=registry)
+        symbols = rows.symbols
+        shard = rows.where(lambda mask: symbols[(mask & -mask).bit_length() - 1] in owned)
         self.stats.patterns_found = len(shard)
         return shard
 

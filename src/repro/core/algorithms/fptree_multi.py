@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from repro.core.algorithms.base import MatrixLike, MiningAlgorithm, PatternCounts
+from repro.core.patterns import PatternRows
 from repro.fptree.fpgrowth import FPGrowth
 from repro.graph.edge_registry import EdgeRegistry
 
@@ -29,7 +30,7 @@ class MultipleFPTreeMiner(MiningAlgorithm):
         matrix: MatrixLike,
         minsup: int,
         registry: Optional[EdgeRegistry] = None,
-    ) -> PatternCounts:
+    ) -> PatternRows:
         self.reset_stats()
         patterns: PatternCounts = {}
         frequent_singletons = matrix.frequent_items(minsup)
@@ -39,7 +40,7 @@ class MultipleFPTreeMiner(MiningAlgorithm):
         for item in frequent_singletons:
             self._mine_projection(matrix, item, minsup, patterns)
         self.stats.patterns_found = len(patterns)
-        return patterns
+        return PatternRows.from_counts(patterns, frequent_singletons)
 
     def mine_shard(
         self,
@@ -47,7 +48,7 @@ class MultipleFPTreeMiner(MiningAlgorithm):
         minsup: int,
         owned_items: Iterable[str],
         registry: Optional[EdgeRegistry] = None,
-    ) -> PatternCounts:
+    ) -> PatternRows:
         """Build projected FP-trees only for owned items.
 
         Every pattern mined from the {x}-projection has ``x`` as its
@@ -58,13 +59,14 @@ class MultipleFPTreeMiner(MiningAlgorithm):
         self.reset_stats()
         owned = set(owned_items)
         patterns: PatternCounts = {}
-        for item in matrix.frequent_items(minsup):
+        frequent_singletons = matrix.frequent_items(minsup)
+        for item in frequent_singletons:
             if item not in owned:
                 continue
             patterns[frozenset({item})] = matrix.item_frequency(item)
             self._mine_projection(matrix, item, minsup, patterns)
         self.stats.patterns_found = len(patterns)
-        return patterns
+        return PatternRows.from_counts(patterns, frequent_singletons)
 
     def _mine_projection(
         self, matrix: MatrixLike, item: str, minsup: int, patterns: PatternCounts

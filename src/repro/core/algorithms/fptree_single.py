@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.algorithms.base import MatrixLike, MiningAlgorithm, PatternCounts
+from repro.core.patterns import PatternRows
 from repro.fptree.counting import count_itemsets_by_node_traversal
 from repro.fptree.tree import FPTree
 from repro.graph.edge_registry import EdgeRegistry
@@ -28,7 +29,7 @@ class SingleFPTreeCountingMiner(MiningAlgorithm):
         matrix: MatrixLike,
         minsup: int,
         registry: Optional[EdgeRegistry] = None,
-    ) -> PatternCounts:
+    ) -> PatternRows:
         self.reset_stats()
         patterns: PatternCounts = {}
         frequent_singletons = matrix.frequent_items(minsup)
@@ -50,4 +51,4 @@ class SingleFPTreeCountingMiner(MiningAlgorithm):
             found = count_itemsets_by_node_traversal(tree, minsup, suffix={item})
             patterns.update(found)
         self.stats.patterns_found = len(patterns)
-        return patterns
+        return PatternRows.from_counts(patterns, frequent_singletons)

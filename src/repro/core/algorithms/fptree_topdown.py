@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.algorithms.base import MatrixLike, MiningAlgorithm, PatternCounts
+from repro.core.patterns import PatternRows
 from repro.fptree.topdown import top_down_mine
 from repro.fptree.tree import FPTree
 from repro.graph.edge_registry import EdgeRegistry
@@ -27,7 +28,7 @@ class TopDownFPTreeMiner(MiningAlgorithm):
         matrix: MatrixLike,
         minsup: int,
         registry: Optional[EdgeRegistry] = None,
-    ) -> PatternCounts:
+    ) -> PatternRows:
         self.reset_stats()
         patterns: PatternCounts = {}
         frequent_singletons = matrix.frequent_items(minsup)
@@ -49,4 +50,4 @@ class TopDownFPTreeMiner(MiningAlgorithm):
             found = top_down_mine(tree, minsup, suffix={item})
             patterns.update(found)
         self.stats.patterns_found = len(patterns)
-        return patterns
+        return PatternRows.from_counts(patterns, frequent_singletons)

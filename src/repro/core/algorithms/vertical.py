@@ -28,13 +28,18 @@ Association Mining", IEEE TKDE 2000):
 A pattern is **owned** by its first item in the search order.  Every shard
 of one window computes the same order, so any partition of the frequent
 items partitions the patterns (DESIGN.md §4.1).
+
+Patterns leave the kernel as :class:`~repro.core.patterns.PatternRows`:
+each one a bitmask over the window's sorted frequent items, built as the
+recursion descends (``prefix_mask | bit[index]``), plus its support.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Mapping, Optional, Sequence, Set
 
-from repro.core.algorithms.base import MatrixLike, MiningAlgorithm, PatternCounts
+from repro.core.algorithms.base import MatrixLike, MiningAlgorithm
+from repro.core.patterns import PatternRows
 from repro.graph.edge_registry import EdgeRegistry
 
 
@@ -66,7 +71,7 @@ class VerticalMiner(MiningAlgorithm):
         matrix: MatrixLike,
         minsup: int,
         registry: Optional[EdgeRegistry] = None,
-    ) -> PatternCounts:
+    ) -> PatternRows:
         return self._mine(matrix, minsup, None)
 
     def mine_shard(
@@ -75,7 +80,7 @@ class VerticalMiner(MiningAlgorithm):
         minsup: int,
         owned_items: Iterable[str],
         registry: Optional[EdgeRegistry] = None,
-    ) -> PatternCounts:
+    ) -> PatternRows:
         """Depth-first search restricted to prefixes starting at owned items.
 
         Every itemset's first item in the search order is its owner, so only
@@ -86,59 +91,65 @@ class VerticalMiner(MiningAlgorithm):
 
     def _mine(
         self, matrix: MatrixLike, minsup: int, owned: Optional[Set[str]]
-    ) -> PatternCounts:
+    ) -> PatternRows:
         """Expand every frequent start item (or only the ``owned`` ones)."""
         self.reset_stats()
-        patterns: PatternCounts = {}
-        order = search_order(
-            {item: matrix.item_frequency(item) for item in matrix.frequent_items(minsup)}
-        )
+        symbols = tuple(matrix.frequent_items(minsup))
+        order = search_order({item: matrix.item_frequency(item) for item in symbols})
+        position = {item: index for index, item in enumerate(symbols)}
+        bits = [1 << position[item] for item in order]
         rows: List[int] = [matrix.row(item).bits for item in order]
+        masks: List[int] = []
+        supports: List[int] = []
         intersections = 0
-        for index in range(len(order) - 1, -1, -1):
-            item = order[index]
-            if owned is not None and item not in owned:
+        last = len(order) - 1
+        for index in range(last, -1, -1):
+            if owned is not None and order[index] not in owned:
                 continue
-            bits = rows[index]
-            patterns[frozenset((item,))] = bits.bit_count()
-            if index + 1 < len(order):
+            row = rows[index]
+            masks.append(bits[index])
+            supports.append(row.bit_count())
+            if index < last:
                 intersections += _extend_bits(
-                    (item,), bits, range(len(order) - 1, index, -1),
-                    order, rows, minsup, patterns,
+                    bits[index], row, range(last, index, -1),
+                    bits, rows, minsup, masks, supports,
                 )
         self.stats.bitvector_intersections = intersections
-        self.stats.patterns_found = len(patterns)
-        return patterns
+        self.stats.patterns_found = len(masks)
+        return PatternRows(symbols, masks, supports)
 
 
 def _extend_bits(
-    prefix: Tuple[str, ...],
+    prefix_mask: int,
     prefix_bits: int,
     candidates: Sequence[int],
-    order: List[str],
+    bits: List[int],
     rows: List[int],
     minsup: int,
-    patterns: PatternCounts,
+    masks: List[int],
+    supports: List[int],
 ) -> int:
-    """Record every frequent extension of ``prefix`` depth-first.
+    """Record every frequent extension of the prefix depth-first.
 
-    ``candidates`` are indices into ``order``/``rows`` in descending order;
-    returns the intersection count (one per candidate, recursively).  A
-    child iterates ``found`` while it is the parent's list: the parent
-    appends to it only after the child returns.
+    ``candidates`` are indices into ``bits``/``rows`` (search order) in
+    descending order; each frequent extension is appended to ``masks`` and
+    ``supports``.  Returns the intersection count (one per candidate,
+    recursively).  A child iterates ``found`` while it is the parent's
+    list: the parent appends to it only after the child returns.
     """
     intersections = len(candidates)
     found: List[int] = []  # frequent extensions so far, descending
     for index in candidates:
-        bits = prefix_bits & rows[index]
-        support = bits.bit_count()
+        row = prefix_bits & rows[index]
+        support = row.bit_count()
         if support < minsup:
             continue
-        extended = prefix + (order[index],)
-        patterns[frozenset(extended)] = support
+        mask = prefix_mask | bits[index]
+        masks.append(mask)
+        supports.append(support)
         if found:
             intersections += _extend_bits(
-                extended, bits, found, order, rows, minsup, patterns
+                mask, row, found, bits, rows, minsup, masks, supports
             )
         found.append(index)
     return intersections

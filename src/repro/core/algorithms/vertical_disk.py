@@ -19,10 +19,11 @@ one row at a time.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
-from repro.core.algorithms.base import MatrixLike, MiningAlgorithm, PatternCounts
+from repro.core.algorithms.base import MatrixLike, MiningAlgorithm
 from repro.core.algorithms.vertical import search_order
+from repro.core.patterns import PatternRows
 from repro.graph.edge_registry import EdgeRegistry
 from repro.storage.bitvector import BitVector
 
@@ -38,7 +39,7 @@ class VerticalDiskMiner(MiningAlgorithm):
         matrix: MatrixLike,
         minsup: int,
         registry: Optional[EdgeRegistry] = None,
-    ) -> PatternCounts:
+    ) -> PatternRows:
         return self._mine(matrix, minsup, None)
 
     def mine_shard(
@@ -47,7 +48,7 @@ class VerticalDiskMiner(MiningAlgorithm):
         minsup: int,
         owned_items: Iterable[str],
         registry: Optional[EdgeRegistry] = None,
-    ) -> PatternCounts:
+    ) -> PatternRows:
         """Disk-streaming variant of the vertical shard search.
 
         The singleton pass still scans every item (each shard needs the
@@ -62,10 +63,9 @@ class VerticalDiskMiner(MiningAlgorithm):
     # ------------------------------------------------------------------ #
     def _mine(
         self, matrix: MatrixLike, minsup: int, owned: Optional[Set[str]]
-    ) -> PatternCounts:
+    ) -> PatternRows:
         self.reset_stats()
         self.stats.extra["rows_read_from_disk"] = 0
-        patterns: PatternCounts = {}
 
         # First pass: singleton frequencies, one row resident at a time.
         supports: Dict[str, int] = {}
@@ -74,6 +74,10 @@ class VerticalDiskMiner(MiningAlgorithm):
             if support >= minsup:
                 supports[item] = support
         order = search_order(supports)
+        symbols = tuple(sorted(supports))
+        position = {item: index for index, item in enumerate(symbols)}
+        bits = [1 << position[item] for item in order]
+        rows = PatternRows(symbols, [], [])
 
         # Depth-first extension in search order; only the prefix vectors of
         # the current search path are resident.
@@ -81,19 +85,21 @@ class VerticalDiskMiner(MiningAlgorithm):
             item = order[index]
             if owned is not None and item not in owned:
                 continue
-            patterns[frozenset((item,))] = supports[item]
+            rows.masks.append(bits[index])
+            rows.supports.append(supports[item])
             if index + 1 < len(order):
                 self._extend(
                     matrix=matrix,
-                    prefix=(item,),
+                    prefix_mask=bits[index],
                     prefix_vector=self._load_row(matrix, item),
                     candidates=range(len(order) - 1, index, -1),
                     order=order,
+                    bits=bits,
                     minsup=minsup,
-                    patterns=patterns,
+                    rows=rows,
                 )
-        self.stats.patterns_found = len(patterns)
-        return patterns
+        self.stats.patterns_found = len(rows)
+        return rows
 
     def _load_row(self, matrix: MatrixLike, item: str) -> BitVector:
         """Read one item row, preferring persistent storage when available."""
@@ -106,12 +112,13 @@ class VerticalDiskMiner(MiningAlgorithm):
     def _extend(
         self,
         matrix: MatrixLike,
-        prefix: Tuple[str, ...],
+        prefix_mask: int,
         prefix_vector: BitVector,
         candidates: Sequence[int],
         order: List[str],
+        bits: List[int],
         minsup: int,
-        patterns: PatternCounts,
+        rows: PatternRows,
     ) -> None:
         """The ``vertical`` kernel over ``BitVector`` rows read on demand."""
         found: List[int] = []  # frequent extensions so far, descending
@@ -122,16 +129,18 @@ class VerticalDiskMiner(MiningAlgorithm):
             support = intersection.count()
             if support < minsup:
                 continue
-            extended = prefix + (item,)
-            patterns[frozenset(extended)] = support
+            mask = prefix_mask | bits[index]
+            rows.masks.append(mask)
+            rows.supports.append(support)
             if found:
                 self._extend(
                     matrix=matrix,
-                    prefix=extended,
+                    prefix_mask=mask,
                     prefix_vector=intersection,
                     candidates=found,
                     order=order,
+                    bits=bits,
                     minsup=minsup,
-                    patterns=patterns,
+                    rows=rows,
                 )
             found.append(index)

@@ -548,7 +548,7 @@ class StreamSubgraphMiner:
         elapsed = time.perf_counter() - started
         segments = self._matrix.segments()
         record = self._sealer.seal(
-            result.counts,
+            result.rows,
             slide_id=segments[-1].segment_id,
             first_batch=segments[0].segment_id,
             last_batch=segments[-1].segment_id,
@@ -602,7 +602,7 @@ class StreamSubgraphMiner:
         miner = self._algorithm if algorithm is None else self._resolve_algorithm(algorithm)
         absolute = resolve_minsup(minsup, self._matrix.num_columns)
         if workers and workers > 0:
-            counts, stats = mine_window_parallel(
+            rows, stats = mine_window_parallel(
                 self._matrix,
                 miner,
                 absolute,
@@ -615,16 +615,16 @@ class StreamSubgraphMiner:
             )
             miner.stats = stats  # aggregated shard instrumentation
         else:
-            counts = miner.mine(self._matrix, absolute, registry=self._registry)
+            rows = miner.mine(self._matrix, absolute, registry=self._registry)
         if connected_only:
             if not miner.produces_connected_only:
-                counts = filter_connected_patterns(counts, self._registry, rule=rule)
+                rows = filter_connected_patterns(rows, self._registry, rule=rule)
         elif miner.produces_connected_only:
             raise MiningError(
                 f"algorithm {miner.name!r} mines connected subgraphs directly; "
                 "it cannot return disconnected collections"
             )
-        return MiningResult.from_counts(counts, registry=self._registry)
+        return MiningResult.from_counts(rows, registry=self._registry)
 
     def mine_all_collections(
         self,

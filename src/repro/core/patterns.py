@@ -5,6 +5,9 @@ A :class:`FrequentPattern` is a collection of frequently co-occurring edges
 :class:`~repro.graph.edge_registry.EdgeRegistry` is available the pattern also
 knows its concrete edges and whether they form a connected subgraph.
 
+:class:`PatternRows` is the integer form patterns travel in from the mining
+kernels to the journal: bitmasks over a sorted item table plus supports.
+
 A :class:`MiningResult` is an immutable set of patterns with the query helpers
 used throughout the examples, tests and benchmarks (filtering, grouping by
 size, set-style comparison between algorithms).
@@ -12,7 +15,6 @@ size, set-style comparison between algorithms).
 
 from __future__ import annotations
 
-from types import MappingProxyType
 from typing import (
     Callable,
     Dict,
@@ -128,50 +130,49 @@ class FrequentPattern:
         return f"FrequentPattern({{{items}}}:{self._support})"
 
 
-class MiningResult:
-    """An immutable collection of frequent patterns with query helpers.
+class PatternRows(Mapping[Items, int]):
+    """One window's patterns as integer rows: the form mining hands on.
 
-    Results built by :meth:`from_counts` keep the validated pattern ->
-    support map and build their :class:`FrequentPattern` objects (decoding
-    edges through the registry) only when a caller first needs patterns or
-    edges; :attr:`counts`, :meth:`to_dict`, :meth:`support_of` and
-    ``len`` never need them.
+    ``symbols`` is a strictly ascending item table — for a mined window,
+    its frequent items, which is the JRNL symbol table of the slide's
+    record — and row ``i`` is the pattern whose items are the set bits of
+    ``masks[i]`` (bit ``j`` names ``symbols[j]``) with support
+    ``supports[i]``.  The vertical kernels build the masks as they recurse
+    (``prefix_mask | bit[index]``), shards pickle them as ints, the
+    parallel merge concatenates them and the sealer sorts one int key per
+    row (DESIGN.md §4.2, §10.1), so no per-pattern ``frozenset`` is made
+    between a kernel and the journal.
+
+    The class is also the read-only ``Mapping[frozenset, int]`` of those
+    patterns, derived on first use (:meth:`by_items`): equality with a
+    dict, lookup by item set and iteration all go through it.  Rows are
+    trusted as given — the kernels produce distinct non-empty masks by
+    construction — and :meth:`from_counts` is the validating door for
+    caller data.
     """
 
-    def __init__(self, patterns: Iterable[FrequentPattern]) -> None:
-        by_items: Dict[Items, FrequentPattern] = {}
-        for pattern in patterns:
-            existing = by_items.get(pattern.items)
-            if existing is not None and existing.support != pattern.support:
-                raise MiningError(
-                    f"conflicting supports for pattern {sorted(pattern.items)}: "
-                    f"{existing.support} vs {pattern.support}"
-                )
-            by_items[pattern.items] = pattern
-        self._counts: Dict[Items, int] = {
-            items: pattern.support for items, pattern in by_items.items()
-        }
-        self._registry: Optional[EdgeRegistry] = None
-        self._built: Optional[Dict[Items, FrequentPattern]] = by_items
+    __slots__ = ("symbols", "masks", "supports", "_view")
 
-    # ------------------------------------------------------------------ #
-    # constructors
-    # ------------------------------------------------------------------ #
+    def __init__(
+        self, symbols: Tuple[str, ...], masks: List[int], supports: List[int]
+    ) -> None:
+        self.symbols = symbols
+        self.masks = masks
+        self.supports = supports
+        self._view: Optional[Dict[Items, int]] = None
+
     @classmethod
     def from_counts(
         cls,
-        counts: Mapping[Items, int],
-        registry: Optional[EdgeRegistry] = None,
-    ) -> "MiningResult":
-        """Build a result from a pattern -> support mapping.
+        counts: Mapping[Iterable[str], int],
+        symbols: Optional[Iterable[str]] = None,
+    ) -> "PatternRows":
+        """Validate a pattern -> support mapping and encode it as rows.
 
-        Every entry is validated here, as :class:`FrequentPattern` would
-        (non-empty items, non-negative support).  When ``registry`` is
-        given, each pattern's edges are decoded — on first use of the
-        patterns — so the connectivity predicates become available.
-        Patterns whose items are not covered by the registry (e.g. raw
-        FIMI transactions mined without an edge universe) simply carry no
-        decoded edges.
+        Every pattern must be non-empty with a non-negative support, and
+        two keys naming one item set must agree on it.  ``symbols``
+        defaults to the sorted union of the patterns' items; a given table
+        must hold every item.
         """
         validated: Dict[Items, int] = {}
         for items, support in counts.items():
@@ -187,11 +188,130 @@ class MiningResult:
                     f"{existing} vs {support}"
                 )
             validated[key] = support
+        table = tuple(sorted(set().union(*validated) if symbols is None else symbols))
+        bit = {item: 1 << position for position, item in enumerate(table)}
+        try:
+            masks = [sum(map(bit.__getitem__, key)) for key in validated]
+        except KeyError as exc:
+            raise MiningError(f"item {exc.args[0]!r} is not in the symbol table") from None
+        rows = cls(table, masks, list(validated.values()))
+        rows._view = validated
+        return rows
+
+    def items_of(self, mask: int) -> Tuple[str, ...]:
+        """The items of one row's mask, in table (sorted) order."""
+        symbols = self.symbols
+        items = []
+        while mask:
+            low = mask & -mask
+            items.append(symbols[low.bit_length() - 1])
+            mask ^= low
+        return tuple(items)
+
+    def by_items(self) -> Dict[Items, int]:
+        """The ``{frozenset(items): support}`` dict, built once (do not mutate)."""
+        view = self._view
+        if view is None:
+            view = {
+                frozenset(self.items_of(mask)): support
+                for mask, support in zip(self.masks, self.supports)
+            }
+            self._view = view
+        return view
+
+    def where(self, keep: Callable[[int], bool]) -> "PatternRows":
+        """The rows whose mask satisfies ``keep``, over the same table."""
+        kept = [
+            (mask, support)
+            for mask, support in zip(self.masks, self.supports)
+            if keep(mask)
+        ]
+        return PatternRows(
+            self.symbols, [mask for mask, _ in kept], [support for _, support in kept]
+        )
+
+    def __getitem__(self, items: Items) -> int:
+        return self.by_items()[items]
+
+    def __iter__(self) -> Iterator[Items]:
+        return iter(self.by_items())
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def __contains__(self, items: object) -> bool:
+        return items in self.by_items()
+
+    def items(self):  # type: ignore[override]
+        return self.by_items().items()
+
+    def values(self):  # type: ignore[override]
+        return self.by_items().values()
+
+    def __reduce__(self):
+        return (PatternRows, (self.symbols, self.masks, self.supports))
+
+    def __repr__(self) -> str:
+        return f"PatternRows({len(self.masks)} rows over {len(self.symbols)} items)"
+
+
+class MiningResult:
+    """An immutable collection of frequent patterns with query helpers.
+
+    A result holds its patterns as :class:`PatternRows`.  Results built
+    by :meth:`from_counts` build their :class:`FrequentPattern` objects
+    (decoding edges through the registry) only when a caller first needs
+    patterns or edges; :attr:`rows`, :attr:`counts`, :meth:`to_dict`,
+    :meth:`support_of` and ``len`` never need them.
+    """
+
+    def __init__(self, patterns: Iterable[FrequentPattern]) -> None:
+        by_items: Dict[Items, FrequentPattern] = {}
+        for pattern in patterns:
+            existing = by_items.get(pattern.items)
+            if existing is not None and existing.support != pattern.support:
+                raise MiningError(
+                    f"conflicting supports for pattern {sorted(pattern.items)}: "
+                    f"{existing.support} vs {pattern.support}"
+                )
+            by_items[pattern.items] = pattern
+        self._rows = PatternRows.from_counts(
+            {items: pattern.support for items, pattern in by_items.items()}
+        )
+        self._registry: Optional[EdgeRegistry] = None
+        self._built: Optional[Dict[Items, FrequentPattern]] = by_items
+
+    # ------------------------------------------------------------------ #
+    # constructors
+    # ------------------------------------------------------------------ #
+    @classmethod
+    def from_counts(
+        cls,
+        counts: Mapping[Items, int],
+        registry: Optional[EdgeRegistry] = None,
+    ) -> "MiningResult":
+        """Build a result from mined rows or a pattern -> support mapping.
+
+        :class:`PatternRows` are taken as they are; any other mapping is
+        validated by :meth:`PatternRows.from_counts` (non-empty items,
+        non-negative support, no conflicting duplicates).  When
+        ``registry`` is given, each pattern's edges are decoded — on first
+        use of the patterns — so the connectivity predicates become
+        available.  Patterns whose items are not covered by the registry
+        (e.g. raw FIMI transactions mined without an edge universe) simply
+        carry no decoded edges.
+        """
         result = cls.__new__(cls)
-        result._counts = validated
+        result._rows = (
+            counts if isinstance(counts, PatternRows) else PatternRows.from_counts(counts)
+        )
         result._registry = registry
         result._built = None
         return result
+
+    @property
+    def _counts(self) -> Dict[Items, int]:
+        return self._rows.by_items()
 
     @property
     def _patterns(self) -> Dict[Items, FrequentPattern]:
@@ -220,13 +340,18 @@ class MiningResult:
         )
 
     @property
+    def rows(self) -> PatternRows:
+        """The patterns as integer rows: what
+        :class:`~repro.history.journal.SlideSealer` seals."""
+        return self._rows
+
+    @property
     def counts(self) -> Mapping[Items, int]:
         """The validated pattern -> support map, as a read-only view (no copy).
 
-        What :class:`~repro.history.journal.SlideSealer` seals: it relies
-        on the validation :meth:`from_counts` already did.
+        The rows themselves, read as a ``Mapping[frozenset, int]``.
         """
-        return MappingProxyType(self._counts)
+        return self._rows
 
     def support_of(self, items: Iterable[str]) -> Optional[int]:
         """Support of a specific itemset, or ``None`` if it is not frequent."""
@@ -240,7 +365,7 @@ class MiningResult:
         return False
 
     def __len__(self) -> int:
-        return len(self._counts)
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[FrequentPattern]:
         return iter(self.patterns())
@@ -319,13 +444,14 @@ class MiningResult:
     def size_histogram(self) -> Dict[int, int]:
         """Number of patterns per pattern size."""
         histogram: Dict[int, int] = {}
-        for items in self._counts:
-            histogram[len(items)] = histogram.get(len(items), 0) + 1
+        for mask in self._rows.masks:
+            size = mask.bit_count()
+            histogram[size] = histogram.get(size, 0) + 1
         return dict(sorted(histogram.items()))
 
     def max_pattern_size(self) -> int:
         """Largest pattern size present (0 for an empty result)."""
-        return max(map(len, self._counts), default=0)
+        return max((mask.bit_count() for mask in self._rows.masks), default=0)
 
     def top(self, k: int) -> List[FrequentPattern]:
         """The ``k`` patterns with the highest support (ties broken by items)."""
@@ -335,4 +461,4 @@ class MiningResult:
         )[:k]
 
     def __repr__(self) -> str:
-        return f"MiningResult({len(self._counts)} patterns)"
+        return f"MiningResult({len(self._rows)} patterns)"

@@ -9,8 +9,9 @@ difference).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Mapping
+from typing import FrozenSet, Mapping
 
+from repro.core.patterns import PatternRows
 from repro.exceptions import MiningError
 from repro.graph.connectivity import is_connected_edge_set, satisfies_paper_rule
 from repro.graph.edge_registry import EdgeRegistry
@@ -39,20 +40,25 @@ def filter_connected_patterns(
     counts: Mapping[Items, int],
     registry: EdgeRegistry,
     rule: str = "exact",
-) -> Dict[Items, int]:
+) -> PatternRows:
     """Keep only the patterns whose edge collections are connected subgraphs.
 
     Parameters
     ----------
     counts:
-        Pattern -> support mapping as produced by algorithms 1-4.
+        The rows (or a pattern -> support mapping) produced by algorithms
+        1-4.
     registry:
         The edge registry used to resolve item symbols to edges.
     rule:
         ``"exact"`` (union-find, default) or ``"paper"`` (§3.5 rule).
+
+    The rows are filtered in place of a dict: each mask is decoded once
+    for the connectivity check, and the kept rows keep the table.
     """
-    return {
-        items: support
-        for items, support in counts.items()
-        if is_connected_itemset(frozenset(items), registry, rule=rule)
-    }
+    rows = counts if isinstance(counts, PatternRows) else PatternRows.from_counts(counts)
+    return rows.where(
+        lambda mask: is_connected_itemset(
+            frozenset(rows.items_of(mask)), registry, rule=rule
+        )
+    )

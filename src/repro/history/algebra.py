@@ -1068,6 +1068,138 @@ def evaluate(query: Query, index: IndexReader, optimize: bool = True) -> Evaluat
     )
 
 
+class SlidePlan:
+    """A ``select`` or ``top_k`` planned once, then run one slide at a time.
+
+    What a standing query evaluates after every commit: the registered
+    expression restricted to the committed slide.  Construction, when the
+    query is registered, fixes everything that does not depend on the
+    slide — the top-level ``slides`` bounds, each conjunction's driver and
+    filters — so :meth:`run` only binds the slide.  The driver
+    is the first ``contains`` conjunct, else the first ``contained_in``,
+    else a scan of the slide's rows; every other conjunct is a filter.
+    Rows come back exactly as :func:`evaluate` of the restricted query
+    returns them (the plan may differ, the rows cannot).  No Explain is
+    built: nobody reads one per slide.
+    """
+
+    __slots__ = ("k", "arms")
+
+    def __init__(self, query: Query) -> None:
+        if isinstance(query, Select):
+            where: Optional[Predicate] = query.where
+            self.k: Optional[int] = None
+        elif isinstance(query, TopK):
+            where = query.where
+            self.k = query.k
+        else:
+            raise AlgebraError(
+                f"cannot plan {type(query).__name__!r} per slide; expected select or top_k"
+            )
+        arms = where.children if isinstance(where, Or) else (where,)
+        self.arms = tuple(_plan_arm(arm) for arm in arms)
+
+    def run(self, index: IndexReader, slide: int) -> Dict[Tuple[str, ...], int]:
+        """The matched ``items -> support`` rows at one slide."""
+        if not index.has_slide(slide):
+            return {}
+        k = self.k
+        if k is not None and len(self.arms) == 1 and self.arms[0].in_rank_order:
+            return dict(islice(self.arms[0].rows(index, slide), k))
+        rows: Dict[Tuple[str, ...], int] = {}
+        for arm in self.arms:
+            rows.update(arm.rows(index, slide))
+        if k is None or len(rows) <= k:
+            return rows
+        return dict(sorted(rows.items(), key=_slide_rank)[:k])
+
+
+def _slide_rank(row: Tuple[Tuple[str, ...], int]) -> Tuple[int, int, Tuple[str, ...]]:
+    """Rank order within one slide: support descending, then size, items."""
+    return (-row[1], len(row[0]), row[0])
+
+
+class _ArmPlan:
+    """One conjunction of a :class:`SlidePlan`: slide bounds, driver, filters."""
+
+    __slots__ = ("lo", "hi", "driver", "filters")
+
+    def __init__(
+        self,
+        lo: Optional[int],
+        hi: Optional[int],
+        driver: Optional[Predicate],
+        filters: List[Predicate],
+    ) -> None:
+        self.lo = lo
+        self.hi = hi
+        self.driver = driver
+        self.filters = filters
+
+    @property
+    def in_rank_order(self) -> bool:
+        """A scan and a ``contains`` posting both yield rows in rank order."""
+        return not isinstance(self.driver, ContainedIn) or len(self.driver.items) == 1
+
+    def rows(self, index: IndexReader, slide: int) -> Iterator[Tuple[Tuple[str, ...], int]]:
+        if (self.lo is not None and slide < self.lo) or (
+            self.hi is not None and slide > self.hi
+        ):
+            return
+        driver = self.driver
+        filters = self.filters
+        if driver is None:
+            candidates: Iterable[Tuple[Tuple[str, ...], int]] = index.iter_patterns_at(slide)
+        elif isinstance(driver, Contains):
+            candidates = _containing(index, slide, driver.items)
+        else:
+            candidates = _contained(index, slide, driver.items)
+        for items, support in candidates:
+            if all(matches_row(f, slide, items, support, index) for f in filters):
+                yield items, support
+
+
+def _containing(
+    index: IndexReader, slide: int, wanted: Tuple[str, ...]
+) -> Iterator[Tuple[Tuple[str, ...], int]]:
+    """The rows holding every ``wanted`` item, from the shortest posting."""
+    postings = [index.posting(item, slide) for item in wanted]
+    shortest = min(postings, key=len)
+    others = frozenset(wanted) if len(wanted) > 1 else None
+    for candidate in shortest:
+        if others is None or others.issubset(candidate):
+            support = index.support_at(slide, candidate)
+            if support is not None:
+                yield candidate, support
+
+
+def _contained(
+    index: IndexReader, slide: int, allowed_items: Tuple[str, ...]
+) -> Iterator[Tuple[Tuple[str, ...], int]]:
+    """The rows made only of ``allowed_items``, each once."""
+    allowed = frozenset(allowed_items)
+    seen: set = set()
+    for item in allowed_items:
+        for candidate in index.posting(item, slide):
+            if candidate in seen or not allowed.issuperset(candidate):
+                continue
+            seen.add(candidate)
+            support = index.support_at(slide, candidate)
+            if support is not None:
+                yield candidate, support
+
+
+def _plan_arm(where: Optional[Predicate]) -> _ArmPlan:
+    lo, hi, rest = _slide_bounds([] if where is None else _flatten_and(where))
+    position = next(
+        (p for p, conjunct in enumerate(rest) if isinstance(conjunct, Contains)),
+        next((p for p, c in enumerate(rest) if isinstance(c, ContainedIn)), None),
+    )
+    if position is None:
+        return _ArmPlan(lo, hi, None, rest)
+    return _ArmPlan(lo, hi, rest[position], rest[:position] + rest[position + 1:])
+
+
 # ---------------------------------------------------------------------- #
 # brute-force interpreter — the correctness oracle
 # ---------------------------------------------------------------------- #
@@ -1148,5 +1280,6 @@ __all__ = [
     "matches_row",
     "Evaluation",
     "evaluate",
+    "SlidePlan",
     "brute_force_query",
 ]

@@ -41,16 +41,17 @@ import os
 from abc import ABC, abstractmethod
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
+from functools import reduce
+from operator import attrgetter, itemgetter, or_
 from pathlib import Path
 
 from repro import faults
 from repro.resilience import EventLog, FailurePolicy, retry_io
 from typing import (
+    TYPE_CHECKING,
     BinaryIO,
     Callable,
     Dict,
-    FrozenSet,
     Iterator,
     List,
     Mapping,
@@ -62,6 +63,9 @@ from typing import (
 
 from repro.exceptions import HistoryError
 from repro.storage.segments import read_envelope_header
+
+if TYPE_CHECKING:  # pragma: no cover - the core imports this module
+    from repro.core.patterns import PatternRows
 
 #: Magic prefix of a serialised slide record.
 RECORD_MAGIC = b"JRNL"
@@ -199,12 +203,15 @@ class SlideRecord:
         patterns: Tuple[PatternEntry, ...],
         symbols: Tuple[str, ...],
         timings: Optional[Mapping[str, float]],
+        masks: Optional[List[int]] = None,
         **header: int,
     ) -> "SlideRecord":
         """A record over patterns already in canonical form (:class:`SlideSealer`).
 
         Skips the per-pattern walk of :func:`_canonical_patterns`; the
-        symbol table the seal computed is kept for :meth:`to_bytes`.
+        symbol table the seal computed is kept for :meth:`to_bytes`, and
+        so are the patterns' ``masks`` over it, until the first
+        :meth:`to_bytes` writes them.
         """
         _check_header(**header)
         record = object.__new__(cls)
@@ -214,6 +221,8 @@ class SlideRecord:
             timings=dict(timings) if timings else {},
             _symbols=symbols,
         )
+        if masks is not None:
+            record.__dict__["_masks"] = masks
         return record
 
     # ------------------------------------------------------------------ #
@@ -264,9 +273,18 @@ class SlideRecord:
         canonical order: a ``stride``-byte little-endian bitmask over the
         symbol table followed by a 4-byte little-endian support counter —
         together one ``stride + 4``-byte little-endian integer.
+
+        A sealed record is handed its masks by the sealer; the first call
+        writes those and drops them, so a resident record holds only its
+        item tuples.  Any other call builds the masks from the tuples.
         """
         symbols = self._symbol_table()
-        bit = {item: 1 << position for position, item in enumerate(symbols)}.__getitem__
+        masks = self.__dict__.pop("_masks", None)
+        if masks is None:
+            bit = {item: 1 << position for position, item in enumerate(symbols)}.__getitem__
+            # Canonical item tuples hold distinct items, so the sum of their
+            # bits is the bitmask.
+            masks = [sum(map(bit, items)) for items, _ in self.patterns]
         stride = max(1, (len(symbols) + 7) // 8)
         header = {
             "slide_id": self.slide_id,
@@ -281,11 +299,9 @@ class SlideRecord:
         header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
         shift = 8 * stride
         width = stride + SUPPORT_BYTES
-        # Canonical item tuples hold distinct items, so the sum of their
-        # bits is the bitmask.
         rows = [
-            (sum(map(bit, items)) | support << shift).to_bytes(width, "little")
-            for items, support in self.patterns
+            (mask | support << shift).to_bytes(width, "little")
+            for mask, (_, support) in zip(masks, self.patterns)
         ]
         return b"".join(
             [RECORD_MAGIC, len(header_bytes).to_bytes(4, "little"), header_bytes, *rows]
@@ -380,31 +396,70 @@ class SlideRecord:
         )
 
 
+#: Each byte value with its eight bits in reverse order.
+_REVERSED_BITS = bytes(int(f"{value:08b}"[::-1], 2) for value in range(256))
+
+
+def _used_table(
+    symbols: Tuple[str, ...], masks: List[int]
+) -> Tuple[Tuple[str, ...], List[int]]:
+    """Drop the table entries no mask uses, re-packing the masks.
+
+    A mined window's rows use every entry (each frequent item is a
+    singleton pattern), so this is a no-op on the watch path; a filtered
+    result may leave items out of the record's symbol table.
+    """
+    used = reduce(or_, masks, 0)
+    if used == (1 << len(symbols)) - 1:
+        return symbols, masks
+    kept = [position for position in range(len(symbols)) if used >> position & 1]
+    packed = {1 << old: 1 << new for new, old in enumerate(kept)}
+    repacked = []
+    for mask in masks:
+        value = 0
+        while mask:
+            low = mask & -mask
+            value |= packed[low]
+            mask ^= low
+        repacked.append(value)
+    return tuple(symbols[position] for position in kept), repacked
+
+
 class SlideSealer:
-    """Seals a miner's per-slide answers straight into canonical records.
+    """Seals a miner's per-slide pattern rows straight into canonical records.
 
-    The input is a :class:`~repro.core.patterns.MiningResult`'s validated
-    pattern → support map (non-empty item sets, non-negative supports, one
-    entry per pattern), so sealing validates nothing again; it only puts
-    the map in canonical (size, items) order — one lexicographic sort of
-    the distinct item tuples, then a stable pass by size — and computes
-    the symbol table :meth:`SlideRecord.to_bytes` writes.
+    The input is the :class:`~repro.core.patterns.PatternRows` of a mined
+    window — one distinct, non-empty bitmask over the sorted symbol table
+    plus one support per pattern — so sealing validates nothing again.
+    It does three things, none of them per-pattern set work:
 
-    Each pattern's item tuple is interned against the *previous* slide's
-    table only: most patterns survive a slide, so most tuples are reused
-    rather than sorted again, and the records, the index maps and the
-    provenance of consecutive slides share one tuple object per pattern.
-    The table holds one slide, so it never grows with the stream.
+    * **Sort by one int per row.**  Among patterns of one size, canonical
+      items order is the *descending* order of the bit-reversed masks: the
+      lowest item of the two patterns' symmetric difference decides, and
+      in a reversed mask that item is the highest differing bit.  So the
+      key ``size << W`` minus the reversed mask (``W`` the mask width in
+      bits) sorts the rows into canonical (size, items) order.
+    * **Map masks to item tuples once per slide.**  In canonical order a
+      pattern's parent (its mask without the highest bit) comes first, so
+      its tuple is the parent's tuple plus one symbol.  Each tuple is
+      interned against the *previous* slide only — by mask when the
+      symbol table is unchanged, by tuple when it changed — so the
+      records, the index maps and the provenance of consecutive slides
+      share one tuple object per surviving pattern, and the table never
+      grows with the stream.
+    * **Hand the sorted masks to the record**, whose JRNL encoding writes
+      them as they are (:meth:`SlideRecord.to_bytes`).
     """
 
-    __slots__ = ("_previous",)
+    __slots__ = ("_symbols", "_tuples")
 
     def __init__(self) -> None:
-        self._previous: Dict[FrozenSet[str], Tuple[str, ...]] = {}
+        self._symbols: Tuple[str, ...] = ()
+        self._tuples: Dict[int, Tuple[str, ...]] = {}
 
     def seal(
         self,
-        counts: Mapping[FrozenSet[str], int],
+        rows: "PatternRows",
         *,
         slide_id: int,
         first_batch: int,
@@ -413,22 +468,64 @@ class SlideSealer:
         minsup: int,
         timings: Optional[Mapping[str, float]] = None,
     ) -> SlideRecord:
-        """The record of one slide whose mined answer is ``counts``."""
-        previous = self._previous.get
-        tuples = [previous(pattern) or tuple(sorted(pattern)) for pattern in counts]
-        self._previous = dict(zip(counts, tuples))
-        rows = sorted(zip(tuples, counts.values()), key=itemgetter(0))
-        rows.sort(key=_pattern_size)
+        """The record of one slide whose mined answer is ``rows``."""
+        symbols, masks = _used_table(tuple(rows.symbols), rows.masks)
+        stride = max(1, (len(symbols) + 7) // 8)
+        width = 8 * stride
+        keys = [
+            (mask.bit_count() << width)
+            - int.from_bytes(mask.to_bytes(stride, "little").translate(_REVERSED_BITS), "big")
+            for mask in masks
+        ]
+        order = sorted(range(len(masks)), key=keys.__getitem__)
+        masks = [masks[index] for index in order]
+        supports = rows.supports
+        tuples = self._tuples_of(symbols, masks)
         return SlideRecord._sealed(
-            tuple(rows),
-            tuple(sorted(set().union(*counts))),
+            tuple(zip(tuples, [supports[index] for index in order])),
+            symbols,
             timings,
+            masks=masks,
             slide_id=slide_id,
             first_batch=first_batch,
             last_batch=last_batch,
             num_columns=num_columns,
             minsup=minsup,
         )
+
+    def _tuples_of(
+        self, symbols: Tuple[str, ...], masks: List[int]
+    ) -> List[Tuple[str, ...]]:
+        """Each (canonically ordered) mask's item tuple, interned."""
+        if symbols == self._symbols:
+            by_mask = self._tuples
+            by_tuple: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+        else:
+            by_mask = {}
+            previous = list(self._tuples.values())
+            by_tuple = dict(zip(previous, previous))
+        singles = [(symbol,) for symbol in symbols]
+        seen: Dict[int, Tuple[str, ...]] = {}
+        tuples = []
+        for mask in masks:
+            items = by_mask.get(mask)
+            if items is None:
+                high = mask.bit_length() - 1
+                parent = seen.get(mask ^ (1 << high)) if mask & (mask - 1) else ()
+                if parent is None:  # a filtered answer may lack the parent
+                    items = tuple(
+                        symbols[position]
+                        for position in range(high + 1)
+                        if mask >> position & 1
+                    )
+                else:
+                    items = parent + singles[high]
+                items = by_tuple.get(items, items)
+            seen[mask] = items
+            tuples.append(items)
+        self._symbols = symbols
+        self._tuples = seen
+        return tuples
 
 
 class PatternJournal(ABC):
@@ -469,6 +566,9 @@ class PatternJournal(ABC):
                 f"journal already holds slide {self._records[-1].slide_id}"
             )
         self._persist(record)
+        # Resident, a record keeps only its item tuples: drop the masks the
+        # sealer handed over (a disk journal's encode already took them).
+        record.__dict__.pop("_masks", None)
         self._records.append(record)
 
     @abstractmethod

@@ -15,8 +15,8 @@ The subsystem has five small layers:
   commits that both the mining and the ingestion paths execute on
   (DESIGN.md §9); ``workers=0`` runs the same plan in-process,
   byte-identical to sequential mining.
-* :mod:`repro.parallel.merge` — combines per-shard pattern sets and
-  instrumentation into the exact sequential answer.
+* :mod:`repro.parallel.merge` — concatenates per-shard pattern rows and
+  combines instrumentation into the exact sequential answer.
 
 :func:`mine_window_parallel` ties the layers together;
 ``StreamSubgraphMiner.mine(..., workers=N)`` and the CLI's ``--workers``
@@ -25,8 +25,9 @@ are the user-facing entry points.
 
 from repro.parallel.api import mine_window_parallel
 from repro.parallel.merge import (
-    merge_pattern_counts,
-    merge_pattern_counts_into,
+    check_distinct,
+    merge_pattern_rows,
+    merge_rows_into,
     merge_stats,
 )
 from repro.parallel.pipeline import (
@@ -58,8 +59,9 @@ __all__ = [
     "rebuild_window",
     "clear_mining_worker",
     "run_mining_shard",
-    "merge_pattern_counts",
-    "merge_pattern_counts_into",
+    "check_distinct",
+    "merge_pattern_rows",
+    "merge_rows_into",
     "merge_stats",
     "mine_window_parallel",
 ]

@@ -11,13 +11,14 @@ the property the parity suite pins down.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple, Type, Union
+from typing import Dict, List, Optional, Tuple, Type, Union
 
 from repro.core.algorithms import ALGORITHMS
 from repro.core.algorithms.base import MiningAlgorithm, MiningStats
+from repro.core.patterns import PatternRows
 from repro.exceptions import ParallelMiningError
 from repro.graph.edge_registry import EdgeRegistry
-from repro.parallel.merge import merge_pattern_counts_into, merge_stats
+from repro.parallel.merge import check_distinct, merge_rows_into, merge_stats
 from repro.parallel.pipeline import PipelineExecutor
 from repro.parallel.planner import ShardPlanner
 from repro.parallel.pool import PersistentWorkerPool, effective_workers
@@ -32,8 +33,6 @@ from repro.parallel.worker import (
 from repro.storage.backend import DiskWindowStore, WindowStore
 from repro.storage.dsmatrix import DSMatrix
 
-Items = FrozenSet[str]
-PatternCounts = Dict[Items, int]
 MatrixLike = Union[DSMatrix, WindowStore]
 
 
@@ -84,15 +83,15 @@ def mine_window_parallel(
     pool: Optional[PersistentWorkerPool] = None,
     policy: Optional[FailurePolicy] = None,
     events: Optional[EventLog] = None,
-) -> Tuple[PatternCounts, MiningStats]:
+) -> Tuple[PatternRows, MiningStats]:
     """Mine the window by pipelining item shards over worker processes.
 
     The window travels as segment handles (paths or payload bytes —
     never a live store), each worker runs the
     algorithm's shard-aware entry point over its owned items, and shard
-    results are merged **incrementally as shards finish** (in shard order)
-    into exactly the sequential pattern set — at most ``max_inflight``
-    unmerged shard results are resident at any moment.
+    rows are concatenated **incrementally as shards finish** (in shard
+    order) into exactly the sequential pattern set — at most
+    ``max_inflight`` unmerged shard results are resident at any moment.
 
     Parameters
     ----------
@@ -126,8 +125,8 @@ def mine_window_parallel(
 
     Returns
     -------
-    (patterns, stats):
-        The merged pattern -> support mapping and the aggregated
+    (rows, stats):
+        The merged pattern rows (no mask twice) and the aggregated
         instrumentation of all shards.
     """
     store = _store_of(matrix)
@@ -168,11 +167,12 @@ def mine_window_parallel(
         )
         for shard in shards
     ]
-    patterns: PatternCounts = {}
+    merged: Optional[PatternRows] = None
     stats_parts: List[Dict[str, int]] = []
 
     def _merge_outcome(outcome: ShardOutcome) -> None:
-        merge_pattern_counts_into(patterns, outcome.patterns)
+        nonlocal merged
+        merged = merge_rows_into(merged, outcome.patterns)
         stats_parts.append(outcome.stats)
 
     executor = PipelineExecutor(
@@ -188,6 +188,8 @@ def mine_window_parallel(
         # Tasks run in *this* process (in-process mode, the degraded rung,
         # speculative re-execution) installed a replica here.
         clear_mining_worker(store.lineage)
+    # No shard at all means no frequent item: the empty table.
+    rows = check_distinct(merged if merged is not None else PatternRows((), [], []))
     stats = merge_stats(stats_parts)
-    stats.patterns_found = len(patterns)
-    return patterns, stats
+    stats.patterns_found = len(rows)
+    return rows, stats

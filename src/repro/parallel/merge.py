@@ -1,58 +1,66 @@
 """Combining per-shard results back into the exact sequential answer.
 
 Merging is where the determinism guarantee is enforced rather than hoped
-for: pattern shards must be disjoint except where two shards computed the
-same support for the same pattern (which cannot happen when every
-pattern has one owning item, and raises if it does with a different
-support).
+for.  Every shard returns :class:`~repro.core.patterns.PatternRows` over
+the same table (the window's sorted frequent items), so merging is a
+concatenation of mask and support lists; shards own disjoint pattern sets
+(DESIGN.md §4.1), so a mask that two shards both report means the shard
+plan or a worker is broken, and it raises whatever the supports.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Mapping
+from typing import Dict, Iterable, Mapping, Optional
 
 from repro.core.algorithms.base import MiningStats
+from repro.core.patterns import PatternRows
 from repro.exceptions import ParallelMiningError
-
-Items = FrozenSet[str]
-PatternCounts = Dict[Items, int]
 
 #: MiningStats fields that are high-water marks rather than additive counts.
 _MAX_STAT_PREFIX = "max_"
 
 
-def merge_pattern_counts_into(
-    merged: PatternCounts, part: Mapping[Items, int]
-) -> None:
-    """Merge one shard's patterns into ``merged`` in place.
+def merge_rows_into(merged: Optional[PatternRows], part: PatternRows) -> PatternRows:
+    """Append one shard's rows to ``merged`` (``None`` before the first).
 
     This is the incremental step the pipelined executor applies as each
     shard completes (DESIGN.md §9) — only one shard result is resident at
-    a time instead of the whole outcome list.
+    a time instead of the whole outcome list.  Repeated masks are checked
+    once, over the whole merge, by :func:`check_distinct`.
     """
-    for items, support in part.items():
-        existing = merged.get(items)
-        if existing is not None and existing != support:
-            raise ParallelMiningError(
-                f"conflicting supports for pattern {sorted(items)}: "
-                f"{existing} vs {support}"
-            )
-        merged[items] = support
-
-
-def merge_pattern_counts(parts: Iterable[Mapping[Items, int]]) -> PatternCounts:
-    """Union per-shard pattern sets, rejecting any support disagreement.
-
-    Shards own disjoint pattern sets (every pattern has one owning item,
-    DESIGN.md §4.1), so a pattern appearing in two shards with different supports
-    means the shard plan or a worker is broken — that is surfaced as a
-    :class:`~repro.exceptions.ParallelMiningError` instead of silently
-    keeping either value.
-    """
-    merged: PatternCounts = {}
-    for part in parts:
-        merge_pattern_counts_into(merged, part)
+    if merged is None:
+        return PatternRows(part.symbols, list(part.masks), list(part.supports))
+    if part.symbols != merged.symbols:
+        raise ParallelMiningError(
+            "shards mined over different symbol tables: "
+            f"{list(merged.symbols)} vs {list(part.symbols)}"
+        )
+    merged.masks.extend(part.masks)
+    merged.supports.extend(part.supports)
     return merged
+
+
+def check_distinct(rows: PatternRows) -> PatternRows:
+    """Reject a merge in which any mask appears twice; returns ``rows``."""
+    masks = rows.masks
+    if len(set(masks)) != len(masks):
+        seen = set()
+        for mask in masks:
+            if mask in seen:
+                raise ParallelMiningError(
+                    f"two shards report pattern {list(rows.items_of(mask))}; "
+                    "shards must own disjoint pattern sets"
+                )
+            seen.add(mask)
+    return rows
+
+
+def merge_pattern_rows(parts: Iterable[PatternRows]) -> PatternRows:
+    """Concatenate per-shard rows into one answer, rejecting repeated masks."""
+    merged: Optional[PatternRows] = None
+    for part in parts:
+        merged = merge_rows_into(merged, part)
+    return check_distinct(merged if merged is not None else PatternRows((), [], []))
 
 
 def merge_stats(parts: Iterable[Mapping[str, int]]) -> MiningStats:

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro import faults
 from repro.core.algorithms import get_algorithm
+from repro.core.patterns import PatternRows
 from repro.exceptions import DSMatrixError
 from repro.graph.edge_registry import EdgeRegistry
 from repro.storage.backend import (
@@ -33,9 +34,6 @@ from repro.storage.backend import (
     WindowStore,
 )
 from repro.storage.segments import SegmentHandle
-
-Items = FrozenSet[str]
-PatternCounts = Dict[Items, int]
 
 #: This process's resident window replica: (lineage, store).  One slot per
 #: process; a task of any other lineage replaces it.  The slot is read and
@@ -82,10 +80,13 @@ class MiningShardTask:
 
 @dataclass(frozen=True)
 class ShardOutcome:
-    """What a mining worker sends back: the shard's patterns and stats."""
+    """What a mining worker sends back: the shard's pattern rows and stats.
+
+    The rows pickle as two lists of ints plus the symbol table.
+    """
 
     shard_id: int
-    patterns: PatternCounts
+    patterns: PatternRows
     stats: Dict[str, int] = field(default_factory=dict)
 
 

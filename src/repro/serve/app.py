@@ -165,8 +165,8 @@ class ServeApp:
             snapshot = IndexSnapshot.from_payload(payload)
         except ServeError:
             return None
-        journal_order = tuple(record.slide_id for record in records)
-        if snapshot.order != journal_order[: len(snapshot.order)]:
+        order = snapshot.slide_ids()
+        if order != [record.slide_id for record in records[: len(order)]]:
             return None
         return snapshot
 

@@ -6,12 +6,15 @@ half-applied slide:
 
 * committing one slide builds a *new* :class:`IndexSnapshot` with its
   own item → posting-list map and per-item totals;
-* what a committed slide adds never changes, so two structures are
+* what a committed slide adds never changes, so four structures are
   append-only and shared by every snapshot, each reading them as of its
-  own last slide: the per-item slide → patterns dicts (a new slide's
-  postings are appended in place) and the pattern → first-slide
-  :class:`~repro.history.provenance.Provenance`.  Extending a snapshot
-  that is not the newest of its lineage takes private copies first;
+  own last slide: the slide-id list, the slide id → rows map, the
+  per-item slide → patterns dicts (a new slide's entries are appended
+  in place) and the pattern → first-slide
+  :class:`~repro.history.provenance.Provenance`.  A commit therefore
+  copies only the per-item maps, never anything that grows with the
+  history.  Extending a snapshot that is not the newest of its lineage
+  takes private copies first;
 * each slide's rows are stored in rank order (support descending, then
   size, items), sorted once at commit;
 * the new snapshot is published by a single attribute assignment
@@ -107,14 +110,22 @@ class IndexSnapshot:
     """One immutable, fully consistent view of the index.
 
     Implements the :class:`~repro.history.algebra.IndexReader` protocol.
-    ``postings`` maps item → slide id → tuple of pattern item-tuples
-    (the per-item dicts are shared along the lineage and read only up to
-    :attr:`last_slide_id`); ``posting_totals`` carries the planner's
-    per-item selectivity estimates.
+    ``postings`` maps item → slide id → tuple of pattern item-tuples;
+    ``posting_totals`` carries the planner's per-item selectivity
+    estimates.  The slide-id list, the slide → rows map and the per-item
+    dicts are shared along the lineage: a snapshot reads the first
+    ``count`` slide ids and nothing after :attr:`last_slide_id`.
     """
 
     __slots__ = (
-        "generation", "postings", "posting_totals", "slides", "order", "provenance"
+        "generation",
+        "postings",
+        "posting_totals",
+        "slides",
+        "slide_order",
+        "count",
+        "provenance",
+        "_last",
     )
 
     def __init__(
@@ -123,44 +134,57 @@ class IndexSnapshot:
         postings: Postings,
         posting_totals: Dict[str, int],
         slides: Dict[int, Dict[Tuple[str, ...], int]],
-        order: Tuple[int, ...],
+        slide_order: List[int],
         provenance: Provenance,
+        count: Optional[int] = None,
     ) -> None:
         self.generation = generation
         self.postings = postings
         self.posting_totals = posting_totals
-        #: slide id -> {items -> support}, each slide's rows in rank order.
+        #: slide id -> {items -> support}, each slide's rows in rank order
+        #: (shared; holds later slides of the lineage too).
         self.slides = slides
-        self.order = order
+        #: Ascending slide ids (shared); this snapshot sees the first
+        #: :attr:`count`.
+        self.slide_order = slide_order
+        self.count = len(slide_order) if count is None else count
+        self._last = slide_order[self.count - 1] if self.count else None
         #: Shared with every other snapshot of this index; read as of
         #: :attr:`last_slide_id`.
         self.provenance = provenance
 
     @classmethod
     def empty(cls) -> "IndexSnapshot":
-        return cls(0, {}, {}, {}, (), Provenance())
+        return cls(0, {}, {}, {}, [], Provenance())
+
+    def _rows(self, slide_id: int) -> Optional[Dict[Tuple[str, ...], int]]:
+        """One slide's rows, or ``None`` if this snapshot does not hold it."""
+        rows = self.slides.get(slide_id)
+        if rows is None or not self.count or slide_id > self._last:  # type: ignore[operator]
+            return None
+        return rows
 
     # ------------------------------------------------------------------ #
     # the IndexReader protocol
     # ------------------------------------------------------------------ #
     def slide_ids(self) -> List[int]:
         """All indexed slide ids, ascending."""
-        return list(self.order)
+        return self.slide_order[: self.count]
 
     @property
     def last_slide_id(self) -> Optional[int]:
         """The newest indexed slide id, or ``None`` for an empty index."""
-        return self.order[-1] if self.order else None
+        return self._last
 
     def has_slide(self, slide_id: int) -> bool:
         """Is ``slide_id`` an indexed slide?"""
-        return slide_id in self.slides
+        return self._rows(slide_id) is not None
 
     def slides_between(self, lo: Optional[int], hi: Optional[int]) -> Sequence[int]:
         """The indexed slide ids in ``[lo, hi]`` (None = open end), ascending."""
-        order = self.order
-        start = 0 if lo is None else bisect_left(order, lo)
-        stop = len(order) if hi is None else bisect_right(order, hi)
+        order = self.slide_order
+        start = 0 if lo is None else bisect_left(order, lo, 0, self.count)
+        stop = self.count if hi is None else bisect_right(order, hi, 0, self.count)
         return order[start:stop]
 
     def posting_total(self, item: str) -> int:
@@ -169,23 +193,23 @@ class IndexSnapshot:
 
     def posting(self, item: str, slide_id: int) -> Sequence[Tuple[str, ...]]:
         """The patterns containing ``item`` at one slide."""
-        if slide_id not in self.slides:  # a slide committed after this snapshot
+        if self._rows(slide_id) is None:  # a slide committed after this snapshot
             return ()
         return self.postings.get(item, {}).get(slide_id, ())
 
     def row_count(self, slide_id: int) -> int:
         """Number of journalled pattern rows at one slide (0 if unknown)."""
-        return len(self.slides.get(slide_id, ()))
+        return len(self._rows(slide_id) or ())
 
     def iter_patterns_at(
         self, slide_id: int
     ) -> Iterator[Tuple[Tuple[str, ...], int]]:
         """Iterate the (items, support) rows of one slide, in rank order."""
-        return iter(self.slides.get(slide_id, {}).items())
+        return iter((self._rows(slide_id) or {}).items())
 
     def support_at(self, slide_id: int, items: Iterable[str]) -> Optional[int]:
         """Support of an exact itemset at one slide, or None when absent."""
-        slide = self.slides.get(slide_id)
+        slide = self._rows(slide_id)
         if slide is None:
             return None
         if type(items) is tuple:  # canonical (sorted) tuples: the hot loop
@@ -196,18 +220,18 @@ class IndexSnapshot:
 
     def first_frequent(self, items: Iterable[str]) -> Optional[int]:
         """The first slide at which the exact itemset was frequent."""
-        return self.provenance.first_frequent(items, self.last_slide_id)
+        return self.provenance.first_frequent(items, self._last)
 
     def first_frequent_between(
         self, lo: Optional[int], hi: Optional[int]
     ) -> List[FirstSeen]:
         """(first slide, items) of the patterns first frequent in ``[lo, hi]``."""
-        return self.provenance.first_between(lo, hi, self.last_slide_id)
+        return self.provenance.first_between(lo, hi, self._last)
 
     def last_frequent(self, items: Iterable[str]) -> Optional[int]:
         """The last slide at which the exact itemset was frequent."""
         query = _normalise_items(items)
-        for slide in reversed(self.order):
+        for slide in reversed(self.slide_ids()):
             if query in self.slides[slide]:
                 return slide
         return None
@@ -221,23 +245,23 @@ class IndexSnapshot:
     # ------------------------------------------------------------------ #
     def patterns_at(self, slide_id: int) -> Dict[Tuple[str, ...], int]:
         """The full pattern → support map of one slide."""
-        try:
-            return dict(self.slides[slide_id])
-        except KeyError:
-            raise HistoryError(f"slide {slide_id} is not in the journal") from None
+        rows = self._rows(slide_id)
+        if rows is None:
+            raise HistoryError(f"slide {slide_id} is not in the journal")
+        return dict(rows)
 
     def __len__(self) -> int:
-        return len(self.order)
+        return self.count
 
     def stats(self) -> Dict[str, object]:
         """Shape summary: slides, slide range, pattern rows, items."""
-        pattern_total = sum(len(patterns) for patterns in self.slides.values())
+        order = self.slide_ids()
         return {
-            "slides": len(self.order),
-            "first_slide": self.order[0] if self.order else None,
-            "last_slide": self.order[-1] if self.order else None,
-            "pattern_rows": pattern_total,
-            "distinct_patterns": self.provenance.count(self.last_slide_id),
+            "slides": len(order),
+            "first_slide": order[0] if order else None,
+            "last_slide": self._last,
+            "pattern_rows": sum(len(self.slides[slide]) for slide in order),
+            "distinct_patterns": self.provenance.count(self._last),
             "items": len(self.postings),
         }
 
@@ -253,7 +277,7 @@ class IndexSnapshot:
         """
         slides_payload: Dict[str, List[List[object]]] = {}
         row_index: Dict[int, Dict[Tuple[str, ...], int]] = {}
-        for slide in self.order:
+        for slide in self.slide_ids():
             rows = list(self.slides[slide].items())
             slides_payload[str(slide)] = [
                 [list(items), support] for items, support in rows
@@ -272,7 +296,7 @@ class IndexSnapshot:
         return {
             "format": SERVE_INDEX_FORMAT,
             "generation": self.generation,
-            "order": list(self.order),
+            "order": self.slide_ids(),
             "slides": slides_payload,
             "postings": postings_payload,
         }
@@ -348,7 +372,7 @@ class IndexSnapshot:
         for slide in order:
             slides[slide] = dict(sorted(rows_by_key[str(slide)], key=_rank_order))
             provenance.record(slide, slides[slide])
-        return cls(generation, postings, totals, slides, tuple(order), provenance)
+        return cls(generation, postings, totals, slides, list(order), provenance)
 
 
 def _cut(postings: Postings, last_slide: Optional[int]) -> Postings:
@@ -412,21 +436,25 @@ class JournalIndex:
             return self._snapshot
 
     def _apply(self, snapshot: IndexSnapshot, record: SlideRecord) -> IndexSnapshot:
-        if snapshot.order and record.slide_id <= snapshot.order[-1]:
+        last = snapshot.last_slide_id
+        if last is not None and record.slide_id <= last:
             raise HistoryError(
                 f"slide {record.slide_id} breaks the index's slide order; "
-                f"already indexed up to slide {snapshot.order[-1]}"
+                f"already indexed up to slide {last}"
             )
-        last = snapshot.last_slide_id
         postings = snapshot.postings
         provenance = snapshot.provenance
-        if provenance.through != last:
+        slides = snapshot.slides
+        slide_order = snapshot.slide_order
+        if len(slide_order) != snapshot.count:
             # Extending a snapshot that is not its lineage's newest (e.g.
             # one adopted after its index moved on): appending to the
-            # shared per-item postings and provenance would rewrite the
-            # newer snapshots' view, so this branch gets private copies.
+            # shared structures would rewrite the newer snapshots' view,
+            # so this branch gets private copies.
             postings = _cut(postings, last)
             provenance = provenance.for_extending(last)
+            slide_order = slide_order[: snapshot.count]
+            slides = {slide: slides[slide] for slide in slide_order}
         # One pass over the record's rank order builds the slide map, the
         # per-item postings and the slide's newly seen patterns.
         patterns = dict(record.ranked_patterns())
@@ -446,22 +474,17 @@ class JournalIndex:
                 per_item = postings[item] = {}
             per_item[record.slide_id] = tuple(posting)
             totals[item] = totals.get(item, 0) + len(posting)
-        slides = dict(snapshot.slides)
         slides[record.slide_id] = patterns
+        slide_order.append(record.slide_id)
         provenance.record(record.slide_id, new)
         return IndexSnapshot(
-            snapshot.generation + 1,
-            postings,
-            totals,
-            slides,
-            snapshot.order + (record.slide_id,),
-            provenance,
+            snapshot.generation + 1, postings, totals, slides, slide_order, provenance
         )
 
     def __repr__(self) -> str:
         snapshot = self._snapshot
         return (
-            f"JournalIndex(slides={len(snapshot.order)}, "
+            f"JournalIndex(slides={snapshot.count}, "
             f"generation={snapshot.generation})"
         )
 

@@ -4,11 +4,13 @@ A standing query is one algebra expression (``select`` or
 ``top_k``) registered by a subscriber.  It is *not* re-run over the
 whole journal on every commit — after slide ``S`` commits, the
 expression is evaluated restricted to slide ``S`` only (the registered
-``where`` conjoined with ``slides(S, S)``).  The restriction does two
-things at once:
+``where`` conjoined with ``slides(S, S)``).  The expression is planned
+once, at subscribe (:class:`~repro.history.algebra.SlidePlan`);
+each commit only binds the slide.  The restriction does two things at
+once:
 
-* **incrementality** — the ``slides`` push-down in the compiler means
-  only slide ``S``'s postings and rows are touched;
+* **incrementality** — only slide ``S``'s postings and rows are
+  touched;
 * **transition semantics** — the matched row set *at* ``S`` is diffed
   against the matched row set at the previously processed slide, and
   the differences fire as events: ``enter`` ("pattern P became
@@ -106,7 +108,7 @@ def normalise_events(events: Iterable[str]) -> Tuple[str, ...]:
 
 
 def _restricted(query: algebra.Query, slide: int) -> algebra.Query:
-    """The per-slide restriction the incremental evaluation runs."""
+    """The per-slide restriction, as an expression (what the oracle polls)."""
     window = algebra.slides(slide, slide)
     if isinstance(query, algebra.Select):
         return algebra.select(algebra.and_(query.where, window))
@@ -166,6 +168,7 @@ class StandingQuery:
     ) -> None:
         self.subscription = subscription
         self.query = parse_standing_expression(expression)
+        self._plan = algebra.SlidePlan(self.query)
         self.events = normalise_events(events)
         self.notified = 0
         self._rows: Rows = {}
@@ -182,8 +185,7 @@ class StandingQuery:
 
     def rows_at(self, index: algebra.IndexReader, slide: int) -> Rows:
         """The matched row set of the expression restricted to one slide."""
-        evaluation = algebra.evaluate(_restricted(self.query, slide), index)
-        return {items: support for _, items, support in evaluation.matches}
+        return self._plan.run(index, slide)
 
     def prime(self, index: algebra.IndexReader) -> None:
         """Set the transition baseline at registration time.

@@ -20,7 +20,7 @@ from repro.core.algorithms import get_algorithm
 from repro.core.algorithms.base import resolve_minsup
 from repro.datasets.workloads import get_workload, stream_transactions
 from repro.graph.edge_registry import EdgeRegistry
-from repro.parallel.merge import merge_pattern_counts
+from repro.parallel.merge import merge_pattern_rows
 from repro.parallel.planner import ShardPlanner
 from repro.storage.backend import MemoryWindowStore
 from repro.stream.batch import Batch
@@ -182,7 +182,7 @@ def test_shards_over_frequent_items_partition_mine(store, minsup, shards, name):
         miner = get_algorithm(name)
         parts.append(miner.mine_shard(store, minsup, shard.items, registry=REGISTRY))
         intersections += miner.stats.bitvector_intersections
-    assert merge_pattern_counts(parts) == expected
+    assert merge_pattern_rows(parts) == expected
     assert sum(len(part) for part in parts) == len(expected)  # disjoint
     assert intersections == full.stats.bitvector_intersections
 

@@ -17,6 +17,7 @@ from repro.history.algebra import (
     And,
     BecameFrequentWithin,
     Contains,
+    SlidePlan,
     Slides,
     brute_force_query,
     became_frequent_within,
@@ -119,6 +120,31 @@ class TestPlannerMatchesBruteForce:
             ablation = naive.curve if naive.kind == "history" else naive.matches
             assert result == oracle, describe(query)
             assert ablation == oracle, describe(query)
+
+    def test_slide_plan_matches_the_restricted_query(self, seed):
+        """A standing query's plan, bound to one slide, returns the rows the
+        brute-force interpreter finds for the query restricted to it."""
+        from repro.serve.standing import _restricted
+
+        journal = random_journal(seed)
+        index = make_index(journal)
+        records = journal.records()
+        rng = random.Random(seed + 17000)
+        for attempt in range(40):
+            maker = random_query if attempt % 2 else random_access_path_query
+            query = maker(rng)
+            if query.__class__.__name__ == "History":
+                continue
+            plan = SlidePlan(query)
+            for record in records:
+                expected = {
+                    items: support
+                    for _, items, support in brute_force_query(
+                        _restricted(query, record.slide_id), records
+                    )
+                }
+                assert plan.run(index, record.slide_id) == expected, describe(query)
+            assert plan.run(index, records[-1].slide_id + 1) == {}
 
     def test_json_round_trip(self, seed):
         rng = random.Random(seed + 9000)

@@ -1,28 +1,44 @@
-"""Unit tests for the merge layer (pattern and stats combination)."""
+"""Unit tests for the merge layer (pattern rows and stats combination)."""
 
 import pytest
 
 from repro.core.algorithms.base import MiningStats
+from repro.core.patterns import PatternRows
 from repro.exceptions import ParallelMiningError
-from repro.parallel import merge_pattern_counts, merge_stats
+from repro.parallel import merge_pattern_rows, merge_stats
+
+TABLE = ("a", "b")
 
 
 class TestPatternMerge:
     def test_disjoint_union(self):
-        left = {frozenset({"a"}): 3, frozenset({"a", "b"}): 2}
-        right = {frozenset({"b"}): 4}
-        merged = merge_pattern_counts([left, right])
+        left = PatternRows(TABLE, [0b01, 0b11], [3, 2])
+        right = PatternRows(TABLE, [0b10], [4])
+        merged = merge_pattern_rows([left, right])
         assert merged == {**left, **right}
+        assert merged.masks == [0b01, 0b11, 0b10]  # a concatenation
 
-    def test_identical_duplicates_are_tolerated(self):
-        part = {frozenset({"a"}): 3}
-        assert merge_pattern_counts([part, dict(part)]) == part
+    def test_a_mask_reported_by_two_shards_raises(self):
+        # Shards own disjoint pattern sets, so even an equal support is a
+        # broken plan.
+        part = PatternRows(TABLE, [0b01], [3])
+        with pytest.raises(ParallelMiningError, match="two shards"):
+            merge_pattern_rows([part, PatternRows(TABLE, [0b01], [3])])
 
     def test_conflicting_support_raises(self):
         with pytest.raises(ParallelMiningError):
-            merge_pattern_counts(
-                [{frozenset({"a"}): 3}, {frozenset({"a"}): 4}]
+            merge_pattern_rows(
+                [PatternRows(TABLE, [0b01], [3]), PatternRows(TABLE, [0b01], [4])]
             )
+
+    def test_different_symbol_tables_raise(self):
+        with pytest.raises(ParallelMiningError, match="symbol tables"):
+            merge_pattern_rows(
+                [PatternRows(TABLE, [0b01], [3]), PatternRows(("a",), [0b1], [3])]
+            )
+
+    def test_empty_merge_is_empty_rows(self):
+        assert len(merge_pattern_rows([])) == 0
 
 
 class TestStatsMerge:

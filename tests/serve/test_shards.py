@@ -190,6 +190,38 @@ class TestSnapshotSwap:
         assert answers(branch.current) == answers(ScanReader(records[:5] + records[9:]))
         assert answers(base) == answers(ScanReader(records[:5]))
 
+    def test_commit_copies_a_bounded_number_of_entries(self, monkeypatch):
+        """A commit copies the per-item maps, never anything that grows with
+        the history: over 20k slides of one vocabulary the entries copied
+        per commit stay at their first-slide count."""
+        from repro.history.journal import SlideRecord
+        from repro.serve import index as index_module
+
+        copied = []
+
+        def counting_dict(*args, **kwargs):
+            if args and hasattr(args[0], "__len__"):
+                copied[-1] += len(args[0])
+            return dict(*args, **kwargs)
+
+        monkeypatch.setattr(index_module, "dict", counting_dict, raising=False)
+        patterns = {
+            ("a",): 9, ("b",): 8, ("c",): 7, ("d",): 6,
+            ("a", "b"): 5, ("a", "c"): 4, ("b", "c"): 3, ("a", "b", "c"): 2,
+        }
+        index = JournalIndex()
+        first = None
+        for slide in range(20_000):
+            copied.append(0)
+            index.extend([SlideRecord(slide, slide, slide, 10, 1, patterns)])
+            if first is None:
+                first = index.current
+        assert index.current.stats()["slides"] == 20_000
+        assert max(copied) <= len(patterns) + 2 * 4  # rows + two per-item maps
+        assert copied[-1] == copied[1]
+        assert index.current.slides is first.slides  # shared, not copied
+        assert index.current.slide_order is first.slide_order
+
     def test_generation_and_swap_counters(self, records):
         index = JournalIndex(records[:2])
         assert index.current.generation == 2

@@ -101,6 +101,43 @@ class TestStandingSemantics:
                 assert key(earlier) <= key(later)
 
 
+    def test_each_subscription_is_planned_once(self, records, monkeypatch):
+        """A standing query is planned at subscribe; a commit only binds the
+        slide — no per-slide planning and no Explain-building evaluation."""
+        from repro.serve.app import ServeApp
+
+        planned = []
+
+        class CountedPlan(algebra.SlidePlan):
+            def __init__(self, query):
+                planned.append(query)
+                super().__init__(query)
+
+        monkeypatch.setattr(algebra, "SlidePlan", CountedPlan)
+        evaluated = []
+        evaluate = algebra.evaluate
+        monkeypatch.setattr(
+            algebra, "evaluate", lambda *a, **k: evaluated.append(a) or evaluate(*a, **k)
+        )
+        journal = MemoryJournal()
+        app = ServeApp.from_journal(journal)
+        item = common_item(records)
+        expressions = [
+            algebra.to_json(algebra.top_k(3)),
+            algebra.to_json(algebra.top_k(2, where=algebra.contains(item))),
+            algebra.to_json(algebra.select(algebra.contains(item))),
+        ]
+        delivered = []
+        for expression in expressions:
+            app.subscribe(expression, ALL_EVENTS, sink=delivered.append)
+        for record in records:
+            journal.append(record)
+            app.refresh()
+        assert len(planned) == len(expressions)
+        assert evaluated == []
+        assert len(delivered) > 0, "no transitions fired; weak test"
+
+
 #: Every pattern of a slide, so its transitions are everything that changed.
 EVERY_PATTERN = algebra.to_json(algebra.select(algebra.support_gte(1)))
 ALL_EVENTS = ("enter", "exit", "update")

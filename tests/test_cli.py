@@ -428,6 +428,41 @@ class TestWatchQueryServe:
         assert payload["code"] == "malformed-expression"
         assert payload["path"] == "$.select.where.bogus"
 
+    def test_query_output_cut_off_by_its_reader_exits_quietly(self, tmp_path, capsys):
+        """``repro query <journal> | head``: the reader closes the pipe after
+        a few bytes of a payload several pipe buffers long."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+        from repro.history.journal import DiskJournal, SlideRecord
+
+        journal = DiskJournal(tmp_path / "journal")
+        patterns = {(f"i{a:03d}", f"i{b:03d}"): 5 for a in range(40) for b in range(a + 1, 40)}
+        for slide in range(3):
+            journal.append(SlideRecord(slide, slide, slide, 50, 1, patterns))
+        journal.close()
+        args = ["query", str(tmp_path / "journal"),
+                "--expr", '{"select": {"where": {"support_gte": 1}}}']
+        assert main(args) == 0
+        assert len(capsys.readouterr().out) > 3 * 64 * 1024  # pipe buffers
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.dirname(os.path.dirname(repro.__file__)), env.get("PYTHONPATH", "")]
+        )
+        query = subprocess.Popen(
+            [sys.executable, "-m", "repro", *args],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert len(query.stdout.read(1024)) == 1024
+        query.stdout.close()
+        stderr = query.stderr.read().decode()
+        assert query.wait(timeout=60) == 0
+        assert stderr == ""
+
     def test_query_missing_journal(self, tmp_path, capsys):
         code = main(["query", str(tmp_path / "missing")])
         assert code == EXIT_INPUT_ERROR
