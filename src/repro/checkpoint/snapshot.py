@@ -359,9 +359,11 @@ class Checkpointer:
     Attach it *after* the journal sink (sinks run in order), so every seal
     sees a journal that already contains the slide being checkpointed —
     the coordination invariant resume depends on.  Under parallel
-    ingestion the sink chain runs inside the single-writer commit hook, so
-    the window, registry and journal are all at the same slide when the
-    snapshot is cut.
+    ingestion the sink chain runs inside the single-writer commit hook, and
+    a watch with mining workers commits the next slide's batch (and its new
+    edges) only after this slide's sinks (DESIGN.md §12.1), so the window,
+    registry and journal are all at the same slide when the snapshot is
+    cut.
     """
 
     def __init__(

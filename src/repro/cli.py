@@ -83,6 +83,7 @@ from repro.exceptions import (
     CheckpointError,
     DatasetError,
     DSMatrixError,
+    EdgeRegistryError,
     FaultSpecError,
     HistoryError,
     ResilienceError,
@@ -420,9 +421,11 @@ def _add_parallel_options(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=0,
         help=(
-            "worker processes for sharded mining (0 = sequential in-process, "
-            "the default; N >= 1 partitions the search space over N processes "
-            "and merges the shards into the identical pattern set)"
+            "mining worker processes (0 = sequential in-process, the default; "
+            "N >= 1: `mine` partitions the window's search space over N "
+            "processes and merges the shards, `watch` mines each slide's whole "
+            "window in a worker, the next slide while this one is journalled — "
+            "the pattern set is identical either way)"
         ),
     )
     parser.add_argument(
@@ -441,11 +444,13 @@ def _add_parallel_options(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         help=(
-            "bound on concurrently in-flight (submitted-but-uncommitted) "
-            "batches/shards in the pipelined executor (default: 2x the "
-            "worker count, minimum 1); any value produces the identical "
-            "window and pattern set — it only trades peak memory against "
-            "encode/commit overlap"
+            "bound on in-flight work (default: 2x the worker count, minimum "
+            "1): `mine` keeps at most this many batches encoding and shards "
+            "unmerged; `watch` keeps at most this many batches read from the "
+            "stream but not yet journalled, counting the slides being mined "
+            "(with --ingest-workers; sequential feeding reads one batch at a "
+            "time).  Any value produces the identical window, patterns and "
+            "journal — it only trades memory and latency against overlap"
         ),
     )
     parser.add_argument(
@@ -675,6 +680,14 @@ def _connectivity_for(args: argparse.Namespace) -> bool:
     return args.algorithm == "vertical_direct"
 
 
+def _no_edges_message(args: argparse.Namespace, exc: EdgeRegistryError) -> str:
+    """The error for an algorithm that needs edges a FIMI file does not carry."""
+    return (
+        f"cannot mine {args.input} with --algorithm {args.algorithm}: {exc} "
+        "(a FIMI file carries bare items, not the edges this algorithm needs)"
+    )
+
+
 def _print_stats(miner: StreamSubgraphMiner) -> None:
     """The --stats summary: cache counters + pipeline + resilience reports."""
     cache = miner.matrix.cache_stats.as_dict()
@@ -734,6 +747,8 @@ def _cmd_mine(args: argparse.Namespace) -> int:
                 workers=args.workers,
                 max_inflight=args.max_inflight,
             )
+    except EdgeRegistryError as exc:
+        return _fail_json(_no_edges_message(args, exc), EXIT_INPUT_ERROR)
     finally:
         if installed:
             faults.uninstall_plan()
@@ -932,6 +947,8 @@ def _run_watch(
     except CheckpointError as exc:
         print(f"error: cannot resume from checkpoint: {exc}", file=sys.stderr)
         return EXIT_USAGE_ERROR
+    except EdgeRegistryError as exc:
+        return _fail_json(_no_edges_message(args, exc), EXIT_INPUT_ERROR)
     finally:
         journal.close()
     last = report.last_record

@@ -19,25 +19,48 @@ Typical usage::
 from __future__ import annotations
 
 import time
+from collections import deque
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Deque,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.core.algorithms import ALGORITHMS, get_algorithm
 from repro.core.algorithms.base import MiningAlgorithm, resolve_minsup
 from repro.core.patterns import MiningResult
 from repro.core.postprocess import filter_connected_patterns
-from repro.exceptions import CheckpointError, MiningError, StreamError
+from repro.exceptions import CheckpointError, MiningError, ParallelMiningError, StreamError
 from repro.graph.edge_registry import EdgeRegistry
 from repro.history.journal import SlideRecord, SlideSealer
-from repro.ingest.api import IngestReport, ingest_batches
+from repro.ingest.api import IngestPipeline, IngestReport, ingest_batches
+from repro.ingest.coordinator import WindowCoordinator
 from repro.ingest.worker import RawUnit
-from repro.parallel.api import mine_window_parallel
+from repro.parallel.api import (
+    check_parallel_algorithm,
+    mine_slides,
+    mine_window_parallel,
+    window_after,
+)
+from repro.parallel.pipeline import default_max_inflight
 from repro.parallel.pool import PersistentWorkerPool
+from repro.parallel.worker import MiningSlideTask, SlideOutcome
 from repro.resilience import EventLog, FailurePolicy, ResilienceEvent
 from repro.graph.graph import GraphSnapshot
 from repro.storage.backend import MemoryWindowStore, WindowStore
 from repro.storage.dsmatrix import DSMatrix
+from repro.storage.segments import Segment
 from repro.stream.batch import Batch
 from repro.stream.stream import (
     GraphStream,
@@ -51,6 +74,26 @@ if TYPE_CHECKING:  # pragma: no cover - type-only (checkpoint imports nothing ba
 
 #: A per-slide sink: receives the sealed record of every window slide.
 SlideSink = Callable[[SlideRecord], None]
+
+#: Slides a watch with mining workers mines ahead of the one being sealed
+#: and sunk (DESIGN.md §9).  Deeper queues add a period of latency per
+#: slide and no throughput while the main process is the slower stage.
+SLIDES_AHEAD = 1
+
+
+class _SlideSource(NamedTuple):
+    """The staged batches of a watch with mining workers (DESIGN.md §9.3)."""
+
+    #: Each batch's segment, staged in stream order and not yet committed.
+    segments: Iterator[Segment]
+    #: Commit the oldest staged batch to the miner's store (and registry).
+    commit: Callable[[], object]
+    #: The registry as of the newest staged batch.
+    registry: Callable[[], EdgeRegistry]
+    #: How many slides may be mined at once.
+    depth: int
+    #: The ingestion report, once the stream is done (parallel ingestion).
+    report: Optional[Callable[[], IngestReport]] = None
 
 
 @dataclass(frozen=True)
@@ -140,6 +183,8 @@ class StreamSubgraphMiner:
         if on_slide is not None:
             self._slide_sinks.append(on_slide)
         self._last_ingest_report: Optional[IngestReport] = None
+        # A slide a worker already mined, waiting for the watch's mine().
+        self._premined: Optional[SlideOutcome] = None
 
     @staticmethod
     def _resolve_algorithm(algorithm: Union[str, MiningAlgorithm]) -> MiningAlgorithm:
@@ -350,34 +395,15 @@ class StreamSubgraphMiner:
         max_inflight: Optional[int],
         on_batch_committed: Optional[Callable[[], None]],
     ) -> None:
-        """Route one stream's raw batches through the ingestion pipeline.
-
-        A Graph/TransactionStream hands over its units grouped by the
-        stream's own batching rule; a plain iterable, the transactions of
-        each type-checked :class:`Batch`.
-        """
+        """Route one stream's raw batches through the ingestion pipeline."""
         self.flush_pending()
-        kind = "transactions"
-        registry: Optional[EdgeRegistry] = None
-        register_new_edges = True
-        batches: Iterable[Sequence[RawUnit]]
-        if isinstance(stream, GraphStream):
-            kind = "snapshots"
-            registry = self._registry
-            register_new_edges = stream.register_new_edges
-            batches = group_units(stream.raw_snapshots, stream.batch_size)
-        elif isinstance(stream, TransactionStream):
-            batches = group_units(
-                stream.raw_transactions, stream.batch_size, stream.drop_last
-            )
-        else:
-            batches = (batch.transactions for batch in self._sequential_batches(stream))
+        kind, register_new_edges, batches = self._raw_batches(stream)
         report = ingest_batches(
             self._matrix.store,
             batches,
             kind=kind,
             workers=ingest_workers,
-            registry=registry,
+            registry=self._registry if kind == "snapshots" else None,
             register_new_edges=register_new_edges,
             max_inflight=max_inflight,
             on_batch_committed=on_batch_committed,
@@ -386,6 +412,24 @@ class StreamSubgraphMiner:
         )
         self._batches_consumed += report.batches
         self._last_ingest_report = report
+
+    def _raw_batches(
+        self, stream: Union[GraphStream, TransactionStream, Iterable[Batch]]
+    ) -> Tuple[str, bool, Iterable[Sequence[RawUnit]]]:
+        """One stream as ingestion input: (kind, register_new_edges, raw batches).
+
+        A Graph/TransactionStream hands over its units grouped by the
+        stream's own batching rule; a plain iterable, the transactions of
+        each type-checked :class:`Batch`.
+        """
+        if isinstance(stream, GraphStream):
+            batches = group_units(stream.raw_snapshots, stream.batch_size)
+            return "snapshots", stream.register_new_edges, batches
+        if isinstance(stream, TransactionStream):
+            batches = group_units(stream.raw_transactions, stream.batch_size, stream.drop_last)
+            return "transactions", True, batches
+        plain = (batch.transactions for batch in self._sequential_batches(stream))
+        return "transactions", True, plain
 
     # ------------------------------------------------------------------ #
     # hydration: resume from a sealed checkpoint (DESIGN.md §12)
@@ -457,11 +501,15 @@ class StreamSubgraphMiner:
         Parameters mirror :meth:`consume` (``ingest_workers``/
         ``max_inflight`` route the stream through the parallel ingestion
         pipeline) and :meth:`mine` (``connected_only``/``rule``/
-        ``algorithm``/``workers``).  Under parallel ingestion the mining
-        runs inside the single-writer commit hook, in strict stream order,
-        while workers keep encoding later batches — so the sealed records
-        (and a disk journal's bytes) are identical for every
-        ``workers × ingest_workers × max_inflight`` combination.
+        ``algorithm``/``workers``).  With ``workers=0`` every slide is
+        mined in this process, inside the single-writer commit hook under
+        parallel ingestion.  With ``workers >= 1`` each slide's whole
+        window is mined by one worker task, the next slide's while this
+        one is sealed and sunk (DESIGN.md §9.3).  Records are sealed in
+        strict stream order either way, so they (and a disk journal's
+        bytes) are identical for every ``workers × ingest_workers ×
+        max_inflight`` combination.  ``max_inflight`` bounds the batches
+        read from the stream and not yet emitted.
 
         ``resume_from`` takes the :class:`~repro.checkpoint.Checkpoint`
         this miner was hydrated from (:meth:`hydrate`) and consumes the
@@ -484,11 +532,99 @@ class StreamSubgraphMiner:
                     "miner from the checkpoint first"
                 )
             stream = skip_stream_prefix(stream, resume_from.batches_consumed)
-        report_slides = 0
+        if workers > 0:
+            report_slides, last_record = self._watch_slides(
+                stream,
+                minsup,
+                connected_only,
+                rule,
+                algorithm,
+                workers,
+                ingest_workers,
+                max_inflight,
+            )
+        else:
+            report_slides = 0
+            last_record = None
+
+            def slide() -> None:
+                nonlocal report_slides, last_record
+                last_record = self._emit_slide(
+                    minsup,
+                    connected_only=connected_only,
+                    rule=rule,
+                    algorithm=algorithm,
+                    workers=0,
+                    max_inflight=max_inflight,
+                )
+                report_slides += 1
+
+            self._feed(stream, ingest_workers, max_inflight, on_batch_committed=slide)
+        return WatchReport(
+            slides=report_slides,
+            columns=self._matrix.num_columns,
+            minsup=minsup,
+            last_record=last_record,
+        )
+
+    def _watch_slides(
+        self,
+        stream: Union[GraphStream, TransactionStream, Iterable[Batch]],
+        minsup: float,
+        connected_only: bool,
+        rule: str,
+        algorithm: Optional[Union[str, MiningAlgorithm]],
+        workers: int,
+        ingest_workers: Optional[int],
+        max_inflight: Optional[int],
+    ) -> Tuple[int, Optional[SlideRecord]]:
+        """The watch with mining workers: one whole-window task per slide.
+
+        Each batch is *staged* — materialised and shipped inside its
+        slide's task — before it is committed.  A slide's segment (and a
+        graph batch's new edges) reach this miner only when the slide is
+        emitted, so every sink sees the window, registry and journal at
+        its own slide (DESIGN.md §9, §12.1).  Under parallel ingestion the
+        task for slide n+1 goes out before slide n is sealed and sunk,
+        while the batches taken from the stream and not yet emitted stay
+        within ``max_inflight``; sequential feeding mines one slide at a
+        time.  Returns (slides emitted, last record).
+        """
+        if max_inflight is not None and max_inflight < 1:
+            raise ParallelMiningError(f"max_inflight must be at least 1, got {max_inflight}")
+        name = check_parallel_algorithm(self._algorithm if algorithm is None else algorithm)
+        store = self._matrix.store
+        pending: Deque[Segment] = deque()  # shipped, not yet committed
+        source = self._slide_source(stream, ingest_workers, max_inflight, pending)
+        deferred: List[Exception] = []
+
+        def tasks() -> Iterator[MiningSlideTask]:
+            try:
+                for segment in source.segments:
+                    pending.append(segment)
+                    window = window_after(store, pending)
+                    columns = sum(handle.num_columns for handle in window.handles)
+                    yield MiningSlideTask(
+                        slide_id=segment.segment_id,
+                        algorithm=name,
+                        minsup=resolve_minsup(minsup, columns),
+                        window=window,
+                        registry=source.registry(),
+                        connected_only=connected_only,
+                        rule=rule,
+                    )
+            except Exception as exc:  # noqa: BLE001 - raised once earlier slides are out
+                deferred.append(exc)
+
+        slides = 0
         last_record: Optional[SlideRecord] = None
 
-        def slide() -> None:
-            nonlocal report_slides, last_record
+        def emit(outcome: SlideOutcome) -> None:
+            nonlocal slides, last_record
+            source.commit()
+            pending.popleft()
+            self._batches_consumed += 1
+            self._premined = outcome
             last_record = self._emit_slide(
                 minsup,
                 connected_only=connected_only,
@@ -497,14 +633,91 @@ class StreamSubgraphMiner:
                 workers=workers,
                 max_inflight=max_inflight,
             )
-            report_slides += 1
+            slides += 1
 
-        self._feed(stream, ingest_workers, max_inflight, on_batch_committed=slide)
-        return WatchReport(
-            slides=report_slides,
-            columns=self._matrix.num_columns,
-            minsup=minsup,
-            last_record=last_record,
+        try:
+            with closing(tasks()) as slide_tasks:
+                mine_slides(
+                    slide_tasks,
+                    emit,
+                    workers=workers,
+                    depth=source.depth,
+                    lineage=store.lineage,
+                    pool=self._ensure_pool(workers),
+                    policy=self._failure_policy,
+                    events=self._events,
+                )
+        except BaseException:
+            self._premined = None
+            if pending:
+                # Workers hold segments the store never committed: retire
+                # them before this store's lineage is mined again.
+                self.close()
+            raise
+        if deferred:
+            raise deferred[0]
+        if source.report is not None:
+            self._last_ingest_report = source.report()
+        return slides, last_record
+
+    def _slide_source(
+        self,
+        stream: Union[GraphStream, TransactionStream, Iterable[Batch]],
+        ingest_workers: Optional[int],
+        max_inflight: Optional[int],
+        pending: Deque[Segment],
+    ) -> "_SlideSource":
+        """Where :meth:`_watch_slides` gets its staged batches from.
+
+        ``pending`` holds the batches staged and not yet committed; new
+        segment ids continue after them.
+        """
+        store = self._matrix.store
+        if ingest_workers is None:
+            # Sequential feeding reads no batch ahead: one slide at a time.
+            return _SlideSource(
+                segments=(
+                    Segment.from_batch(batch, store.next_segment_id + len(pending))
+                    for batch in self._sequential_batches(stream)
+                ),
+                commit=lambda: store.append_segment(pending[0]),
+                registry=lambda: self._registry,
+                depth=1,
+            )
+        kind, register_new_edges, batches = self._raw_batches(stream)
+        ingest = IngestPipeline(
+            store,
+            batches,
+            kind=kind,
+            workers=ingest_workers,
+            registry=self._registry if kind == "snapshots" else None,
+            register_new_edges=register_new_edges,
+            max_inflight=max_inflight,
+            policy=self._failure_policy,
+            events=self._events,
+        )
+        coordinator = WindowCoordinator(
+            store,
+            registry=self._registry,
+            register_new_edges=register_new_edges,
+            policy=self._failure_policy,
+            events=self._events,
+        )
+
+        def segments() -> Iterator[Segment]:
+            # Slides being mined hold ingest credits: together the two
+            # stages never hold more than max_inflight batches.
+            with closing(ingest.outcomes(downstream=pending.__len__)) as outcomes:
+                for outcome in outcomes:
+                    yield coordinator.stage(outcome)
+
+        bound = max_inflight if max_inflight is not None else default_max_inflight(ingest_workers)
+        return _SlideSource(
+            segments=segments(),
+            commit=coordinator.commit_staged,
+            registry=lambda: coordinator.staged_registry or self._registry,
+            depth=min(bound, SLIDES_AHEAD + 1),
+            report=lambda: ingest.report(coordinator),
         )
 
     @staticmethod
@@ -593,7 +806,9 @@ class StreamSubgraphMiner:
             ``0`` (the default) mines sequentially in this process;
             ``n >= 1`` partitions the search space over ``n`` processes and
             merges the shards back into the identical pattern set,
-            incrementally as shards finish (DESIGN.md §9).
+            incrementally as shards finish (DESIGN.md §9).  Inside a
+            :meth:`watch` with mining workers a worker has already mined
+            the window whole; ``mine`` returns that answer.
         max_inflight:
             Bound on submitted-but-unmerged shards in the parallel path
             (``2 * workers`` by default, minimum 1).
@@ -601,7 +816,21 @@ class StreamSubgraphMiner:
         self.flush_pending()
         miner = self._algorithm if algorithm is None else self._resolve_algorithm(algorithm)
         absolute = resolve_minsup(minsup, self._matrix.num_columns)
-        if workers and workers > 0:
+        premined, self._premined = self._premined, None
+        if premined is not None:
+            # A watch with mining workers already mined this window whole,
+            # connectivity filter included (DESIGN.md §9).
+            if (premined.slide_id, premined.minsup) != (
+                self._matrix.next_segment_id - 1,
+                absolute,
+            ):
+                raise MiningError(
+                    f"slide {premined.slide_id} was mined at minsup "
+                    f"{premined.minsup}, not for this window at {absolute}"
+                )
+            rows = premined.patterns
+            miner.stats = premined.stats
+        elif workers and workers > 0:
             rows, stats = mine_window_parallel(
                 self._matrix,
                 miner,
@@ -617,7 +846,7 @@ class StreamSubgraphMiner:
         else:
             rows = miner.mine(self._matrix, absolute, registry=self._registry)
         if connected_only:
-            if not miner.produces_connected_only:
+            if premined is None and not miner.produces_connected_only:
                 rows = filter_connected_patterns(rows, self._registry, rule=rule)
         elif miner.produces_connected_only:
             raise MiningError(

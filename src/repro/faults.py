@@ -15,7 +15,7 @@ Spec grammar (``;``-separated specs, whitespace ignored)::
 
     journal.write@2           raise at the 2nd hit of journal.write
     segment.write@1x3         raise at hits 1, 2 and 3
-    mine.shard@2:crash        hard-kill the worker at its 2nd shard task
+    mine.shard@2:crash        hard-kill the worker at its 2nd mining task
     ingest.encode@1:sleep~0.2 sleep 0.2s before the 1st encode returns
 
 ``AT`` is the 1-based hit number at which the fault starts firing and
@@ -92,7 +92,7 @@ DEFAULT_DELAY_S = 0.05
 #: string so layers can add sites without editing this module, but specs
 #: naming unknown sites are rejected to catch typos in chaos schedules).
 SITES = (
-    "mine.shard",  # parallel/worker.run_mining_shard
+    "mine.shard",  # parallel/worker.run_mining_shard and run_mining_slide
     "ingest.encode",  # ingest/worker.encode_chunk
     "journal.write",  # history/journal.DiskJournal._persist
     "checkpoint.write",  # checkpoint/snapshot.CheckpointManager.seal

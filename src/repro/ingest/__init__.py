@@ -18,7 +18,7 @@ the sequential append path.  Entry points:
 the CLI's ``repro mine --ingest-workers N``, and :func:`ingest_batches`.
 """
 
-from repro.ingest.api import IngestReport, ingest_batches
+from repro.ingest.api import IngestPipeline, IngestReport, ingest_batches
 from repro.ingest.coordinator import WindowCoordinator
 from repro.ingest.worker import (
     ChunkOutcome,
@@ -32,6 +32,7 @@ from repro.ingest.worker import (
 __all__ = [
     "ChunkOutcome",
     "IngestChunkTask",
+    "IngestPipeline",
     "IngestReport",
     "WindowCoordinator",
     "encode_chunk",

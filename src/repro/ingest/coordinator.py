@@ -16,11 +16,19 @@ stream order and first-occurrence order — exactly the global
 first-occurrence order sequential encoding would have used, so the
 assigned symbols are identical — and the batch's provisional rows are
 remapped to the final symbols before the segment is built.
+
+A pipelined watch (DESIGN.md §9.3) *stages* a batch — merges its new edges
+into a private copy of the registry and materialises its segment, so the
+segment can ship to a mining worker — before the previous slide's sinks
+run, and *commits* it only after them: the live registry and the store
+stay at the slide being emitted until its sinks return.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+import copy
+from collections import deque
+from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from repro import faults
 from repro.exceptions import EdgeRegistryError, IngestError
@@ -30,6 +38,16 @@ from repro.ingest.worker import ChunkOutcome, is_provisional, provisional_symbol
 from repro.resilience import EventLog, FailurePolicy, retry_io
 from repro.storage.backend import WindowStore
 from repro.storage.segments import Segment
+
+
+class _Staged(NamedTuple):
+    """A materialised batch waiting for its commit."""
+
+    segment: Segment
+    payload: Optional[bytes]
+    #: New edges still to be merged into the live registry at commit
+    #: (empty when the merge already happened at staging).
+    unmerged_edges: Tuple[Edge, ...]
 
 
 class WindowCoordinator:
@@ -84,11 +102,25 @@ class WindowCoordinator:
         self.columns_evicted = 0
         #: Edges newly registered by the merge step so far.
         self.edges_registered = 0
+        self._staged: Deque[_Staged] = deque()
+        # The registry as of the newest staged batch, while it differs
+        # from the live one (copy-on-write: a copy handed out is never
+        # mutated again).
+        self._lookahead: Optional[EdgeRegistry] = None
 
     @property
     def store(self) -> WindowStore:
         """The window store being written to."""
         return self._store
+
+    @property
+    def staged_registry(self) -> Optional[EdgeRegistry]:
+        """The registry as of the newest staged batch.
+
+        A private copy while a staged batch brought new edges (a copy is
+        never mutated once handed out), else the live registry itself.
+        """
+        return self._lookahead if self._lookahead is not None else self._registry
 
     def commit(self, outcome: ChunkOutcome) -> None:
         """Commit one batch's segment, merging its new edges first.
@@ -97,14 +129,43 @@ class WindowCoordinator:
         first; anything else would reorder the stream and is rejected
         before the registry is touched.
         """
-        expected = self._store.next_segment_id
+        self.stage(outcome)
+        self.commit_staged()
+
+    def stage(self, outcome: ChunkOutcome) -> Segment:
+        """Materialise one batch's segment without committing it.
+
+        With nothing staged the new edges go straight into the live
+        registry, as :meth:`commit` always did.  Behind a staged batch
+        they go into a fresh copy of :attr:`staged_registry`, and reach
+        the live registry (with the same symbols) at :meth:`commit_staged`.
+        """
+        expected = self._store.next_segment_id + len(self._staged)
         if outcome.segment_id != expected:
             raise IngestError(
                 f"segment {outcome.segment_id} committed out of stream order; "
                 f"expected segment {expected}"
             )
-        mapping = self._merge_new_edges(outcome.new_edges)
+        unmerged: Tuple[Edge, ...] = ()
+        if not self._staged:
+            symbols = self._merge(self._registry, outcome.new_edges)
+        else:
+            if outcome.new_edges:
+                self._lookahead = copy.deepcopy(self.staged_registry)
+                unmerged = outcome.new_edges
+            symbols = self._merge(self._lookahead, unmerged, count=False)
+        mapping = {provisional_symbol(index): item for index, item in enumerate(symbols)}
         segment, payload = self._materialise(outcome, mapping)
+        self._staged.append(_Staged(segment, payload, unmerged))
+        return segment
+
+    def commit_staged(self) -> None:
+        """Commit the oldest staged batch to the store, then fire the hook."""
+        segment, payload, unmerged = self._staged.popleft()
+        if unmerged:
+            self._merge(self._registry, unmerged)
+        if not self._staged:
+            self._lookahead = None
 
         def _append() -> int:
             # Disk appends rewrite the segment file keyed by its id and
@@ -120,7 +181,7 @@ class WindowCoordinator:
             events=self._events,
         )
         self.batches_committed += 1
-        self.columns_committed += outcome.num_columns
+        self.columns_committed += segment.num_columns
         if self._on_batch_committed is not None:
             self._on_batch_committed()
 
@@ -149,29 +210,33 @@ class WindowCoordinator:
         )
         return segment, payload
 
-    def _merge_new_edges(
-        self, new_edges: Tuple[Edge, ...]
-    ) -> Dict[str, str]:
-        """Register a batch's new edges in order → provisional-to-final map.
+    def _merge(
+        self,
+        registry: Optional[EdgeRegistry],
+        new_edges: Tuple[Edge, ...],
+        count: bool = True,
+    ) -> List[str]:
+        """Register a batch's new edges in order → their final symbols.
 
         An edge already registered by an earlier batch's merge simply
         resolves to its existing symbol, which is how overlapping "new"
         discoveries across concurrently encoded batches converge on one
-        symbol per edge.
+        symbol per edge.  ``count`` adds the truly new ones to
+        :attr:`edges_registered` (the live registry's merges only).
         """
         if not new_edges:
-            return {}
-        if self._registry is None:
+            return []
+        if registry is None:
             raise IngestError(
                 "a batch reported new edges but the coordinator has no "
                 "registry to merge them into"
             )
-        mapping: Dict[str, str] = {}
-        for index, edge in enumerate(new_edges):
-            if not self._register_new_edges and edge not in self._registry:
+        symbols: List[str] = []
+        for edge in new_edges:
+            already_known = edge in registry
+            if not self._register_new_edges and not already_known:
                 raise EdgeRegistryError(f"edge {edge!r} is not registered")
-            already_known = edge in self._registry
-            mapping[provisional_symbol(index)] = self._registry.register(edge)
-            if not already_known:
+            symbols.append(registry.register(edge))
+            if count and not already_known:
                 self.edges_registered += 1
-        return mapping
+        return symbols

@@ -1,4 +1,4 @@
-"""Parallel sharded mining over window segments (DESIGN.md §4).
+"""Parallel mining over window segments (DESIGN.md §4, §9.3).
 
 The subsystem has five small layers:
 
@@ -18,12 +18,14 @@ The subsystem has five small layers:
 * :mod:`repro.parallel.merge` — concatenates per-shard pattern rows and
   combines instrumentation into the exact sequential answer.
 
-:func:`mine_window_parallel` ties the layers together;
-``StreamSubgraphMiner.mine(..., workers=N)`` and the CLI's ``--workers``
+:func:`mine_window_parallel` ties the layers together for one window;
+:func:`mine_slides` is a watch's slide stage, one whole-window task per
+slide.  ``StreamSubgraphMiner.mine(..., workers=N)``,
+``StreamSubgraphMiner.watch(..., workers=N)`` and the CLI's ``--workers``
 are the user-facing entry points.
 """
 
-from repro.parallel.api import mine_window_parallel
+from repro.parallel.api import mine_slides, mine_window_parallel
 from repro.parallel.merge import (
     check_distinct,
     merge_pattern_rows,
@@ -39,11 +41,14 @@ from repro.parallel.planner import ItemShard, ShardPlanner
 from repro.parallel.pool import process_pools_available
 from repro.parallel.worker import (
     MiningShardTask,
+    MiningSlideTask,
     ShardOutcome,
+    SlideOutcome,
     WindowTask,
     clear_mining_worker,
     rebuild_window,
     run_mining_shard,
+    run_mining_slide,
 )
 
 __all__ = [
@@ -55,13 +60,17 @@ __all__ = [
     "default_max_inflight",
     "WindowTask",
     "MiningShardTask",
+    "MiningSlideTask",
     "ShardOutcome",
+    "SlideOutcome",
     "rebuild_window",
     "clear_mining_worker",
     "run_mining_shard",
+    "run_mining_slide",
     "check_distinct",
     "merge_pattern_rows",
     "merge_rows_into",
     "merge_stats",
+    "mine_slides",
     "mine_window_parallel",
 ]

@@ -1,7 +1,11 @@
-"""High-level entry point of parallel mining.
+"""High-level entry points of parallel mining.
 
-:func:`mine_window_parallel` ties the planner, the pipelined executor
-(DESIGN.md §9) and the merge layer together (DESIGN.md §4).  Shard results are merged
+:func:`mine_slides` is a watch's slide stage (DESIGN.md §9.3): one
+whole-window task per slide, mined by the algorithm's own ``mine`` in a
+worker that continues its resident window replica, handed back in slide
+order.  :func:`mine_window_parallel` mines ONE window over item shards: it
+ties the planner, the pipelined executor and the merge layer together
+(DESIGN.md §4).  Shard results are merged
 incrementally, as each shard finishes, in shard order — the merged
 answer is identical to the barrier merge because shards are disjoint and
 commits are ordered.  ``workers=0`` executes the identical shard plan in
@@ -11,7 +15,8 @@ the property the parity suite pins down.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Type, Union
+import sys
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Type, Union
 
 from repro.core.algorithms import ALGORITHMS
 from repro.core.algorithms.base import MiningAlgorithm, MiningStats
@@ -25,15 +30,27 @@ from repro.parallel.pool import PersistentWorkerPool, effective_workers
 from repro.resilience import EventLog, FailurePolicy
 from repro.parallel.worker import (
     MiningShardTask,
+    MiningSlideTask,
     ShardOutcome,
+    SlideOutcome,
     WindowTask,
     clear_mining_worker,
     run_mining_shard,
+    run_mining_slide,
 )
 from repro.storage.backend import DiskWindowStore, WindowStore
 from repro.storage.dsmatrix import DSMatrix
+from repro.storage.segments import Segment, SegmentHandle
 
 MatrixLike = Union[DSMatrix, WindowStore]
+
+#: The interpreter's thread switch interval while a watch mines slides
+#: ahead (DESIGN.md §9.3).  The coordinating thread seals and sinks a slide
+#: in ~5 ms of pure Python, and the pool's manager and feeder threads each
+#: need the GIL once to hand the next slide's task to a worker: at the
+#: default 5 ms interval the task reached its worker after the sinks it
+#: was meant to overlap (6-7 ms after submission, against ~3 ms here).
+HANDOFF_SWITCH_INTERVAL_S = 0.0005
 
 
 def _store_of(matrix: MatrixLike) -> WindowStore:
@@ -70,6 +87,62 @@ def _resolve_algorithm_class(
             f"as {name!r}; mine sequentially (workers=0) or register the class"
         )
     return registered
+
+
+def window_after(store: WindowStore, pending: Sequence[Segment]) -> WindowTask:
+    """The window ``store`` will hold once ``pending`` is committed.
+
+    ``pending`` continues the store's segment ids.  Committed segments
+    travel as the store's own handles and pending ones as payloads; no
+    task names the store's directory, because a worker reopening it
+    would see the committed window, not this one.
+    """
+    size = store.window_size
+    kept = store.segment_handles()[max(0, store.num_batches + len(pending) - size):]
+    shipped = [SegmentHandle.from_segment(segment) for segment in list(pending)[-size:]]
+    return WindowTask(
+        window_size=size,
+        handles=tuple(kept + shipped),
+        known_items=tuple(store.items()),
+        lineage=store.lineage,
+    )
+
+
+def check_parallel_algorithm(algorithm: Union[str, MiningAlgorithm]) -> str:
+    """The registry name workers will rebuild ``algorithm`` from."""
+    _resolve_algorithm_class(algorithm)
+    return algorithm if isinstance(algorithm, str) else algorithm.name
+
+
+def mine_slides(
+    tasks: Iterable[MiningSlideTask],
+    on_slide: Callable[[SlideOutcome], None],
+    workers: int,
+    depth: int,
+    lineage: str,
+    pool: Optional[PersistentWorkerPool] = None,
+    policy: Optional[FailurePolicy] = None,
+    events: Optional[EventLog] = None,
+) -> None:
+    """Mine a stream of slides, one task per slide, ``depth`` at a time.
+
+    ``tasks`` is pulled lazily (a task goes out once fewer than ``depth``
+    slides are mined but not yet handed on) and ``on_slide`` receives the
+    outcomes in slide order.  ``lineage`` names the store the windows
+    come from: tasks run in this process (no pools, the degraded rung,
+    speculative re-execution) leave a replica here that is dropped at
+    the end.
+    """
+    executor = PipelineExecutor(
+        workers, max_inflight=depth, pool=pool, policy=policy, events=events
+    )
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(min(switch_interval, HANDOFF_SWITCH_INTERVAL_S))
+    try:
+        executor.run(run_mining_slide, tasks, on_slide)
+    finally:
+        sys.setswitchinterval(switch_interval)
+        clear_mining_worker(lineage)
 
 
 def mine_window_parallel(

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from contextlib import closing
 from concurrent.futures import FIRST_COMPLETED, Executor, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -171,19 +172,42 @@ class PipelineExecutor:
         ``initializer``/``initargs`` run once per worker process (and once
         in this process for the in-process mode).
         """
+        with closing(self.iterate(fn, tasks, initializer, initargs)) as results:
+            for result in results:
+                consumer(result)
+        return self.last_stats
+
+    def iterate(
+        self,
+        fn: Callable[[Task], Result],
+        tasks: Iterable[Task],
+        initializer: Optional[Callable[..., None]] = None,
+        initargs: Tuple = (),
+        downstream: Optional[Callable[[], int]] = None,
+    ) -> Iterator[Result]:
+        """The results of :meth:`run`, yielded in task order instead of pushed.
+
+        A task's result counts as committed once the caller pulls the next
+        one, so the caller's work on a result runs while later tasks
+        execute — exactly as a :meth:`run` consumer does.  ``downstream``,
+        when given, reports how many already-yielded results the caller
+        still holds in a later pipeline stage; they count against
+        ``max_inflight`` too, so the two stages together never hold more
+        than ``max_inflight`` tasks (DESIGN.md §9).
+        """
         stats = PipelineStats()
         self.last_stats = stats
         iterator = iter(tasks)
+        held = downstream if downstream is not None else (lambda: 0)
         if self._workers == 0 or not process_pools_available():
-            self._run_in_process(fn, iterator, consumer, initializer, initargs, stats)
-        else:
-            if self._pool is not None and initializer is not None:
-                raise ParallelMiningError(
-                    "a persistent pool cannot run per-run initializers; "
-                    "attach the run's state to its tasks instead"
-                )
-            self._run_pool(fn, iterator, consumer, initializer, initargs, stats)
-        return stats
+            yield from self._run_in_process(fn, iterator, initializer, initargs, stats)
+            return
+        if self._pool is not None and initializer is not None:
+            raise ParallelMiningError(
+                "a persistent pool cannot run per-run initializers; "
+                "attach the run's state to its tasks instead"
+            )
+        yield from self._run_pool(fn, iterator, initializer, initargs, stats, held)
 
     # ------------------------------------------------------------------ #
     # execution modes
@@ -192,29 +216,28 @@ class PipelineExecutor:
         self,
         fn: Callable[[Task], Result],
         iterator: Iterator[Task],
-        consumer: Callable[[Result], None],
         initializer: Optional[Callable[..., None]],
         initargs: Tuple,
         stats: PipelineStats,
-    ) -> None:
+    ) -> Iterator[Result]:
         stats.execution_mode = "in-process"
         if initializer is not None:
             initializer(*initargs)
         for task in iterator:
             stats.tasks += 1
             stats.peak_inflight = max(stats.peak_inflight, 1)
-            consumer(call_with_crash_retry(fn, task, self._policy, self.events))
+            yield call_with_crash_retry(fn, task, self._policy, self.events)
             stats.committed += 1
 
     def _run_pool(
         self,
         fn: Callable[[Task], Result],
         iterator: Iterator[Task],
-        consumer: Callable[[Result], None],
         initializer: Optional[Callable[..., None]],
         initargs: Tuple,
         stats: PipelineStats,
-    ) -> None:
+        held: Callable[[], int],
+    ) -> Iterator[Result]:
         stats.execution_mode = "pipelined-pool"
         pending_tasks: Dict[int, Task] = {}  # uncommitted task payloads
         respawns = 0
@@ -224,9 +247,8 @@ class PipelineExecutor:
                     # Borrowed persistent executor: never shut down here,
                     # and the workers were initialised (if at all) long
                     # ago — run state travels on the tasks.
-                    self._drive(
-                        self._pool.executor(), fn, iterator, consumer, stats,
-                        pending_tasks,
+                    yield from self._drive(
+                        self._pool.executor(), fn, iterator, stats, pending_tasks, held
                     )
                 else:
                     with ProcessPoolExecutor(
@@ -234,8 +256,8 @@ class PipelineExecutor:
                         initializer=initializer,
                         initargs=initargs,
                     ) as executor:
-                        self._drive(
-                            executor, fn, iterator, consumer, stats, pending_tasks
+                        yield from self._drive(
+                            executor, fn, iterator, stats, pending_tasks, held
                         )
                 return
             except BrokenProcessPool:
@@ -260,8 +282,8 @@ class PipelineExecutor:
                         attempt=respawns,
                         detail="pool -> in-process (respawn budget exhausted)",
                     )
-                    self._run_in_process(
-                        fn, iterator, consumer, initializer, initargs, stats
+                    yield from self._run_in_process(
+                        fn, iterator, initializer, initargs, stats
                     )
                     return
                 respawns += 1
@@ -281,10 +303,10 @@ class PipelineExecutor:
         executor: Executor,
         fn: Callable[[Task], Result],
         iterator: Iterator[Task],
-        consumer: Callable[[Result], None],
         stats: PipelineStats,
         pending_tasks: Dict[int, Task],
-    ) -> None:
+        held: Callable[[], int],
+    ) -> Iterator[Result]:
         # After a respawn, committed results are final and every committed
         # index was popped from pending_tasks, so both counters line up:
         # the next index to submit is stats.tasks and the next owed to the
@@ -298,10 +320,11 @@ class PipelineExecutor:
             while True:
                 # Grant credits: keep at most max_inflight tasks
                 # submitted-but-uncommitted (executing, queued, or
-                # completed and waiting for a predecessor).
+                # completed and waiting for a predecessor), counting the
+                # results a later stage still holds.
                 while (
                     not exhausted
-                    and stats.tasks - stats.committed < self._max_inflight
+                    and stats.tasks - stats.committed + held() < self._max_inflight
                 ):
                     try:
                         task = next(iterator)
@@ -316,7 +339,7 @@ class PipelineExecutor:
                     stats.tasks += 1
                     inflight[executor.submit(fn, task)] = index
                 stats.peak_inflight = max(
-                    stats.peak_inflight, stats.tasks - stats.committed
+                    stats.peak_inflight, stats.tasks - stats.committed + held()
                 )
                 if exhausted and not pending_tasks and not ready:
                     # Everything committed.  Superseded stragglers may
@@ -348,12 +371,13 @@ class PipelineExecutor:
                 while next_commit in ready:
                     result = ready.pop(next_commit)
                     pending_tasks.pop(next_commit)
-                    consumer(result)
+                    yield result
                     next_commit += 1
                     stats.committed += 1
         except BaseException:
-            # A task (or the consumer) failed, or the pool broke: nothing
-            # submitted after the failure may commit.  Cancel what has not
+            # A task (or the caller, which closes this generator) failed,
+            # or the pool broke: nothing submitted after the failure may
+            # commit.  Cancel what has not
             # started so shutdown does not drain a doomed queue (a respawn
             # re-executes the uncommitted tasks from scratch).
             for future in inflight:

@@ -5,13 +5,14 @@ Workers never receive a live window store: the window travels as a
 :class:`~repro.storage.segments.SegmentHandle` objects (file paths for the
 disk backend, serialised segment bytes for the in-memory backend) plus the
 scalar window parameters and the source store's ``lineage`` — attached to
-every shard task.  Each worker process keeps ONE resident window replica
+every shard task and every slide task of a watch.  Each worker process
+keeps ONE resident window replica
 keyed by lineage (DESIGN.md §4.2): a task whose segment ids continue the
 replica's only loads the segments appended since, and the replica slides
 exactly as the coordinating store did (row cache carried by segment
-deltas); anything else rebuilds the window from all handles.  A worker
-backed by a segmented disk store reopens that store from its directory,
-so the limited-memory miners keep streaming rows from disk.  Everything
+deltas); anything else rebuilds the window from all handles.  A shard
+task backed by a segmented disk store reopens that store from its
+directory, so the limited-memory miners keep streaming rows from disk.  Everything
 in this module is picklable and importable at module level, so the tasks
 work under every multiprocessing start method.
 """
@@ -24,7 +25,9 @@ from typing import Dict, Optional, Tuple
 
 from repro import faults
 from repro.core.algorithms import get_algorithm
+from repro.core.algorithms.base import MiningStats
 from repro.core.patterns import PatternRows
+from repro.core.postprocess import filter_connected_patterns
 from repro.exceptions import DSMatrixError
 from repro.graph.edge_registry import EdgeRegistry
 from repro.storage.backend import (
@@ -88,6 +91,34 @@ class ShardOutcome:
     shard_id: int
     patterns: PatternRows
     stats: Dict[str, int] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class MiningSlideTask:
+    """One slide of a watch: the algorithm's own ``mine`` over a whole window.
+
+    ``connected_only``/``rule`` ask for the connectivity post-filter the
+    coordinating miner would otherwise apply (algorithms that mine
+    connected subgraphs directly skip it either way).
+    """
+
+    slide_id: int
+    algorithm: str
+    minsup: int
+    window: WindowTask
+    registry: EdgeRegistry
+    connected_only: bool = False
+    rule: str = "exact"
+
+
+@dataclass(frozen=True)
+class SlideOutcome:
+    """A mined slide: its pattern rows and the run's instrumentation."""
+
+    slide_id: int
+    minsup: int
+    patterns: PatternRows
+    stats: MiningStats
 
 
 def rebuild_window(task: WindowTask) -> WindowStore:
@@ -174,3 +205,18 @@ def run_mining_shard(task: MiningShardTask) -> ShardOutcome:
         stats=algorithm.stats.as_dict(),
     )
 
+
+def run_mining_slide(task: MiningSlideTask) -> SlideOutcome:
+    """Worker entry point: mine one slide's whole window (DESIGN.md §9.3)."""
+    faults.trip("mine.shard")
+    store = _resident_window(task.window)
+    algorithm = get_algorithm(task.algorithm)
+    patterns = algorithm.mine(store, task.minsup, registry=task.registry)
+    if task.connected_only and not algorithm.produces_connected_only:
+        patterns = filter_connected_patterns(patterns, task.registry, rule=task.rule)
+    return SlideOutcome(
+        slide_id=task.slide_id,
+        minsup=task.minsup,
+        patterns=patterns,
+        stats=algorithm.stats,
+    )

@@ -259,3 +259,68 @@ class TestWatchSemantics:
         assert pulled_at_slide[0] <= bound
         for slide, count in enumerate(pulled_at_slide):
             assert count <= bound + slide * batch_size, (slide, count)
+
+
+class TestEmissionBound:
+    """A live source never waits on a slide the watch has not sunk yet.
+
+    The source below, before yielding the first unit of batch ``j``,
+    waits (with a timeout) until slide ``j - m`` has been sunk.  The sinks
+    run in the watch's own thread, so if the pipeline pulls batch ``j``
+    before that slide is out, the wait times out and the test fails — it
+    never hangs.  ``m`` is the emission bound of each path: 1 for
+    sequential feeding; the in-flight bound for parallel ingestion, whose
+    first two batches are peeked before anything is committed.
+    """
+
+    BATCH_SIZE = 5
+    BATCHES = 9
+    TIMEOUT_S = 1.0
+
+    def live_source(self, sunk, lag, exempt, misses):
+        for index in range(self.BATCHES * self.BATCH_SIZE):
+            batch, offset = divmod(index, self.BATCH_SIZE)
+            if offset == 0 and batch >= exempt and batch - lag >= 0:
+                if not sunk[batch - lag].wait(self.TIMEOUT_S):
+                    misses.append((batch, batch - lag))
+                    raise AssertionError(
+                        f"batch {batch} pulled before slide {batch - lag} was sunk"
+                    )
+            yield (f"i{index % 4}", f"i{index % 3 + 4}")
+
+    @pytest.mark.parametrize("workers", (0, 1, 2))
+    @pytest.mark.parametrize("ingest_workers", (None, 1, 2))
+    @pytest.mark.parametrize("max_inflight", (1, None))
+    def test_batch_waits_for_the_slide_it_may_not_overtake(
+        self, workers, ingest_workers, max_inflight
+    ):
+        import threading
+
+        if ingest_workers is None:
+            lag, exempt = 1, 0
+        else:
+            lag = max_inflight or default_max_inflight(ingest_workers)
+            exempt = 2
+        sunk = [threading.Event() for _ in range(self.BATCHES)]
+        misses = []
+        miner = StreamSubgraphMiner(
+            window_size=3,
+            batch_size=self.BATCH_SIZE,
+            algorithm="vertical",
+            on_slide=lambda record: sunk[record.slide_id].set(),
+        )
+        with miner:
+            report = miner.watch(
+                TransactionStream(
+                    self.live_source(sunk, lag, exempt, misses),
+                    batch_size=self.BATCH_SIZE,
+                ),
+                minsup=2,
+                connected_only=False,
+                workers=workers,
+                ingest_workers=ingest_workers,
+                max_inflight=max_inflight,
+            )
+        assert misses == []
+        assert report.slides == self.BATCHES
+        assert all(event.is_set() for event in sunk)

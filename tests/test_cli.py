@@ -687,6 +687,40 @@ class TestMineInputErrors:
         assert code == EXIT_INPUT_ERROR
         assert "error: cannot read input file:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ("mine", "watch"))
+    @pytest.mark.parametrize("workers", ("0", "2"))
+    def test_direct_algorithm_on_a_fimi_file_is_one_json_error(
+        self, tmp_path, capsys, command, workers
+    ):
+        """A FIMI file carries no edges: one JSON line, no traceback."""
+        source = tmp_path / "items.fimi"
+        source.write_text("1 2 3\n1 2\n2 3\n" * 10)
+        extra = ["--journal", str(tmp_path / "journal")] if command == "watch" else []
+        code = main(
+            [
+                command,
+                str(source),
+                "--algorithm",
+                "vertical_direct",
+                "--batch-size",
+                "10",
+                "--window",
+                "2",
+                "--minsup",
+                "2",
+                "--workers",
+                workers,
+                *extra,
+            ]
+        )
+        assert code == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["exit_code"] == EXIT_INPUT_ERROR
+        assert "vertical_direct" in payload["error"]
+        assert "not registered" in payload["error"]
+
 
 class TestBench:
     def test_bench_e1_table(self, capsys):
