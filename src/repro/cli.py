@@ -423,9 +423,10 @@ def _add_parallel_options(parser: argparse.ArgumentParser) -> None:
         help=(
             "mining worker processes (0 = sequential in-process, the default; "
             "N >= 1: `mine` partitions the window's search space over N "
-            "processes and merges the shards, `watch` mines each slide's whole "
-            "window in a worker, the next slide while this one is journalled — "
-            "the pattern set is identical either way)"
+            "processes and merges the shards; `watch` with --ingest-workers mines "
+            "each slide's whole window in a worker, the next slide while this "
+            "one is journalled, on at most 2 workers, and without it mines "
+            "in-process — the pattern set is identical either way)"
         ),
     )
     parser.add_argument(
@@ -449,7 +450,7 @@ def _add_parallel_options(parser: argparse.ArgumentParser) -> None:
             "unmerged; `watch` keeps at most this many batches read from the "
             "stream but not yet journalled, counting the slides being mined "
             "(with --ingest-workers; sequential feeding reads one batch at a "
-            "time).  Any value produces the identical window, patterns and "
+            "time and ignores it).  Any value produces the identical window, patterns and "
             "journal — it only trades memory and latency against overlap"
         ),
     )

@@ -19,18 +19,15 @@ Typical usage::
 from __future__ import annotations
 
 import time
-from collections import deque
 from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Callable,
-    Deque,
     Iterable,
     Iterator,
     List,
-    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -60,7 +57,6 @@ from repro.resilience import EventLog, FailurePolicy, ResilienceEvent
 from repro.graph.graph import GraphSnapshot
 from repro.storage.backend import MemoryWindowStore, WindowStore
 from repro.storage.dsmatrix import DSMatrix
-from repro.storage.segments import Segment
 from repro.stream.batch import Batch
 from repro.stream.stream import (
     GraphStream,
@@ -79,21 +75,6 @@ SlideSink = Callable[[SlideRecord], None]
 #: and sunk (DESIGN.md §9).  Deeper queues add a period of latency per
 #: slide and no throughput while the main process is the slower stage.
 SLIDES_AHEAD = 1
-
-
-class _SlideSource(NamedTuple):
-    """The staged batches of a watch with mining workers (DESIGN.md §9.3)."""
-
-    #: Each batch's segment, staged in stream order and not yet committed.
-    segments: Iterator[Segment]
-    #: Commit the oldest staged batch to the miner's store (and registry).
-    commit: Callable[[], object]
-    #: The registry as of the newest staged batch.
-    registry: Callable[[], EdgeRegistry]
-    #: How many slides may be mined at once.
-    depth: int
-    #: The ingestion report, once the stream is done (parallel ingestion).
-    report: Optional[Callable[[], IngestReport]] = None
 
 
 @dataclass(frozen=True)
@@ -359,7 +340,18 @@ class StreamSubgraphMiner:
             minimum 1).  Any value yields the byte-identical window; it
             only trades peak memory against encode/commit overlap.
         """
+        self._check_stream_registry(stream)
         self._feed(stream, ingest_workers, max_inflight)
+
+    def _check_stream_registry(
+        self, stream: Union[GraphStream, TransactionStream, Iterable[Batch]]
+    ) -> None:
+        """A GraphStream must encode against this miner's own registry."""
+        if isinstance(stream, GraphStream) and stream.registry is not self._registry:
+            raise StreamError(
+                "the GraphStream must share the miner's EdgeRegistry; "
+                "pass registry=miner.registry when building the stream"
+            )
 
     def _feed(
         self,
@@ -373,11 +365,6 @@ class StreamSubgraphMiner:
         Sequentially in this process when ``ingest_workers`` is ``None``,
         otherwise through the parallel ingestion pipeline.
         """
-        if isinstance(stream, GraphStream) and stream.registry is not self._registry:
-            raise StreamError(
-                "the GraphStream must share the miner's EdgeRegistry; "
-                "pass registry=miner.registry when building the stream"
-            )
         if ingest_workers is not None:
             self._consume_with_ingest_workers(
                 stream, ingest_workers, max_inflight, on_batch_committed
@@ -503,9 +490,13 @@ class StreamSubgraphMiner:
         pipeline) and :meth:`mine` (``connected_only``/``rule``/
         ``algorithm``/``workers``).  With ``workers=0`` every slide is
         mined in this process, inside the single-writer commit hook under
-        parallel ingestion.  With ``workers >= 1`` each slide's whole
-        window is mined by one worker task, the next slide's while this
-        one is sealed and sunk (DESIGN.md §9.3).  Records are sealed in
+        parallel ingestion.  With ``workers >= 1`` and parallel ingestion
+        each slide's whole window is mined by one worker task, the next
+        slide's while this one is sealed and sunk, on at most
+        ``SLIDES_AHEAD + 1`` workers (DESIGN.md §9.3).  Sequential feeding
+        (``ingest_workers=None``) reads no batch ahead, so a worker would
+        have nothing to overlap: its slides are mined in this process
+        whatever ``workers`` says.  Records are sealed in
         strict stream order either way, so they (and a disk journal's
         bytes) are identical for every ``workers × ingest_workers ×
         max_inflight`` combination.  ``max_inflight`` bounds the batches
@@ -517,6 +508,7 @@ class StreamSubgraphMiner:
         already-committed batch prefix — the continuation seals records
         (and journal bytes) identical to an uninterrupted run.
         """
+        self._check_stream_registry(stream)
         self.flush_pending()
         if resume_from is not None:
             if resume_from.window_size != self.window_size:
@@ -532,7 +524,7 @@ class StreamSubgraphMiner:
                     "miner from the checkpoint first"
                 )
             stream = skip_stream_prefix(stream, resume_from.batches_consumed)
-        if workers > 0:
+        if workers > 0 and ingest_workers is not None:
             report_slides, last_record = self._watch_slides(
                 stream,
                 minsup,
@@ -575,115 +567,24 @@ class StreamSubgraphMiner:
         rule: str,
         algorithm: Optional[Union[str, MiningAlgorithm]],
         workers: int,
-        ingest_workers: Optional[int],
+        ingest_workers: int,
         max_inflight: Optional[int],
     ) -> Tuple[int, Optional[SlideRecord]]:
         """The watch with mining workers: one whole-window task per slide.
 
-        Each batch is *staged* — materialised and shipped inside its
-        slide's task — before it is committed.  A slide's segment (and a
-        graph batch's new edges) reach this miner only when the slide is
-        emitted, so every sink sees the window, registry and journal at
-        its own slide (DESIGN.md §9, §12.1).  Under parallel ingestion the
+        Each batch is *staged* by the ingestion coordinator — materialised
+        and shipped inside its slide's task — before it is committed.  A
+        slide's segment (and a graph batch's new edges) reach this miner
+        only when the slide is emitted, so every sink sees the window,
+        registry and journal at its own slide (DESIGN.md §9, §12.1).  The
         task for slide n+1 goes out before slide n is sealed and sunk,
         while the batches taken from the stream and not yet emitted stay
-        within ``max_inflight``; sequential feeding mines one slide at a
-        time.  Returns (slides emitted, last record).
+        within ``max_inflight``.  Returns (slides emitted, last record).
         """
         if max_inflight is not None and max_inflight < 1:
             raise ParallelMiningError(f"max_inflight must be at least 1, got {max_inflight}")
         name = check_parallel_algorithm(self._algorithm if algorithm is None else algorithm)
         store = self._matrix.store
-        pending: Deque[Segment] = deque()  # shipped, not yet committed
-        source = self._slide_source(stream, ingest_workers, max_inflight, pending)
-        deferred: List[Exception] = []
-
-        def tasks() -> Iterator[MiningSlideTask]:
-            try:
-                for segment in source.segments:
-                    pending.append(segment)
-                    window = window_after(store, pending)
-                    columns = sum(handle.num_columns for handle in window.handles)
-                    yield MiningSlideTask(
-                        slide_id=segment.segment_id,
-                        algorithm=name,
-                        minsup=resolve_minsup(minsup, columns),
-                        window=window,
-                        registry=source.registry(),
-                        connected_only=connected_only,
-                        rule=rule,
-                    )
-            except Exception as exc:  # noqa: BLE001 - raised once earlier slides are out
-                deferred.append(exc)
-
-        slides = 0
-        last_record: Optional[SlideRecord] = None
-
-        def emit(outcome: SlideOutcome) -> None:
-            nonlocal slides, last_record
-            source.commit()
-            pending.popleft()
-            self._batches_consumed += 1
-            self._premined = outcome
-            last_record = self._emit_slide(
-                minsup,
-                connected_only=connected_only,
-                rule=rule,
-                algorithm=algorithm,
-                workers=workers,
-                max_inflight=max_inflight,
-            )
-            slides += 1
-
-        try:
-            with closing(tasks()) as slide_tasks:
-                mine_slides(
-                    slide_tasks,
-                    emit,
-                    workers=workers,
-                    depth=source.depth,
-                    lineage=store.lineage,
-                    pool=self._ensure_pool(workers),
-                    policy=self._failure_policy,
-                    events=self._events,
-                )
-        except BaseException:
-            self._premined = None
-            if pending:
-                # Workers hold segments the store never committed: retire
-                # them before this store's lineage is mined again.
-                self.close()
-            raise
-        if deferred:
-            raise deferred[0]
-        if source.report is not None:
-            self._last_ingest_report = source.report()
-        return slides, last_record
-
-    def _slide_source(
-        self,
-        stream: Union[GraphStream, TransactionStream, Iterable[Batch]],
-        ingest_workers: Optional[int],
-        max_inflight: Optional[int],
-        pending: Deque[Segment],
-    ) -> "_SlideSource":
-        """Where :meth:`_watch_slides` gets its staged batches from.
-
-        ``pending`` holds the batches staged and not yet committed; new
-        segment ids continue after them.
-        """
-        store = self._matrix.store
-        if ingest_workers is None:
-            # Sequential feeding reads no batch ahead: one slide at a time.
-            return _SlideSource(
-                segments=(
-                    Segment.from_batch(batch, store.next_segment_id + len(pending))
-                    for batch in self._sequential_batches(stream)
-                ),
-                commit=lambda: store.append_segment(pending[0]),
-                registry=lambda: self._registry,
-                depth=1,
-            )
         kind, register_new_edges, batches = self._raw_batches(stream)
         ingest = IngestPipeline(
             store,
@@ -703,22 +604,73 @@ class StreamSubgraphMiner:
             policy=self._failure_policy,
             events=self._events,
         )
-
-        def segments() -> Iterator[Segment]:
-            # Slides being mined hold ingest credits: together the two
-            # stages never hold more than max_inflight batches.
-            with closing(ingest.outcomes(downstream=pending.__len__)) as outcomes:
-                for outcome in outcomes:
-                    yield coordinator.stage(outcome)
-
         bound = max_inflight if max_inflight is not None else default_max_inflight(ingest_workers)
-        return _SlideSource(
-            segments=segments(),
-            commit=coordinator.commit_staged,
-            registry=lambda: coordinator.staged_registry or self._registry,
-            depth=min(bound, SLIDES_AHEAD + 1),
-            report=lambda: ingest.report(coordinator),
-        )
+        depth = min(bound, SLIDES_AHEAD + 1)
+        # No more workers than slides in flight: a larger pool never fills.
+        pool_workers = min(workers, depth)
+
+        def tasks() -> Iterator[MiningSlideTask]:
+            # Slides being mined hold ingest credits: together the two
+            # stages never hold more than max_inflight batches.  An error
+            # reading or staging a batch is raised by the slide stage once
+            # every earlier slide is emitted.
+            outcomes = ingest.outcomes(downstream=lambda: len(coordinator.staged))
+            with closing(outcomes):
+                for outcome in outcomes:
+                    segment = coordinator.stage(outcome)
+                    window = window_after(store, coordinator.staged)
+                    columns = sum(handle.num_columns for handle in window.handles)
+                    yield MiningSlideTask(
+                        slide_id=segment.segment_id,
+                        algorithm=name,
+                        minsup=resolve_minsup(minsup, columns),
+                        window=window,
+                        registry=coordinator.staged_registry,
+                        connected_only=connected_only,
+                        rule=rule,
+                    )
+
+        slides = 0
+        last_record: Optional[SlideRecord] = None
+
+        def emit(outcome: SlideOutcome) -> None:
+            nonlocal slides, last_record
+            coordinator.commit_staged()
+            self._batches_consumed += 1
+            self._premined = outcome
+            last_record = self._emit_slide(
+                minsup,
+                connected_only=connected_only,
+                rule=rule,
+                algorithm=algorithm,
+                workers=workers,
+                max_inflight=max_inflight,
+            )
+            slides += 1
+
+        try:
+            # Closing the task generator also shuts the ingestion pipeline
+            # down, whichever stage failed.
+            with closing(tasks()) as slide_tasks:
+                mine_slides(
+                    slide_tasks,
+                    emit,
+                    workers=pool_workers,
+                    depth=depth,
+                    lineage=store.lineage,
+                    pool=self._ensure_pool(pool_workers),
+                    policy=self._failure_policy,
+                    events=self._events,
+                )
+        except BaseException:
+            self._premined = None
+            if coordinator.staged:
+                # Workers hold segments the store never committed: retire
+                # them before this store's lineage is mined again.
+                self.close()
+            raise
+        self._last_ingest_report = ingest.report(coordinator)
+        return slides, last_record
 
     @staticmethod
     def _sequential_batches(

@@ -122,6 +122,11 @@ class WindowCoordinator:
         """
         return self._lookahead if self._lookahead is not None else self._registry
 
+    @property
+    def staged(self) -> Tuple[Segment, ...]:
+        """The segments staged and not yet committed, oldest first."""
+        return tuple(staged.segment for staged in self._staged)
+
     def commit(self, outcome: ChunkOutcome) -> None:
         """Commit one batch's segment, merging its new edges first.
 

@@ -16,7 +16,20 @@ the property the parity suite pins down.
 from __future__ import annotations
 
 import sys
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Type, Union
+import threading
+from contextlib import contextmanager
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Type,
+    Union,
+)
 
 from repro.core.algorithms import ALGORITHMS
 from repro.core.algorithms.base import MiningAlgorithm, MiningStats
@@ -51,6 +64,30 @@ MatrixLike = Union[DSMatrix, WindowStore]
 #: default 5 ms interval the task reached its worker after the sinks it
 #: was meant to overlap (6-7 ms after submission, against ~3 ms here).
 HANDOFF_SWITCH_INTERVAL_S = 0.0005
+
+# The switch interval is process-wide: overlapping watches share one
+# lowered interval, and the last to finish restores the caller's.
+_handoff_lock = threading.Lock()
+_handoff_users = 0
+_restored_interval = 0.0
+
+
+@contextmanager
+def handoff_switch_interval() -> Iterator[None]:
+    """Run with the interpreter's switch interval at most ``HANDOFF_SWITCH_INTERVAL_S``."""
+    global _handoff_users, _restored_interval
+    with _handoff_lock:
+        if _handoff_users == 0:
+            _restored_interval = sys.getswitchinterval()
+            sys.setswitchinterval(min(_restored_interval, HANDOFF_SWITCH_INTERVAL_S))
+        _handoff_users += 1
+    try:
+        yield
+    finally:
+        with _handoff_lock:
+            _handoff_users -= 1
+            if _handoff_users == 0:
+                sys.setswitchinterval(_restored_interval)
 
 
 def _store_of(matrix: MatrixLike) -> WindowStore:
@@ -136,12 +173,10 @@ def mine_slides(
     executor = PipelineExecutor(
         workers, max_inflight=depth, pool=pool, policy=policy, events=events
     )
-    switch_interval = sys.getswitchinterval()
-    sys.setswitchinterval(min(switch_interval, HANDOFF_SWITCH_INTERVAL_S))
     try:
-        executor.run(run_mining_slide, tasks, on_slide)
+        with handoff_switch_interval():
+            executor.run(run_mining_slide, tasks, on_slide)
     finally:
-        sys.setswitchinterval(switch_interval)
         clear_mining_worker(lineage)
 
 

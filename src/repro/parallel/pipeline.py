@@ -19,7 +19,10 @@ a credit-based producer/consumer pipeline:
 The consumer sees exactly the sequence ``fn(task_0), fn(task_1), ...`` in
 that order under every ``workers``/``max_inflight`` combination — only
 the interleaving with task execution changes.  Exceptions raised by tasks
-propagate unchanged (remaining submissions are cancelled first).
+propagate unchanged (remaining submissions are cancelled first).  An
+exception raised while *reading* the next task ends the input instead: it
+propagates once every task read before it has been consumed, as it would
+from a sequential loop.
 
 Recovery is governed by the unified :class:`~repro.resilience.FailurePolicy`
 (DESIGN.md §14).  Broken pool infrastructure (an OOM-killed or crashed
@@ -41,7 +44,7 @@ from contextlib import closing
 from concurrent.futures import FIRST_COMPLETED, Executor, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, Optional, Set, Tuple, TypeVar
+from typing import Callable, Dict, Generic, Iterable, Iterator, Optional, Set, Tuple, TypeVar
 
 from repro.exceptions import ParallelMiningError
 from repro.parallel.pool import PersistentWorkerPool, process_pools_available
@@ -54,6 +57,28 @@ from repro.resilience import (
 
 Task = TypeVar("Task")
 Result = TypeVar("Result")
+
+
+class _TaskInput(Generic[Task]):
+    """The tasks of one run; a failed read ends them and is kept for later."""
+
+    def __init__(self, tasks: Iterable[Task]) -> None:
+        self._tasks = iter(tasks)
+        self.error: Optional[Exception] = None
+
+    def __iter__(self) -> "_TaskInput[Task]":
+        return self
+
+    def __next__(self) -> Task:
+        if self.error is not None:
+            raise StopIteration
+        try:
+            return next(self._tasks)
+        except StopIteration:
+            raise
+        except Exception as exc:  # noqa: BLE001 - raised after the tasks read before it
+            self.error = exc
+            raise StopIteration from None
 
 #: In-flight credits granted per worker when ``max_inflight`` is omitted:
 #: one task executing plus one queued/awaiting commit keeps every worker
@@ -193,21 +218,25 @@ class PipelineExecutor:
         when given, reports how many already-yielded results the caller
         still holds in a later pipeline stage; they count against
         ``max_inflight`` too, so the two stages together never hold more
-        than ``max_inflight`` tasks (DESIGN.md §9).
+        than ``max_inflight`` tasks (DESIGN.md §9).  An error raised by
+        ``tasks`` itself is raised after the results of every task read
+        before it.
         """
         stats = PipelineStats()
         self.last_stats = stats
-        iterator = iter(tasks)
+        iterator = _TaskInput(tasks)
         held = downstream if downstream is not None else (lambda: 0)
         if self._workers == 0 or not process_pools_available():
             yield from self._run_in_process(fn, iterator, initializer, initargs, stats)
-            return
-        if self._pool is not None and initializer is not None:
-            raise ParallelMiningError(
-                "a persistent pool cannot run per-run initializers; "
-                "attach the run's state to its tasks instead"
-            )
-        yield from self._run_pool(fn, iterator, initializer, initargs, stats, held)
+        else:
+            if self._pool is not None and initializer is not None:
+                raise ParallelMiningError(
+                    "a persistent pool cannot run per-run initializers; "
+                    "attach the run's state to its tasks instead"
+                )
+            yield from self._run_pool(fn, iterator, initializer, initargs, stats, held)
+        if iterator.error is not None:
+            raise iterator.error
 
     # ------------------------------------------------------------------ #
     # execution modes

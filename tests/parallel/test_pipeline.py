@@ -144,6 +144,23 @@ class TestPoolMode:
         assert consumed == [i * i for i in range(6)]
         assert pulled == list(range(6))  # all pulled, but only on credit
 
+    @pool_required
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_a_failed_read_is_raised_after_every_task_read_before_it(self, workers):
+        """Task 4 is still running when reading task 5 fails: it commits first."""
+
+        def plan():
+            for index in range(5):
+                yield (index, 0.3 if index == 4 else 0.0)
+            raise ValueError("unreadable input")
+
+        consumed = []
+        with pytest.raises(ValueError, match="unreadable input"):
+            PipelineExecutor(workers=workers, max_inflight=2).run(
+                sleep_then_square, plan(), consumed.append
+            )
+        assert consumed == [i * i for i in range(5)]
+
 
 class TestConfiguration:
     def test_negative_workers_rejected(self):

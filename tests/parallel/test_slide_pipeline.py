@@ -9,15 +9,18 @@ batch already registered new edges in a worker's task), and crash
 recovery through the shared failure policy.
 """
 
+import multiprocessing
 import shutil
+import sys
 
 import pytest
 
 from repro import faults
 from repro.checkpoint import CheckpointManager, Checkpointer
-from repro.core.miner import StreamSubgraphMiner
+from repro.core.miner import SLIDES_AHEAD, StreamSubgraphMiner
 from repro.exceptions import StreamError
 from repro.history.journal import DATA_NAME, DiskJournal, MemoryJournal, truncate_journal
+from repro.parallel.api import HANDOFF_SWITCH_INTERVAL_S, handoff_switch_interval
 from repro.parallel.pipeline import PipelineExecutor
 from repro.parallel.planner import ShardPlanner
 from repro.parallel.pool import process_pools_available
@@ -68,46 +71,64 @@ def watch_into(path, units, **kwargs):
     return miner, report, (path / DATA_NAME).read_bytes()
 
 
+def record_mining_runs(monkeypatch):
+    """Record (task function, tasks, committed) of every executor run; forbid shards."""
+    runs = []
+    original = PipelineExecutor.run
+
+    def recording_run(self, fn, tasks, consumer, *args, **kwargs):
+        stats = original(self, fn, tasks, consumer, *args, **kwargs)
+        runs.append((fn.__name__, stats.tasks, stats.committed))
+        return stats
+
+    def no_shards(*args, **kwargs):
+        raise AssertionError("the watch planned item shards")
+
+    monkeypatch.setattr(PipelineExecutor, "run", recording_run)
+    monkeypatch.setattr(ShardPlanner, "plan_items", no_shards)
+    return runs
+
+
 class TestOneTaskPerSlide:
-    @pytest.mark.parametrize("ingest_workers", (None, 1))
+    @pytest.mark.parametrize("ingest_workers", (0, 1))
     def test_the_watch_submits_one_mining_task_per_slide(
         self, tmp_path, monkeypatch, ingest_workers
     ):
-        runs = []
-        original = PipelineExecutor.run
-
-        def recording_run(self, fn, tasks, consumer, *args, **kwargs):
-            stats = original(self, fn, tasks, consumer, *args, **kwargs)
-            runs.append((fn.__name__, stats.tasks, stats.committed))
-            return stats
-
-        def no_shards(*args, **kwargs):
-            raise AssertionError("the watch planned item shards")
-
-        monkeypatch.setattr(PipelineExecutor, "run", recording_run)
-        monkeypatch.setattr(ShardPlanner, "plan_items", no_shards)
+        runs = record_mining_runs(monkeypatch)
         _miner, report, data = watch_into(
             tmp_path / "par", transactions(), workers=2, ingest_workers=ingest_workers
         )
         assert report.slides == 12
         assert runs == [("run_mining_slide", 12, 12)]
-        monkeypatch.setattr(PipelineExecutor, "run", original)
         _miner, _report, reference = watch_into(tmp_path / "seq", transactions())
         assert data == reference
 
-    def test_a_one_window_mine_keeps_its_shard_plan(self, monkeypatch):
-        planned = []
-        original = ShardPlanner.plan_items
+    def test_a_sequentially_fed_watch_mines_in_process(self, tmp_path, monkeypatch):
+        """No batch is read ahead, so a worker would have nothing to overlap."""
+        runs = record_mining_runs(monkeypatch)
+        miner, report, data = watch_into(tmp_path / "par", transactions(), workers=2)
+        assert report.slides == 12
+        assert runs == []
+        assert miner.mining_pool is None
+        _miner, _report, reference = watch_into(tmp_path / "seq", transactions())
+        assert data == reference
 
-        def recording_plan(self, items):
-            planned.append(self.num_shards)
-            return original(self, items)
-
-        monkeypatch.setattr(ShardPlanner, "plan_items", recording_plan)
-        with StreamSubgraphMiner(window_size=WINDOW_SIZE, algorithm="vertical") as miner:
-            miner.add_transactions(transactions(15))
-            miner.mine(3, connected_only=False, workers=2)
-        assert planned == [2]
+    @pool_required
+    @pytest.mark.parametrize("workers", (1, 2, 4))
+    def test_the_watch_spawns_no_more_workers_than_slides_in_flight(self, workers):
+        miner = StreamSubgraphMiner(
+            window_size=WINDOW_SIZE, batch_size=BATCH_SIZE, algorithm="vertical"
+        )
+        with miner:
+            report = miner.watch(
+                TransactionStream(transactions(), batch_size=BATCH_SIZE),
+                minsup=3,
+                connected_only=False,
+                workers=workers,
+                ingest_workers=1,
+            )
+            assert report.slides == 12
+            assert miner.mining_pool.workers == min(workers, SLIDES_AHEAD + 1)
 
 
 class TestCheckpointInvariant:
@@ -216,6 +237,47 @@ class TestFailures:
             )
         assert [record.slide_id for record in journal] == list(range(len(batches)))
 
+    @pytest.mark.parametrize("ingest_workers", (None, 1))
+    @pytest.mark.parametrize("workers", (0, 2))
+    def test_a_graph_stream_with_its_own_registry_is_rejected(self, workers, ingest_workers):
+        journal = MemoryJournal()
+        miner = StreamSubgraphMiner(
+            window_size=WINDOW_SIZE,
+            batch_size=BATCH_SIZE,
+            algorithm="vertical_direct",
+            on_slide=journal.append,
+        )
+        stream = GraphStream(synthetic_snapshots(count=20), batch_size=BATCH_SIZE)
+        with miner, pytest.raises(StreamError, match="share the miner's EdgeRegistry"):
+            miner.watch(stream, minsup=2, workers=workers, ingest_workers=ingest_workers)
+        assert list(journal) == []
+        assert miner.matrix.next_segment_id == 0
+
+    @pool_required
+    def test_a_failed_watch_shuts_its_ingestion_workers_down(self):
+        """The ingestion pool goes with the watch, not with the exception's frames."""
+
+        def sink(record):
+            if record.slide_id == 3:
+                raise RuntimeError("sink broke")
+
+        before = set(multiprocessing.active_children())
+        miner = StreamSubgraphMiner(
+            window_size=WINDOW_SIZE, batch_size=BATCH_SIZE, algorithm="vertical", on_slide=sink
+        )
+        with pytest.raises(RuntimeError, match="sink broke") as failure:
+            miner.watch(
+                TransactionStream(transactions(), batch_size=BATCH_SIZE),
+                minsup=3,
+                connected_only=False,
+                workers=1,
+                ingest_workers=1,
+            )
+        miner.close()
+        # ``failure`` still holds the traceback (and so the watch's frames).
+        assert failure.traceback
+        assert set(multiprocessing.active_children()) - before == set()
+
     @pool_required
     def test_a_failed_watch_retires_the_replicas_of_uncommitted_slides(self):
         """Slide 4 is shipped before slide 3's sinks fail, and never committed.
@@ -274,3 +336,18 @@ class TestFailures:
                 TransactionStream(second, batch_size=BATCH_SIZE), minsup=3, connected_only=False
             )
         assert [r.to_bytes() for r in journal] == [r.to_bytes() for r in reference]
+
+
+class TestHandoffSwitchInterval:
+    def test_overlapping_watches_restore_the_callers_interval_last(self):
+        original = sys.getswitchinterval()
+        lowered = pytest.approx(min(original, HANDOFF_SWITCH_INTERVAL_S))
+        first, second = handoff_switch_interval(), handoff_switch_interval()
+        first.__enter__()
+        assert sys.getswitchinterval() == lowered
+        second.__enter__()
+        first.__exit__(None, None, None)
+        # The second watch still runs: the interval stays lowered for it.
+        assert sys.getswitchinterval() == lowered
+        second.__exit__(None, None, None)
+        assert sys.getswitchinterval() == pytest.approx(original)
